@@ -52,6 +52,7 @@ from .spectra import (
     EigenSystem,
     InertiaCounts,
     NormComparison,
+    PairSpectra,
     SparsifierNormCheck,
     SpectralReport,
     WeylCheck,
@@ -95,6 +96,7 @@ __all__ = [
     "NotOdnError",
     "OdnError",
     "OdnMatrix",
+    "PairSpectra",
     "ParseError",
     "PcaComparison",
     "QuadFormRecord",

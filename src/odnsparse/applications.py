@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import OdnMatrix, decompose, reconstruct, validate_odn
 from .errors import (
@@ -22,17 +21,8 @@ from .errors import (
     NotOdnError,
     ZeroVarianceColumnError,
 )
-from .sparsify import (
-    DENSE_LIMIT,
-    VerificationRecord,
-    sparsify_laplacian,
-    verify_sparsifier,
-)
-from .spectra import (
-    InertiaCounts,
-    eigen_decompose,
-    spectral_norm,
-)
+from .sparsify import VerificationRecord, sparsify_laplacian, verify_sparsifier
+from .spectra import DENSE_LIMIT, InertiaCounts, PairSpectra, eigen_decompose
 
 _ROUNDING_TOL = 1e-12
 
@@ -74,7 +64,8 @@ def quadform_gap(matrix, matrix_hat, xs) -> QuadFormReport:
         raise DimensionMismatchError((m.n, m.n), (m_hat.n, m_hat.n))
     a = m.to_dense()
     b = m_hat.to_dense()
-    norm_diff = float(np.abs(np.linalg.eigvalsh(a - b)).max())
+    spectra = PairSpectra(matrix=m, matrix_hat=m_hat)
+    norm_diff = spectra.matrix_diff_norm
 
     records = []
     for x in xs:
@@ -93,8 +84,7 @@ def quadform_gap(matrix, matrix_hat, xs) -> QuadFormReport:
             )
         )
 
-    eig_a = np.linalg.eigvalsh(a)
-    eig_b = np.linalg.eigvalsh(b)
+    eig_a, eig_b = spectra.matrix_values
     tol_a = 1e-9 * max(1.0, float(np.abs(eig_a).max()))
     tol_b = 1e-9 * max(1.0, float(np.abs(eig_b).max()))
     return QuadFormReport(
@@ -204,31 +194,23 @@ def pca_compare(
         raise ValueError(f"p must satisfy 1 <= p <= n, got p={p}, n={m.n}")
 
     decomp = decompose(m)
-    result = sparsify_laplacian(
-        decomp, epsilon, seed, constant, dense_limit=dense_limit
-    )
+    spectra = PairSpectra(decomp)
+    result = sparsify_laplacian(spectra, epsilon, seed, constant, dense_limit=dense_limit)
     m_hat = reconstruct(result.adjacency, decomp.center)
+    spectra.hat = result
     verification = verify_sparsifier(
-        decomp.laplacian,
-        result.laplacian,
-        epsilon,
-        probes=probes,
-        seed=seed,
-        dense_limit=dense_limit,
+        spectra, epsilon=epsilon, probes=probes, seed=seed, dense_limit=dense_limit
     )
-    rho = spectral_norm(decomp.laplacian, dense_limit=dense_limit)
+    rho = spectra.laplacian_norm(dense_limit)
     unit_bound = epsilon * math.sqrt(m.n) * rho
 
     t0 = time.perf_counter()
     dense_sys = eigen_decompose(m.to_dense(), k=p)
     dense_seconds = time.perf_counter() - t0
 
-    hat_operand = sp.csr_matrix(result.adjacency + sp.diags(m_hat.diag))
     t0 = time.perf_counter()
-    if p < m.n:
-        sparse_sys = eigen_decompose(hat_operand, k=p, method="iterative")
-    else:
-        sparse_sys = eigen_decompose(hat_operand.toarray(), k=p)
+    method = "iterative" if p < m.n else "dense"
+    sparse_sys = eigen_decompose(m_hat, k=p, method=method)
     iterative_seconds = time.perf_counter() - t0
 
     variances = dense_sys.values[:p]

@@ -5,14 +5,12 @@ matrices against every bound), pca-demo (correlation PCA comparison from
 a CSV), bounds (print the certified deviation bound without sparsifying).
 
 Exit codes: 0 all checks passed, 1 usage/input error, 2 bound violation.
-Set ODN_SPARSIFY_THREADS to cap library-internal (BLAS) parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -20,7 +18,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .core import center_diagonal, decompose, reconstruct
+from .core import decompose, reconstruct
 from .errors import NotOdnError, OdnError
 from .generators import generate_odn, parse_generator_spec
 from .mmio import read_matrix_market, write_matrix_market
@@ -38,7 +36,6 @@ from .report import (
     write_spectral_csv,
 )
 from .sparsify import (
-    DENSE_LIMIT,
     EPSILON_SMALL_REGIME,
     eigenvalue_ratio_check,
     sample_count,
@@ -46,32 +43,13 @@ from .sparsify import (
     verify_sparsifier,
 )
 from .spectra import (
+    DENSE_LIMIT,
+    PairSpectra,
     adjacency_norm_check,
     sparsifier_norm_check,
-    spectral_norm,
     spectral_report,
     weyl_check,
 )
-
-_thread_limiter = None
-
-
-def _apply_thread_cap() -> None:
-    global _thread_limiter
-    raw = os.environ.get("ODN_SPARSIFY_THREADS")
-    if not raw:
-        return
-    try:
-        cap = max(1, int(raw))
-    except ValueError:
-        print(f"warning: ignoring ODN_SPARSIFY_THREADS={raw!r}", file=sys.stderr)
-        return
-    try:
-        import threadpoolctl
-
-        _thread_limiter = threadpoolctl.threadpool_limits(limits=cap)
-    except ImportError:
-        os.environ.setdefault("OMP_NUM_THREADS", str(cap))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -204,28 +182,27 @@ def cmd_sparsify(args) -> int:
 
     t0 = time.perf_counter()
     decomp = decompose(matrix)
-    centered = center_diagonal(matrix)
+    spectra = PairSpectra(decomp)
     stages["decompose"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     result = sparsify_laplacian(
-        decomp, args.epsilon, args.seed, args.constant, dense_limit=args.dense_limit
+        spectra, args.epsilon, args.seed, args.constant, dense_limit=args.dense_limit
     )
     stages["sparsify"] = time.perf_counter() - t0
     m_hat = reconstruct(result.adjacency, decomp.center)
+    spectra.hat, spectra.matrix_hat = result, m_hat
 
     t0 = time.perf_counter()
-    verification = verify_sparsifier(
-        decomp.laplacian, result.laplacian, args.epsilon,
-        probes=args.probes, seed=args.seed, dense_limit=args.dense_limit,
-    )
+    verification = verify_sparsifier(spectra, epsilon=args.epsilon, probes=args.probes,
+                                     seed=args.seed, dense_limit=args.dense_limit)
     ratios = None
     if matrix.n <= args.dense_limit:
-        ratios = eigenvalue_ratio_check(decomp.laplacian, result.laplacian, args.epsilon)
+        ratios = eigenvalue_ratio_check(spectra, epsilon=args.epsilon)
     stages["verify"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    spect = spectral_report(matrix, m_hat, args.epsilon, dense_limit=args.dense_limit)
+    spect = spectral_report(spectra, epsilon=args.epsilon, dense_limit=args.dense_limit)
     stages["spectral"] = time.perf_counter() - t0
 
     if args.out_matrix:
@@ -251,7 +228,7 @@ def cmd_sparsify(args) -> int:
     print(f"n={matrix.n} nnz_before={matrix.nnz} nnz_after={result.nnz_after} "
           f"samples={result.samples_drawn} distinct_edges={result.distinct_edges}")
     print(f"bound={spect.bound:.6g} max_deviation={spect.max_deviation:.6g} "
-          f"centered_diag={centered.diag[0]:.6g}")
+          f"centered_diag={decomp.center:.6g}")
     if verification.gen_min is not None:
         print(f"ratio extremes: [{verification.gen_min:.6f}, {verification.gen_max:.6f}] "
               f"target [{1 - args.epsilon:.6f}, {1 + args.epsilon:.6f}]")
@@ -266,23 +243,20 @@ def cmd_verify(args) -> int:
     _warn_small_regime(args.epsilon)
 
     t0 = time.perf_counter()
-    decomp_a = decompose(matrix_a)
-    decomp_b = decompose(matrix_b)
-    verification = verify_sparsifier(
-        decomp_a.laplacian, decomp_b.laplacian, args.epsilon,
-        probes=args.probes, seed=args.seed, dense_limit=args.dense_limit,
-    )
+    spectra = PairSpectra(decompose(matrix_a), decompose(matrix_b))
+    verification = verify_sparsifier(spectra, epsilon=args.epsilon, probes=args.probes,
+                                     seed=args.seed, dense_limit=args.dense_limit)
     lap_check = sparsifier_norm_check(
-        decomp_a.laplacian, decomp_b.laplacian, args.epsilon,
-        sparsifier_ok=verification.passed,
+        spectra, epsilon=args.epsilon, sparsifier_ok=verification.passed
     )
-    adj_check = adjacency_norm_check(decomp_a, decomp_b)
-    weyl = weyl_check(matrix_a.to_dense(), matrix_b.to_dense())
-    ratios = eigenvalue_ratio_check(decomp_a.laplacian, decomp_b.laplacian, args.epsilon)
+    adj_check = adjacency_norm_check(spectra)
+    ratios = eigenvalue_ratio_check(spectra, epsilon=args.epsilon)
     stages["checks"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    spect = spectral_report(matrix_a, matrix_b, args.epsilon, dense_limit=args.dense_limit)
+    spect = spectral_report(spectra, epsilon=args.epsilon, dense_limit=args.dense_limit)
+    # After the report, so that it reads the eigenvalues solved there.
+    weyl = weyl_check(spectra)
     stages["spectral"] = time.perf_counter() - t0
 
     failures = []
@@ -371,7 +345,7 @@ def cmd_bounds(args) -> int:
 
     t0 = time.perf_counter()
     decomp = decompose(matrix)
-    rho = spectral_norm(decomp.laplacian, dense_limit=args.dense_limit)
+    rho = PairSpectra(decomp).laplacian_norm(args.dense_limit)
     spread = (decomp.delta_max - decomp.delta_min) / 2.0
     bound = args.epsilon * math.sqrt(matrix.n) * rho + spread
     q = sample_count(matrix.n, args.epsilon, args.constant)
@@ -403,7 +377,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

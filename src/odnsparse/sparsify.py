@@ -22,15 +22,8 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .core import LaplacianDecomposition
-from .errors import (
-    DenseLimitExceededError,
-    DimensionMismatchError,
-    InvalidConstantError,
-    InvalidEpsilonError,
-)
-
-DENSE_LIMIT = 4096
-PINV_CUTOFF = 1e-10
+from .errors import DenseLimitExceededError, InvalidConstantError, InvalidEpsilonError
+from .spectra import DENSE_LIMIT, PINV_CUTOFF, PairSpectra, _require_same_shape
 # epsilon threshold below which the strictest published edge-count
 # guarantees are stated; sampling itself works for any epsilon in (0, 1).
 EPSILON_SMALL_REGIME = 1.0 / 120.0
@@ -83,12 +76,12 @@ class SparsifierResult:
         return 2 * self.distinct_edges + self.n
 
 
-def _exact_resistances(decomp: LaplacianDecomposition, dense_limit: int) -> np.ndarray:
-    n = decomp.n
+def _exact_resistances(spectra: PairSpectra, dense_limit: int) -> np.ndarray:
+    n = spectra.base.n
     if n > dense_limit:
         raise DenseLimitExceededError(n, dense_limit)
-    src = decomp.matrix
-    mu, vecs = np.linalg.eigh(decomp.laplacian_dense())
+    src = spectra.base.matrix
+    mu, vecs = spectra.laplacian_eigh
     rho = max(float(mu[-1]), 0.0)
     inv = np.zeros_like(mu)
     keep = mu > PINV_CUTOFF * rho
@@ -144,13 +137,14 @@ def _sketched_resistances(decomp: LaplacianDecomposition, seed: int) -> np.ndarr
 
 
 def _resistance_arrays(decomp, mode, dense_limit, seed):
+    spectra = PairSpectra.of(decomp)
     if mode == "exact":
-        resistance = _exact_resistances(decomp, dense_limit)
+        resistance = _exact_resistances(spectra, dense_limit)
     elif mode == "approximate":
-        resistance = _sketched_resistances(decomp, seed)
+        resistance = _sketched_resistances(spectra.base, seed)
     else:
         raise ValueError(f"unknown resistance mode {mode!r}")
-    leverage = decomp.matrix.vals * resistance
+    leverage = spectra.base.matrix.vals * resistance
     probability = leverage / leverage.sum()
     return resistance, probability
 
@@ -188,7 +182,7 @@ def sample_count(n: int, epsilon: float, constant: float) -> int:
 
 
 def sparsify_laplacian(
-    decomp: LaplacianDecomposition,
+    decomp: LaplacianDecomposition | PairSpectra,
     epsilon: float,
     seed: int = 0,
     constant: float = 9.0,
@@ -200,7 +194,8 @@ def sparsify_laplacian(
 
     Identical (decomp, epsilon, seed, constant) inputs give bit-identical
     results. Repeated draws of one edge accumulate weight. A Laplacian
-    with no edges short-circuits to the empty sparsifier.
+    with no edges short-circuits to the empty sparsifier. Given a
+    PairSpectra, its eigendecomposition of L is shared with later checks.
     """
     if not (0.0 < epsilon < 1.0) or not math.isfinite(epsilon):
         raise InvalidEpsilonError(epsilon)
@@ -208,7 +203,7 @@ def sparsify_laplacian(
         raise InvalidConstantError(constant)
 
     src = decomp.matrix
-    n = decomp.n
+    n = src.n
     warn = bool(epsilon > EPSILON_SMALL_REGIME)
     if src.stored_pairs == 0:
         return SparsifierResult(
@@ -275,47 +270,24 @@ class VerificationRecord:
     mode: str
 
 
-def _as_laplacian(x):
-    if isinstance(x, LaplacianDecomposition):
-        return x.laplacian
-    if isinstance(x, SparsifierResult):
-        return x.laplacian
-    return x
-
-
-def _dense(x) -> np.ndarray:
-    if sp.issparse(x):
-        return x.toarray()
-    return np.asarray(x, dtype=np.float64)
-
-
 def _offdiag_components(lap) -> np.ndarray:
-    if sp.issparse(lap):
-        coo = lap.tocoo()
-        off = coo.row != coo.col
-        graph = sp.csr_matrix(
-            (np.abs(coo.data[off]) > 0, (coo.row[off], coo.col[off])),
-            shape=lap.shape,
-        )
-    else:
-        off = np.abs(np.asarray(lap)).copy()
-        np.fill_diagonal(off, 0.0)
-        graph = sp.csr_matrix(off > 0)
-    _, labels = connected_components(graph, directed=False)
-    return labels
+    coo = sp.coo_matrix(lap)
+    # Stored zeros are not edges.
+    off = (coo.row != coo.col) & (coo.data != 0)
+    graph = sp.csr_matrix(
+        (np.ones(off.sum()), (coo.row[off], coo.col[off])), shape=coo.shape
+    )
+    return connected_components(graph, directed=False)[1]
 
 
 def _max_abs(x) -> float:
-    if sp.issparse(x):
-        return float(abs(x).max()) if x.nnz else 0.0
-    arr = np.asarray(x)
-    return float(np.abs(arr).max()) if arr.size else 0.0
+    return float(abs(x).max()) if min(x.shape) else 0.0
 
 
 def verify_sparsifier(
     laplacian,
-    laplacian_hat,
-    epsilon: float,
+    laplacian_hat=None,
+    epsilon=None,
     probes: int = 1000,
     seed: int = 0,
     *,
@@ -329,85 +301,57 @@ def verify_sparsifier(
     exact extreme generalized eigenvalues of (L_hat, L) on the range of
     L, which decide the `passed` flag; otherwise the probe extremes do.
     """
-    lap = _as_laplacian(laplacian)
-    lap_hat = _as_laplacian(laplacian_hat)
-    if lap.shape != lap_hat.shape:
-        raise DimensionMismatchError(lap.shape, lap_hat.shape)
+    spectra = PairSpectra.of(laplacian, laplacian_hat)
+    lap = spectra.laplacian
+    lap_hat = spectra.laplacian_hat
+    _require_same_shape(lap, lap_hat)
     if not (0.0 < epsilon < 1.0):
         raise InvalidEpsilonError(epsilon)
     if probes < 1:
         raise ValueError(f"probes must be >= 1, got {probes}")
     n = lap.shape[0]
     grace = 1e-9
+    scale_hat = _max_abs(lap_hat)
+    probe_min = probe_max = gen_min = gen_max = None
 
-    dense_ok = n <= dense_limit
-    ld = _dense(lap) if dense_ok else None
-    lhd = _dense(lap_hat) if dense_ok else None
-
-    scale = _max_abs(ld if dense_ok else lap)
-    scale_hat = _max_abs(lhd if dense_ok else lap_hat)
-    if scale == 0.0:
-        return VerificationRecord(
-            n=n,
-            epsilon=float(epsilon),
-            probes=0,
-            seed=int(seed),
-            probe_min=None,
-            probe_max=None,
-            gen_min=None,
-            gen_max=None,
-            kernel_leak=scale_hat,
-            passed=scale_hat <= 1e-12,
-            mode="trivial-zero",
-        )
-
-    labels = _offdiag_components(ld if dense_ok else lap)
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    x = rng.standard_normal((n, probes))
-    for c in np.unique(labels):
-        idx = labels == c
-        x[idx] -= x[idx].mean(axis=0)
-    norms = np.linalg.norm(x, axis=0)
-    good = norms > 0
-    x = x[:, good] / norms[good]
-
-    numer = np.einsum("ij,ij->j", x, lap_hat @ x)
-    denom = np.einsum("ij,ij->j", x, lap @ x)
-    ratios = numer / denom
-    probe_min = float(ratios.min())
-    probe_max = float(ratios.max())
-
-    gen_min = gen_max = kernel_leak = None
-    if dense_ok:
-        mu, vecs = np.linalg.eigh(ld)
-        rho = max(float(mu[-1]), 0.0)
-        keep = mu > PINV_CUTOFF * rho
-        kernel = vecs[:, ~keep]
-        kernel_leak = float(np.linalg.norm(lhd @ kernel, 2)) if kernel.size else 0.0
-        span = vecs[:, keep]
-        inv_sqrt = 1.0 / np.sqrt(mu[keep])
-        reduced = (span.T @ lhd @ span) * np.outer(inv_sqrt, inv_sqrt)
-        gen = np.linalg.eigvalsh(reduced)
-        gen_min = float(gen[0])
-        gen_max = float(gen[-1])
-        leak_ok = kernel_leak <= 1e-8 * max(rho, scale_hat)
-        passed = (
-            leak_ok
-            and gen_min >= 1.0 - epsilon - grace
-            and gen_max <= 1.0 + epsilon + grace
-        )
-        mode = "exact"
+    if _max_abs(lap) == 0.0:
+        kept, kernel_leak, passed, mode = 0, scale_hat, scale_hat <= 1e-12, "trivial-zero"
     else:
+        labels = _offdiag_components(lap)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        x = rng.standard_normal((n, probes))
+        for c in np.unique(labels):
+            idx = labels == c
+            x[idx] -= x[idx].mean(axis=0)
+        norms = np.linalg.norm(x, axis=0)
+        good = norms > 0
+        x = x[:, good] / norms[good]
+        kept = x.shape[1]
+
+        numer = np.einsum("ij,ij->j", x, lap_hat @ x)
+        denom = np.einsum("ij,ij->j", x, lap @ x)
+        ratios = numer / denom
+        probe_min = float(ratios.min())
+        probe_max = float(ratios.max())
+
+        if n <= dense_limit:
+            gen, kernel_leak = spectra.pencil
+            rho = max(float(spectra.laplacian_values[-1]), 0.0)
+            gen_min = float(gen[0])
+            gen_max = float(gen[-1])
+            low, high, mode = gen_min, gen_max, "exact"
+            leak_ok = kernel_leak <= 1e-8 * max(rho, scale_hat)
+        else:
+            low, high, mode = probe_min, probe_max, "probes-only"
+            kernel_leak, leak_ok = None, True
         passed = (
-            probe_min >= 1.0 - epsilon - grace and probe_max <= 1.0 + epsilon + grace
+            leak_ok and low >= 1.0 - epsilon - grace and high <= 1.0 + epsilon + grace
         )
-        mode = "probes-only"
 
     return VerificationRecord(
         n=n,
         epsilon=float(epsilon),
-        probes=int(x.shape[1]),
+        probes=int(kept),
         seed=int(seed),
         probe_min=probe_min,
         probe_max=probe_max,
@@ -432,19 +376,17 @@ class RatioCheck:
 
 
 def eigenvalue_ratio_check(
-    laplacian, laplacian_hat, epsilon: float, *, tol: float = 1e-9
+    laplacian, laplacian_hat=None, epsilon=None, *, tol: float = 1e-9
 ) -> RatioCheck:
     """Check (1-eps) mu_i <= mu_hat_i <= (1+eps) mu_i for all sorted pairs.
 
     The comparison carries an additive slack of tol * rho(L) so that
     kernel eigenvalues computed as ~1e-15 noise do not flip the verdict.
     """
-    ld = _dense(_as_laplacian(laplacian))
-    lhd = _dense(_as_laplacian(laplacian_hat))
-    if ld.shape != lhd.shape:
-        raise DimensionMismatchError(ld.shape, lhd.shape)
-    mu = np.linalg.eigvalsh(ld)[::-1]
-    mu_hat = np.linalg.eigvalsh(lhd)[::-1]
+    spectra = PairSpectra.of(laplacian, laplacian_hat)
+    _require_same_shape(spectra.laplacian, spectra.laplacian_hat)
+    mu = spectra.laplacian_values[::-1]
+    mu_hat = spectra.laplacian_hat_values[::-1]
     rho = float(np.abs(mu).max()) if mu.size else 0.0
     slack = tol * max(rho, 1e-300)
     low = (1.0 - epsilon) * mu - mu_hat

@@ -6,13 +6,16 @@ bound, and the end-to-end eigenvalue deviation bound
 eps * sqrt(n) * rho(L) + (delta_max - delta_min) / 2 with its per-index
 angle bounds. The 2-norm of a symmetric matrix is computed as the
 largest absolute eigenvalue, with a power-iteration fallback for large
-sparse operands.
+sparse operands. A run computes each dense eigensolve once: every check
+reads its eigen-data from one shared `PairSpectra` for the pair (M, M_hat),
+whose roles each solve on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,6 +25,8 @@ from .core import LaplacianDecomposition, OdnMatrix, decompose, validate_odn
 from .errors import DimensionMismatchError, InvalidEpsilonError
 
 DENSE_LIMIT = 4096
+# Laplacian eigenvalues below PINV_CUTOFF * rho(L) count as kernel.
+PINV_CUTOFF = 1e-10
 _LANCZOS_SEED = 0x0D25
 
 
@@ -238,6 +243,112 @@ def eigen_decompose(
     raise ValueError(f"unknown method {method!r}")
 
 
+def _require_same_shape(x, y) -> None:
+    shapes = [(z.n, z.n) if isinstance(z, OdnMatrix) else np.shape(z) for z in (x, y)]
+    if shapes[0] != shapes[1]:
+        raise DimensionMismatchError(*shapes)
+
+
+def _difference(x, y):
+    return x - y if sp.issparse(x) and sp.issparse(y) else _dense(x) - _dense(y)
+
+
+class PairSpectra:
+    """Dense spectra of one matrix pair (M, M_hat), each solved at most once.
+
+    `base` and `hat` are the graphs of M and M_hat (LaplacianDecomposition
+    or SparsifierResult views, or raw Laplacians); a LaplacianDecomposition
+    side also gives `matrix` or `matrix_hat`. A run that sparsifies sets
+    `hat` and `matrix_hat` once the sparsifier exists. Every check function
+    accepts an instance in place of its matrix pair. Each role is a
+    cached_property; a values-only role reuses the eigenvalues of a full
+    decomposition already solved, else runs the cheaper values-only solve.
+    """
+
+    def __init__(self, base=None, hat=None, *, matrix=None, matrix_hat=None):
+        self.base, self.hat = base, hat
+        self.matrix = getattr(base, "matrix", matrix)
+        self.matrix_hat = getattr(hat, "matrix", matrix_hat)
+
+    @classmethod
+    def of(cls, base, hat=None) -> "PairSpectra":
+        """`base` itself if it is a pair already, else the pair (base, hat)."""
+        return base if isinstance(base, cls) else cls(base, hat)
+
+    @property
+    def laplacian(self):
+        return getattr(self.base, "laplacian", self.base)
+
+    @property
+    def laplacian_hat(self):
+        return getattr(self.hat, "laplacian", self.hat)
+
+    @cached_property
+    def laplacian_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(_dense(self.laplacian))
+
+    @cached_property
+    def laplacian_values(self) -> np.ndarray:
+        if "laplacian_eigh" in self.__dict__:
+            return self.laplacian_eigh[0]
+        return np.linalg.eigvalsh(_dense(self.laplacian))
+
+    @cached_property
+    def laplacian_hat_values(self) -> np.ndarray:
+        return np.linalg.eigvalsh(_dense(self.laplacian_hat))
+
+    @cached_property
+    def pencil(self) -> tuple[np.ndarray, float]:
+        """Eigenvalues of the pencil (L_hat, L) on the range of L, and the
+        leak ||L_hat K||_2 on L's kernel basis K.
+
+        Only the resistances and the pencil use L's eigenvectors, so they
+        are released here; L's eigenvalues are kept.
+        """
+        mu, vecs = self.laplacian_eigh
+        self.__dict__.setdefault("laplacian_values", mu)
+        del self.laplacian_eigh
+        lhd = _dense(self.laplacian_hat)
+        keep = mu > PINV_CUTOFF * max(float(mu[-1]), 0.0)
+        kernel = vecs[:, ~keep]
+        leak = float(np.linalg.norm(lhd @ kernel, 2)) if kernel.size else 0.0
+        span = vecs[:, keep]
+        inv_sqrt = 1.0 / np.sqrt(mu[keep])
+        reduced = (span.T @ lhd @ span) * np.outer(inv_sqrt, inv_sqrt)
+        return np.linalg.eigvalsh(reduced), leak
+
+    def laplacian_norm(self, dense_limit: int = DENSE_LIMIT) -> float:
+        """rho(L): from L's eigenvalues up to dense_limit, by power iteration beyond."""
+        if np.shape(self.laplacian)[0] > dense_limit:
+            return spectral_norm(self.laplacian, dense_limit=dense_limit)
+        values = self.laplacian_values
+        return float(np.abs(values).max()) if values.size else 0.0
+
+    @cached_property
+    def systems(self) -> tuple[EigenSystem, EigenSystem]:
+        """Eigenpairs of M and of M_hat."""
+        return tuple(eigen_decompose(_dense(x)) for x in (self.matrix, self.matrix_hat))
+
+    @cached_property
+    def matrix_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues of M and of M_hat."""
+        if "systems" in self.__dict__:
+            return tuple(system.values[::-1] for system in self.systems)
+        return tuple(np.linalg.eigvalsh(_dense(x)) for x in (self.matrix, self.matrix_hat))
+
+    @cached_property
+    def matrix_diff_norm(self) -> float:
+        return spectral_norm(_difference(self.matrix, self.matrix_hat))
+
+    @cached_property
+    def laplacian_diff_norm(self) -> float:
+        return spectral_norm(_difference(self.laplacian, self.laplacian_hat))
+
+    @cached_property
+    def adjacency_diff_norm(self) -> float:
+        return spectral_norm(_difference(self.base.adjacency, self.hat.adjacency))
+
+
 @dataclass(frozen=True)
 class WeylCheck:
     max_deviation: float
@@ -245,15 +356,13 @@ class WeylCheck:
     passed: bool
 
 
-def weyl_check(a, b) -> WeylCheck:
+def weyl_check(a, b=None) -> WeylCheck:
     """max_i |alpha_i - beta_i| against ||A - B||_2, sorted eigenvalues."""
-    ad, bd = _dense(a), _dense(b)
-    if ad.shape != bd.shape:
-        raise DimensionMismatchError(ad.shape, bd.shape)
-    alphas = np.linalg.eigvalsh(ad)
-    betas = np.linalg.eigvalsh(bd)
+    spectra = a if isinstance(a, PairSpectra) else PairSpectra(matrix=a, matrix_hat=b)
+    _require_same_shape(spectra.matrix, spectra.matrix_hat)
+    alphas, betas = spectra.matrix_values
     deviation = float(np.abs(alphas - betas).max())
-    norm = float(np.abs(np.linalg.eigvalsh(ad - bd)).max())
+    norm = spectra.matrix_diff_norm
     return WeylCheck(deviation, norm, deviation <= norm + 1e-9 * (1.0 + norm))
 
 
@@ -264,14 +373,12 @@ class NormComparison:
     passed: bool
 
 
-def adjacency_norm_check(
-    g: LaplacianDecomposition, h: LaplacianDecomposition
-) -> NormComparison:
+def adjacency_norm_check(g, h=None) -> NormComparison:
     """||A_G - A_H|| against sqrt(n) * ||L_G - L_H|| for two graphs."""
-    if g.n != h.n:
-        raise DimensionMismatchError((g.n, g.n), (h.n, h.n))
-    lhs = spectral_norm(g.adjacency - h.adjacency)
-    rhs = math.sqrt(g.n) * spectral_norm(g.laplacian - h.laplacian)
+    spectra = PairSpectra.of(g, h)
+    _require_same_shape(spectra.laplacian, spectra.laplacian_hat)
+    lhs = spectra.adjacency_diff_norm
+    rhs = math.sqrt(np.shape(spectra.laplacian)[0]) * spectra.laplacian_diff_norm
     return NormComparison(lhs, rhs, lhs <= rhs + 1e-9 * (1.0 + rhs))
 
 
@@ -287,7 +394,7 @@ class SparsifierNormCheck:
 
 
 def sparsifier_norm_check(
-    laplacian, laplacian_hat, epsilon: float, *, sparsifier_ok: bool = True
+    laplacian, laplacian_hat=None, epsilon=None, *, sparsifier_ok: bool = True
 ) -> SparsifierNormCheck:
     """||L - L_hat|| against eps * rho(L).
 
@@ -295,13 +402,10 @@ def sparsifier_norm_check(
     knows that inequality did not hold (sparsifier_ok=False), a violation
     is labelled "hypothesis-unmet" rather than "fail".
     """
-    ld = _dense(laplacian)
-    lhd = _dense(laplacian_hat)
-    if ld.shape != lhd.shape:
-        raise DimensionMismatchError(ld.shape, lhd.shape)
-    norm_diff = float(np.abs(np.linalg.eigvalsh(ld - lhd)).max()) if ld.size else 0.0
-    rho = float(np.abs(np.linalg.eigvalsh(ld)).max()) if ld.size else 0.0
-    bound = epsilon * rho
+    spectra = PairSpectra.of(laplacian, laplacian_hat)
+    _require_same_shape(spectra.laplacian, spectra.laplacian_hat)
+    norm_diff = spectra.laplacian_diff_norm
+    bound = epsilon * spectra.laplacian_norm()
     if norm_diff <= bound * (1.0 + 1e-9):
         status = "pass"
     elif not sparsifier_ok:
@@ -380,9 +484,10 @@ def eigenvalue_deviation_bound(
     """
     if not (0.0 < epsilon < 1.0):
         raise InvalidEpsilonError(epsilon)
-    if decomp is None:
-        decomp = decompose(validate_odn(matrix))
-    rho = spectral_norm(decomp.laplacian, dense_limit=dense_limit)
+    spectra = matrix if isinstance(matrix, PairSpectra) else PairSpectra(
+        decomp or decompose(validate_odn(matrix)))
+    decomp = spectra.base
+    rho = spectra.laplacian_norm(dense_limit)
     spread = (decomp.delta_max - decomp.delta_min) / 2.0
     return epsilon * math.sqrt(decomp.n) * rho + spread
 
@@ -436,8 +541,8 @@ class SpectralReport:
 
 def spectral_report(
     matrix,
-    matrix_hat,
-    epsilon: float,
+    matrix_hat=None,
+    epsilon=None,
     *,
     gap_tol: float | None = None,
     dense_limit: int = DENSE_LIMIT,
@@ -450,20 +555,15 @@ def spectral_report(
     inertia of both spectra. `dk_bounds_swapped` carries the angle bounds
     with the roles of the two spectra exchanged, as a diagnostic.
     """
-    m = validate_odn(matrix)
-    m_hat = validate_odn(matrix_hat)
-    if m.n != m_hat.n:
-        raise DimensionMismatchError((m.n, m.n), (m_hat.n, m_hat.n))
+    spectra = matrix if isinstance(matrix, PairSpectra) else PairSpectra(
+        decompose(validate_odn(matrix)), matrix_hat=validate_odn(matrix_hat))
+    m, m_hat = spectra.matrix, spectra.matrix_hat
+    _require_same_shape(m, m_hat)
 
-    dense_m = m.to_dense()
-    dense_hat = m_hat.to_dense()
-    sys_a = eigen_decompose(dense_m)
-    sys_b = eigen_decompose(dense_hat)
+    sys_a, sys_b = spectra.systems
     deviations = np.abs(sys_a.values - sys_b.values)
-
-    decomp = decompose(m)
-    bound = eigenvalue_deviation_bound(m, epsilon, decomp=decomp, dense_limit=dense_limit)
-    r_norm = float(np.abs(np.linalg.eigvalsh(dense_m - dense_hat)).max())
+    bound = eigenvalue_deviation_bound(spectra, epsilon, dense_limit=dense_limit)
+    r_norm = spectra.matrix_diff_norm
 
     angles = davis_kahan(sys_a, sys_b, r_norm, gap_tol)
     swapped = davis_kahan(sys_b, sys_a, r_norm, gap_tol)

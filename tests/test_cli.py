@@ -90,12 +90,6 @@ class TestSparsify:
         assert code == 0
         assert err == ""
 
-    def test_thread_cap_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("ODN_SPARSIFY_THREADS", "1")
-        code, out, _ = run(["bounds", "--gen", "path:n=6,w=1"], capsys)
-        assert code == 0
-        assert "deviation_bound" in out
-
 
 class TestVerify:
     def test_identical_pass(self, k5_path, capsys):
