@@ -16,13 +16,14 @@ import odnsparse as od
 # (1 ohm direct, in parallel with a 2-ohm two-hop path).
 triangle = od.generate_odn("complete", 3, weight=1.0)
 print("triangle, unit weights:")
-for e in od.effective_resistances(od.decompose(triangle)):
-    print(f"  edge ({e.i},{e.j}): R={e.resistance:.6f} leverage={e.leverage:.6f} "
-          f"p={e.probability:.6f}")
+resistance, probability = od.effective_resistances(od.decompose(triangle))
+for i, j, w, r, p in zip(triangle.rows, triangle.cols, triangle.vals,
+                         resistance, probability):
+    print(f"  edge ({i},{j}): R={r:.6f} leverage={w * r:.6f} p={p:.6f}")
 
 # A path is all bridges: every leverage is exactly 1.
 path = od.generate_odn("path", 6, weight=1.0)
-levs = [e.leverage for e in od.effective_resistances(od.decompose(path))]
+levs = path.vals * od.effective_resistances(od.decompose(path))[0]
 print(f"\npath on 6 vertices: leverages = {np.round(levs, 12)}")
 
 # Foster's identity: sum of leverages = n - number_of_components.
@@ -32,17 +33,15 @@ for name, m in [
 ]:
     d = od.decompose(m)
     count, _ = d.components
-    total = sum(e.leverage for e in od.effective_resistances(d))
+    total = (m.vals * od.effective_resistances(d)[0]).sum()
     print(f"{name}: sum(w*R) = {total:.10f}, n - c = {m.n - count}")
 
 # The sketched mode avoids the dense pseudoinverse and still lands within
 # 25% of the exact values with high probability.
 m = od.generate_odn("erdos-renyi", 60, density=0.3, seed=5)
 d = od.decompose(m)
-exact = np.array([e.resistance for e in od.effective_resistances(d)])
-approx = np.array(
-    [e.resistance for e in od.effective_resistances(d, mode="approximate", seed=1)]
-)
+exact, _ = od.effective_resistances(d)
+approx, _ = od.effective_resistances(d, mode="approximate", seed=1)
 worst = np.abs(approx / exact - 1.0).max()
 print(f"\nsketched resistances on {len(exact)} edges: "
       f"worst relative error {worst:.3f} (guarantee: 0.25 w.h.p.)")

@@ -37,7 +37,6 @@ from .errors import (
 from .generators import generate_odn, parse_generator_spec
 from .mmio import read_matrix_market, write_matrix_market
 from .sparsify import (
-    EdgeResistance,
     RatioCheck,
     SparsifierResult,
     VerificationRecord,
@@ -82,7 +81,6 @@ __all__ = [
     "DenseLimitExceededError",
     "DimensionMismatchError",
     "DuplicateEntryError",
-    "EdgeResistance",
     "EigenSystem",
     "GeneratorSpecError",
     "InertiaCounts",

@@ -22,7 +22,13 @@ from .errors import (
     ZeroVarianceColumnError,
 )
 from .sparsify import VerificationRecord, sparsify_laplacian, verify_sparsifier
-from .spectra import DENSE_LIMIT, InertiaCounts, PairSpectra, eigen_decompose
+from .spectra import (
+    DENSE_LIMIT,
+    InertiaCounts,
+    PairSpectra,
+    eigen_decompose,
+    spectral_norm,
+)
 
 _ROUNDING_TOL = 1e-12
 
@@ -56,7 +62,8 @@ def quadform_gap(matrix, matrix_hat, xs) -> QuadFormReport:
     """Evaluate x'Mx and x'M_hat x over probe vectors with certified gaps.
 
     The certified per-vector bound is ||M - M_hat||_2 * ||x||^2, which
-    the measured gap can never exceed.
+    the measured gap can never exceed. Both matrices are densified at any
+    n, so the pair's dense limit admits n.
     """
     m = validate_odn(matrix)
     m_hat = validate_odn(matrix_hat)
@@ -64,8 +71,8 @@ def quadform_gap(matrix, matrix_hat, xs) -> QuadFormReport:
         raise DimensionMismatchError((m.n, m.n), (m_hat.n, m_hat.n))
     a = m.to_dense()
     b = m_hat.to_dense()
-    spectra = PairSpectra(matrix=m, matrix_hat=m_hat)
-    norm_diff = spectra.matrix_diff_norm
+    spectra = PairSpectra(matrix=m, matrix_hat=m_hat, dense_limit=m.n)
+    norm_diff = spectral_norm(a - b)
 
     records = []
     for x in xs:
@@ -194,14 +201,12 @@ def pca_compare(
         raise ValueError(f"p must satisfy 1 <= p <= n, got p={p}, n={m.n}")
 
     decomp = decompose(m)
-    spectra = PairSpectra(decomp)
-    result = sparsify_laplacian(spectra, epsilon, seed, constant, dense_limit=dense_limit)
+    spectra = PairSpectra(decomp, dense_limit=dense_limit)
+    result = sparsify_laplacian(spectra, epsilon, seed, constant)
     m_hat = reconstruct(result.adjacency, decomp.center)
     spectra.hat = result
-    verification = verify_sparsifier(
-        spectra, epsilon=epsilon, probes=probes, seed=seed, dense_limit=dense_limit
-    )
-    rho = spectra.laplacian_norm(dense_limit)
+    verification = verify_sparsifier(spectra, epsilon=epsilon, probes=probes, seed=seed)
+    rho = spectra.laplacian_norm
     unit_bound = epsilon * math.sqrt(m.n) * rho
 
     t0 = time.perf_counter()

@@ -10,7 +10,6 @@ Exit codes: 0 all checks passed, 1 usage/input error, 2 bound violation.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -46,6 +45,7 @@ from .spectra import (
     DENSE_LIMIT,
     PairSpectra,
     adjacency_norm_check,
+    eigenvalue_deviation_bound,
     sparsifier_norm_check,
     spectral_report,
     weyl_check,
@@ -69,7 +69,7 @@ def _add_common(parser):
     parser.add_argument("--probes", type=int, default=1000,
                         help="random probe vectors for verification (default 1000)")
     parser.add_argument("--dense-limit", type=int, default=DENSE_LIMIT,
-                        help=f"max n for dense/exact paths (default {DENSE_LIMIT})")
+                        help=f"max n for dense eigensolves (default {DENSE_LIMIT})")
     parser.add_argument("--out-report", metavar="PATH", help="write the JSON report")
     parser.add_argument("--out-csv", metavar="PATH", help="write the flat CSV")
     parser.add_argument("-v", "--verbose", action="count", default=0)
@@ -182,27 +182,23 @@ def cmd_sparsify(args) -> int:
 
     t0 = time.perf_counter()
     decomp = decompose(matrix)
-    spectra = PairSpectra(decomp)
+    spectra = PairSpectra(decomp, dense_limit=args.dense_limit)
     stages["decompose"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    result = sparsify_laplacian(
-        spectra, args.epsilon, args.seed, args.constant, dense_limit=args.dense_limit
-    )
+    result = sparsify_laplacian(spectra, args.epsilon, args.seed, args.constant)
     stages["sparsify"] = time.perf_counter() - t0
     m_hat = reconstruct(result.adjacency, decomp.center)
     spectra.hat, spectra.matrix_hat = result, m_hat
 
     t0 = time.perf_counter()
     verification = verify_sparsifier(spectra, epsilon=args.epsilon, probes=args.probes,
-                                     seed=args.seed, dense_limit=args.dense_limit)
-    ratios = None
-    if matrix.n <= args.dense_limit:
-        ratios = eigenvalue_ratio_check(spectra, epsilon=args.epsilon)
+                                     seed=args.seed)
+    ratios = eigenvalue_ratio_check(spectra, epsilon=args.epsilon)
     stages["verify"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    spect = spectral_report(spectra, epsilon=args.epsilon, dense_limit=args.dense_limit)
+    spect = spectral_report(spectra, epsilon=args.epsilon)
     stages["spectral"] = time.perf_counter() - t0
 
     if args.out_matrix:
@@ -211,7 +207,7 @@ def cmd_sparsify(args) -> int:
     failures = []
     if not verification.passed:
         failures.append("sparsifier-inequality")
-    if ratios is not None and not ratios.passed:
+    if not ratios.passed:
         failures.append("eigenvalue-ratios")
     if not spect.eigenvalue_bound_passed:
         failures.append("eigenvalue-deviation-bound")
@@ -221,7 +217,7 @@ def cmd_sparsify(args) -> int:
     report = _report_skeleton(source, matrix, args)
     report["sparsifier"] = sparsifier_to_dict(result)
     report["verification"] = verification_to_dict(verification)
-    report["eigenvalue_ratios"] = None if ratios is None else ratio_check_to_dict(ratios)
+    report["eigenvalue_ratios"] = ratio_check_to_dict(ratios)
     report["spectral"] = spectral_to_dict(spect)
     timings["stages"] = stages
 
@@ -243,9 +239,10 @@ def cmd_verify(args) -> int:
     _warn_small_regime(args.epsilon)
 
     t0 = time.perf_counter()
-    spectra = PairSpectra(decompose(matrix_a), decompose(matrix_b))
+    spectra = PairSpectra(decompose(matrix_a), decompose(matrix_b),
+                          dense_limit=args.dense_limit)
     verification = verify_sparsifier(spectra, epsilon=args.epsilon, probes=args.probes,
-                                     seed=args.seed, dense_limit=args.dense_limit)
+                                     seed=args.seed)
     lap_check = sparsifier_norm_check(
         spectra, epsilon=args.epsilon, sparsifier_ok=verification.passed
     )
@@ -254,7 +251,7 @@ def cmd_verify(args) -> int:
     stages["checks"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    spect = spectral_report(spectra, epsilon=args.epsilon, dense_limit=args.dense_limit)
+    spect = spectral_report(spectra, epsilon=args.epsilon)
     # After the report, so that it reads the eigenvalues solved there.
     weyl = weyl_check(spectra)
     stages["spectral"] = time.perf_counter() - t0
@@ -345,9 +342,10 @@ def cmd_bounds(args) -> int:
 
     t0 = time.perf_counter()
     decomp = decompose(matrix)
-    rho = PairSpectra(decomp).laplacian_norm(args.dense_limit)
+    spectra = PairSpectra(decomp, dense_limit=args.dense_limit)
+    bound = eigenvalue_deviation_bound(spectra, args.epsilon)
+    rho = spectra.laplacian_norm
     spread = (decomp.delta_max - decomp.delta_min) / 2.0
-    bound = args.epsilon * math.sqrt(matrix.n) * rho + spread
     q = sample_count(matrix.n, args.epsilon, args.constant)
     predicted_nnz = 2 * min(q, matrix.stored_pairs) + matrix.n
     timings["stages"] = {"bounds": time.perf_counter() - t0}

@@ -45,10 +45,13 @@ class DimensionMismatchError(OdnError):
 
 
 class DenseLimitExceededError(OdnError):
-    """Exact (dense) mode requested above the configured size limit."""
+    """A dense eigensolve was requested above the configured size limit."""
 
     def __init__(self, n: int, limit: int):
-        super().__init__(f"n={n} exceeds the dense limit {limit}; use approximate mode")
+        super().__init__(
+            f"n={n} exceeds the dense limit {limit}; raise the limit with "
+            "--dense-limit or PairSpectra(dense_limit=...)"
+        )
         self.n = n
         self.limit = limit
 

@@ -23,7 +23,8 @@ from scipy.sparse.linalg import splu
 
 from .core import LaplacianDecomposition
 from .errors import DenseLimitExceededError, InvalidConstantError, InvalidEpsilonError
-from .spectra import DENSE_LIMIT, PINV_CUTOFF, PairSpectra, _require_same_shape
+from .spectra import PINV_CUTOFF, PairSpectra, _require_same_shape
+
 # epsilon threshold below which the strictest published edge-count
 # guarantees are stated; sampling itself works for any epsilon in (0, 1).
 EPSILON_SMALL_REGIME = 1.0 / 120.0
@@ -31,22 +32,6 @@ EPSILON_SMALL_REGIME = 1.0 / 120.0
 # give multiplicative error within +-distortion with high probability.
 SKETCH_DISTORTION = 0.25
 _SKETCH_ROW_CHUNK = 128
-
-
-@dataclass(frozen=True)
-class EdgeResistance:
-    """Effective resistance and sampling probability of one stored edge."""
-
-    i: int
-    j: int
-    weight: float
-    resistance: float
-    probability: float
-
-    @property
-    def leverage(self) -> float:
-        """weight * resistance, always in [0, 1] up to rounding."""
-        return self.weight * self.resistance
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,10 +61,7 @@ class SparsifierResult:
         return 2 * self.distinct_edges + self.n
 
 
-def _exact_resistances(spectra: PairSpectra, dense_limit: int) -> np.ndarray:
-    n = spectra.base.n
-    if n > dense_limit:
-        raise DenseLimitExceededError(n, dense_limit)
+def _exact_resistances(spectra: PairSpectra) -> np.ndarray:
     src = spectra.base.matrix
     mu, vecs = spectra.laplacian_eigh
     rho = max(float(mu[-1]), 0.0)
@@ -136,44 +118,35 @@ def _sketched_resistances(decomp: LaplacianDecomposition, seed: int) -> np.ndarr
     return (diff * diff).sum(axis=1)
 
 
-def _resistance_arrays(decomp, mode, dense_limit, seed):
+def effective_resistances(
+    decomp: LaplacianDecomposition | PairSpectra,
+    mode: str = "exact",
+    *,
+    seed: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-edge effective resistances and normalized sampling probabilities.
+
+    Returns the arrays (resistance, probability), aligned with the stored
+    pairs `decomp.matrix.rows/cols/vals`; an edge's leverage is
+    vals * resistance. Exact mode uses the eigendecomposition pseudoinverse
+    of the Laplacian (singular values below 1e-10 * rho(L) treated as
+    zero) and raises DenseLimitExceededError above the pair's dense limit.
+    Approximate mode sketches the incidence factorization and is accurate
+    within +-25% with high probability. Disconnected inputs are fine: the
+    pseudoinverse acts per component.
+    """
     spectra = PairSpectra.of(decomp)
+    src = spectra.matrix
+    if src.stored_pairs == 0:
+        return np.zeros(0), np.zeros(0)
     if mode == "exact":
-        resistance = _exact_resistances(spectra, dense_limit)
+        resistance = _exact_resistances(spectra)
     elif mode == "approximate":
         resistance = _sketched_resistances(spectra.base, seed)
     else:
         raise ValueError(f"unknown resistance mode {mode!r}")
-    leverage = spectra.base.matrix.vals * resistance
-    probability = leverage / leverage.sum()
-    return resistance, probability
-
-
-def effective_resistances(
-    decomp: LaplacianDecomposition,
-    mode: str = "exact",
-    *,
-    dense_limit: int = DENSE_LIMIT,
-    seed: int = 0,
-) -> list[EdgeResistance]:
-    """Per-edge effective resistances and normalized sampling probabilities.
-
-    Exact mode uses the eigendecomposition pseudoinverse of the Laplacian
-    (singular values below 1e-10 * rho(L) treated as zero) and requires
-    n <= dense_limit. Approximate mode sketches the incidence
-    factorization and is accurate within +-25% with high probability.
-    Disconnected inputs are fine: the pseudoinverse acts per component.
-    """
-    src = decomp.matrix
-    if src.stored_pairs == 0:
-        return []
-    resistance, probability = _resistance_arrays(decomp, mode, dense_limit, seed)
-    return [
-        EdgeResistance(int(i), int(j), float(w), float(r), float(p))
-        for i, j, w, r, p in zip(
-            src.rows, src.cols, src.vals, resistance, probability
-        )
-    ]
+    leverage = src.vals * resistance
+    return resistance, leverage / leverage.sum()
 
 
 def sample_count(n: int, epsilon: float, constant: float) -> int:
@@ -188,7 +161,6 @@ def sparsify_laplacian(
     constant: float = 9.0,
     *,
     mode: str = "exact",
-    dense_limit: int = DENSE_LIMIT,
 ) -> SparsifierResult:
     """Draw an epsilon-spectral sparsifier of the decomposition's Laplacian.
 
@@ -217,7 +189,7 @@ def sparsify_laplacian(
             epsilon_above_small_regime=warn,
         )
 
-    _, probability = _resistance_arrays(decomp, mode, dense_limit, seed)
+    _, probability = effective_resistances(decomp, mode, seed=seed)
     q = sample_count(n, epsilon, constant)
 
     # Inverse-CDF sampling: searchsorted on the cumulative probabilities is
@@ -290,16 +262,14 @@ def verify_sparsifier(
     epsilon=None,
     probes: int = 1000,
     seed: int = 0,
-    *,
-    dense_limit: int = DENSE_LIMIT,
 ) -> VerificationRecord:
     """Check the spectral-sparsifier inequality numerically.
 
     Draws `probes` Gaussian vectors, projects them off the all-ones
     kernel of each connected component, and records the extreme Rayleigh
-    ratios x'L_hat x / x'Lx. When n <= dense_limit it also computes the
-    exact extreme generalized eigenvalues of (L_hat, L) on the range of
-    L, which decide the `passed` flag; otherwise the probe extremes do.
+    ratios x'L_hat x / x'Lx. Within the pair's dense limit it also computes
+    the exact extreme generalized eigenvalues of (L_hat, L) on the range
+    of L, which decide the `passed` flag; above it the probe extremes do.
     """
     spectra = PairSpectra.of(laplacian, laplacian_hat)
     lap = spectra.laplacian
@@ -334,16 +304,17 @@ def verify_sparsifier(
         probe_min = float(ratios.min())
         probe_max = float(ratios.max())
 
-        if n <= dense_limit:
+        try:
             gen, kernel_leak = spectra.pencil
+        except DenseLimitExceededError:
+            low, high, mode = probe_min, probe_max, "probes-only"
+            kernel_leak, leak_ok = None, True
+        else:
             rho = max(float(spectra.laplacian_values[-1]), 0.0)
             gen_min = float(gen[0])
             gen_max = float(gen[-1])
             low, high, mode = gen_min, gen_max, "exact"
             leak_ok = kernel_leak <= 1e-8 * max(rho, scale_hat)
-        else:
-            low, high, mode = probe_min, probe_max, "probes-only"
-            kernel_leak, leak_ok = None, True
         passed = (
             leak_ok and low >= 1.0 - epsilon - grace and high <= 1.0 + epsilon + grace
         )

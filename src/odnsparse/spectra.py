@@ -8,7 +8,9 @@ angle bounds. The 2-norm of a symmetric matrix is computed as the
 largest absolute eigenvalue, with a power-iteration fallback for large
 sparse operands. A run computes each dense eigensolve once: every check
 reads its eigen-data from one shared `PairSpectra` for the pair (M, M_hat),
-whose roles each solve on first use.
+whose roles each solve on first use. The pair also owns the dense limit:
+above it, a role with no iterative path raises DenseLimitExceededError, and
+the norms fall back to power iteration on sparse operands.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
 from .core import LaplacianDecomposition, OdnMatrix, decompose, validate_odn
-from .errors import DimensionMismatchError, InvalidEpsilonError
+from .errors import DenseLimitExceededError, DimensionMismatchError, InvalidEpsilonError
 
 DENSE_LIMIT = 4096
 # Laplacian eigenvalues below PINV_CUTOFF * rho(L) count as kernel.
@@ -38,6 +40,12 @@ def _dense(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def _sparse(x) -> sp.csr_matrix:
+    if isinstance(x, OdnMatrix):
+        return sp.csr_matrix(x.adjacency() + sp.diags(x.diag))
+    return sp.csr_matrix(x)
+
+
 def spectral_norm(
     matrix, *, dense_limit: int = DENSE_LIMIT, tol: float = 1e-9, max_iter: int = 5000
 ) -> float:
@@ -48,7 +56,7 @@ def spectral_norm(
     """
     n = matrix.n if isinstance(matrix, OdnMatrix) else matrix.shape[0]
     if isinstance(matrix, OdnMatrix) and n > dense_limit:
-        matrix = sp.csr_matrix(matrix.adjacency() + sp.diags(matrix.diag))
+        matrix = _sparse(matrix)
     if n <= dense_limit:
         d = _dense(matrix)
         if not d.size:
@@ -206,9 +214,7 @@ def eigen_decompose(
     Lanczos with full reorthogonalization (requires k < n) and flags
     non-convergence instead of raising, returning the pairs it achieved.
     """
-    operand = matrix.adjacency() if isinstance(matrix, OdnMatrix) else matrix
-    if isinstance(matrix, OdnMatrix):
-        operand = sp.csr_matrix(operand + sp.diags(matrix.diag))
+    operand = _sparse(matrix) if isinstance(matrix, OdnMatrix) else matrix
     n = operand.shape[0]
     if operand.shape[0] != operand.shape[1]:
         raise DimensionMismatchError(operand.shape, operand.shape)
@@ -249,10 +255,6 @@ def _require_same_shape(x, y) -> None:
         raise DimensionMismatchError(*shapes)
 
 
-def _difference(x, y):
-    return x - y if sp.issparse(x) and sp.issparse(y) else _dense(x) - _dense(y)
-
-
 class PairSpectra:
     """Dense spectra of one matrix pair (M, M_hat), each solved at most once.
 
@@ -263,12 +265,17 @@ class PairSpectra:
     accepts an instance in place of its matrix pair. Each role is a
     cached_property; a values-only role reuses the eigenvalues of a full
     decomposition already solved, else runs the cheaper values-only solve.
+
+    No role densifies an operand larger than `dense_limit` (see the module
+    docstring for what runs above it).
     """
 
-    def __init__(self, base=None, hat=None, *, matrix=None, matrix_hat=None):
+    def __init__(self, base=None, hat=None, *, matrix=None, matrix_hat=None,
+                 dense_limit: int = DENSE_LIMIT):
         self.base, self.hat = base, hat
         self.matrix = getattr(base, "matrix", matrix)
         self.matrix_hat = getattr(hat, "matrix", matrix_hat)
+        self.dense_limit = dense_limit
 
     @classmethod
     def of(cls, base, hat=None) -> "PairSpectra":
@@ -283,19 +290,29 @@ class PairSpectra:
     def laplacian_hat(self):
         return getattr(self.hat, "laplacian", self.hat)
 
+    def _densify(self, x) -> np.ndarray:
+        """`x` as a dense array; the one check of its size against the limit."""
+        n = x.n if isinstance(x, OdnMatrix) else np.shape(x)[0]
+        if n > self.dense_limit:
+            raise DenseLimitExceededError(n, self.dense_limit)
+        return _dense(x)
+
+    def _difference_norm(self, x, y) -> float:
+        return spectral_norm(_sparse(x) - _sparse(y), dense_limit=self.dense_limit)
+
     @cached_property
     def laplacian_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(_dense(self.laplacian))
+        return np.linalg.eigh(self._densify(self.laplacian))
 
     @cached_property
     def laplacian_values(self) -> np.ndarray:
         if "laplacian_eigh" in self.__dict__:
             return self.laplacian_eigh[0]
-        return np.linalg.eigvalsh(_dense(self.laplacian))
+        return np.linalg.eigvalsh(self._densify(self.laplacian))
 
     @cached_property
     def laplacian_hat_values(self) -> np.ndarray:
-        return np.linalg.eigvalsh(_dense(self.laplacian_hat))
+        return np.linalg.eigvalsh(self._densify(self.laplacian_hat))
 
     @cached_property
     def pencil(self) -> tuple[np.ndarray, float]:
@@ -308,7 +325,7 @@ class PairSpectra:
         mu, vecs = self.laplacian_eigh
         self.__dict__.setdefault("laplacian_values", mu)
         del self.laplacian_eigh
-        lhd = _dense(self.laplacian_hat)
+        lhd = self._densify(self.laplacian_hat)
         keep = mu > PINV_CUTOFF * max(float(mu[-1]), 0.0)
         kernel = vecs[:, ~keep]
         leak = float(np.linalg.norm(lhd @ kernel, 2)) if kernel.size else 0.0
@@ -317,36 +334,40 @@ class PairSpectra:
         reduced = (span.T @ lhd @ span) * np.outer(inv_sqrt, inv_sqrt)
         return np.linalg.eigvalsh(reduced), leak
 
-    def laplacian_norm(self, dense_limit: int = DENSE_LIMIT) -> float:
-        """rho(L): from L's eigenvalues up to dense_limit, by power iteration beyond."""
-        if np.shape(self.laplacian)[0] > dense_limit:
-            return spectral_norm(self.laplacian, dense_limit=dense_limit)
-        values = self.laplacian_values
+    @cached_property
+    def laplacian_norm(self) -> float:
+        """rho(L): from L's eigenvalues within the dense limit, else by power iteration."""
+        try:
+            values = self.laplacian_values
+        except DenseLimitExceededError:
+            return spectral_norm(self.laplacian, dense_limit=self.dense_limit)
         return float(np.abs(values).max()) if values.size else 0.0
 
     @cached_property
     def systems(self) -> tuple[EigenSystem, EigenSystem]:
         """Eigenpairs of M and of M_hat."""
-        return tuple(eigen_decompose(_dense(x)) for x in (self.matrix, self.matrix_hat))
+        sides = (self.matrix, self.matrix_hat)
+        return tuple(eigen_decompose(self._densify(x)) for x in sides)
 
     @cached_property
     def matrix_values(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues of M and of M_hat."""
         if "systems" in self.__dict__:
             return tuple(system.values[::-1] for system in self.systems)
-        return tuple(np.linalg.eigvalsh(_dense(x)) for x in (self.matrix, self.matrix_hat))
+        sides = (self.matrix, self.matrix_hat)
+        return tuple(np.linalg.eigvalsh(self._densify(x)) for x in sides)
 
     @cached_property
     def matrix_diff_norm(self) -> float:
-        return spectral_norm(_difference(self.matrix, self.matrix_hat))
+        return self._difference_norm(self.matrix, self.matrix_hat)
 
     @cached_property
     def laplacian_diff_norm(self) -> float:
-        return spectral_norm(_difference(self.laplacian, self.laplacian_hat))
+        return self._difference_norm(self.laplacian, self.laplacian_hat)
 
     @cached_property
     def adjacency_diff_norm(self) -> float:
-        return spectral_norm(_difference(self.base.adjacency, self.hat.adjacency))
+        return self._difference_norm(self.base.adjacency, self.hat.adjacency)
 
 
 @dataclass(frozen=True)
@@ -405,7 +426,7 @@ def sparsifier_norm_check(
     spectra = PairSpectra.of(laplacian, laplacian_hat)
     _require_same_shape(spectra.laplacian, spectra.laplacian_hat)
     norm_diff = spectra.laplacian_diff_norm
-    bound = epsilon * spectra.laplacian_norm()
+    bound = epsilon * spectra.laplacian_norm
     if norm_diff <= bound * (1.0 + 1e-9):
         status = "pass"
     elif not sparsifier_ok:
@@ -475,7 +496,6 @@ def eigenvalue_deviation_bound(
     epsilon: float,
     *,
     decomp: LaplacianDecomposition | None = None,
-    dense_limit: int = DENSE_LIMIT,
 ) -> float:
     """eps * sqrt(n) * rho(L) + (delta_max - delta_min) / 2.
 
@@ -487,7 +507,7 @@ def eigenvalue_deviation_bound(
     spectra = matrix if isinstance(matrix, PairSpectra) else PairSpectra(
         decomp or decompose(validate_odn(matrix)))
     decomp = spectra.base
-    rho = spectra.laplacian_norm(dense_limit)
+    rho = spectra.laplacian_norm
     spread = (decomp.delta_max - decomp.delta_min) / 2.0
     return epsilon * math.sqrt(decomp.n) * rho + spread
 
@@ -545,7 +565,6 @@ def spectral_report(
     epsilon=None,
     *,
     gap_tol: float | None = None,
-    dense_limit: int = DENSE_LIMIT,
 ) -> SpectralReport:
     """Full eigenvalue/eigenvector comparison with certified bounds.
 
@@ -562,7 +581,7 @@ def spectral_report(
 
     sys_a, sys_b = spectra.systems
     deviations = np.abs(sys_a.values - sys_b.values)
-    bound = eigenvalue_deviation_bound(spectra, epsilon, dense_limit=dense_limit)
+    bound = eigenvalue_deviation_bound(spectra, epsilon)
     r_norm = spectra.matrix_diff_norm
 
     angles = davis_kahan(sys_a, sys_b, r_norm, gap_tol)

@@ -9,6 +9,7 @@ independent of the library's report paths.
 
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -81,7 +82,8 @@ def models():
         decomp = od.decompose(matrix)
         lap = decomp.laplacian_dense()
         rho = float(np.abs(np.linalg.eigvalsh(lap)).max())
-        foster = sum(e.leverage for e in od.effective_resistances(decomp))
+        resistance, _ = od.effective_resistances(decomp)
+        foster = (matrix.vals * resistance).sum()
         out[name] = ModelData(
             matrix=matrix,
             decomp=decomp,
@@ -305,7 +307,8 @@ def test_criterion_09_resistance_sum_identity(models):
     )
     d = od.decompose(disconnected)
     comp = d.components[0]
-    foster = sum(e.leverage for e in od.effective_resistances(d))
+    resistance, _ = od.effective_resistances(d)
+    foster = (disconnected.vals * resistance).sum()
     err = abs(foster - (disconnected.n - comp))
     details.append(f"disconnected ({comp} components): err = {err:.1e}")
     if err > 1e-8:
@@ -373,11 +376,15 @@ def test_criterion_12_report_determinism(tmp_path):
         "--gen", "erdos-renyi:n=60,density=0.3,seed=5,diag=uniform(0,1)",
         "--epsilon", "0.2", "--seed", "9",
     ]
+    # The child imports the same odnsparse as this process, installed or not.
+    source = os.path.dirname(os.path.dirname(od.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")])))
     paths = []
     for tag in ("a", "b"):
         out = tmp_path / f"report-{tag}.json"
         proc = subprocess.run(
-            argv + ["--out-report", str(out)], capture_output=True, text=True
+            argv + ["--out-report", str(out)], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
         paths.append(out)

@@ -189,6 +189,13 @@ class TestPcaDemo:
 
 
 class TestBounds:
+    def test_invalid_epsilon_exits_one(self, capsys):
+        code, out, err = run(["bounds", "--gen", "complete:n=5", "--epsilon", "1.5"],
+                             capsys)
+        assert code == 1
+        assert out == ""
+        assert "epsilon" in err
+
     def test_diagonal_matrix(self, tmp_path, capsys):
         path = tmp_path / "d.mtx"
         write_matrix_market(OdnMatrix(2, [], [], [], np.array([0.0, 10.0])), path)

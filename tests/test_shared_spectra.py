@@ -2,11 +2,13 @@
 standalone check functions."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from odnsparse import (
+    DenseLimitExceededError,
     OdnMatrix,
     PairSpectra,
     adjacency_norm_check,
@@ -137,3 +139,56 @@ def test_shared_pair_matches_standalone_checks(make, build):
     for name in shared:
         _assert_same(shared[name], alone[name], name)
     assert shared["verify"].mode == "exact"
+
+
+def test_verify_above_dense_limit_exits_one_without_solving(solves, tmp_path, capsys):
+    a, b = tmp_path / "a.mtx", tmp_path / "b.mtx"
+    write_matrix_market(generate_odn("complete", 60, seed=2, diag=("uniform", 0, 1)), a)
+    assert main(["sparsify", "--input", str(a), "--out-matrix", str(b)]) == 0
+    capsys.readouterr()
+    solves.update(eigh=0, eigvalsh=0)
+    assert main(["verify", str(a), str(b), "--dense-limit", "10"]) == 1
+    assert solves == {"eigh": 0, "eigvalsh": 0}
+    err = capsys.readouterr().err
+    assert "n=60 exceeds the dense limit 10" in err
+    assert "--dense-limit" in err and "PairSpectra(dense_limit=...)" in err
+
+
+DENSE_ONLY_ROLES = ["laplacian_eigh", "laplacian_values", "laplacian_hat_values",
+                    "pencil", "systems", "matrix_values"]
+
+
+def test_pair_above_dense_limit_solves_nothing_dense(solves):
+    matrix = generate_odn("grid", rows=40, cols=50, diag=("uniform", 0, 1))
+    decomp = decompose(matrix)
+    result = sparsify_laplacian(decomp, EPS, SEED)
+    m_hat = reconstruct(result.adjacency, decomp.center)
+    spectra = PairSpectra(decomp, decompose(m_hat), dense_limit=100)
+    n = matrix.n
+    solves.update(eigh=0, eigvalsh=0)
+    for role in DENSE_ONLY_ROLES:
+        with pytest.raises(DenseLimitExceededError):
+            getattr(spectra, role)
+    assert solves == {"eigh": 0, "eigvalsh": 0}
+
+    tracemalloc.start()
+    norms = {
+        "laplacian_norm": spectra.laplacian_norm,
+        "matrix_diff_norm": spectra.matrix_diff_norm,
+        "laplacian_diff_norm": spectra.laplacian_diff_norm,
+        "adjacency_diff_norm": spectra.adjacency_diff_norm,
+    }
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert solves == {"eigh": 0, "eigvalsh": 0}
+    assert peak < n * n * 8
+
+    exact = {
+        "laplacian_norm": decomp.laplacian_dense(),
+        "matrix_diff_norm": matrix.to_dense() - m_hat.to_dense(),
+        "laplacian_diff_norm": (decomp.laplacian - result.laplacian).toarray(),
+        "adjacency_diff_norm": (decomp.adjacency - result.adjacency).toarray(),
+    }
+    for name, dense in exact.items():
+        expected = float(np.abs(np.linalg.eigvalsh(dense)).max())
+        np.testing.assert_allclose(norms[name], expected, rtol=1e-7, err_msg=name)

@@ -7,6 +7,7 @@ from odnsparse import (
     InvalidConstantError,
     InvalidEpsilonError,
     OdnMatrix,
+    PairSpectra,
     decompose,
     effective_resistances,
     eigenvalue_ratio_check,
@@ -32,82 +33,82 @@ def two_component_graph():
 class TestEffectiveResistances:
     def test_triangle(self):
         d = decompose(generate_odn("complete", 3, weight=1.0))
-        ers = effective_resistances(d)
-        for e in ers:
-            np.testing.assert_allclose(e.resistance, 2.0 / 3.0, rtol=1e-12)
-            np.testing.assert_allclose(e.probability, 1.0 / 3.0, rtol=1e-12)
+        resistance, probability = effective_resistances(d)
+        assert len(resistance) == len(probability) == 3
+        np.testing.assert_allclose(resistance, 2.0 / 3.0, rtol=1e-12)
+        np.testing.assert_allclose(probability, 1.0 / 3.0, rtol=1e-12)
 
     def test_path_series(self):
         d = decompose(generate_odn("path", 3, weight=1.0))
-        ers = effective_resistances(d)
-        for e in ers:
-            np.testing.assert_allclose(e.resistance, 1.0, rtol=1e-12)
-        foster = sum(e.leverage for e in ers)
+        resistance, _ = effective_resistances(d)
+        np.testing.assert_allclose(resistance, 1.0, rtol=1e-12)
+        foster = (d.matrix.vals * resistance).sum()
         np.testing.assert_allclose(foster, 2.0, atol=1e-8)
 
     def test_single_edge_closed_form(self):
         # L = [[5, -5], [-5, 5]]; pinv gives R = 1/5, leverage exactly 1.
         d = decompose(generate_odn("complete", 2, weight=5.0))
-        (e,) = effective_resistances(d)
-        np.testing.assert_allclose(e.resistance, 0.2, rtol=1e-12)
-        np.testing.assert_allclose(e.leverage, 1.0, rtol=1e-12)
-        assert e.probability == 1.0
+        (resistance,), (probability,) = effective_resistances(d)
+        np.testing.assert_allclose(resistance, 0.2, rtol=1e-12)
+        np.testing.assert_allclose(d.matrix.vals[0] * resistance, 1.0, rtol=1e-12)
+        assert probability == 1.0
 
     def test_weighted_resistance_against_pinv(self, rng):
         m = random_odn(rng, 12, density=0.6)
         d = decompose(m)
         pinv = np.linalg.pinv(d.laplacian_dense())
-        for e in effective_resistances(d):
+        resistance, _ = effective_resistances(d)
+        for i, j, r in zip(d.matrix.rows, d.matrix.cols, resistance):
             basis = np.zeros(12)
-            basis[e.i], basis[e.j] = 1.0, -1.0
-            np.testing.assert_allclose(e.resistance, basis @ pinv @ basis, rtol=1e-9)
+            basis[i], basis[j] = 1.0, -1.0
+            np.testing.assert_allclose(r, basis @ pinv @ basis, rtol=1e-9)
 
     def test_leverage_bounds_and_probability_sum(self, rng):
         for _ in range(10):
             m = random_odn(rng, int(rng.integers(3, 25)), density=0.4)
             if m.stored_pairs == 0:
                 continue
-            ers = effective_resistances(decompose(m))
-            levs = np.array([e.leverage for e in ers])
+            resistance, probability = effective_resistances(decompose(m))
+            levs = m.vals * resistance
             assert np.all(levs >= 0.0)
             assert np.all(levs <= 1.0 + 1e-9)
-            np.testing.assert_allclose(
-                sum(e.probability for e in ers), 1.0, atol=1e-12
-            )
+            np.testing.assert_allclose(probability.sum(), 1.0, atol=1e-12)
 
     def test_disconnected_foster(self):
         d = decompose(two_component_graph())
-        foster = sum(e.leverage for e in effective_resistances(d))
+        resistance, _ = effective_resistances(d)
+        foster = (d.matrix.vals * resistance).sum()
         # n - components = 7 - 2
         np.testing.assert_allclose(foster, 5.0, atol=1e-8)
+
+    def test_no_edges(self):
+        d = decompose(validate_odn(np.diag([1.0, 2.0, 3.0])))
+        resistance, probability = effective_resistances(d)
+        assert resistance.shape == probability.shape == (0,)
 
     def test_dense_limit(self):
         d = decompose(generate_odn("complete", 8, weight=1.0))
         with pytest.raises(DenseLimitExceededError):
-            effective_resistances(d, dense_limit=4)
+            effective_resistances(PairSpectra(d, dense_limit=4))
 
     def test_approximate_within_quarter(self):
         d = decompose(generate_odn("erdos-renyi", 30, density=0.4, seed=3))
-        exact = np.array([e.resistance for e in effective_resistances(d)])
-        approx = np.array(
-            [e.resistance for e in effective_resistances(d, mode="approximate")]
-        )
+        exact, _ = effective_resistances(d)
+        approx, _ = effective_resistances(d, mode="approximate")
         assert np.all(approx >= (1 - 0.25) * exact)
         assert np.all(approx <= (1 + 0.25) * exact)
 
     def test_approximate_disconnected(self):
         d = decompose(two_component_graph())
-        exact = np.array([e.resistance for e in effective_resistances(d)])
-        approx = np.array(
-            [e.resistance for e in effective_resistances(d, mode="approximate")]
-        )
+        exact, _ = effective_resistances(d)
+        approx, _ = effective_resistances(d, mode="approximate")
         assert np.all(np.abs(approx - exact) <= 0.25 * exact)
 
     def test_approximate_deterministic(self):
         d = decompose(generate_odn("erdos-renyi", 15, density=0.5, seed=1))
-        a = effective_resistances(d, mode="approximate", seed=9)
-        b = effective_resistances(d, mode="approximate", seed=9)
-        assert [e.resistance for e in a] == [e.resistance for e in b]
+        a, _ = effective_resistances(d, mode="approximate", seed=9)
+        b, _ = effective_resistances(d, mode="approximate", seed=9)
+        assert a.tolist() == b.tolist()
 
 
 class TestSparsify:
@@ -242,7 +243,8 @@ class TestVerify:
     def test_probes_only_mode(self):
         d = decompose(generate_odn("complete", 12, weight=1.0))
         rec = verify_sparsifier(
-            d.laplacian, d.laplacian, 0.2, probes=64, seed=0, dense_limit=4
+            PairSpectra(d.laplacian, d.laplacian, dense_limit=4),
+            epsilon=0.2, probes=64, seed=0,
         )
         assert rec.mode == "probes-only"
         assert rec.passed
