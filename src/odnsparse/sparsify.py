@@ -68,8 +68,10 @@ def _exact_resistances(spectra: PairSpectra) -> np.ndarray:
     inv = np.zeros_like(mu)
     keep = mu > PINV_CUTOFF * rho
     inv[keep] = 1.0 / mu[keep]
-    diff = vecs[src.rows] - vecs[src.cols]
-    return (diff * diff) @ inv
+    # R_e = P_ii + P_jj - 2 P_ij with P = L^+: O(n^2) memory whatever m is.
+    pinv = (vecs * inv) @ vecs.T
+    diag = np.diagonal(pinv)
+    return diag[src.rows] + diag[src.cols] - 2.0 * pinv[src.rows, src.cols]
 
 
 def _sketched_resistances(decomp: LaplacianDecomposition, seed: int) -> np.ndarray:
@@ -128,9 +130,11 @@ def effective_resistances(
 
     Returns the arrays (resistance, probability), aligned with the stored
     pairs `decomp.matrix.rows/cols/vals`; an edge's leverage is
-    vals * resistance. Exact mode uses the eigendecomposition pseudoinverse
-    of the Laplacian (singular values below 1e-10 * rho(L) treated as
-    zero) and raises DenseLimitExceededError above the pair's dense limit.
+    vals * resistance. Exact mode forms the pseudoinverse P of the
+    Laplacian from its eigendecomposition (eigenvalues at or below
+    1e-10 * rho(L) treated as zero) and reads R_e = P_ii + P_jj - 2 P_ij;
+    it needs O(n^2) memory, independent of the edge count, and raises
+    DenseLimitExceededError above the pair's dense limit.
     Approximate mode sketches the incidence factorization and is accurate
     within +-25% with high probability. Disconnected inputs are fine: the
     pseudoinverse acts per component.

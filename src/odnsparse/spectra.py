@@ -84,15 +84,17 @@ class EigenSystem:
 
     `values` is descending; `vectors` holds the aligned orthonormal
     eigenvectors as columns, with each vector's largest-magnitude entry
-    made nonnegative (first such entry on ties). `residual` is the
-    measured max_i ||M x_i - lambda_i x_i||_2. A failed iterative solve
-    returns partial results with converged=False and k_converged set.
+    made nonnegative (first such entry on ties). For an iterative solve
+    `residual` is the measured max_i ||M x_i - lambda_i x_i||_2, its
+    convergence evidence; a dense solve leaves it None. A failed
+    iterative solve returns partial results with converged=False and
+    k_converged set.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     method: str
-    residual: float
+    residual: float | None
     converged: bool = True
     k_converged: int | None = None
 
@@ -112,13 +114,6 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
     return vectors * signs
-
-
-def _measured_residual(operand, values, vectors) -> float:
-    if len(values) == 0:
-        return 0.0
-    defect = operand @ vectors - vectors * values
-    return float(np.linalg.norm(defect, axis=0).max())
 
 
 def _lanczos_top_k(operand, n: int, k: int, rho_tol: float):
@@ -231,18 +226,19 @@ def eigen_decompose(
             values=values.copy(),
             vectors=vectors,
             method="dense",
-            residual=_measured_residual(operand, values, vectors),
+            residual=None,
         )
     if method == "iterative":
         if k is None or not (1 <= k < n):
             raise ValueError(f"iterative mode needs 1 <= k < n, got k={k}, n={n}")
         values, vectors, converged, got = _lanczos_top_k(operand, n, k, rho_tol)
         vectors = _fix_signs(vectors)
+        defect = operand @ vectors - vectors * values
         return EigenSystem(
             values=values,
             vectors=vectors,
             method="iterative",
-            residual=_measured_residual(operand, values, vectors),
+            residual=float(np.linalg.norm(defect, axis=0).max()),
             converged=converged,
             k_converged=got if not converged else None,
         )

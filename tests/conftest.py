@@ -1,7 +1,18 @@
+import os
+
 import numpy as np
 import pytest
 
+import odnsparse
 from odnsparse import OdnMatrix
+
+
+def child_env(**extra) -> dict:
+    """Environment for a child Python process that imports the same
+    odnsparse as this process, installed or not."""
+    source = os.path.dirname(os.path.dirname(odnsparse.__file__))
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def random_odn(rng: np.random.Generator, n: int, density: float = 0.5,

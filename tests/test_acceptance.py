@@ -9,7 +9,6 @@ independent of the library's report paths.
 
 import json
 import math
-import os
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import pytest
 import odnsparse as od
 from odnsparse.report import dumps_report, strip_timings
 
-from conftest import random_odn, random_symmetric
+from conftest import child_env, random_odn, random_symmetric
 
 EPSILONS = (0.1, 0.25)
 SEEDS = tuple(range(20))
@@ -376,10 +375,7 @@ def test_criterion_12_report_determinism(tmp_path):
         "--gen", "erdos-renyi:n=60,density=0.3,seed=5,diag=uniform(0,1)",
         "--epsilon", "0.2", "--seed", "9",
     ]
-    # The child imports the same odnsparse as this process, installed or not.
-    source = os.path.dirname(os.path.dirname(od.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [source, os.environ.get("PYTHONPATH")])))
+    env = child_env()
     paths = []
     for tag in ("a", "b"):
         out = tmp_path / f"report-{tag}.json"

@@ -24,6 +24,7 @@ from odnsparse import (
     weyl_check,
     write_matrix_market,
 )
+from odnsparse import spectra as spectra_module
 from odnsparse.cli import main
 
 EPS = 0.25
@@ -141,14 +142,23 @@ def test_shared_pair_matches_standalone_checks(make, build):
     assert shared["verify"].mode == "exact"
 
 
-def test_verify_above_dense_limit_exits_one_without_solving(solves, tmp_path, capsys):
+def test_verify_above_dense_limit_exits_one_without_solving(solves, tmp_path, capsys,
+                                                          monkeypatch):
     a, b = tmp_path / "a.mtx", tmp_path / "b.mtx"
     write_matrix_market(generate_odn("complete", 60, seed=2, diag=("uniform", 0, 1)), a)
     assert main(["sparsify", "--input", str(a), "--out-matrix", str(b)]) == 0
     capsys.readouterr()
     solves.update(eigh=0, eigvalsh=0)
+    power_iterations = []
+
+    def counting(*args, _norm=spectra_module.spectral_norm, **kwargs):
+        power_iterations.append(args)
+        return _norm(*args, **kwargs)
+
+    monkeypatch.setattr(spectra_module, "spectral_norm", counting)
     assert main(["verify", str(a), str(b), "--dense-limit", "10"]) == 1
     assert solves == {"eigh": 0, "eigvalsh": 0}
+    assert power_iterations == []
     err = capsys.readouterr().err
     assert "n=60 exceeds the dense limit 10" in err
     assert "--dense-limit" in err and "PairSpectra(dense_limit=...)" in err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from odnsparse import (
     validate_odn,
     verify_sparsifier,
 )
+from odnsparse.spectra import PINV_CUTOFF
 
 from conftest import random_odn
 
@@ -30,7 +33,64 @@ def two_component_graph():
     return OdnMatrix(7, rows, cols, vals, np.zeros(7))
 
 
+def resistances_by_edge_differences(spectra: PairSpectra) -> np.ndarray:
+    """Reference: R_e = sum_k (v_ik - v_jk)^2 / mu_k over L's eigenpairs,
+    the O(m * n) formula, evaluated in blocks of edges."""
+    mu, vecs = spectra.laplacian_eigh
+    inv = np.zeros_like(mu)
+    keep = mu > PINV_CUTOFF * max(float(mu[-1]), 0.0)
+    inv[keep] = 1.0 / mu[keep]
+    src = spectra.matrix
+    out = np.empty(src.stored_pairs)
+    for start in range(0, len(out), 2048):
+        block = slice(start, start + 2048)
+        diff = vecs[src.rows[block]] - vecs[src.cols[block]]
+        out[block] = (diff * diff) @ inv
+    return out
+
+
+def log_weight_grid():
+    """60 x 60 grid with weights 10**U(-4, 0): four decades of conductance."""
+    grid = generate_odn("grid", rows=60, cols=60)
+    weights = 10.0 ** np.random.default_rng(11).uniform(-4.0, 0.0, grid.stored_pairs)
+    return OdnMatrix(grid.n, grid.rows, grid.cols, weights, grid.diag)
+
+
+PSEUDOINVERSE_INPUTS = {
+    "grid-30x30": lambda: generate_odn("grid", rows=30, cols=30, diag=("uniform", 0, 1)),
+    "complete-300": lambda: generate_odn("complete", 300, seed=1),
+    "erdos-renyi-500": lambda: generate_odn("erdos-renyi", 500, density=0.01, seed=0),
+    "grid-60x60-log-weights": log_weight_grid,
+}
+
+
 class TestEffectiveResistances:
+    @pytest.mark.parametrize("name", PSEUDOINVERSE_INPUTS)
+    def test_pseudoinverse_matches_edge_differences(self, name):
+        d = decompose(PSEUDOINVERSE_INPUTS[name]())
+        spectra = PairSpectra(d)
+        resistance, _ = effective_resistances(spectra)
+        np.testing.assert_allclose(
+            resistance, resistances_by_edge_differences(spectra), rtol=1e-10
+        )
+        # Foster: sum_e w_e R_e = n - components.
+        np.testing.assert_allclose(
+            (d.matrix.vals * resistance).sum(), d.n - d.components[0], rtol=1e-8
+        )
+
+    def test_exact_memory_is_quadratic_in_n(self):
+        d = decompose(generate_odn("complete", 300, seed=1))
+        spectra = PairSpectra(d)
+        spectra.laplacian_eigh
+        n, m = d.n, d.matrix.stored_pairs
+        tracemalloc.start()
+        try:
+            effective_resistances(spectra)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (n * n + m) * 8
+
     def test_triangle(self):
         d = decompose(generate_odn("complete", 3, weight=1.0))
         resistance, probability = effective_resistances(d)

@@ -28,7 +28,9 @@ class TestEigenDecompose:
         sys = eigen_decompose(np.eye(3))
         np.testing.assert_array_equal(sys.values, np.ones(3))
         np.testing.assert_allclose(sys.vectors.T @ sys.vectors, np.eye(3), atol=1e-12)
-        assert sys.residual <= 1e-12
+        defect = np.eye(3) @ sys.vectors - sys.vectors * sys.values
+        assert np.linalg.norm(defect, axis=0).max() <= 1e-12
+        assert sys.residual is None
 
     def test_two_by_two_closed_form(self):
         # char poly of [[2,1],[1,2]]: (2-l)^2 = 1 -> l in {3, 1}
