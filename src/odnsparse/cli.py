@@ -113,11 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_matrix(args):
+def _load_matrix(args, stages):
     if getattr(args, "gen", None):
         spec = parse_generator_spec(args.gen)
         return generate_odn(**spec), f"generator:{args.gen}"
-    return read_matrix_market(args.input), f"file:{args.input}"
+    t0 = time.perf_counter()
+    matrix = read_matrix_market(args.input)
+    stages["read"] = time.perf_counter() - t0
+    return matrix, f"file:{args.input}"
 
 
 def _report_skeleton(source, matrix, args, extra_params=None) -> dict:
@@ -177,7 +180,7 @@ def _finish(report, failures, timings, args, spectral=None, pca=None) -> int:
 def cmd_sparsify(args) -> int:
     timings: dict = {"started_at": datetime.now(timezone.utc).isoformat()}
     stages: dict = {}
-    matrix, source = _load_matrix(args)
+    matrix, source = _load_matrix(args, stages)
     _warn_small_regime(args.epsilon)
 
     t0 = time.perf_counter()
@@ -202,7 +205,9 @@ def cmd_sparsify(args) -> int:
     stages["spectral"] = time.perf_counter() - t0
 
     if args.out_matrix:
+        t0 = time.perf_counter()
         write_matrix_market(m_hat, args.out_matrix)
+        stages["write"] = time.perf_counter() - t0
 
     failures = []
     if not verification.passed:
@@ -234,8 +239,10 @@ def cmd_sparsify(args) -> int:
 def cmd_verify(args) -> int:
     timings: dict = {"started_at": datetime.now(timezone.utc).isoformat()}
     stages: dict = {}
+    t0 = time.perf_counter()
     matrix_a = read_matrix_market(args.matrix_a)
     matrix_b = read_matrix_market(args.matrix_b)
+    stages["read"] = time.perf_counter() - t0
     _warn_small_regime(args.epsilon)
 
     t0 = time.perf_counter()
@@ -296,7 +303,9 @@ def cmd_verify(args) -> int:
 def cmd_pca_demo(args) -> int:
     timings: dict = {"started_at": datetime.now(timezone.utc).isoformat()}
     stages: dict = {}
+    t0 = time.perf_counter()
     data = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)
+    stages["load"] = time.perf_counter() - t0
     if data.shape[1] < 2:
         raise ValueError(f"need at least 2 data columns, got {data.shape[1]}")
     _warn_small_regime(args.epsilon)
@@ -339,7 +348,8 @@ def cmd_pca_demo(args) -> int:
 
 def cmd_bounds(args) -> int:
     timings: dict = {"started_at": datetime.now(timezone.utc).isoformat()}
-    matrix, source = _load_matrix(args)
+    stages: dict = {}
+    matrix, source = _load_matrix(args, stages)
     _warn_small_regime(args.epsilon)
 
     t0 = time.perf_counter()
@@ -350,7 +360,8 @@ def cmd_bounds(args) -> int:
     spread = (decomp.delta_max - decomp.delta_min) / 2.0
     q = sample_count(matrix.n, args.epsilon, args.constant)
     predicted_nnz = 2 * min(q, matrix.stored_pairs) + matrix.n
-    timings["stages"] = {"bounds": time.perf_counter() - t0}
+    stages["bounds"] = time.perf_counter() - t0
+    timings["stages"] = stages
 
     print(f"n={matrix.n} stored_pairs={matrix.stored_pairs} "
           f"nnz_offdiag={matrix.nnz_offdiag}")

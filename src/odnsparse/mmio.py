@@ -1,14 +1,32 @@
 """Matrix Market coordinate I/O for ODN matrices.
 
-Reads `coordinate real symmetric` files (or `general` with exact
-symmetry), rejecting duplicate coordinates. Writes the lower triangle
-sorted by (column, row) with 17 significant digits, which round-trips
-double precision bit-exactly; zero diagonal entries are omitted.
+Reads `coordinate` files, `real` or `integer`, `symmetric` (or `general`
+with exact symmetry), rejecting duplicate coordinates. The grammar after
+the header: lines are separated by `\\n` (`\\r\\n` and `\\r` read as
+`\\n`); blank lines are allowed anywhere; a comment line starts with `%`
+after optional whitespace; the first other line is the size line
+`n n count`; every later one is an entry of exactly three
+whitespace-separated tokens `i j value`. Indices are ASCII decimal
+integers with an optional sign, values whatever `float()` reads, minus
+`_` digit separators and non-ASCII characters. Nothing may follow the
+value, a `% ...` note included.
+
+A well-formed file is parsed in one vectorised pass (`numpy.loadtxt`),
+then its entry count, index range and duplicates are checked with array
+operations. Only when one of these fails is the file scanned line by
+line, to name the first offending line.
+
+Writes the lower triangle sorted by (column, row) with 17 significant
+digits, which round-trips double precision bit-exactly; zero diagonal
+entries are omitted.
 """
 
 from __future__ import annotations
 
+import re
+import warnings
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,11 +35,35 @@ from .core import OdnMatrix, validate_odn
 from .errors import DuplicateEntryError, ParseError
 
 _BANNER = "%%matrixmarket"
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("value", np.float64)])
+# The index tokens `numpy.loadtxt` reads as int64 ([0-9] is ASCII only).
+_INDEX = re.compile(r"[+-]?[0-9]+")
 
 
 def read_matrix_market(path) -> OdnMatrix:
     """Parse and validate a Matrix Market coordinate file."""
-    lines = Path(path).read_text().splitlines()
+    size, symmetric, entries = _read_entries(path)
+    r, c, v = entries["i"] - 1, entries["j"] - 1, entries["value"]
+    if symmetric:
+        off = r != c
+        r, c, v = (
+            np.concatenate([r, c[off]]),
+            np.concatenate([c, r[off]]),
+            np.concatenate([v, v[off]]),
+        )
+    coo = sp.coo_matrix((v, (r, c)), shape=(size, size))
+    return validate_odn(coo)
+
+
+def _read_entries(path) -> tuple[int, bool, np.ndarray]:
+    """(n, symmetric, entries) of a file whose every line passed the checks.
+
+    A function of its own so that the file's text and lines are released
+    before the matrix is built and validated."""
+    source = Path(path).read_text()
+    lines = source.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the terminator of the last line opens no line
     if not lines:
         raise ParseError(1, "empty file")
 
@@ -38,83 +80,117 @@ def read_matrix_market(path) -> OdnMatrix:
 
     lineno = 1
     size = None
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    seen: set[tuple[int, int]] = set()
-    expected = 0
-
     for raw in lines[1:]:
         lineno += 1
         text = raw.strip()
         if not text or text.startswith("%"):
             continue
         tokens = text.split()
-        if size is None:
-            if len(tokens) != 3:
-                raise ParseError(lineno, f"size line needs 3 integers: {text!r}")
-            try:
-                nrows, ncols, expected = (int(t) for t in tokens)
-            except ValueError:
-                raise ParseError(lineno, f"size line needs 3 integers: {text!r}")
-            if nrows != ncols:
-                raise ParseError(lineno, f"matrix must be square, got {nrows}x{ncols}")
-            if nrows < 1 or expected < 0:
-                raise ParseError(lineno, f"invalid size line: {text!r}")
-            size = nrows
+        if len(tokens) != 3:
+            raise ParseError(lineno, f"size line needs 3 integers: {text!r}")
+        try:
+            nrows, ncols, expected = (int(t) for t in tokens)
+        except ValueError:
+            raise ParseError(lineno, f"size line needs 3 integers: {text!r}")
+        if nrows != ncols:
+            raise ParseError(lineno, f"matrix must be square, got {nrows}x{ncols}")
+        if nrows < 1 or expected < 0:
+            raise ParseError(lineno, f"invalid size line: {text!r}")
+        size = nrows
+        break
+    if size is None:
+        raise ParseError(lineno, "missing size line")
+
+    symmetric = symmetry == "symmetric"
+    body = lines[lineno:]
+    # Drop the comment lines, if any: every other `%` is then a bad token.
+    if source.find("%", sum(map(len, lines[:lineno])) + lineno) >= 0:
+        body = [line for line in body if not line.lstrip().startswith("%")]
+    entries = _parse_entries(body)
+    if entries is None or not _entries_valid(entries, size, expected, symmetric):
+        _raise_first_error(lines, lineno, size, expected, symmetric)
+    return size, symmetric, entries
+
+
+def _parse_entries(body: list[str]) -> np.ndarray | None:
+    """Lines without comments as one (i, j, value) record array, or None
+    if a line that is not blank is not three such tokens."""
+    with warnings.catch_warnings():
+        # numpy 1.24-1.25 read "1.0" as an int64 with only a DeprecationWarning.
+        warnings.simplefilter("error", DeprecationWarning)
+        # An empty coordinate section is valid; loadtxt warns about it.
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            return np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1)
+        except (ValueError, DeprecationWarning):
+            return None
+
+
+def _entries_valid(entries: np.ndarray, size: int, expected: int,
+                   symmetric: bool) -> bool:
+    """Entry count, index range and uniqueness, checked on the arrays."""
+    if len(entries) != expected:
+        return False
+    if not len(entries):
+        return True
+    i, j = entries["i"], entries["j"]
+    if min(i.min(), j.min()) < 1 or max(i.max(), j.max()) > size:
+        return False
+    if symmetric:
+        i, j = np.maximum(i, j), np.minimum(i, j)
+    # Exact while size < 3.0e9, past the size of any matrix that fits
+    # in memory.
+    keys = np.sort(i * (size + 1) + j)
+    return not np.any(keys[1:] == keys[:-1])
+
+
+def _raise_first_error(lines: list[str], start: int, size: int, expected: int,
+                       symmetric: bool) -> NoReturn:
+    """Scan the entry lines after `lines[:start]` in file order and raise
+    the first error in that order, with the number of its line."""
+    seen = set()
+    lineno = start
+    for raw in lines[start:]:
+        lineno += 1
+        text = raw.strip()
+        if not text or text.startswith("%"):
             continue
+        tokens = text.split()
         if len(tokens) != 3:
             raise ParseError(lineno, f"entry needs 'i j value': {text!r}")
+        index, value = tokens[:2], tokens[2]
         try:
-            i, j = int(tokens[0]), int(tokens[1])
-            value = float(tokens[2])
+            if not (all(map(_INDEX.fullmatch, index)) and value.isascii()
+                    and "_" not in value):
+                raise ValueError
+            i, j = map(int, index)
+            float(value)
         except ValueError:
             raise ParseError(lineno, f"malformed entry: {text!r}")
         if not (1 <= i <= size and 1 <= j <= size):
             raise ParseError(lineno, f"index out of range in {text!r}")
-        key = (max(i, j), min(i, j)) if symmetry == "symmetric" else (i, j)
+        key = (max(i, j), min(i, j)) if symmetric else (i, j)
         if key in seen:
             raise DuplicateEntryError(i, j)
         seen.add(key)
-        rows.append(i - 1)
-        cols.append(j - 1)
-        vals.append(value)
-        if len(vals) > expected:
+        if len(seen) > expected:
             raise ParseError(lineno, f"more than {expected} entries")
-
-    if size is None:
-        raise ParseError(lineno, "missing size line")
-    if len(vals) != expected:
-        raise ParseError(lineno, f"expected {expected} entries, found {len(vals)}")
-
-    r = np.asarray(rows, dtype=np.int64)
-    c = np.asarray(cols, dtype=np.int64)
-    v = np.asarray(vals, dtype=np.float64)
-    if symmetry == "symmetric":
-        off = r != c
-        r, c, v = (
-            np.concatenate([r, c[off]]),
-            np.concatenate([c, r[off]]),
-            np.concatenate([v, v[off]]),
-        )
-    coo = sp.coo_matrix((v, (r, c)), shape=(size, size))
-    return validate_odn(coo)
+    if len(seen) != expected:
+        raise ParseError(lineno, f"expected {expected} entries, found {len(seen)}")
+    # Reached only if numpy rejects a line these token rules accept.
+    raise ParseError(lineno, "entries numpy.loadtxt cannot read")
 
 
 def write_matrix_market(matrix: OdnMatrix, path) -> None:
     """Write an ODN matrix as `coordinate real symmetric`, lower triangle."""
-    entries = [
-        (int(j) + 1, int(i) + 1, float(v))  # lower triangle: row > col
-        for i, j, v in zip(matrix.rows, matrix.cols, matrix.vals)
-    ]
-    entries.extend(
-        (i + 1, i + 1, float(v))
-        for i, v in enumerate(matrix.diag)
-        if v != 0.0
-    )
-    entries.sort(key=lambda e: (e[1], e[0]))  # by (column, row)
+    on_diag = np.flatnonzero(matrix.diag)
+    rows = np.concatenate([matrix.cols, on_diag]) + 1  # lower triangle: row > col
+    cols = np.concatenate([matrix.rows, on_diag]) + 1
+    vals = np.concatenate([matrix.vals, matrix.diag[on_diag]])
+    order = np.lexsort((rows, cols))  # by (column, row)
 
     out = ["%%MatrixMarket matrix coordinate real symmetric"]
-    out.append(f"{matrix.n} {matrix.n} {len(entries)}")
-    out.extend(f"{row} {col} {value:.16e}" for row, col, value in entries)
+    out.append(f"{matrix.n} {matrix.n} {len(vals)}")
+    out.extend(f"{row} {col} {value:.16e}" for row, col, value in
+               zip(rows[order].tolist(), cols[order].tolist(), vals[order].tolist()))
     Path(path).write_text("\n".join(out) + "\n")

@@ -99,6 +99,18 @@ class TestVerify:
         assert code == 0
         assert "PASS" in out
 
+    def test_reads_are_timed(self, k5_path, tmp_path, capsys):
+        report_path = tmp_path / "r.json"
+        code, _, err = run(
+            ["verify", str(k5_path), str(k5_path), "-v", "--out-report", str(report_path)],
+            capsys,
+        )
+        assert code == 0
+        report = json.loads(report_path.read_text())
+        validate_report(report)
+        assert report["timings"]["stages"]["read"] > 0
+        assert "timing: read " in err
+
     def test_scaled_fails(self, k5_path, tmp_path, capsys):
         m = read_matrix_market(k5_path)
         doubled = OdnMatrix(m.n, m.rows, m.cols, 2 * m.vals, 2 * m.diag)

@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion against this checkout."""
+"""Every script under demos/ runs to completion against this checkout and
+leaves nothing behind in the temporary directory."""
 
 import subprocess
 import sys
@@ -13,6 +14,9 @@ DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_exits_zero(demo, tmp_path):
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                          cwd=tmp_path, env=child_env(TMPDIR=str(tmp_path)))
+                          cwd=tmp_path, env=child_env(TMPDIR=str(tmpdir)))
     assert proc.returncode == 0, proc.stderr
+    assert list(tmpdir.iterdir()) == []

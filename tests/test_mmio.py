@@ -1,9 +1,15 @@
+import tracemalloc
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from odnsparse import (
     AsymmetricError,
     DuplicateEntryError,
+    OdnMatrix,
     ParseError,
     decompose,
     generate_odn,
@@ -21,6 +27,129 @@ def write(tmp_path, text, name="m.mtx"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+# The line-by-line reader and the tuple-sorting writer that the vectorised
+# ones replaced, kept as the reference they must agree with.
+
+def reference_read(path) -> OdnMatrix:
+    lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise ParseError(1, "empty file")
+
+    header = lines[0].split()
+    if len(header) != 5 or header[0].lower() != "%%matrixmarket":
+        raise ParseError(1, f"not a Matrix Market header: {lines[0]!r}")
+    _, obj, fmt, field, symmetry = (tok.lower() for tok in header)
+    if obj != "matrix" or fmt != "coordinate":
+        raise ParseError(1, f"unsupported format {obj} {fmt}; need matrix coordinate")
+    if field not in ("real", "integer"):
+        raise ParseError(1, f"unsupported field type {field!r}")
+    if symmetry not in ("symmetric", "general"):
+        raise ParseError(1, f"unsupported symmetry {symmetry!r}")
+
+    lineno = 1
+    size = None
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    seen: set[tuple[int, int]] = set()
+    expected = 0
+
+    for raw in lines[1:]:
+        lineno += 1
+        text = raw.strip()
+        if not text or text.startswith("%"):
+            continue
+        tokens = text.split()
+        if size is None:
+            if len(tokens) != 3:
+                raise ParseError(lineno, f"size line needs 3 integers: {text!r}")
+            try:
+                nrows, ncols, expected = (int(t) for t in tokens)
+            except ValueError:
+                raise ParseError(lineno, f"size line needs 3 integers: {text!r}")
+            if nrows != ncols:
+                raise ParseError(lineno, f"matrix must be square, got {nrows}x{ncols}")
+            if nrows < 1 or expected < 0:
+                raise ParseError(lineno, f"invalid size line: {text!r}")
+            size = nrows
+            continue
+        if len(tokens) != 3:
+            raise ParseError(lineno, f"entry needs 'i j value': {text!r}")
+        try:
+            i, j = int(tokens[0]), int(tokens[1])
+            value = float(tokens[2])
+        except ValueError:
+            raise ParseError(lineno, f"malformed entry: {text!r}")
+        if not (1 <= i <= size and 1 <= j <= size):
+            raise ParseError(lineno, f"index out of range in {text!r}")
+        key = (max(i, j), min(i, j)) if symmetry == "symmetric" else (i, j)
+        if key in seen:
+            raise DuplicateEntryError(i, j)
+        seen.add(key)
+        rows.append(i - 1)
+        cols.append(j - 1)
+        vals.append(value)
+        if len(vals) > expected:
+            raise ParseError(lineno, f"more than {expected} entries")
+
+    if size is None:
+        raise ParseError(lineno, "missing size line")
+    if len(vals) != expected:
+        raise ParseError(lineno, f"expected {expected} entries, found {len(vals)}")
+
+    r = np.asarray(rows, dtype=np.int64)
+    c = np.asarray(cols, dtype=np.int64)
+    v = np.asarray(vals, dtype=np.float64)
+    if symmetry == "symmetric":
+        off = r != c
+        r, c, v = (
+            np.concatenate([r, c[off]]),
+            np.concatenate([c, r[off]]),
+            np.concatenate([v, v[off]]),
+        )
+    coo = sp.coo_matrix((v, (r, c)), shape=(size, size))
+    return validate_odn(coo)
+
+
+def reference_write(matrix: OdnMatrix, path) -> None:
+    entries = [
+        (int(j) + 1, int(i) + 1, float(v))  # lower triangle: row > col
+        for i, j, v in zip(matrix.rows, matrix.cols, matrix.vals)
+    ]
+    entries.extend(
+        (i + 1, i + 1, float(v))
+        for i, v in enumerate(matrix.diag)
+        if v != 0.0
+    )
+    entries.sort(key=lambda e: (e[1], e[0]))  # by (column, row)
+
+    out = ["%%MatrixMarket matrix coordinate real symmetric"]
+    out.append(f"{matrix.n} {matrix.n} {len(entries)}")
+    out.extend(f"{row} {col} {value:.16e}" for row, col, value in entries)
+    Path(path).write_text("\n".join(out) + "\n")
+
+
+def outcome(read, path):
+    """What a reader makes of a file: the matrix, or the error and where."""
+    try:
+        return read(path)
+    except ParseError as exc:
+        return ParseError, exc.line
+    except DuplicateEntryError as exc:
+        return DuplicateEntryError, exc.i, exc.j
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.fixture(scope="module")
+def complete_lines(tmp_path_factory):
+    """Lines of a complete n = 400 file: 80 200 entries, one per line."""
+    path = tmp_path_factory.mktemp("big") / "c400.mtx"
+    write_matrix_market(generate_odn("complete", 400, seed=3, diag=("uniform", 0, 1)),
+                        path)
+    return path.read_text().splitlines()
 
 
 class TestRead:
@@ -128,6 +257,174 @@ class TestRead:
         assert exc.value.line == line
 
 
+def error_cases():
+    """(id, edit, expected outcome) of one error placed at line 50 000 of
+    the complete n = 400 file; `edit` changes its list of lines in place."""
+    k = 49_999  # index of line 50 000
+
+    def entry(lines, at=k):
+        i, j, v = lines[at].split()
+        return i, j, v
+
+    def set_entry(fmt):
+        def edit(lines):
+            i, j, v = entry(lines)
+            lines[k] = fmt.format(i=i, j=j, v=v)
+        return edit
+
+    def duplicate(lines):
+        lines[k] = lines[k - 7]
+
+    def mirrored(lines):
+        i, j, v = entry(lines, k - 7)
+        lines[k] = f"{j} {i} {v}"
+
+    def too_few(lines):
+        del lines[k]
+
+    def too_many(lines):
+        lines[1] = f"400 400 {k - 2}"
+
+    return [
+        ("malformed-token", set_entry("{i} {j} {v}x"), (ParseError, 50_000)),
+        ("float-index", set_entry("{i}.0 {j} {v}"), (ParseError, 50_000)),
+        ("two-tokens", set_entry("{i} {j}"), (ParseError, 50_000)),
+        ("four-tokens", set_entry("{i} {j} {v} 1"), (ParseError, 50_000)),
+        ("trailing-note", set_entry("{i} {j} {v} % note"), (ParseError, 50_000)),
+        ("trailing-note-unspaced", set_entry("{i} {j} {v}%note"), (ParseError, 50_000)),
+        ("out-of-range", set_entry("401 {j} {v}"), (ParseError, 50_000)),
+        ("duplicate", duplicate, DuplicateEntryError),
+        ("mirrored-duplicate", mirrored, DuplicateEntryError),
+        ("too-few", too_few, (ParseError, 80_201)),
+        ("too-many", too_many, (ParseError, 50_000)),
+    ]
+
+
+ERROR_CASES = error_cases()
+
+# Tokens, good and bad, that random entry lines are made of.
+TOKENS = ["1", "2", "3", "+1", "01", "0", "-1", "4", "1.0", "1e0", "x", "%", "#",
+          "2.5", "nan", "inf", "1e400", "-0.5", "0.75", "3.0%x"]
+
+
+class TestAgainstReference:
+    """The vectorised reader returns what the line-by-line reader returned,
+    raises the same error type and names the same line."""
+
+    def test_complete_file_with_comments_and_blank_lines(self, tmp_path, complete_lines):
+        plain = write(tmp_path, "\n".join(complete_lines) + "\n", "plain.mtx")
+        mixed_lines = []
+        for k, line in enumerate(complete_lines):
+            mixed_lines.append(line)
+            if k % 97 == 1:
+                mixed_lines.append("% a comment, 50% of it")
+            if k % 89 == 5:
+                mixed_lines.append("   % indented comment")
+            if k % 71 == 3:
+                mixed_lines.append("" if k % 2 else " \t ")
+        mixed = write(tmp_path, "\n".join(mixed_lines) + "\n", "mixed.mtx")
+        m = read_matrix_market(mixed)
+        assert m.n == 400 and m.stored_pairs == 79_800
+        assert m == reference_read(mixed)
+        assert m == read_matrix_market(plain)
+
+    @pytest.mark.parametrize("name,edit,expected", ERROR_CASES,
+                             ids=[c[0] for c in ERROR_CASES])
+    def test_error_near_line_50000(self, tmp_path, complete_lines, name, edit, expected):
+        lines = list(complete_lines)
+        edit(lines)
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        got = outcome(read_matrix_market, path)
+        assert got == outcome(reference_read, path)
+        if expected is DuplicateEntryError:
+            i, j = (int(t) for t in lines[49_999].split()[:2])
+            assert got == (DuplicateEntryError, i, j)  # the later copy
+        else:
+            assert got == expected
+
+    @pytest.mark.parametrize(
+        "entry,accepted",
+        [
+            ("+2 1 0.5", True),
+            ("02 1 5e-1", True),
+            ("2\t1\t0.5", True),
+            ("2\xa01\u20030.5", True),
+            ("2.0 1 0.5", False),
+            ("2 1.0 0.5", False),
+            ("2e0 1 0.5", False),
+            ("2 1e0 0.5", False),
+            ("1_0 1 0.5", False),
+            ("2 1 1_0.5", False),
+            ("\u0662 1 0.5", False),
+            ("2 1 \u0660.5", False),
+            ("2 1 0x1p-1", False),
+        ],
+    )
+    def test_token_grammar(self, tmp_path, entry, accepted):
+        path = write(
+            tmp_path,
+            f"%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n{entry}\n",
+        )
+        if accepted:
+            m = read_matrix_market(path)
+            assert m == reference_read(path)
+            assert (m.rows.tolist(), m.cols.tolist(), m.vals.tolist()) == ([0], [1], [0.5])
+        else:
+            with pytest.raises(ParseError) as exc:
+                read_matrix_market(path)
+            assert exc.value.line == 3
+            assert exc.value.reason.startswith("malformed entry")
+
+    def test_random_corruptions(self, tmp_path):
+        rng = np.random.default_rng(11)
+        path = tmp_path / "f.mtx"
+        for _ in range(600):
+            n = int(rng.integers(1, 5))
+            symmetry = rng.choice(["symmetric", "general"])
+            body = []
+            for _ in range(int(rng.integers(0, 7))):
+                u = rng.random()
+                if u < 0.15:
+                    body.append(str(rng.choice(["", "  ", "% c", "  % c 50%"])))
+                    continue
+                tokens = [str(rng.integers(1, n + 1)), str(rng.integers(1, n + 1)),
+                          str(rng.choice([0.5, 1.0, 0.125]))]
+                if u < 0.5:
+                    tokens[rng.integers(3)] = str(rng.choice(TOKENS))
+                tokens = (tokens + [str(rng.choice(TOKENS))])[:rng.choice([2, 3, 3, 3, 4])]
+                line = str(rng.choice([" ", "\t", " \xa0"])).join(tokens)
+                body.append(line + " % note" if u > 0.95 else line)
+            count = sum(1 for line in body if line.strip() and line.strip()[0] != "%")
+            count = max(0, count + int(rng.choice([0, 0, 0, -1, 1])))
+            path.write_text(f"%%MatrixMarket matrix coordinate real {symmetry}\n"
+                            f"{n} {n} {count}\n" + "\n".join(body) + "\n")
+            expected = outcome(reference_read, path)
+            assert outcome(read_matrix_market, path) == expected, path.read_text()
+
+    def test_empty_coordinate_section_warns_nothing(self, tmp_path):
+        path = write(
+            tmp_path,
+            "%%MatrixMarket matrix coordinate real symmetric\n3 3 0\n% no entries\n\n",
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            m = read_matrix_market(path)
+        assert caught == []
+        assert m.n == 3 and m.stored_pairs == 0
+
+    def test_memory_ceiling(self, tmp_path, complete_lines):
+        path = write(tmp_path, "\n".join(complete_lines) + "\n")  # 2.4 MB
+        tracemalloc.start()
+        try:
+            read_matrix_market(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Measured: 27.7 MB, most of it validate_odn (20.6 MB); the
+        # line-by-line reader peaks at 48.9 MB.
+        assert peak < 35e6
+
+
 class TestWrite:
     def test_zero_matrix_header_only(self, tmp_path):
         m = validate_odn(np.zeros((3, 3)))
@@ -177,3 +474,22 @@ class TestWrite:
             path = tmp_path / f"r{k}.mtx"
             write_matrix_market(m, path)
             assert read_matrix_market(path) == m
+            assert reference_read(path) == m
+
+    def test_bytes_match_reference(self, tmp_path, rng):
+        cases = [
+            OdnMatrix(1, [], [], [], [0.0]),
+            OdnMatrix(1, [], [], [], [-2.5]),
+            OdnMatrix(4, [], [], [], [0.0, -1.0, 0.0, 3.0]),
+        ]
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            m = random_odn(rng, n, density=float(rng.choice([0.0, rng.uniform(0, 1)])))
+            vals = m.vals * 10.0 ** rng.integers(-310, 300, size=len(m.vals))
+            diag = np.where(rng.random(n) < 0.3, 0.0, m.diag)
+            cases.append(OdnMatrix(n, m.rows, m.cols, vals, diag))
+        new, old = tmp_path / "new.mtx", tmp_path / "old.mtx"
+        for m in cases:
+            write_matrix_market(m, new)
+            reference_write(m, old)
+            assert new.read_bytes() == old.read_bytes()
