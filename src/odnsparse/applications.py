@@ -22,13 +22,7 @@ from .errors import (
     ZeroVarianceColumnError,
 )
 from .sparsify import VerificationRecord, sparsify_laplacian, verify_sparsifier
-from .spectra import (
-    DENSE_LIMIT,
-    InertiaCounts,
-    PairSpectra,
-    eigen_decompose,
-    spectral_norm,
-)
+from .spectra import DENSE_LIMIT, InertiaCounts, PairSpectra, eigen_decompose
 
 _ROUNDING_TOL = 1e-12
 
@@ -72,7 +66,7 @@ def quadform_gap(matrix, matrix_hat, xs) -> QuadFormReport:
     a = m.to_dense()
     b = m_hat.to_dense()
     spectra = PairSpectra(matrix=m, matrix_hat=m_hat, dense_limit=m.n)
-    norm_diff = spectral_norm(a - b)
+    norm_diff = spectra.matrix_diff_norm
 
     records = []
     for x in xs:
@@ -221,8 +215,8 @@ def pca_compare(
     variances = dense_sys.values[:p]
     variances_hat = sparse_sys.values[:p]
     gaps = np.abs(variances - variances_hat)
-    # The iterative solve is certified only to a 1e-8 * rho residual, so
-    # the comparison carries that floor; it only matters when rho(L) = 0.
+    # The comparison allows the iterative (ARPACK) solve a floor of 1e-8 *
+    # rho, far above its converged residual; it only matters when rho(L) = 0.
     solver_floor = 1e-8 * max(1.0, float(np.abs(variances).max(initial=0.0)))
     within = bool(np.all(gaps <= unit_bound * (1.0 + 1e-9) + solver_floor))
     if within:

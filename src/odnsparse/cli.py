@@ -251,7 +251,7 @@ def cmd_verify(args) -> int:
     verification = verify_sparsifier(spectra, epsilon=args.epsilon, probes=args.probes,
                                      seed=args.seed)
     # Before the norm checks: above the dense limit it raises, and their
-    # power iterations would be wasted.
+    # iterative norm solves would be wasted.
     ratios = eigenvalue_ratio_check(spectra, epsilon=args.epsilon)
     lap_check = sparsifier_norm_check(
         spectra, epsilon=args.epsilon, sparsifier_ok=verification.passed

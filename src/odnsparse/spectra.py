@@ -4,13 +4,14 @@ Covers: Weyl's eigenvalue perturbation bound, the Davis-Kahan angle
 bound, the adjacency-vs-Laplacian norm comparison, the sparsifier norm
 bound, and the end-to-end eigenvalue deviation bound
 eps * sqrt(n) * rho(L) + (delta_max - delta_min) / 2 with its per-index
-angle bounds. The 2-norm of a symmetric matrix is computed as the
-largest absolute eigenvalue, with a power-iteration fallback for large
-sparse operands. A run computes each dense eigensolve once: every check
+angle bounds. A run computes each dense eigensolve once: every check
 reads its eigen-data from one shared `PairSpectra` for the pair (M, M_hat),
 whose roles each solve on first use. The pair also owns the dense limit:
-above it, a role with no iterative path raises DenseLimitExceededError, and
-the norms fall back to power iteration on sparse operands.
+above it, a role with no iterative path raises DenseLimitExceededError.
+The one iterative eigensolver is ARPACK's implicitly restarted Lanczos
+(`scipy.sparse.linalg.eigsh`), started from one fixed random vector: it
+gives top-k eigenpairs, and above the dense limit the 2-norm of a sparse
+operand as its largest-magnitude Ritz value plus that pair's residual.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal  # noqa: F401  (bench/tracer.py patches this name)
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .core import LaplacianDecomposition, OdnMatrix, decompose, validate_odn
 from .errors import DenseLimitExceededError, DimensionMismatchError, InvalidEpsilonError
@@ -29,7 +31,7 @@ from .errors import DenseLimitExceededError, DimensionMismatchError, InvalidEpsi
 DENSE_LIMIT = 4096
 # Laplacian eigenvalues below PINV_CUTOFF * rho(L) count as kernel.
 PINV_CUTOFF = 1e-10
-_LANCZOS_SEED = 0x0D25
+_ARPACK_START_SEED = 0x0D25
 
 
 def _dense(x) -> np.ndarray:
@@ -46,36 +48,31 @@ def _sparse(x) -> sp.csr_matrix:
     return sp.csr_matrix(x)
 
 
-def spectral_norm(
-    matrix, *, dense_limit: int = DENSE_LIMIT, tol: float = 1e-9, max_iter: int = 5000
-) -> float:
+def _start_vector(n: int) -> np.ndarray:
+    """ARPACK's fixed start vector. Not `ones`: that vector lies in the kernel
+    of every Laplacian and of L - L_hat, where ARPACK breaks down."""
+    return np.random.Generator(np.random.PCG64(_ARPACK_START_SEED)).standard_normal(n)
+
+
+def spectral_norm(matrix, *, dense_limit: int = DENSE_LIMIT) -> float:
     """2-norm of a symmetric matrix: max |eigenvalue|.
 
-    Dense eigensolve up to dense_limit; power iteration (tolerance `tol`
-    on the relative change, capped at `max_iter` steps) beyond it.
+    Dense eigensolve up to dense_limit. Beyond it, |theta| + ||A q - theta q||
+    for ARPACK's largest-magnitude Ritz pair (theta, q): the Ritz value plus
+    its residual, an upper estimate of the norm.
     """
     n = matrix.n if isinstance(matrix, OdnMatrix) else matrix.shape[0]
-    if isinstance(matrix, OdnMatrix) and n > dense_limit:
-        matrix = _sparse(matrix)
     if n <= dense_limit:
         d = _dense(matrix)
         if not d.size:
             return 0.0
         return float(np.abs(np.linalg.eigvalsh(d)).max())
-    rng = np.random.Generator(np.random.PCG64(_LANCZOS_SEED))
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(max_iter):
-        w = matrix @ v
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        if abs(norm_w - estimate) <= tol * max(norm_w, 1e-300):
-            return norm_w
-        estimate = norm_w
-    return estimate
+    operand = _sparse(matrix)
+    if n == 1 or not operand.count_nonzero():
+        return float(abs(operand).max())  # ARPACK needs n >= 2 and a nonzero operand
+    theta, q = eigsh(operand, k=1, which="LM", v0=_start_vector(n))
+    residual = np.linalg.norm(operand @ q[:, 0] - theta[0] * q[:, 0])
+    return float(abs(theta[0]) + residual)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,11 +81,11 @@ class EigenSystem:
 
     `values` is descending; `vectors` holds the aligned orthonormal
     eigenvectors as columns, with each vector's largest-magnitude entry
-    made nonnegative (first such entry on ties). For an iterative solve
-    `residual` is the measured max_i ||M x_i - lambda_i x_i||_2, its
-    convergence evidence; a dense solve leaves it None. A failed
-    iterative solve returns partial results with converged=False and
-    k_converged set.
+    made nonnegative (first such entry on ties). For an iterative (ARPACK)
+    solve `residual` is the measured max_i ||M x_i - lambda_i x_i||_2, its
+    convergence evidence; a dense solve leaves it None. An iterative solve
+    that does not converge returns the pairs ARPACK did converge, with
+    converged=False and k_converged set.
     """
 
     values: np.ndarray
@@ -116,98 +113,12 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def _lanczos_top_k(operand, n: int, k: int, rho_tol: float):
-    """Lanczos with full reorthogonalization for the top-k eigenpairs.
-
-    Deterministic (fixed internal seed). Convergence: estimated residuals
-    of the k leading Ritz pairs all within rho_tol of the spectral-radius
-    estimate. Exact breakdowns restart with a fresh orthogonal vector so
-    multiplicities beyond an invariant subspace are still found.
-    """
-    rng = np.random.Generator(np.random.PCG64(_LANCZOS_SEED))
-    budget = 10 * n
-    basis = np.zeros((n, min(n, max(2 * k + 32, 64))))
-    alphas: list[float] = []
-    betas: list[float] = []
-    dim = 0
-    beta_prev = 0.0
-    q = None
-    converged = False
-
-    def fresh_vector():
-        for _ in range(8):
-            cand = rng.standard_normal(n)
-            cand -= basis[:, :dim] @ (basis[:, :dim].T @ cand)
-            norm = np.linalg.norm(cand)
-            if norm > 1e-8 * math.sqrt(n):
-                return cand / norm
-        return None
-
-    def ritz():
-        a = np.asarray(alphas)
-        b = np.asarray(betas[: dim - 1])
-        if dim == 1:
-            theta = a.copy()
-            s = np.ones((1, 1))
-        else:
-            theta, s = eigh_tridiagonal(a, b)
-        order = np.argsort(theta)[::-1]
-        return theta[order], s[:, order]
-
-    q = fresh_vector()
-    steps = 0
-    while q is not None and dim < n and steps < budget:
-        if dim == basis.shape[1]:
-            basis = np.concatenate(
-                [basis, np.zeros((n, min(n, basis.shape[1]) ))], axis=1
-            )[:, :n]
-        basis[:, dim] = q
-        dim += 1
-        steps += 1
-        u = np.asarray(operand @ q).reshape(-1)
-        alpha = float(q @ u)
-        alphas.append(alpha)
-        r = u - alpha * q
-        if beta_prev != 0.0:
-            r -= beta_prev * basis[:, dim - 2]
-        for _ in range(2):
-            r -= basis[:, :dim] @ (basis[:, :dim].T @ r)
-        beta = float(np.linalg.norm(r))
-
-        scale = max(np.abs(alphas).max(), max(betas, default=0.0), 1e-300)
-        if dim >= k:
-            theta, s = ritz()
-            rho_est = max(float(np.abs(theta).max()), 1e-300)
-            residuals = beta * np.abs(s[dim - 1, :k])
-            if np.all(residuals <= rho_tol * rho_est):
-                converged = True
-                break
-        if beta <= 1e-13 * scale:
-            betas.append(0.0)
-            beta_prev = 0.0
-            q = fresh_vector()
-        else:
-            betas.append(beta)
-            beta_prev = beta
-            q = r / beta
-
-    theta, s = ritz()
-    got = min(k, dim)
-    if not converged:
-        # dim == n spans everything: the Ritz pairs are exact.
-        converged = dim == n
-    vectors = basis[:, :dim] @ s[:, :got]
-    return theta[:got], vectors, converged, got
-
-
-def eigen_decompose(
-    matrix, k: int | None = None, method: str = "dense", *, rho_tol: float = 1e-8
-) -> EigenSystem:
+def eigen_decompose(matrix, k: int | None = None, method: str = "dense") -> EigenSystem:
     """Eigenpairs sorted descending, full spectrum or top-k.
 
     Dense mode runs a standard symmetric eigensolver. Iterative mode runs
-    Lanczos with full reorthogonalization (requires k < n) and flags
-    non-convergence instead of raising, returning the pairs it achieved.
+    ARPACK's `eigsh(which="LA")` for the k largest (requires k < n) and
+    flags non-convergence instead of raising, returning the pairs it achieved.
     """
     operand = _sparse(matrix) if isinstance(matrix, OdnMatrix) else matrix
     n = operand.shape[0]
@@ -231,16 +142,23 @@ def eigen_decompose(
     if method == "iterative":
         if k is None or not (1 <= k < n):
             raise ValueError(f"iterative mode needs 1 <= k < n, got k={k}, n={n}")
-        values, vectors, converged, got = _lanczos_top_k(operand, n, k, rho_tol)
-        vectors = _fix_signs(vectors)
+        try:
+            values, vectors = eigsh(operand, k=k, which="LA", v0=_start_vector(n))
+            converged = True
+        except ArpackNoConvergence as err:
+            values, vectors = err.eigenvalues, err.eigenvectors
+            converged = False
+        order = np.argsort(values)[::-1]
+        values = values[order]
+        vectors = _fix_signs(vectors[:, order])
         defect = operand @ vectors - vectors * values
         return EigenSystem(
             values=values,
             vectors=vectors,
             method="iterative",
-            residual=float(np.linalg.norm(defect, axis=0).max()),
+            residual=float(np.linalg.norm(defect, axis=0).max(initial=0.0)),
             converged=converged,
-            k_converged=got if not converged else None,
+            k_converged=None if converged else len(values),
         )
     raise ValueError(f"unknown method {method!r}")
 
@@ -332,7 +250,8 @@ class PairSpectra:
 
     @cached_property
     def laplacian_norm(self) -> float:
-        """rho(L): from L's eigenvalues within the dense limit, else by power iteration."""
+        """rho(L): from L's eigenvalues within the dense limit, else `spectral_norm`'s
+        ARPACK upper estimate."""
         try:
             values = self.laplacian_values
         except DenseLimitExceededError:

@@ -208,6 +208,13 @@ class TestBounds:
         assert out == ""
         assert "epsilon" in err
 
+    @pytest.mark.parametrize("spec,limit", [("erdos-renyi:n=50,density=0", "10"),
+                                            ("complete:n=1", "0")])
+    def test_no_edges_above_dense_limit(self, spec, limit, capsys):
+        code, out, _ = run(["bounds", "--gen", spec, "--dense-limit", limit], capsys)
+        assert code == 0
+        assert "deviation_bound=0\n" in out
+
     def test_diagonal_matrix(self, tmp_path, capsys):
         path = tmp_path / "d.mtx"
         write_matrix_market(OdnMatrix(2, [], [], [], np.array([0.0, 10.0])), path)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from odnsparse import (
     DimensionMismatchError,
@@ -19,6 +21,7 @@ from odnsparse import (
     validate_odn,
     weyl_check,
 )
+from odnsparse import spectra as spectra_module
 
 from conftest import random_odn, random_symmetric
 
@@ -76,11 +79,25 @@ class TestEigenDecompose:
         np.testing.assert_allclose(lanczos.values, [10.5, 0.5, 0.5], rtol=1e-9)
 
     def test_iterative_identity_breakdowns(self):
-        import scipy.sparse as sp
-
         lanczos = eigen_decompose(sp.eye(6).tocsr(), k=2, method="iterative")
         assert lanczos.converged
         np.testing.assert_allclose(lanczos.values, [1.0, 1.0], rtol=1e-12)
+
+    def test_iterative_no_convergence_returns_partial_pairs(self, rng, monkeypatch):
+        m = random_symmetric(rng, 12)
+        values, vectors = np.linalg.eigh(m)
+
+        def not_converged(*args, **kwargs):
+            # ARPACK gave up with 2 of the 4 requested pairs, in ascending order.
+            raise ArpackNoConvergence("2 of 4", values[-2:], vectors[:, -2:])
+
+        monkeypatch.setattr(spectra_module, "eigsh", not_converged)
+        sys = eigen_decompose(m, k=4, method="iterative")
+        assert sys.converged is False
+        assert sys.k_converged == 2
+        np.testing.assert_array_equal(sys.values, values[::-1][:2])
+        defect = m @ sys.vectors - sys.vectors * sys.values
+        assert sys.residual == float(np.linalg.norm(defect, axis=0).max())
 
     def test_iterative_requires_k_below_n(self):
         with pytest.raises(ValueError):
@@ -114,13 +131,18 @@ class TestSpectralNorm:
             spectral_norm(m), np.abs(np.linalg.eigvalsh(m)).max(), rtol=1e-12
         )
 
-    def test_power_iteration_path(self, rng):
+    def test_iterative_path(self, rng):
         m = random_symmetric(rng, 40)
         exact = np.abs(np.linalg.eigvalsh(m)).max()
-        np.testing.assert_allclose(spectral_norm(m, dense_limit=10), exact, rtol=1e-6)
+        np.testing.assert_allclose(spectral_norm(m, dense_limit=10), exact, rtol=1e-12)
 
     def test_zero(self):
         assert spectral_norm(np.zeros((4, 4))) == 0.0
+
+    def test_no_arpack_operand_above_dense_limit(self):
+        # ARPACK fails on an operand with no nonzero entry and on n = 1.
+        assert spectral_norm(sp.csr_matrix((50, 50)), dense_limit=10) == 0.0
+        assert spectral_norm(np.array([[-2.0]]), dense_limit=0) == 2.0
 
 
 class TestWeyl:
