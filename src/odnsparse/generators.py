@@ -19,6 +19,8 @@ from .errors import GeneratorSpecError
 MODELS = ("complete", "path", "grid", "erdos-renyi", "equicorrelation")
 
 _UNIFORM_RE = re.compile(r"^uniform\(\s*([^,]+)\s*,\s*([^)]+)\s*\)$")
+# Pairs per block of the Erdos-Renyi draw: 8 MB of doubles.
+_PAIR_BLOCK = 1 << 20
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -42,6 +44,24 @@ def _split_top_level(text: str) -> list[str]:
 def _edges_complete(n):
     i, j = np.triu_indices(n, k=1)
     return i, j
+
+
+def _edges_erdos_renyi(n, density, rng):
+    """The pairs of `_edges_complete(n)` whose uniform draw is below `density`.
+
+    The draws go over the pairs in order, one block of rows (at most
+    _PAIR_BLOCK pairs) at a time, so memory is O(block) and not O(n^2).
+    PCG64 doubles do not depend on how the stream is split into calls, so
+    the result is that of one draw over all n(n-1)/2 pairs."""
+    # starts[r]: row-major index of the pair (r, r + 1); starts[n - 1]: all pairs.
+    starts = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
+    bounds = [*range(0, n - 1, max(1, _PAIR_BLOCK // n)), n - 1]
+    picked = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        starts[a] + np.flatnonzero(rng.random(starts[b] - starts[a]) < density)
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ])
+    i = np.searchsorted(starts, picked, side="right") - 1
+    return i, picked - starts[i] + i + 1
 
 
 def _edges_path(n):
@@ -100,9 +120,7 @@ def generate_odn(
                 raise GeneratorSpecError(
                     f"erdos-renyi needs density in [0, 1], got {density!r}"
                 )
-            i, j = _edges_complete(n)
-            keep = rng.random(len(i)) < density
-            i, j = i[keep], j[keep]
+            i, j = _edges_erdos_renyi(n, density, rng)
 
     if model == "equicorrelation":
         if not (0.0 <= correlation <= 1.0):

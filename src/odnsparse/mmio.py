@@ -14,7 +14,11 @@ value, a `% ...` note included.
 A well-formed file is parsed in one vectorised pass (`numpy.loadtxt`),
 then its entry count, index range and duplicates are checked with array
 operations. Only when one of these fails is the file scanned line by
-line, to name the first offending line.
+line, to name the first offending line. A `symmetric` file is exactly
+symmetric by construction, so its matrix is built straight from the
+entries: each goes to the upper triangle, exact off-diagonal zeros are
+dropped and the diagonal is collected, with the finite and nonnegative
+checks of `validate_odn`. A `general` file goes through `validate_odn`.
 
 Writes the lower triangle sorted by (column, row) with 17 significant
 digits, which round-trips double precision bit-exactly; zero diagonal
@@ -32,7 +36,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import OdnMatrix, validate_odn
-from .errors import DuplicateEntryError, ParseError
+from .errors import (
+    DuplicateEntryError,
+    NegativeOffDiagonalError,
+    NonFiniteError,
+    ParseError,
+)
 
 _BANNER = "%%matrixmarket"
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("value", np.float64)])
@@ -45,14 +54,32 @@ def read_matrix_market(path) -> OdnMatrix:
     size, symmetric, entries = _read_entries(path)
     r, c, v = entries["i"] - 1, entries["j"] - 1, entries["value"]
     if symmetric:
-        off = r != c
-        r, c, v = (
-            np.concatenate([r, c[off]]),
-            np.concatenate([c, r[off]]),
-            np.concatenate([v, v[off]]),
-        )
-    coo = sp.coo_matrix((v, (r, c)), shape=(size, size))
-    return validate_odn(coo)
+        return _symmetric_matrix(size, r, c, v)
+    return validate_odn(sp.coo_matrix((v, (r, c)), shape=(size, size)))
+
+
+def _symmetric_matrix(size: int, i: np.ndarray, j: np.ndarray,
+                      v: np.ndarray) -> OdnMatrix:
+    """The OdnMatrix of a `symmetric` file's entries, in range and unique.
+
+    Each entry stands for itself and its mirror, so the matrix is exactly
+    symmetric and `validate_odn`'s asymmetry test and averaging have nothing
+    to do. Its other checks run here in its order and report the same entry:
+    a non-finite value first, then a negative off-diagonal one, each the
+    first in (row, column) order of the upper triangle."""
+    r, c = np.minimum(i, j), np.maximum(i, j)
+    off = r != c
+    for bad, error in ((~np.isfinite(v), NonFiniteError),
+                       (off & (v < 0), NegativeOffDiagonalError)):
+        if bad.any():
+            k = np.flatnonzero(bad)
+            k = int(k[np.lexsort((c[k], r[k]))[0]])
+            raise error(int(r[k]), int(c[k]), float(v[k]))
+    diag = np.zeros(size)
+    on = ~off & (v != 0)
+    diag[r[on]] = v[on]
+    off &= v != 0
+    return OdnMatrix(size, r[off], c[off], v[off], diag)
 
 
 def _read_entries(path) -> tuple[int, bool, np.ndarray]:

@@ -158,6 +158,20 @@ def sample_count(n: int, epsilon: float, constant: float) -> int:
     return int(math.ceil(constant * n * math.log(max(n, 2)) / epsilon**2))
 
 
+def _draw_counts(uniforms: np.ndarray, cumulative: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws per edge, for cumulative probabilities `cumulative`.
+
+    Edge k takes each u with cum[k-1] <= u < cum[k], so its count is
+    #{u < cum[k]} - #{u < cum[k-1]}; the last edge takes every u >= cum[-2],
+    which covers uniforms beyond cum[-1] when it rounds below 1. One sort
+    and m searches into the sorted uniforms replace q searches into the m
+    cumulative probabilities. Sorts `uniforms` in place.
+    """
+    uniforms.sort()
+    below = np.searchsorted(uniforms, cumulative[:-1], side="left")
+    return np.diff(below, prepend=0, append=len(uniforms))
+
+
 def sparsify_laplacian(
     decomp: LaplacianDecomposition | PairSpectra,
     epsilon: float,
@@ -169,9 +183,12 @@ def sparsify_laplacian(
     """Draw an epsilon-spectral sparsifier of the decomposition's Laplacian.
 
     Identical (decomp, epsilon, seed, constant) inputs give bit-identical
-    results. Repeated draws of one edge accumulate weight. A Laplacian
-    with no edges short-circuits to the empty sparsifier. Given a
-    PairSpectra, its eigendecomposition of L is shared with later checks.
+    results. The q draws are inverse-CDF lookups of PCG64 uniforms in the
+    cumulative leverage probabilities; the per-edge counts are read off the
+    sorted uniforms with one search per edge, which gives the same counts
+    as one search per draw. Repeated draws of one edge accumulate weight.
+    A Laplacian with no edges short-circuits to the empty sparsifier. Given
+    a PairSpectra, its eigendecomposition of L is shared with later checks.
     """
     if not (0.0 < epsilon < 1.0) or not math.isfinite(epsilon):
         raise InvalidEpsilonError(epsilon)
@@ -196,16 +213,8 @@ def sparsify_laplacian(
     _, probability = effective_resistances(decomp, mode, seed=seed)
     q = sample_count(n, epsilon, constant)
 
-    # Inverse-CDF sampling: searchsorted on the cumulative probabilities is
-    # deterministic, including tie handling; the final clamp guards against
-    # uniforms landing beyond cum[-1] when it rounds below 1.
     rng = np.random.Generator(np.random.PCG64(seed))
-    uniforms = rng.random(q)
-    cumulative = np.cumsum(probability)
-    drawn = np.searchsorted(cumulative, uniforms, side="right")
-    drawn = np.minimum(drawn, src.stored_pairs - 1)
-
-    counts = np.bincount(drawn, minlength=src.stored_pairs).astype(np.float64)
+    counts = _draw_counts(rng.random(q), np.cumsum(probability)).astype(np.float64)
     weights = src.vals * (counts / (q * probability))
     keep = counts > 0
 
@@ -271,9 +280,12 @@ def verify_sparsifier(
 
     Draws `probes` Gaussian vectors, projects them off the all-ones
     kernel of each connected component, and records the extreme Rayleigh
-    ratios x'L_hat x / x'Lx. Within the pair's dense limit it also computes
-    the exact extreme generalized eigenvalues of (L_hat, L) on the range
-    of L, which decide the `passed` flag; above it the probe extremes do.
+    ratios x'L_hat x / x'Lx. A Laplacian within the pair's dense limit that
+    stores at least n^2 / 8 entries multiplies the probe block as a dense
+    BLAS product; any other goes through its own (sparse) product. Within
+    the dense limit it also computes the exact extreme generalized
+    eigenvalues of (L_hat, L) on the range of L, which decide the `passed`
+    flag; above it the probe extremes do.
     """
     spectra = PairSpectra.of(laplacian, laplacian_hat)
     lap = spectra.laplacian
@@ -302,8 +314,8 @@ def verify_sparsifier(
         x = x[:, good] / norms[good]
         kept = x.shape[1]
 
-        numer = np.einsum("ij,ij->j", x, lap_hat @ x)
-        denom = np.einsum("ij,ij->j", x, lap @ x)
+        numer = np.einsum("ij,ij->j", x, spectra._product(lap_hat, x))
+        denom = np.einsum("ij,ij->j", x, spectra._product(lap, x))
         ratios = numer / denom
         probe_min = float(ratios.min())
         probe_max = float(ratios.max())

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from odnsparse import (
     DenseLimitExceededError,
@@ -19,6 +20,8 @@ from odnsparse import (
     validate_odn,
     verify_sparsifier,
 )
+from odnsparse import spectra
+from odnsparse.sparsify import _draw_counts
 from odnsparse.spectra import PINV_CUTOFF
 
 from conftest import random_odn
@@ -255,6 +258,76 @@ class TestSparsify:
         assert np.all(np.abs(row_sums) <= 1e-10 * np.maximum(res.degrees, 1.0))
 
 
+def reference_counts(uniforms, cumulative):
+    """The per-draw sampler that `_draw_counts` replaced: one search per
+    uniform, the overshoot clamped onto the last edge, then a bincount."""
+    drawn = np.searchsorted(cumulative, uniforms, side="right")
+    drawn = np.minimum(drawn, len(cumulative) - 1)
+    return np.bincount(drawn, minlength=len(cumulative))
+
+
+SAMPLER_INPUTS = {
+    "grid-30x30": lambda: generate_odn("grid", rows=30, cols=30),
+    "complete-400": lambda: generate_odn("complete", 400, seed=1),
+    "erdos-renyi-500": lambda: generate_odn("erdos-renyi", 500, density=0.01, seed=3),
+}
+
+
+class TestSampler:
+    @pytest.mark.parametrize("name", sorted(SAMPLER_INPUTS))
+    def test_counts_and_adjacency_match_reference(self, name):
+        d = decompose(SAMPLER_INPUTS[name]())
+        if name.startswith("erdos"):
+            assert d.components[0] > 1
+        pair = PairSpectra(d)  # one eigensolve for all seeds
+        _, probability = effective_resistances(pair)
+        cumulative = np.cumsum(probability)
+        q = sample_count(d.n, 0.25, 9.0)
+        src = d.matrix
+        for seed in range(5):
+            uniforms = np.random.Generator(np.random.PCG64(seed)).random(q)
+            expected = reference_counts(uniforms, cumulative)
+            assert np.array_equal(_draw_counts(uniforms.copy(), cumulative), expected)
+
+            keep = expected > 0
+            w = (src.vals * (expected / (q * probability)))[keep]
+            i, j = src.rows[keep], src.cols[keep]
+            reference = sp.csr_matrix(
+                (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+                shape=(d.n, d.n),
+            )
+            got = sparsify_laplacian(pair, 0.25, seed=seed).adjacency
+            assert np.array_equal(got.indptr, reference.indptr)
+            assert np.array_equal(got.indices, reference.indices)
+            assert np.array_equal(got.data, reference.data)
+
+    def test_single_edge(self):
+        uniforms = np.random.default_rng(0).random(50)
+        counts = _draw_counts(uniforms.copy(), np.array([1.0]))
+        assert np.array_equal(counts, reference_counts(uniforms, np.array([1.0])))
+        assert counts.tolist() == [50]
+
+    def test_uniforms_on_boundaries(self):
+        cumulative = np.array([0.0, 0.25, 0.25, 0.5, 0.75, 1.0])
+        uniforms = np.array([0.0, 0.25, 0.25, 0.5, 0.75, 0.75, 0.1, 0.9, 0.5])
+        counts = _draw_counts(uniforms.copy(), cumulative)
+        assert np.array_equal(counts, reference_counts(uniforms, cumulative))
+        assert counts.tolist() == [0, 2, 0, 2, 2, 3]
+
+    def test_last_cumulative_below_one_clamps(self):
+        probability = np.full(10, 0.1)
+        cumulative = np.cumsum(probability)
+        assert cumulative[-1] < 1.0
+        cumulative[-1] = 1.0 - 2.0**-20  # force a gap below 1
+        uniforms = np.concatenate([
+            np.random.default_rng(1).random(200),
+            np.linspace(cumulative[-1], np.nextafter(1.0, 0.0), 7),
+        ])
+        counts = _draw_counts(uniforms.copy(), cumulative)
+        assert np.array_equal(counts, reference_counts(uniforms, cumulative))
+        assert counts.sum() == len(uniforms)
+
+
 class TestVerify:
     def test_identical_passes(self):
         d = decompose(generate_odn("erdos-renyi", 12, density=0.5, seed=2))
@@ -299,6 +372,33 @@ class TestVerify:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             verify_sparsifier(np.zeros((2, 2)), np.zeros((3, 3)), 0.2)
+
+    @pytest.mark.parametrize("name", sorted(SAMPLER_INPUTS))
+    def test_dense_and_sparse_products_agree(self, name, monkeypatch):
+        d = decompose(SAMPLER_INPUTS[name]())
+        res = sparsify_laplacian(d, 0.25, seed=2)
+        extremes = []
+        for share in (0, d.n * d.n):  # never dense, always dense
+            monkeypatch.setattr(spectra, "_DENSE_PRODUCT_SHARE", share)
+            rec = verify_sparsifier(d.laplacian, res.laplacian, 0.25, seed=4)
+            extremes.append([rec.probe_min, rec.probe_max])
+        np.testing.assert_allclose(extremes[0], extremes[1], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("name,limit,dense", [
+        ("grid-30x30", spectra.DENSE_LIMIT, False),
+        ("complete-400", spectra.DENSE_LIMIT, True),
+        ("complete-400", 399, False),
+    ])
+    def test_product_path(self, name, limit, dense, monkeypatch):
+        lap = decompose(SAMPLER_INPUTS[name]()).laplacian
+        calls = []
+        toarray = sp.csr_matrix.toarray
+        monkeypatch.setattr(sp.csr_matrix, "toarray",
+                            lambda self, *a, **k: calls.append(1) or toarray(self, *a, **k))
+        block = np.random.default_rng(0).standard_normal((lap.shape[0], 8))
+        got = PairSpectra(dense_limit=limit)._product(lap, block)
+        assert len(calls) == int(dense)
+        np.testing.assert_allclose(got, lap @ block, rtol=1e-12, atol=1e-12)
 
     def test_probes_only_mode(self):
         d = decompose(generate_odn("complete", 12, weight=1.0))
