@@ -12,12 +12,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
-from .core import decompose, reconstruct
+from .core import decompose
 from .errors import NotOdnError, OdnError
 from .generators import generate_odn, parse_generator_spec
 from .mmio import read_matrix_market, write_matrix_market
@@ -191,7 +192,7 @@ def cmd_sparsify(args) -> int:
     t0 = time.perf_counter()
     result = sparsify_laplacian(spectra, args.epsilon, args.seed, args.constant)
     stages["sparsify"] = time.perf_counter() - t0
-    m_hat = reconstruct(result.adjacency, decomp.center)
+    m_hat = result.matrix(decomp.center)
     spectra.hat, spectra.matrix_hat = result, m_hat
 
     t0 = time.perf_counter()
@@ -304,8 +305,13 @@ def cmd_pca_demo(args) -> int:
     timings: dict = {"started_at": datetime.now(timezone.utc).isoformat()}
     stages: dict = {}
     t0 = time.perf_counter()
-    data = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():
+        # A header-only file is reported below, as an error.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)
     stages["load"] = time.perf_counter() - t0
+    if not data.size:
+        raise ValueError(f"{args.input}: the CSV has no data rows")
     if data.shape[1] < 2:
         raise ValueError(f"need at least 2 data columns, got {data.shape[1]}")
     _warn_small_regime(args.epsilon)

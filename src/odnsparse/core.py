@@ -71,12 +71,16 @@ class OdnMatrix:
                 raise NegativeOffDiagonalError(int(rows[k]), int(cols[k]), float(vals[k]))
             if np.any(rows >= cols) or np.any(rows < 0) or np.any(cols >= self.n):
                 raise ValueError("entries must satisfy 0 <= i < j < n")
-            order = np.lexsort((cols, rows))
-            rows, cols, vals = rows[order], cols[order], vals[order]
-            same = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
-            if np.any(same):
-                k = int(np.flatnonzero(same)[0])
-                raise ValueError(f"duplicate coordinate ({rows[k]}, {cols[k]})")
+            # Coordinates already strictly ascending in (row, col) are sorted
+            # and free of duplicates: only others are sorted and searched.
+            row_step = np.diff(rows)
+            if not np.all((row_step > 0) | ((row_step == 0) & (np.diff(cols) > 0))):
+                order = np.lexsort((cols, rows))
+                rows, cols, vals = rows[order], cols[order], vals[order]
+                same = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+                if np.any(same):
+                    k = int(np.flatnonzero(same)[0])
+                    raise ValueError(f"duplicate coordinate ({rows[k]}, {cols[k]})")
 
         for name, arr in (("rows", rows), ("cols", cols), ("vals", vals)):
             arr = np.ascontiguousarray(arr)

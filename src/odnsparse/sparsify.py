@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from .core import LaplacianDecomposition
+from .core import LaplacianDecomposition, OdnMatrix
 from .errors import DenseLimitExceededError, InvalidConstantError, InvalidEpsilonError
 from .spectra import PINV_CUTOFF, PairSpectra, _require_same_shape
 
@@ -36,24 +36,47 @@ _SKETCH_ROW_CHUNK = 128
 
 @dataclass(frozen=True, eq=False)
 class SparsifierResult:
-    """Sampled Laplacian (as adjacency plus degrees) and its accounting."""
+    """Sampled Laplacian and its accounting.
 
-    adjacency: sp.csr_matrix
-    degrees: np.ndarray
+    `edges` holds the sampled edges as a zero-diagonal OdnMatrix; the
+    adjacency, degrees and Laplacian are views of it.
+    """
+
+    edges: OdnMatrix
     epsilon: float
     seed: int
     samples_drawn: int
-    distinct_edges: int
     oversample_constant: float
     epsilon_above_small_regime: bool
 
     @property
     def n(self) -> int:
-        return self.adjacency.shape[0]
+        return self.edges.n
+
+    @property
+    def distinct_edges(self) -> int:
+        return self.edges.stored_pairs
+
+    @cached_property
+    def adjacency(self) -> sp.csr_matrix:
+        return self.edges.adjacency()
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        return np.asarray(self.adjacency.sum(axis=1)).reshape(-1)
 
     @cached_property
     def laplacian(self) -> sp.csr_matrix:
         return (sp.diags(self.degrees) - self.adjacency).tocsr()
+
+    def matrix(self, diagonal: float) -> OdnMatrix:
+        """M_hat: the sampled edges with every diagonal entry `diagonal`.
+
+        Equal to `reconstruct(self.adjacency, diagonal)`, without passing the
+        sampler's own output through `validate_odn` again.
+        """
+        e = self.edges
+        return OdnMatrix(e.n, e.rows, e.cols, e.vals, np.full(e.n, float(diagonal)))
 
     @property
     def nnz_after(self) -> int:
@@ -200,12 +223,10 @@ def sparsify_laplacian(
     warn = bool(epsilon > EPSILON_SMALL_REGIME)
     if src.stored_pairs == 0:
         return SparsifierResult(
-            adjacency=sp.csr_matrix((n, n)),
-            degrees=np.zeros(n),
+            edges=OdnMatrix(n, [], [], [], np.zeros(n)),
             epsilon=float(epsilon),
             seed=int(seed),
             samples_drawn=0,
-            distinct_edges=0,
             oversample_constant=float(constant),
             epsilon_above_small_regime=warn,
         )
@@ -217,22 +238,11 @@ def sparsify_laplacian(
     counts = _draw_counts(rng.random(q), np.cumsum(probability)).astype(np.float64)
     weights = src.vals * (counts / (q * probability))
     keep = counts > 0
-
-    i = src.rows[keep]
-    j = src.cols[keep]
-    w = weights[keep]
-    adjacency = sp.csr_matrix(
-        (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
-        shape=(n, n),
-    )
-    degrees = np.asarray(adjacency.sum(axis=1)).reshape(-1)
     return SparsifierResult(
-        adjacency=adjacency,
-        degrees=degrees,
+        edges=OdnMatrix(n, src.rows[keep], src.cols[keep], weights[keep], np.zeros(n)),
         epsilon=float(epsilon),
         seed=int(seed),
         samples_drawn=q,
-        distinct_edges=int(keep.sum()),
         oversample_constant=float(constant),
         epsilon_above_small_regime=warn,
     )

@@ -32,11 +32,18 @@ DENSE_LIMIT = 4096
 # Laplacian eigenvalues below PINV_CUTOFF * rho(L) count as kernel.
 PINV_CUTOFF = 1e-10
 _ARPACK_START_SEED = 0x0D25
-# A block product runs densely when the operand stores at least n^2 / 8
-# entries. Measured with 1000 probe vectors on 2 BLAS threads: the dense
-# product wins from about 6 % stored density at n = 400, 900 and 2000, and
-# ties or loses below that.
-_DENSE_PRODUCT_SHARE = 8
+# An operand within the dense limit is multiplied in its dense form when it
+# stores at least this share of its n^2 entries (`PairSpectra._cheaper_form`).
+# Block products (BLAS-3): measured with 1000 probe vectors on 2 BLAS
+# threads, the dense product wins from about 6 % stored at n = 400, 900 and
+# 2000, and ties or loses below that.
+_DENSE_PRODUCT_SHARE = 1 / 8
+# ARPACK's single-vector products are memory-bound, so the dense form pays
+# only where it is no larger than the CSR form: 8 n^2 <= 12 nnz bytes. Top-50
+# eigsh on 2 BLAS threads, sparse vs dense: n = 400 at 12 / 44 / 74 % stored,
+# 45 vs 52, 65 vs 51, 94 vs 49 ms; n = 2000, 602 vs 1312, 2142 vs 1299,
+# 3758 vs 1166 ms. The block-product share would slow the 12-25 % band.
+_DENSE_ARPACK_SHARE = 2 / 3
 
 
 def _dense(x) -> np.ndarray:
@@ -124,6 +131,11 @@ def eigen_decompose(matrix, k: int | None = None, method: str = "dense") -> Eige
     Dense mode runs a standard symmetric eigensolver. Iterative mode runs
     ARPACK's `eigsh(which="LA")` for the k largest (requires k < n) and
     flags non-convergence instead of raising, returning the pairs it achieved.
+    It multiplies by `matrix` in the form given (an OdnMatrix as CSR);
+    `PairSpectra.eigsh_operand` picks the cheaper one: dense within the dense
+    limit when at least 2/3 of n^2 is stored, so that the dense array is no
+    larger than the CSR form, else sparse. Block products (`PairSpectra._product`)
+    go dense from n^2 / 8 stored instead: BLAS-3 pays off far sooner.
     """
     operand = _sparse(matrix) if isinstance(matrix, OdnMatrix) else matrix
     n = operand.shape[0]
@@ -216,18 +228,29 @@ class PairSpectra:
             raise DenseLimitExceededError(n, self.dense_limit)
         return _dense(x)
 
-    def _product(self, x, block: np.ndarray) -> np.ndarray:
-        """`x @ block`: a dense BLAS product when `x` is within the dense limit
-        and stores at least n^2 / _DENSE_PRODUCT_SHARE entries, else `x`'s own
-        product. The dense copy lives only for the product."""
-        n = np.shape(x)[0]
-        stored = x.nnz if sp.issparse(x) else n * n
-        if stored * _DENSE_PRODUCT_SHARE >= n * n:
+    def _cheaper_form(self, x, share: float):
+        """`x` as a dense array when it is within the dense limit and stores at
+        least `share` * n^2 entries, else as it is (an OdnMatrix as CSR)."""
+        n = x.n if isinstance(x, OdnMatrix) else np.shape(x)[0]
+        stored = x.nnz if isinstance(x, OdnMatrix) or sp.issparse(x) else n * n
+        if stored >= share * n * n:
             try:
-                return self._densify(x) @ block
+                return self._densify(x)
             except DenseLimitExceededError:
                 pass
-        return x @ block
+        return _sparse(x) if isinstance(x, OdnMatrix) else x
+
+    def _product(self, x, block: np.ndarray) -> np.ndarray:
+        """`x @ block`: a dense BLAS product when `x` is within the dense limit
+        and stores at least n^2 / 8 entries (_DENSE_PRODUCT_SHARE), else `x`'s
+        own product. The dense copy lives only for the product."""
+        return self._cheaper_form(x, _DENSE_PRODUCT_SHARE) @ block
+
+    def eigsh_operand(self, x):
+        """`x` in the form ARPACK multiplies by fastest: dense when it is within
+        the dense limit and the dense array is no larger than the CSR form (at
+        least 2/3 of n^2 stored, _DENSE_ARPACK_SHARE), else sparse."""
+        return self._cheaper_form(x, _DENSE_ARPACK_SHARE)
 
     def _difference_norm(self, x, y) -> float:
         return spectral_norm(_sparse(x) - _sparse(y), dense_limit=self.dense_limit)
@@ -251,19 +274,19 @@ class PairSpectra:
         """Eigenvalues of the pencil (L_hat, L) on the range of L, and the
         leak ||L_hat K||_2 on L's kernel basis K.
 
-        Only the resistances and the pencil use L's eigenvectors, so they
-        are released here; L's eigenvalues are kept.
+        Both come from one product L_hat V with L's eigenvectors V, formed by
+        `_product`: a sparse L_hat is never densified. Only the resistances
+        and the pencil use V, so it is released here; L's eigenvalues are kept.
         """
         mu, vecs = self.laplacian_eigh
         self.__dict__.setdefault("laplacian_values", mu)
         del self.laplacian_eigh
-        lhd = self._densify(self.laplacian_hat)
-        keep = mu > PINV_CUTOFF * max(float(mu[-1]), 0.0)
-        kernel = vecs[:, ~keep]
-        leak = float(np.linalg.norm(lhd @ kernel, 2)) if kernel.size else 0.0
-        span = vecs[:, keep]
-        inv_sqrt = 1.0 / np.sqrt(mu[keep])
-        reduced = (span.T @ lhd @ span) * np.outer(inv_sqrt, inv_sqrt)
+        # mu ascends, so the kernel is the leading columns and the range the rest.
+        split = int(np.searchsorted(mu, PINV_CUTOFF * max(float(mu[-1]), 0.0), "right"))
+        hat_vecs = self._product(self.laplacian_hat, vecs)
+        leak = float(np.linalg.norm(hat_vecs[:, :split], 2)) if split else 0.0
+        inv_sqrt = 1.0 / np.sqrt(mu[split:])
+        reduced = (vecs[:, split:].T @ hat_vecs[:, split:]) * np.outer(inv_sqrt, inv_sqrt)
         return np.linalg.eigvalsh(reduced), leak
 
     @cached_property
@@ -404,24 +427,22 @@ def davis_kahan(
         rho_a = float(np.abs(alphas).max()) if k else 0.0
         gap_tol = 1e-8 * rho_a
 
-    out = []
-    for i in range(k):
-        a_vec = a_sys.vectors[:, i]
-        b_vec = b_sys.vectors[:, i]
-        # ||b - (a.b) a|| equals sqrt(1 - (a.b)^2) for unit vectors but has
-        # no cancellation noise floor near zero angle.
-        inner = float(a_vec @ b_vec)
-        sin_theta = min(1.0, float(np.linalg.norm(b_vec - inner * a_vec)))
-        above = betas[i - 1] if i > 0 else math.inf
-        below = betas[i + 1] if i + 1 < k else -math.inf
-        gap = min(abs(above - alphas[i]), abs(alphas[i] - below))
-        if gap <= gap_tol:
-            out.append(AngleBound(i, sin_theta, None, True))
-            continue
+    a_vecs, b_vecs = a_sys.vectors, b_sys.vectors
+    # ||b - (a.b) a|| equals sqrt(1 - (a.b)^2) for unit vectors but has no
+    # cancellation noise floor near zero angle.
+    inner = np.einsum("ij,ij->j", a_vecs, b_vecs)
+    sin_theta = np.minimum(1.0, np.linalg.norm(b_vecs - a_vecs * inner, axis=0))
+    above = np.concatenate([[math.inf], betas[:-1]])
+    below = np.concatenate([betas[1:], [-math.inf]])
+    gap = np.minimum(np.abs(above - alphas), np.abs(alphas - below))
+    with np.errstate(divide="ignore", invalid="ignore"):
         bound = r_norm / gap
-        passed = sin_theta <= bound + 1e-9 or bound >= 1.0
-        out.append(AngleBound(i, sin_theta, float(bound), bool(passed)))
-    return out
+    passed = (sin_theta <= bound + 1e-9) | (bound >= 1.0)
+    return [
+        AngleBound(i, float(sin_theta[i]), float(bound[i]), bool(passed[i]))
+        if gap[i] > gap_tol else AngleBound(i, float(sin_theta[i]), None, True)
+        for i in range(k)
+    ]
 
 
 def eigenvalue_deviation_bound(

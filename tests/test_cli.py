@@ -199,6 +199,22 @@ class TestPcaDemo:
         )
         assert code == 1
 
+    def test_header_only_csv_exits_one(self, tmp_path, capsys, recwarn):
+        csv_path = tmp_path / "h.csv"
+        csv_path.write_text("a,b,c\n")
+        code, out, err = run(["pca-demo", "--input", str(csv_path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {csv_path}: the CSV has no data rows\n"
+        assert len(recwarn) == 0
+
+    def test_one_row_csv_exits_one(self, tmp_path, capsys):
+        csv_path = tmp_path / "one.csv"
+        csv_path.write_text("a,b,c\n1,2,3\n")
+        code, _, err = run(["pca-demo", "--input", str(csv_path)], capsys)
+        assert code == 1
+        assert err.splitlines()[-1].startswith("error: need >= 2 samples")
+
 
 class TestBounds:
     def test_invalid_epsilon_exits_one(self, capsys):

@@ -231,3 +231,12 @@ def test_matrix_is_immutable():
 def test_duplicate_coordinates_rejected():
     with pytest.raises(ValueError):
         OdnMatrix(3, [0, 0], [1, 1], [1.0, 2.0], np.zeros(3))
+
+
+def test_coordinates_are_sorted_and_checked_in_any_order():
+    m = OdnMatrix(4, [1, 0, 0, 2], [2, 3, 1, 3], [1.0, 2.0, 3.0, 4.0], np.zeros(4))
+    assert m.rows.tolist() == [0, 0, 1, 2]
+    assert m.cols.tolist() == [1, 3, 2, 3]
+    assert m.vals.tolist() == [3.0, 2.0, 1.0, 4.0]
+    with pytest.raises(ValueError, match=r"duplicate coordinate \(0, 1\)"):
+        OdnMatrix(3, [0, 0, 0], [1, 2, 1], [1.0, 2.0, 3.0], np.zeros(3))

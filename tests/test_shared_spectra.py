@@ -6,13 +6,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from odnsparse import (
     DenseLimitExceededError,
     OdnMatrix,
     PairSpectra,
     adjacency_norm_check,
+    correlation_from_data,
     decompose,
+    eigen_decompose,
     eigenvalue_ratio_check,
     generate_odn,
     pca_compare,
@@ -26,6 +29,9 @@ from odnsparse import (
 )
 from odnsparse import spectra as spectra_module
 from odnsparse.cli import main
+from odnsparse.spectra import PINV_CUTOFF
+
+from conftest import random_odn
 
 EPS = 0.25
 SEED = 7
@@ -221,3 +227,123 @@ def test_pair_norms_above_dense_limit_are_exact(seed):
     # below, as power iteration does, reads 2e-7 low on seed 5 and fails.
     spectra = _grid_pair(seed)
     _assert_norms_match_dense(spectra, _pair_norms(spectra))
+
+
+# ---------------------------------------------- the form each operand takes
+
+def _factor_correlation(samples=2000, columns=400, seed=1):
+    """One-factor correlation matrix, the size of the pca-corr benchmark input."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    loadings = rng.uniform(0.5, 0.9, size=columns)
+    data = (rng.standard_normal(samples)[:, None] * loadings
+            + rng.standard_normal((samples, columns)) * np.sqrt(1.0 - loadings**2))
+    return correlation_from_data(data)
+
+
+@pytest.fixture
+def arpack_operands(monkeypatch):
+    """Types of the operands handed to ARPACK's eigsh."""
+    seen = []
+
+    def recording(operand, *args, _eigsh=spectra_module.eigsh, **kwargs):
+        seen.append(type(operand))
+        return _eigsh(operand, *args, **kwargs)
+
+    monkeypatch.setattr(spectra_module, "eigsh", recording)
+    return seen
+
+
+def test_pca_corr_sized_input_runs_arpack_on_dense_operand(arpack_operands):
+    comparison = pca_compare(_factor_correlation(), EPS, 50, seed=1)
+    assert comparison.passed
+    assert comparison.nnz_after >= 2 / 3 * comparison.n**2
+    assert arpack_operands == [np.ndarray]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_odn("grid", rows=30, cols=30, seed=1, diag=("uniform", 0, 1)),
+    lambda: random_odn(np.random.default_rng(5), 300, density=0.3),
+])
+def test_sparse_operands_stay_sparse_for_arpack(make, monkeypatch):
+    matrix = make()
+    share = matrix.nnz / matrix.n**2
+    assert share < 2 / 3
+    spectra = PairSpectra()
+    densified = []
+
+    def recording(x, _densify=PairSpectra._densify):
+        densified.append(x)
+        return _densify(spectra, x)
+
+    monkeypatch.setattr(spectra, "_densify", recording)
+    assert sp.issparse(spectra.eigsh_operand(matrix))
+    assert densified == []
+    # A block product goes dense from n^2 / 8 stored instead.
+    product = spectra._product(matrix, np.eye(matrix.n))
+    assert densified == ([matrix] if share >= 1 / 8 else [])
+    np.testing.assert_array_equal(product, matrix.to_dense())
+
+
+def test_operand_above_dense_limit_stays_sparse():
+    matrix = generate_odn("complete", 50, seed=2, diag=("uniform", 0, 1))
+    assert sp.issparse(PairSpectra(dense_limit=49).eigsh_operand(matrix))
+    assert isinstance(PairSpectra(dense_limit=50).eigsh_operand(matrix), np.ndarray)
+
+
+def test_dense_and_sparse_arpack_operands_agree():
+    matrix = generate_odn("complete", 400, seed=3, diag=("uniform", 0, 1))
+    decomp = decompose(matrix)
+    m_hat = sparsify_laplacian(decomp, EPS, SEED).matrix(decomp.center)
+    dense = eigen_decompose(PairSpectra().eigsh_operand(m_hat), k=50, method="iterative")
+    sparse = eigen_decompose(m_hat, k=50, method="iterative")
+    rho = float(np.abs(np.linalg.eigvalsh(m_hat.to_dense())).max())
+    assert dense.converged and sparse.converged
+    assert np.abs(dense.values - sparse.values).max() <= 1e-10 * rho
+    assert max(dense.residual, sparse.residual) <= 1e-8 * rho
+
+
+def _no_toarray(self, *args, **kwargs):
+    raise AssertionError("a sparse operand was densified")
+
+
+def test_grid_pencil_never_densifies_laplacian_hat(monkeypatch):
+    matrix = generate_odn("grid", rows=30, cols=30, seed=1, diag=("uniform", 0, 1))
+    spectra = PairSpectra(decompose(matrix))
+    spectra.hat = sparsify_laplacian(spectra, EPS, SEED)
+    densified = []
+
+    def recording(x, _densify=PairSpectra._densify):
+        densified.append(x)
+        return _densify(spectra, x)
+
+    monkeypatch.setattr(spectra, "_densify", recording)
+    monkeypatch.setattr(sp.csr_matrix, "toarray", _no_toarray)
+    spectra.pencil
+    assert not any(x is spectra.laplacian_hat for x in densified)
+
+
+def _dense_pencil(lap, lap_hat):
+    """The pencil's former reduction: L_hat densified, span' L_hat span."""
+    mu, vecs = np.linalg.eigh(lap.toarray())
+    lhd = lap_hat.toarray()
+    keep = mu > PINV_CUTOFF * max(float(mu[-1]), 0.0)
+    span = vecs[:, keep]
+    inv_sqrt = 1.0 / np.sqrt(mu[keep])
+    return np.linalg.eigvalsh((span.T @ lhd @ span) * np.outer(inv_sqrt, inv_sqrt))
+
+
+@pytest.mark.parametrize("matrix", [
+    generate_odn("grid", rows=30, cols=30, seed=1, diag=("uniform", 0, 1)),
+    generate_odn("complete", 400, seed=3, diag=("uniform", 0, 1)),
+    generate_odn("erdos-renyi", 500, density=0.01, seed=4),
+], ids=["grid", "complete", "erdos-renyi-disconnected"])
+def test_pencil_matches_dense_reduction(matrix):
+    decomp = decompose(matrix)
+    if matrix.n == 500:
+        assert decomp.components[0] > 1
+    spectra = PairSpectra(decomp)
+    spectra.hat = sparsify_laplacian(spectra, EPS, SEED)
+    expected = _dense_pencil(decomp.laplacian, spectra.laplacian_hat)
+    gen, leak = spectra.pencil
+    np.testing.assert_allclose(gen[[0, -1]], expected[[0, -1]], rtol=1e-13, atol=0)
+    assert leak <= 1e-8 * spectra.laplacian_norm

@@ -425,3 +425,53 @@ class TestRatioCheck:
         d = decompose(generate_odn("complete", 5, weight=1.0))
         res = sparsify_laplacian(d, 0.3, seed=7)
         assert eigenvalue_ratio_check(d.laplacian, res.laplacian, 0.3).passed
+
+
+class TestSparsifierMatrix:
+    """M_hat straight from the sampler's edges, without validate_odn."""
+
+    @pytest.mark.parametrize("matrix", [
+        generate_odn("grid", rows=30, cols=30, seed=1, diag=("uniform", 0, 1)),
+        generate_odn("complete", 400, seed=3, diag=("uniform", 0, 1)),
+        generate_odn("erdos-renyi", 500, density=0.01, seed=4, diag=("uniform", 0, 1)),
+        generate_odn("erdos-renyi", 50, density=0.0, diag=("uniform", 0, 1)),
+        OdnMatrix(1, [], [], [], [3.5]),
+    ], ids=["grid", "complete", "erdos-renyi-disconnected", "no-edges", "n-one"])
+    def test_equals_reconstruct(self, matrix):
+        from odnsparse import reconstruct
+
+        d = decompose(matrix)
+        if matrix.n == 500:
+            assert d.components[0] > 1
+        res = sparsify_laplacian(d, 0.25, seed=7)
+        m_hat = res.matrix(d.center)
+        assert m_hat == reconstruct(res.adjacency, d.center)
+        assert m_hat.nnz <= res.nnz_after
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        from odnsparse import core
+
+        calls = []
+
+        def counting(*args, _validate=core._validate_sparse, **kwargs):
+            calls.append(args)
+            return _validate(*args, **kwargs)
+
+        monkeypatch.setattr(core, "_validate_sparse", counting)
+        return calls
+
+    def test_sparsify_command_validates_nothing(self, validations, tmp_path, capsys):
+        from odnsparse.cli import main
+
+        code = main(["sparsify", "--gen", "grid:rows=6,cols=6,diag=uniform(0,1)",
+                     "--out-matrix", str(tmp_path / "m.mtx")])
+        assert code == 0
+        assert validations == []
+
+    def test_pca_compare_validates_nothing(self, validations):
+        from odnsparse import pca_compare
+
+        matrix = generate_odn("equicorrelation", 30, correlation=0.4)
+        assert pca_compare(matrix, 0.25, 3, seed=2).passed
+        assert validations == []

@@ -262,6 +262,61 @@ class TestDavisKahan:
         with pytest.raises(DimensionMismatchError):
             davis_kahan(a, b, 1.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: generate_odn("grid", rows=30, cols=30, seed=1, diag=("uniform", 0, 1)),
+        lambda: generate_odn("complete", 400, seed=3, diag=("uniform", 0, 1)),
+    ], ids=["grid", "complete"])
+    def test_matches_per_index_loop(self, make):
+        m = make()
+        d = decompose(m)
+        m_hat = sparsify_laplacian(d, 0.25, seed=7).matrix(d.center)
+        a_sys, b_sys = eigen_decompose(m), eigen_decompose(m_hat)
+        r_norm = spectral_norm(m.to_dense() - m_hat.to_dense())
+        for pair in ((a_sys, b_sys), (b_sys, a_sys)):
+            _assert_same_angles(davis_kahan(*pair, r_norm), _davis_kahan_loop(*pair, r_norm))
+
+    def test_matches_per_index_loop_on_repeated_eigenvalue(self, rng):
+        # Same spectrum (3, 1, 1, 0.5) in two bases: the repeated eigenvalue's
+        # mixed gaps are rounding noise, below the gap tolerance.
+        a = np.diag([3.0, 1.0, 1.0, 0.5])
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        a_sys, b_sys = eigen_decompose(a), eigen_decompose(q @ a @ q.T)
+        angles = davis_kahan(a_sys, b_sys, 0.05)
+        assert [a.bound is None for a in angles] == [False, True, True, False]
+        _assert_same_angles(angles, _davis_kahan_loop(a_sys, b_sys, 0.05))
+
+
+def _davis_kahan_loop(a_sys, b_sys, r_norm, gap_tol=None):
+    """The former per-index implementation of `davis_kahan`, as a reference."""
+    alphas, betas = a_sys.values, b_sys.values
+    k = len(alphas)
+    if gap_tol is None:
+        gap_tol = 1e-8 * (float(np.abs(alphas).max()) if k else 0.0)
+    out = []
+    for i in range(k):
+        a_vec = a_sys.vectors[:, i]
+        b_vec = b_sys.vectors[:, i]
+        inner = float(a_vec @ b_vec)
+        sin_theta = min(1.0, float(np.linalg.norm(b_vec - inner * a_vec)))
+        above = betas[i - 1] if i > 0 else np.inf
+        below = betas[i + 1] if i + 1 < k else -np.inf
+        gap = min(abs(above - alphas[i]), abs(alphas[i] - below))
+        if gap <= gap_tol:
+            out.append((i, sin_theta, None, True))
+            continue
+        bound = r_norm / gap
+        out.append((i, sin_theta, float(bound), bool(sin_theta <= bound + 1e-9 or bound >= 1.0)))
+    return out
+
+
+def _assert_same_angles(angles, reference):
+    assert len(angles) == len(reference)
+    for angle, (index, sin_theta, bound, passed) in zip(angles, reference):
+        assert angle.index == index
+        assert abs(angle.sin_theta - sin_theta) <= 1e-14
+        assert angle.bound == bound
+        assert angle.passed is passed
+
 
 class TestDeviationBound:
     def test_diagonal_matrix(self):
