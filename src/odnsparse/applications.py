@@ -17,6 +17,7 @@ import numpy as np
 from .core import OdnMatrix, decompose, validate_odn
 from .errors import (
     DimensionMismatchError,
+    NonFiniteError,
     NotCorrelationError,
     NotOdnError,
     ZeroVarianceColumnError,
@@ -99,11 +100,18 @@ def quadform_gap(matrix, matrix_hat, xs) -> QuadFormReport:
 def correlation_from_data(data, *, unbiased: bool = False) -> OdnMatrix:
     """Correlation matrix of a samples-by-features array, as an ODN matrix.
 
-    Columns are centered and scaled to unit variance here; a zero-variance
-    column raises ZeroVarianceColumnError. Normalization is by the sample
-    count (rows), or rows - 1 with unbiased=True. Any genuinely negative
+    A NaN or infinite sample raises NonFiniteError at its (sample, column),
+    the first in row-major order, before any arithmetic. Columns are
+    centered and scaled to unit variance here; a zero-variance column
+    raises ZeroVarianceColumnError. Normalization is by the sample count
+    (rows), or rows - 1 with unbiased=True. Any genuinely negative
     correlation raises NotOdnError listing the offending pairs; magnitudes
     within 1e-12 of 0 or 1 are treated as rounding and clamped.
+
+    The result is built from the correlation's upper triangle with a unit
+    diagonal, exact zeros dropped: z'z is exactly symmetric and checked
+    for signs and finiteness here, so it is not passed through
+    `validate_odn` again.
     """
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 2:
@@ -111,10 +119,15 @@ def correlation_from_data(data, *, unbiased: bool = False) -> OdnMatrix:
     samples, features = x.shape
     if samples < 2 or features < 1:
         raise ValueError(f"need >= 2 samples and >= 1 feature, got {x.shape}")
+    finite = np.isfinite(x)
+    if not finite.all():
+        i, j = divmod(int(np.argmin(finite)), features)
+        raise NonFiniteError(i, j, float(x[i, j]))
+    del finite
 
     ddof = 1 if unbiased else 0
-    centered = x - x.mean(axis=0)
-    std = centered.std(axis=0, ddof=ddof)
+    z = x - x.mean(axis=0)
+    std = z.std(axis=0, ddof=ddof)
     # A constant column can leave std ~ machine-eps * scale instead of an
     # exact zero; treat anything at rounding level as zero variance.
     scale = np.abs(x).max(axis=0)
@@ -122,8 +135,10 @@ def correlation_from_data(data, *, unbiased: bool = False) -> OdnMatrix:
     if flat.size:
         raise ZeroVarianceColumnError(int(flat[0]))
 
-    z = centered / std
-    corr = (z.T @ z) / (samples - ddof)
+    z /= std
+    corr = z.T @ z
+    del z
+    corr /= samples - ddof
     np.fill_diagonal(corr, 1.0)
     corr[(corr < 0) & (corr >= -_ROUNDING_TOL)] = 0.0
     corr[(corr > 1) & (corr <= 1 + _ROUNDING_TOL)] = 1.0
@@ -133,7 +148,16 @@ def correlation_from_data(data, *, unbiased: bool = False) -> OdnMatrix:
         raise NotOdnError(
             [(int(a), int(b), float(corr[a, b])) for a, b in zip(i, j)]
         )
-    return validate_odn(corr)
+    # Overflow in the sums can still leave a NaN or inf here. The matrix is
+    # symmetric with a unit diagonal, so the first in its upper triangle is
+    # the first in row-major order.
+    rows, cols = np.nonzero(np.triu(corr != 0, k=1))
+    vals = corr[rows, cols]
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NonFiniteError(int(rows[k]), int(cols[k]), float(vals[k]))
+    return OdnMatrix(features, rows, cols, vals, np.ones(features))
 
 
 @dataclass(frozen=True, eq=False)

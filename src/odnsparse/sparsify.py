@@ -18,7 +18,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .core import LaplacianDecomposition, OdnMatrix
@@ -265,16 +264,6 @@ class VerificationRecord:
     mode: str
 
 
-def _offdiag_components(lap) -> np.ndarray:
-    coo = sp.coo_matrix(lap)
-    # Stored zeros are not edges.
-    off = (coo.row != coo.col) & (coo.data != 0)
-    graph = sp.csr_matrix(
-        (np.ones(off.sum()), (coo.row[off], coo.col[off])), shape=coo.shape
-    )
-    return connected_components(graph, directed=False)[1]
-
-
 def _max_abs(x) -> float:
     return float(abs(x).max()) if min(x.shape) else 0.0
 
@@ -289,8 +278,11 @@ def verify_sparsifier(
     """Check the spectral-sparsifier inequality numerically.
 
     Draws `probes` Gaussian vectors, projects them off the all-ones
-    kernel of each connected component, and records the extreme Rayleigh
-    ratios x'L_hat x / x'Lx. A Laplacian within the pair's dense limit that
+    kernel of each connected component (the pair's `laplacian_labels`: the
+    decomposition's components, computed once), and records the extreme
+    Rayleigh ratios x'L_hat x / x'Lx. The probe block is centred and
+    normalised in place unless L has several components or a probe has zero
+    norm, so it is held once. A Laplacian within the pair's dense limit that
     stores at least n^2 / 8 entries multiplies the probe block as a dense
     BLAS product; any other goes through its own (sparse) product. Within
     the dense limit it also computes the exact extreme generalized
@@ -313,15 +305,23 @@ def verify_sparsifier(
     if _max_abs(lap) == 0.0:
         kept, kernel_leak, passed, mode = 0, scale_hat, scale_hat <= 1e-12, "trivial-zero"
     else:
-        labels = _offdiag_components(lap)
+        labels = spectra.laplacian_labels
         rng = np.random.Generator(np.random.PCG64(seed))
         x = rng.standard_normal((n, probes))
-        for c in np.unique(labels):
-            idx = labels == c
-            x[idx] -= x[idx].mean(axis=0)
+        # In place where no row or column is left out: the same bits as the
+        # masked copies, without them.
+        if not labels.any():
+            x -= x.mean(axis=0)
+        else:
+            for c in np.unique(labels):
+                idx = labels == c
+                x[idx] -= x[idx].mean(axis=0)
         norms = np.linalg.norm(x, axis=0)
         good = norms > 0
-        x = x[:, good] / norms[good]
+        if good.all():
+            x /= norms
+        else:
+            x = x[:, good] / norms[good]
         kept = x.shape[1]
 
         numer = np.einsum("ij,ij->j", x, spectra._product(lap_hat, x))

@@ -22,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.linalg import eigh_tridiagonal  # noqa: F401  (bench/tracer.py patches this name)
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
@@ -58,6 +59,18 @@ def _sparse(x) -> sp.csr_matrix:
     if isinstance(x, OdnMatrix):
         return sp.csr_matrix(x.adjacency() + sp.diags(x.diag))
     return sp.csr_matrix(x)
+
+
+def _offdiag_components(lap) -> np.ndarray:
+    """Connected-component labels of the graph of a raw Laplacian's
+    off-diagonal nonzeros."""
+    coo = sp.coo_matrix(lap)
+    # Stored zeros are not edges.
+    off = (coo.row != coo.col) & (coo.data != 0)
+    graph = sp.csr_matrix(
+        (np.ones(off.sum()), (coo.row[off], coo.col[off])), shape=coo.shape
+    )
+    return connected_components(graph, directed=False)[1]
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -117,12 +130,20 @@ class EigenSystem:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
+    """Negate, in place, each column of `vectors` whose largest-magnitude
+    entry (the first on ties) is negative, and return it.
+
+    The sign comes from the column's max and min, and only where they tie in
+    magnitude from their first indices, so no n x n temporary is made.
+    """
     if vectors.size == 0:
         return vectors
-    lead = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
-    return vectors * signs
+    top, low = vectors.max(axis=0), vectors.min(axis=0)
+    flip = -low > top
+    for c in np.flatnonzero(-low == top):
+        flip[c] = np.argmin(vectors[:, c]) < np.argmax(vectors[:, c])
+    vectors *= np.where(flip, -1.0, 1.0)
+    return vectors
 
 
 def eigen_decompose(matrix, k: int | None = None, method: str = "dense") -> EigenSystem:
@@ -149,7 +170,9 @@ def eigen_decompose(matrix, k: int | None = None, method: str = "dense") -> Eige
         if k is not None:
             values = values[:k]
             vectors = vectors[:, :k]
-        vectors = _fix_signs(vectors)
+        # The reversed view has a negative stride, which BLAS cannot take:
+        # copy it once, then fix the signs of the copy in place.
+        vectors = _fix_signs(np.ascontiguousarray(vectors))
         return EigenSystem(
             values=values.copy(),
             vectors=vectors,
@@ -258,6 +281,15 @@ class PairSpectra:
     @cached_property
     def laplacian_eigh(self) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh(self._densify(self.laplacian))
+
+    @cached_property
+    def laplacian_labels(self) -> np.ndarray:
+        """Connected-component labels of L's graph: the decomposition's own
+        `components` when `base` has them, else read off a raw Laplacian."""
+        components = getattr(self.base, "components", None)
+        if components is not None:
+            return components[1]
+        return _offdiag_components(self.laplacian)
 
     @cached_property
     def laplacian_values(self) -> np.ndarray:
@@ -407,6 +439,19 @@ class AngleBound:
     passed: bool
 
 
+def _gap_bounds(alphas, betas, r_norm: float, gap_tol: float | None):
+    """Mixed gaps min(|beta_(i-1) - alpha_i|, |beta_(i+1) - alpha_i|), with
+    beta_0 = +inf and beta_(n+1) = -inf, the bounds r_norm / gap, and the gap
+    tolerance (default 1e-8 * max|alpha|)."""
+    if gap_tol is None:
+        gap_tol = 1e-8 * (float(np.abs(alphas).max()) if len(alphas) else 0.0)
+    above = np.concatenate([[math.inf], betas[:-1]])
+    below = np.concatenate([betas[1:], [-math.inf]])
+    gap = np.minimum(np.abs(above - alphas), np.abs(alphas - below))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return gap, r_norm / gap, gap_tol
+
+
 def davis_kahan(
     a_sys: EigenSystem,
     b_sys: EigenSystem,
@@ -420,28 +465,18 @@ def davis_kahan(
     """
     if a_sys.n != b_sys.n or a_sys.k != b_sys.k:
         raise DimensionMismatchError((a_sys.n, a_sys.k), (b_sys.n, b_sys.k))
-    alphas = a_sys.values
-    betas = b_sys.values
-    k = len(alphas)
-    if gap_tol is None:
-        rho_a = float(np.abs(alphas).max()) if k else 0.0
-        gap_tol = 1e-8 * rho_a
+    gap, bound, gap_tol = _gap_bounds(a_sys.values, b_sys.values, r_norm, gap_tol)
 
     a_vecs, b_vecs = a_sys.vectors, b_sys.vectors
     # ||b - (a.b) a|| equals sqrt(1 - (a.b)^2) for unit vectors but has no
     # cancellation noise floor near zero angle.
     inner = np.einsum("ij,ij->j", a_vecs, b_vecs)
     sin_theta = np.minimum(1.0, np.linalg.norm(b_vecs - a_vecs * inner, axis=0))
-    above = np.concatenate([[math.inf], betas[:-1]])
-    below = np.concatenate([betas[1:], [-math.inf]])
-    gap = np.minimum(np.abs(above - alphas), np.abs(alphas - below))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = r_norm / gap
     passed = (sin_theta <= bound + 1e-9) | (bound >= 1.0)
     return [
         AngleBound(i, float(sin_theta[i]), float(bound[i]), bool(passed[i]))
         if gap[i] > gap_tol else AngleBound(i, float(sin_theta[i]), None, True)
-        for i in range(k)
+        for i in range(len(gap))
     ]
 
 
@@ -539,7 +574,8 @@ def spectral_report(
     r_norm = spectra.matrix_diff_norm
 
     angles = davis_kahan(sys_a, sys_b, r_norm, gap_tol)
-    swapped = davis_kahan(sys_b, sys_a, r_norm, gap_tol)
+    # The bounds of davis_kahan(sys_b, sys_a): gaps only, no angles.
+    gap, swapped, tol = _gap_bounds(sys_b.values, sys_a.values, r_norm, gap_tol)
 
     rho_a = float(np.abs(sys_a.values).max()) if m.n else 0.0
     rho_b = float(np.abs(sys_b.values).max()) if m.n else 0.0
@@ -557,7 +593,7 @@ def spectral_report(
         bound=bound,
         r_norm=r_norm,
         angles=angles,
-        dk_bounds_swapped=[a.bound for a in swapped],
+        dk_bounds_swapped=[float(b) if g > tol else None for g, b in zip(gap, swapped)],
         inertia=inertia,
         inertia_hat=inertia_hat,
         inertia_match=inertia == inertia_hat,

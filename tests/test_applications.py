@@ -1,7 +1,11 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from odnsparse import (
+    NonFiniteError,
     NotCorrelationError,
     NotOdnError,
     ZeroVarianceColumnError,
@@ -104,6 +108,103 @@ class TestCorrelationFromData:
         a = correlation_from_data(data)
         b = correlation_from_data(data, unbiased=True)
         np.testing.assert_allclose(a.to_dense(), b.to_dense(), rtol=1e-12)
+
+
+def _correlation_via_validate(data, unbiased=False):
+    """The former construction, as a reference: the correlation matrix built
+    densely and passed through `validate_odn`."""
+    x = np.asarray(data, dtype=np.float64)
+    samples = x.shape[0]
+    ddof = 1 if unbiased else 0
+    centered = x - x.mean(axis=0)
+    std = centered.std(axis=0, ddof=ddof)
+    flat = np.flatnonzero(std <= 1e-12 * np.abs(x).max(axis=0))
+    if flat.size:
+        raise ZeroVarianceColumnError(int(flat[0]))
+    z = centered / std
+    corr = (z.T @ z) / (samples - ddof)
+    np.fill_diagonal(corr, 1.0)
+    corr[(corr < 0) & (corr >= -1e-12)] = 0.0
+    corr[(corr > 1) & (corr <= 1 + 1e-12)] = 1.0
+    i, j = np.nonzero(np.triu(corr < 0, k=1))
+    if i.size:
+        raise NotOdnError([(int(a), int(b), float(corr[a, b])) for a, b in zip(i, j)])
+    return validate_odn(corr)
+
+
+def _uncorrelated_columns():
+    """Columns 0 and 1 have correlation exactly 0; column 2 correlates with both."""
+    a = np.tile([1.0, -1.0, 1.0, -1.0], 5)
+    b = np.tile([1.0, 1.0, -1.0, -1.0], 5)
+    return np.column_stack([a, b, a + b + np.arange(20) % 3])
+
+
+class TestCorrelationDirect:
+    @pytest.mark.parametrize("shape,unbiased", [
+        ((2000, 400), False), ((5, 3), False), ((1999, 37), False), ((300, 20), True),
+    ])
+    def test_equals_validated_matrix(self, shape, unbiased):
+        rng = np.random.default_rng(shape[1])
+        data = factor_data(rng, samples=shape[0], features=shape[1])
+        assert (correlation_from_data(data, unbiased=unbiased)
+                == _correlation_via_validate(data, unbiased))
+
+    def test_exact_zero_correlations_dropped(self):
+        data = _uncorrelated_columns()
+        m = correlation_from_data(data)
+        assert m == _correlation_via_validate(data)
+        assert (0, 1) not in set(zip(m.rows.tolist(), m.cols.tolist()))
+        assert m.stored_pairs == 2
+
+    def test_negative_correlation_error_matches(self, rng):
+        data = factor_data(rng, features=4)
+        data[:, 2] = -data[:, 2]
+        with pytest.raises(NotOdnError) as new:
+            correlation_from_data(data)
+        with pytest.raises(NotOdnError) as old:
+            _correlation_via_validate(data)
+        assert new.value.pairs == old.value.pairs
+
+    def test_constant_column_error_matches(self, rng):
+        data = factor_data(rng, features=5)
+        data[:, 3] = 0.1
+        with pytest.raises(ZeroVarianceColumnError) as new:
+            correlation_from_data(data)
+        with pytest.raises(ZeroVarianceColumnError) as old:
+            _correlation_via_validate(data)
+        assert new.value.column == old.value.column == 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_reported_at_its_cell(self, rng, bad):
+        data = factor_data(rng, samples=20, features=4)
+        data[7, 2] = bad
+        data[9, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError) as exc:
+                correlation_from_data(data)
+        assert (exc.value.i, exc.value.j) == (7, 2)
+
+    def test_non_finite_correlation_still_raises(self):
+        # Finite samples whose sums overflow: the correlation is NaN.
+        data = np.array([[1e308, 1.0, 2.0], [1.7e308, 2.0, 3.0], [1.5e308, 4.0, 4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NonFiniteError) as exc:
+                correlation_from_data(data)
+            with pytest.raises(NonFiniteError) as old:
+                _correlation_via_validate(data)
+        assert (exc.value.i, exc.value.j) == (old.value.i, old.value.j) == (0, 1)
+
+    def test_traced_peak_within_three_inputs(self):
+        data = factor_data(np.random.default_rng(1), samples=2000, features=400)
+        tracemalloc.start()
+        try:
+            correlation_from_data(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * data.nbytes
 
 
 class TestPcaCompare:

@@ -215,6 +215,35 @@ class TestPcaDemo:
         assert code == 1
         assert err.splitlines()[-1].startswith("error: need >= 2 samples")
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_sample_reported_at_its_cell(self, bad, tmp_path, capsys, recwarn):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(f"a,b,c\n1,2,3\n2,{bad},4\n3,5,6\n")
+        code, out, err = run(["pca-demo", "--input", str(csv_path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == f"error: non-finite entry {float(bad)!r} at (1, 1)"
+        assert len(recwarn) == 0
+
+    def test_validates_nothing(self, tmp_path, capsys, monkeypatch):
+        from odnsparse import core
+
+        calls = []
+        for name in ("_validate_dense", "_validate_sparse"):
+            def counting(*args, _name=name, _validate=getattr(core, name)):
+                calls.append(_name)
+                return _validate(*args)
+
+            monkeypatch.setattr(core, name, counting)
+        rng = np.random.default_rng(5)
+        data = np.outer(rng.standard_normal(120), rng.uniform(0.4, 1.0, 8))
+        data += 0.3 * rng.standard_normal((120, 8))
+        csv_path = tmp_path / "d.csv"
+        self.write_csv(csv_path, data)
+        code, _, _ = run(["pca-demo", "--input", str(csv_path)], capsys)
+        assert code == 0
+        assert calls == []
+
 
 class TestBounds:
     def test_invalid_epsilon_exits_one(self, capsys):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from odnsparse import (
     DenseLimitExceededError,
@@ -475,3 +476,57 @@ class TestSparsifierMatrix:
         matrix = generate_odn("equicorrelation", 30, correlation=0.4)
         assert pca_compare(matrix, 0.25, 3, seed=2).passed
         assert validations == []
+
+
+def _probe_extremes_reference(spectra, probes, seed):
+    """The former probe block: components from a COO copy of L, and masked
+    copies of the probes for centring and normalising."""
+    lap = spectra.laplacian
+    coo = sp.coo_matrix(lap)
+    off = (coo.row != coo.col) & (coo.data != 0)
+    graph = sp.csr_matrix((np.ones(off.sum()), (coo.row[off], coo.col[off])),
+                          shape=coo.shape)
+    labels = connected_components(graph, directed=False)[1]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = rng.standard_normal((lap.shape[0], probes))
+    for c in np.unique(labels):
+        idx = labels == c
+        x[idx] -= x[idx].mean(axis=0)
+    norms = np.linalg.norm(x, axis=0)
+    good = norms > 0
+    x = x[:, good] / norms[good]
+    numer = np.einsum("ij,ij->j", x, spectra._product(spectra.laplacian_hat, x))
+    denom = np.einsum("ij,ij->j", x, spectra._product(lap, x))
+    ratios = numer / denom
+    return float(ratios.min()), float(ratios.max()), x.shape[1]
+
+
+def _with_isolated_vertex():
+    """A 6x6 grid plus one vertex with no edges."""
+    grid = generate_odn("grid", rows=6, cols=6, seed=2, diag=("uniform", 0, 1))
+    return OdnMatrix(37, grid.rows, grid.cols, grid.vals, np.append(grid.diag, 0.5))
+
+
+class TestProbeBlock:
+    @pytest.mark.parametrize("make", [
+        lambda: generate_odn("complete", 60, seed=4, diag=("uniform", 0, 1)),
+        lambda: generate_odn("erdos-renyi", 120, density=0.02, seed=5),
+        _with_isolated_vertex,
+    ], ids=["connected", "disconnected", "isolated-vertex"])
+    @pytest.mark.parametrize("raw", [False, True], ids=["decomposition", "laplacian"])
+    def test_probe_extremes_match_reference(self, make, raw):
+        d = decompose(make())
+        if not raw:
+            assert (d.components[0] == 1) == (d.n == 60)
+        res = sparsify_laplacian(d, 0.3, seed=3)
+        pair = PairSpectra(d.laplacian, res.laplacian) if raw else PairSpectra(d, res)
+        rec = verify_sparsifier(pair, epsilon=0.3, probes=200, seed=9)
+        low, high, kept = _probe_extremes_reference(pair, 200, 9)
+        assert (rec.probe_min, rec.probe_max, rec.probes) == (low, high, kept)
+
+    def test_components_come_from_the_decomposition(self, monkeypatch):
+        d = decompose(two_component_graph())
+        res = sparsify_laplacian(d, 0.3, seed=1)
+        monkeypatch.setattr(spectra, "_offdiag_components", None)
+        rec = verify_sparsifier(PairSpectra(d, res), epsilon=0.3, probes=50)
+        assert rec.probe_min is not None

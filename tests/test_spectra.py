@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,6 +8,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from odnsparse import (
     DimensionMismatchError,
     InvalidEpsilonError,
+    PairSpectra,
     adjacency_norm_check,
     center_diagonal,
     davis_kahan,
@@ -408,3 +411,81 @@ class TestSpectralReport:
             rep = spectral_report(m, m_hat, 0.1)
             if rep.inertia_guaranteed:
                 assert rep.inertia_match
+
+
+def _fix_signs_reference(vectors):
+    """The former sign rule, with its two n x n temporaries, as a reference."""
+    lead = np.argmax(np.abs(vectors), axis=0)
+    signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
+    signs[signs == 0] = 1.0
+    return vectors * signs
+
+
+def _assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestFixSigns:
+    def test_matches_former_rule_on_ties_and_signed_zeros(self, rng):
+        columns = np.array([
+            [0.5, -0.5, 0.1],   # magnitude tie, positive first: kept
+            [-0.5, 0.5, 0.1],   # magnitude tie, negative first: negated
+            [0.0, -0.0, 0.0],
+            [-0.0, 0.0, -0.0],
+            [-0.0, -0.0, -0.0],
+            [-1.0, -2.0, -0.5],
+            [1.0, 2.0, 0.5],
+            [-0.3, 0.0, 0.2],
+            [0.2, -0.0, -0.3],
+        ]).T
+        # Small integers tie often; -0.0 and 0.0 both appear.
+        rounded = np.round(rng.standard_normal((7, 200))) * rng.choice([-1.0, 1.0], 200)
+        for block in (columns, rounded, rng.standard_normal((30, 30))):
+            expected = _fix_signs_reference(block)
+            _assert_same_bits(spectra_module._fix_signs(block.copy()), expected)
+
+    def test_eigen_decompose_matches_former_rule(self, rng):
+        m = random_symmetric(rng, 40)
+        vecs = np.linalg.eigh(m)[1][:, ::-1]
+        for k in (None, 7):
+            got = eigen_decompose(m, k=k).vectors
+            assert got.flags.c_contiguous
+            _assert_same_bits(got, _fix_signs_reference(vecs[:, :k]))
+
+    def test_no_square_temporaries(self, rng):
+        vectors = np.linalg.eigh(random_symmetric(rng, 600))[1]
+        tracemalloc.start()
+        try:
+            spectra_module._fix_signs(vectors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= vectors.nbytes / 20
+
+
+class TestSwappedAngleBounds:
+    @pytest.mark.parametrize("make", [
+        lambda: generate_odn("grid", rows=30, cols=30, seed=1, diag=("uniform", 0, 1)),
+        lambda: generate_odn("complete", 400, seed=3, diag=("uniform", 0, 1)),
+    ], ids=["grid", "complete"])
+    def test_equal_to_davis_kahan_swapped(self, make):
+        m = make()
+        d = decompose(m)
+        spectra = PairSpectra(d, matrix_hat=sparsify_laplacian(d, 0.25, seed=7).matrix(d.center))
+        report = spectral_report(spectra, epsilon=0.25)
+        sys_a, sys_b = spectra.systems
+        expected = [a.bound for a in davis_kahan(sys_b, sys_a, report.r_norm)]
+        assert report.dk_bounds_swapped == expected
+
+    @pytest.mark.parametrize("gap_tol", [None, 0.05])
+    def test_equal_on_repeated_eigenvalue(self, gap_tol):
+        # Spectrum 0.4 * 19 + 0.6, then 0.6 nineteen times: the swapped gaps of
+        # the repeated eigenvalue are zero, below any tolerance.
+        m = generate_odn("equicorrelation", 20, correlation=0.4)
+        report = spectral_report(m, m, 0.25, gap_tol=gap_tol)
+        sys_a = eigen_decompose(m)
+        expected = [a.bound for a in davis_kahan(sys_a, sys_a, report.r_norm, gap_tol)]
+        assert report.dk_bounds_swapped == expected
+        assert expected.count(None) >= 18
