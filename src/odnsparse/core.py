@@ -5,6 +5,12 @@ an adjacency matrix, whose weighted degrees and Laplacian follow. The
 diagonal-centering transform replaces the diagonal by the midpoint of its
 range, which leaves the Laplacian untouched and minimizes the spectral
 norm of the change.
+
+A graph is held as its upper-triangle coordinates and its degrees. Its
+sparse adjacency and Laplacian are built from them on demand, in O(m),
+and cached only once read; `laplacian_dense()` fills the dense Laplacian
+straight from the coordinates. The degrees are summed from a transient
+adjacency, which is not kept.
 """
 
 from __future__ import annotations
@@ -103,11 +109,15 @@ class OdnMatrix:
         return self.nnz_offdiag + int(np.count_nonzero(self.diag))
 
     def adjacency(self) -> sp.csr_matrix:
-        """Off-diagonal part as a symmetric sparse matrix with zero diagonal."""
-        i = np.concatenate([self.rows, self.cols])
-        j = np.concatenate([self.cols, self.rows])
-        v = np.concatenate([self.vals, self.vals])
-        return sp.csr_matrix((v, (i, j)), shape=(self.n, self.n))
+        """Off-diagonal part as a symmetric sparse matrix with zero diagonal.
+
+        The stored coordinates are already the upper triangle in CSR order, so
+        it is that triangle plus its transpose: O(m), no sort. Canonical.
+        """
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.rows, minlength=self.n), out=indptr[1:])
+        upper = sp.csr_matrix((self.vals, self.cols, indptr), shape=(self.n, self.n))
+        return upper + upper.T.tocsr()
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
@@ -208,8 +218,70 @@ def validate_odn(raw, rtol: float = SYMMETRY_RTOL) -> OdnMatrix:
     return _validate_dense(arr, rtol)
 
 
+def _degrees(edges: OdnMatrix) -> np.ndarray:
+    """Weighted degrees: the row sums of a transient adjacency, which is
+    released once they are taken."""
+    degrees = np.asarray(edges.adjacency().sum(axis=1)).reshape(-1)
+    degrees.setflags(write=False)
+    return degrees
+
+
+class GraphViews:
+    """Adjacency and Laplacian views of the graph whose weighted edges are the
+    off-diagonal coordinates of `edges`, with weighted `degrees`.
+
+    The sparse views are built on first read and then cached; nothing in the
+    pipeline reads them for a dense graph, which is held as one dense
+    Laplacian instead (`laplacian_dense`, see `spectra.PairSpectra`).
+    """
+
+    edges: OdnMatrix
+    degrees: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.edges.n
+
+    @cached_property
+    def adjacency(self) -> sp.csr_matrix:
+        return self.edges.adjacency()
+
+    def _adjacency(self) -> sp.csr_matrix:
+        """The cached adjacency if it was read, else a transient one."""
+        cached = self.__dict__.get("adjacency")
+        return self.edges.adjacency() if cached is None else cached
+
+    @cached_property
+    def laplacian(self) -> sp.csr_matrix:
+        return (sp.diags(self.degrees) - self._adjacency()).tocsr()
+
+    @property
+    def laplacian_nnz(self) -> int:
+        """Entries the sparse Laplacian stores: both triangles and every
+        nonzero degree."""
+        return self.edges.nnz_offdiag + int(np.count_nonzero(self.degrees))
+
+    def laplacian_dense(self) -> np.ndarray:
+        """The Laplacian as a dense array, filled from the coordinates and the
+        degrees: bit-identical to `laplacian.toarray()`."""
+        e = self.edges
+        out = np.zeros((e.n, e.n))
+        negated = -e.vals
+        out[e.rows, e.cols] = negated
+        out[e.cols, e.rows] = negated
+        out.reshape(-1)[:: e.n + 1] = self.degrees
+        return out
+
+    @cached_property
+    def components(self) -> tuple[int, np.ndarray]:
+        """(count, labels) of connected components of the underlying graph,
+        labelled on the cached adjacency if there is one, else a transient one."""
+        count, labels = connected_components(self._adjacency(), directed=False)
+        return int(count), labels
+
+
 @dataclass(frozen=True, eq=False)
-class LaplacianDecomposition:
+class LaplacianDecomposition(GraphViews):
     """Adjacency/degree/Laplacian view of an ODN matrix.
 
     `center` is the midpoint (delta_max + delta_min) / 2 of the source
@@ -218,41 +290,25 @@ class LaplacianDecomposition:
     """
 
     matrix: OdnMatrix
-    adjacency: sp.csr_matrix
     degrees: np.ndarray
     delta_max: float
     delta_min: float
     center: float
 
     @property
-    def n(self) -> int:
-        return self.matrix.n
-
-    @cached_property
-    def laplacian(self) -> sp.csr_matrix:
-        return (sp.diags(self.degrees) - self.adjacency).tocsr()
-
-    def laplacian_dense(self) -> np.ndarray:
-        return self.laplacian.toarray()
-
-    @cached_property
-    def components(self) -> tuple[int, np.ndarray]:
-        """(count, labels) of connected components of the underlying graph."""
-        count, labels = connected_components(self.adjacency, directed=False)
-        return int(count), labels
+    def edges(self) -> OdnMatrix:
+        """The source matrix, whose off-diagonal coordinates are the edges."""
+        return self.matrix
 
 
 def decompose(matrix: OdnMatrix) -> LaplacianDecomposition:
-    """Split an ODN matrix into adjacency, weighted degrees, and diagonal stats."""
-    adjacency = matrix.adjacency()
-    degrees = np.asarray(adjacency.sum(axis=1)).reshape(-1)
-    degrees.setflags(write=False)
+    """Split an ODN matrix into weighted degrees and diagonal stats; the
+    adjacency and Laplacian are built from it when read."""
     delta_max = float(np.max(matrix.diag))
     delta_min = float(np.min(matrix.diag))
     return LaplacianDecomposition(
         matrix=matrix,
-        adjacency=adjacency,
-        degrees=degrees,
+        degrees=_degrees(matrix),
         delta_max=delta_max,
         delta_min=delta_min,
         center=(delta_max + delta_min) / 2.0,

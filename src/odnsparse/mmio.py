@@ -11,14 +11,18 @@ integers with an optional sign, values whatever `float()` reads, minus
 `_` digit separators and non-ASCII characters. Nothing may follow the
 value, a `% ...` note included.
 
-A well-formed file is parsed in one vectorised pass (`numpy.loadtxt`),
-then its entry count, index range and duplicates are checked with array
-operations. Only when one of these fails is the file scanned line by
-line, to name the first offending line. A `symmetric` file is exactly
-symmetric by construction, so its matrix is built straight from the
-entries: each goes to the upper triangle, exact off-diagonal zeros are
-dropped and the diagonal is collected, with the finite and nonnegative
-checks of `validate_odn`. A `general` file goes through `validate_odn`.
+A well-formed file is parsed in one vectorised pass: after the header and
+the size line, `numpy.loadtxt` reads the rest of the open file, with no
+list of its lines. Its entry count, index range and duplicates are then
+checked with array operations. Only when one of these fails (a comment
+line in the body, or a bad entry) does the reader fall back to the
+file's list of lines: it parses them again without the comment lines,
+and if that fails too, scans them one by one to name the first offending
+line. A `symmetric` file is exactly symmetric by construction, so its
+matrix is built straight from the entries: each goes to the upper
+triangle, exact off-diagonal zeros are dropped and the diagonal is
+collected, with the finite and nonnegative checks of `validate_odn`. A
+`general` file goes through `validate_odn`.
 
 Writes the lower triangle sorted by (column, row) with 17 significant
 digits, which round-trips double precision bit-exactly; zero diagonal
@@ -30,7 +34,7 @@ from __future__ import annotations
 import re
 import warnings
 from pathlib import Path
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 import numpy as np
 import scipy.sparse as sp
@@ -85,18 +89,30 @@ def _symmetric_matrix(size: int, i: np.ndarray, j: np.ndarray,
 def _read_entries(path) -> tuple[int, bool, np.ndarray]:
     """(n, symmetric, entries) of a file whose every line passed the checks.
 
-    A function of its own so that the file's text and lines are released
-    before the matrix is built and validated."""
-    source = Path(path).read_text()
-    lines = source.split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the terminator of the last line opens no line
-    if not lines:
-        raise ParseError(1, "empty file")
+    The header and the size line are read line by line from the open file,
+    and the rest of it goes to `numpy.loadtxt` as it stands. Only when that
+    parse or the array checks fail (comment lines in the body, or any bad
+    entry) is the file read again as a list of lines (`_read_entry_lines`).
+    A function of its own so that the file is closed before the matrix is
+    built and validated."""
+    with open(path) as f:
+        lines = (line[:-1] if line.endswith("\n") else line for line in iter(f.readline, ""))
+        _, size, expected, symmetric = _read_head(lines)
+        entries = _parse_entries(f)
+    if entries is None or not _entries_valid(entries, size, expected, symmetric):
+        return _read_entry_lines(path)
+    return size, symmetric, entries
 
-    header = lines[0].split()
+
+def _read_head(lines: Iterator[str]) -> tuple[int, int, int, bool]:
+    """Check the header and the size line, the first lines of `lines` (without
+    their terminators): (lines read, n, entry count, symmetric)."""
+    first = next(lines, None)
+    if first is None:
+        raise ParseError(1, "empty file")
+    header = first.split()
     if len(header) != 5 or header[0].lower() != _BANNER:
-        raise ParseError(1, f"not a Matrix Market header: {lines[0]!r}")
+        raise ParseError(1, f"not a Matrix Market header: {first!r}")
     _, obj, fmt, field, symmetry = (tok.lower() for tok in header)
     if obj != "matrix" or fmt != "coordinate":
         raise ParseError(1, f"unsupported format {obj} {fmt}; need matrix coordinate")
@@ -106,8 +122,7 @@ def _read_entries(path) -> tuple[int, bool, np.ndarray]:
         raise ParseError(1, f"unsupported symmetry {symmetry!r}")
 
     lineno = 1
-    size = None
-    for raw in lines[1:]:
+    for raw in lines:
         lineno += 1
         text = raw.strip()
         if not text or text.startswith("%"):
@@ -123,12 +138,18 @@ def _read_entries(path) -> tuple[int, bool, np.ndarray]:
             raise ParseError(lineno, f"matrix must be square, got {nrows}x{ncols}")
         if nrows < 1 or expected < 0:
             raise ParseError(lineno, f"invalid size line: {text!r}")
-        size = nrows
-        break
-    if size is None:
-        raise ParseError(lineno, "missing size line")
+        return lineno, nrows, expected, symmetry == "symmetric"
+    raise ParseError(lineno, "missing size line")
 
-    symmetric = symmetry == "symmetric"
+
+def _read_entry_lines(path) -> tuple[int, bool, np.ndarray]:
+    """`_read_entries` on the file's list of lines, with the comment lines
+    dropped from the body; raises the first error with its line number."""
+    source = Path(path).read_text()
+    lines = source.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the terminator of the last line opens no line
+    lineno, size, expected, symmetric = _read_head(iter(lines))
     body = lines[lineno:]
     # Drop the comment lines, if any: every other `%` is then a bad token.
     if source.find("%", sum(map(len, lines[:lineno])) + lineno) >= 0:
@@ -139,9 +160,10 @@ def _read_entries(path) -> tuple[int, bool, np.ndarray]:
     return size, symmetric, entries
 
 
-def _parse_entries(body: list[str]) -> np.ndarray | None:
-    """Lines without comments as one (i, j, value) record array, or None
-    if a line that is not blank is not three such tokens."""
+def _parse_entries(body) -> np.ndarray | None:
+    """Lines without comments (a list, or an open file) as one (i, j, value)
+    record array, or None if a line that is not blank is not three such
+    tokens."""
     with warnings.catch_warnings():
         # numpy 1.24-1.25 read "1.0" as an int64 with only a DeprecationWarning.
         warnings.simplefilter("error", DeprecationWarning)

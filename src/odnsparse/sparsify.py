@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .core import LaplacianDecomposition, OdnMatrix
+from .core import GraphViews, LaplacianDecomposition, OdnMatrix, _degrees
 from .errors import DenseLimitExceededError, InvalidConstantError, InvalidEpsilonError
 from .spectra import PINV_CUTOFF, PairSpectra, _require_same_shape
 
@@ -34,11 +34,11 @@ _SKETCH_ROW_CHUNK = 128
 
 
 @dataclass(frozen=True, eq=False)
-class SparsifierResult:
+class SparsifierResult(GraphViews):
     """Sampled Laplacian and its accounting.
 
     `edges` holds the sampled edges as a zero-diagonal OdnMatrix; the
-    adjacency, degrees and Laplacian are views of it.
+    adjacency, degrees and Laplacian are views of it (`GraphViews`).
     """
 
     edges: OdnMatrix
@@ -49,24 +49,12 @@ class SparsifierResult:
     epsilon_above_small_regime: bool
 
     @property
-    def n(self) -> int:
-        return self.edges.n
-
-    @property
     def distinct_edges(self) -> int:
         return self.edges.stored_pairs
 
     @cached_property
-    def adjacency(self) -> sp.csr_matrix:
-        return self.edges.adjacency()
-
-    @cached_property
     def degrees(self) -> np.ndarray:
-        return np.asarray(self.adjacency.sum(axis=1)).reshape(-1)
-
-    @cached_property
-    def laplacian(self) -> sp.csr_matrix:
-        return (sp.diags(self.degrees) - self.adjacency).tocsr()
+        return _degrees(self.edges)
 
     def matrix(self, diagonal: float) -> OdnMatrix:
         """M_hat: the sampled edges with every diagonal entry `diagonal`.
@@ -96,13 +84,11 @@ def _exact_resistances(spectra: PairSpectra) -> np.ndarray:
     return diag[src.rows] + diag[src.cols] - 2.0 * pinv[src.rows, src.cols]
 
 
-def _sketched_resistances(decomp: LaplacianDecomposition, seed: int) -> np.ndarray:
-    """Johnson-Lindenstrauss sketch of the incidence factorization.
-
-    Computes R~_e = ||Z (e_i - e_j)||^2 with Z = Q W^(1/2) B L^+, where Q
-    has k = ceil(24 ln n / 0.25^2) rows of +-1/sqrt(k). The solves ground
-    one vertex per connected component, which leaves within-component
-    potential differences exact.
+def _sketch_potentials(decomp: LaplacianDecomposition, seed: int) -> np.ndarray:
+    """The n x k potentials Z' of the sketch Z = Q W^(1/2) B L^+, where Q has
+    k = ceil(24 ln n / 0.25^2) rows of +-1/sqrt(k). The solves ground one
+    vertex per connected component, which leaves within-component potential
+    differences exact.
     """
     src = decomp.matrix
     n = decomp.n
@@ -137,9 +123,25 @@ def _sketched_resistances(decomp: LaplacianDecomposition, seed: int) -> np.ndarr
         grounded = idx[1:]
         sub = lap[grounded, :][:, grounded].tocsc()
         potentials[grounded] = splu(sub).solve(sketch[:, grounded].T)
+    return potentials
 
-    diff = potentials[src.rows] - potentials[src.cols]
-    return (diff * diff).sum(axis=1)
+
+def _sketched_resistances(decomp: LaplacianDecomposition, seed: int) -> np.ndarray:
+    """Johnson-Lindenstrauss sketch of the incidence factorization:
+    R~_e = ||Z (e_i - e_j)||^2 for the potentials Z' of `_sketch_potentials`.
+
+    The m x k potential differences are formed in blocks of columns and
+    summed into one length-m array, so no m x k array exists.
+    """
+    src = decomp.matrix
+    potentials = _sketch_potentials(decomp, seed)
+    resistance = np.zeros(src.stored_pairs)
+    for start in range(0, potentials.shape[1], _SKETCH_ROW_CHUNK):
+        block = potentials[:, start:start + _SKETCH_ROW_CHUNK]
+        diff = block[src.rows] - block[src.cols]
+        diff *= diff
+        resistance += diff.sum(axis=1)
+    return resistance
 
 
 def effective_resistances(
@@ -265,7 +267,12 @@ class VerificationRecord:
 
 
 def _max_abs(x) -> float:
-    return float(abs(x).max()) if min(x.shape) else 0.0
+    """max |x_ij|, without an n x n temporary for a dense x."""
+    if not min(x.shape):
+        return 0.0
+    if sp.issparse(x):
+        return float(abs(x).max())
+    return float(max(x.max(), -x.min()))
 
 
 def verify_sparsifier(
@@ -284,10 +291,11 @@ def verify_sparsifier(
     normalised in place unless L has several components or a probe has zero
     norm, so it is held once. A Laplacian within the pair's dense limit that
     stores at least n^2 / 8 entries multiplies the probe block as a dense
-    BLAS product; any other goes through its own (sparse) product. Within
-    the dense limit it also computes the exact extreme generalized
-    eigenvalues of (L_hat, L) on the range of L, which decide the `passed`
-    flag; above it the probe extremes do.
+    BLAS product; any other goes through its own (sparse) product. The
+    products are formed 128 probes at a time, so of the n x probes arrays
+    only the probe block is whole. Within the dense limit it also computes
+    the exact extreme generalized eigenvalues of (L_hat, L) on the range of
+    L, which decide the `passed` flag; above it the probe extremes do.
     """
     spectra = PairSpectra.of(laplacian, laplacian_hat)
     lap = spectra.laplacian
@@ -316,7 +324,7 @@ def verify_sparsifier(
             for c in np.unique(labels):
                 idx = labels == c
                 x[idx] -= x[idx].mean(axis=0)
-        norms = np.linalg.norm(x, axis=0)
+        norms = np.sqrt(np.einsum("ij,ij->j", x, x))
         good = norms > 0
         if good.all():
             x /= norms
@@ -324,9 +332,8 @@ def verify_sparsifier(
             x = x[:, good] / norms[good]
         kept = x.shape[1]
 
-        numer = np.einsum("ij,ij->j", x, spectra._product(lap_hat, x))
-        denom = np.einsum("ij,ij->j", x, spectra._product(lap, x))
-        ratios = numer / denom
+        ratios = spectra._quadratic_forms(lap_hat, x)
+        ratios /= spectra._quadratic_forms(lap, x)
         probe_min = float(ratios.min())
         probe_max = float(ratios.max())
 

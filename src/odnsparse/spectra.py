@@ -12,6 +12,12 @@ The one iterative eigensolver is ARPACK's implicitly restarted Lanczos
 (`scipy.sparse.linalg.eigsh`), started from one fixed random vector: it
 gives top-k eigenpairs, and above the dense limit the 2-norm of a sparse
 operand as its largest-magnitude Ritz value plus that pair's residual.
+
+The pair holds each Laplacian in one form, read by every role: a dense
+array filled from the graph's coordinates when the graph is dense and
+within the limit, else the graph's CSR Laplacian. The difference norms
+subtract one side from the other's dense form in one n x n buffer, and
+the probe products run in column blocks.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.linalg import eigh_tridiagonal  # noqa: F401  (bench/tracer.py patches this name)
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .core import LaplacianDecomposition, OdnMatrix, decompose, validate_odn
+from .core import GraphViews, LaplacianDecomposition, OdnMatrix, decompose, validate_odn
 from .errors import DenseLimitExceededError, DimensionMismatchError, InvalidEpsilonError
 
 DENSE_LIMIT = 4096
@@ -45,6 +51,8 @@ _DENSE_PRODUCT_SHARE = 1 / 8
 # 45 vs 52, 65 vs 51, 94 vs 49 ms; n = 2000, 602 vs 1312, 2142 vs 1299,
 # 3758 vs 1166 ms. The block-product share would slow the 12-25 % band.
 _DENSE_ARPACK_SHARE = 2 / 3
+# Probe columns per block product in `PairSpectra._quadratic_forms`.
+_PROBE_COLUMNS = 128
 
 
 def _dense(x) -> np.ndarray:
@@ -219,6 +227,9 @@ class PairSpectra:
     accepts an instance in place of its matrix pair. Each role is a
     cached_property; a values-only role reuses the eigenvalues of a full
     decomposition already solved, else runs the cheaper values-only solve.
+    `laplacian` and `laplacian_hat` are each side's Laplacian in the one form
+    every role reads (`_held_form`); setting `hat` drops the form held for the
+    previous one.
 
     No role densifies an operand larger than `dense_limit` (see the module
     docstring for what runs above it).
@@ -227,8 +238,8 @@ class PairSpectra:
     def __init__(self, base=None, hat=None, *, matrix=None, matrix_hat=None,
                  dense_limit: int = DENSE_LIMIT):
         self.base, self.hat = base, hat
-        self.matrix = getattr(base, "matrix", matrix)
-        self.matrix_hat = getattr(hat, "matrix", matrix_hat)
+        self.matrix = base.matrix if isinstance(base, LaplacianDecomposition) else matrix
+        self.matrix_hat = hat.matrix if isinstance(hat, LaplacianDecomposition) else matrix_hat
         self.dense_limit = dense_limit
 
     @classmethod
@@ -237,12 +248,35 @@ class PairSpectra:
         return base if isinstance(base, cls) else cls(base, hat)
 
     @property
-    def laplacian(self):
-        return getattr(self.base, "laplacian", self.base)
+    def hat(self):
+        return self._hat
 
-    @property
+    @hat.setter
+    def hat(self, side) -> None:
+        self._hat = side
+        self.__dict__.pop("laplacian_hat", None)  # held for the previous side
+
+    @cached_property
+    def laplacian(self):
+        """L in the one form every role reads (`_held_form`)."""
+        return self._held_form(self.base)
+
+    @cached_property
     def laplacian_hat(self):
-        return getattr(self.hat, "laplacian", self.hat)
+        """L_hat in the one form every role reads (`_held_form`)."""
+        return self._held_form(self.hat)
+
+    def _held_form(self, side):
+        """A side's Laplacian, held once: a dense array filled from the graph's
+        coordinates when it is within the dense limit and stores at least 2/3
+        of n^2 entries (_DENSE_ARPACK_SHARE), where the dense array is no larger
+        than the CSR form; else the side's CSR Laplacian. A raw Laplacian is
+        held as it is."""
+        if not isinstance(side, GraphViews):
+            return side
+        if side.n <= self.dense_limit and side.laplacian_nnz >= _DENSE_ARPACK_SHARE * side.n**2:
+            return side.laplacian_dense()
+        return side.laplacian
 
     def _densify(self, x) -> np.ndarray:
         """`x` as a dense array; the one check of its size against the limit."""
@@ -269,14 +303,53 @@ class PairSpectra:
         own product. The dense copy lives only for the product."""
         return self._cheaper_form(x, _DENSE_PRODUCT_SHARE) @ block
 
+    def _quadratic_forms(self, x, block: np.ndarray) -> np.ndarray:
+        """x_j' X x_j for each column x_j of `block`, with X = `x` in the form
+        `_product` picks, taken once. The products are formed in column blocks
+        of _PROBE_COLUMNS, so only one such block of X @ block exists at a time."""
+        operand = self._cheaper_form(x, _DENSE_PRODUCT_SHARE)
+        out = np.empty(block.shape[1])
+        for start in range(0, block.shape[1], _PROBE_COLUMNS):
+            cols = block[:, start:start + _PROBE_COLUMNS]
+            out[start:start + _PROBE_COLUMNS] = np.einsum("ij,ij->j", cols, operand @ cols)
+        return out
+
     def eigsh_operand(self, x):
         """`x` in the form ARPACK multiplies by fastest: dense when it is within
         the dense limit and the dense array is no larger than the CSR form (at
         least 2/3 of n^2 stored, _DENSE_ARPACK_SHARE), else sparse."""
         return self._cheaper_form(x, _DENSE_ARPACK_SHARE)
 
-    def _difference_norm(self, x, y) -> float:
-        return spectral_norm(_sparse(x) - _sparse(y), dense_limit=self.dense_limit)
+    def _difference_norm(self, x, y, *, offdiag: bool = False) -> float:
+        """||x - y||_2, or with `offdiag` that of two OdnMatrix adjacencies.
+
+        Within the dense limit one n x n buffer holds x's dense form, and y's
+        entries are subtracted from it in place: its coordinates for an
+        OdnMatrix, its stored entries for a sparse matrix, else the array.
+        Each entry is one IEEE subtraction, as in the sparse difference."""
+        n = x.n if isinstance(x, OdnMatrix) else np.shape(x)[0]
+        if n > self.dense_limit:
+            if offdiag:
+                x, y = x.adjacency(), y.adjacency()
+            return spectral_norm(_sparse(x) - _sparse(y), dense_limit=self.dense_limit)
+        buf = np.array(x, dtype=np.float64) if isinstance(x, np.ndarray) else _dense(x)
+        if isinstance(y, OdnMatrix):
+            buf[y.rows, y.cols] -= y.vals
+            buf[y.cols, y.rows] -= y.vals
+            diag = buf.reshape(-1)[:: n + 1]
+            if offdiag:
+                diag[:] = 0.0
+            else:
+                diag -= y.diag
+        elif sp.issparse(y):
+            y = y.tocsr()
+            if not y.has_canonical_format:
+                y = y.copy()
+                y.sum_duplicates()
+            buf[np.repeat(np.arange(n), np.diff(y.indptr)), y.indices] -= y.data
+        else:
+            buf -= y
+        return spectral_norm(buf, dense_limit=self.dense_limit)
 
     @cached_property
     def laplacian_eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -355,7 +428,7 @@ class PairSpectra:
 
     @cached_property
     def adjacency_diff_norm(self) -> float:
-        return self._difference_norm(self.base.adjacency, self.hat.adjacency)
+        return self._difference_norm(self.base.edges, self.hat.edges, offdiag=True)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,12 @@ def random_odn(rng: np.random.Generator, n: int, density: float = 0.5,
     return OdnMatrix(n, i, j, weights, diag)
 
 
+def complete_with_isolated_vertex(n: int = 40) -> OdnMatrix:
+    """K_(n-1) plus one vertex with no edges: a dense graph with a zero degree."""
+    k = odnsparse.generate_odn("complete", n - 1, seed=5, diag=("uniform", 0, 1))
+    return OdnMatrix(n, k.rows, k.cols, k.vals, np.append(k.diag, 0.5))
+
+
 def random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n))
     return (a + a.T) / 2.0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from odnsparse import (
     OdnMatrix,
     center_diagonal,
     decompose,
+    generate_odn,
     reconstruct,
     validate_odn,
 )
@@ -240,3 +242,26 @@ def test_coordinates_are_sorted_and_checked_in_any_order():
     assert m.vals.tolist() == [3.0, 2.0, 1.0, 4.0]
     with pytest.raises(ValueError, match=r"duplicate coordinate \(0, 1\)"):
         OdnMatrix(3, [0, 0, 0], [1, 2, 1], [1.0, 2.0, 3.0], np.zeros(3))
+
+
+@pytest.mark.parametrize("matrix", [
+    generate_odn("complete", 400, seed=3, diag=("uniform", 0, 1)),
+    generate_odn("grid", rows=30, cols=30, seed=1),
+    generate_odn("erdos-renyi", 500, density=0.01, seed=4),
+    OdnMatrix(1, [], [], [], [3.5]),
+    OdnMatrix(6, [], [], [], np.ones(6)),
+], ids=["complete", "grid", "erdos-renyi-disconnected", "n-one", "no-edges"])
+def test_adjacency_equals_the_sorted_coo_build(matrix):
+    """The O(m) build (upper triangle plus its transpose) against the COO
+    build it replaced, which sorted both triangles."""
+    i = np.concatenate([matrix.rows, matrix.cols])
+    j = np.concatenate([matrix.cols, matrix.rows])
+    v = np.concatenate([matrix.vals, matrix.vals])
+    expected = sp.csr_matrix((v, (i, j)), shape=(matrix.n, matrix.n))
+    got = matrix.adjacency()
+    assert type(got) is type(expected)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert got.has_canonical_format == expected.has_canonical_format

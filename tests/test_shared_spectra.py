@@ -31,7 +31,7 @@ from odnsparse import spectra as spectra_module
 from odnsparse.cli import main
 from odnsparse.spectra import PINV_CUTOFF
 
-from conftest import random_odn
+from conftest import complete_with_isolated_vertex, random_odn
 
 EPS = 0.25
 SEED = 7
@@ -323,9 +323,10 @@ def test_grid_pencil_never_densifies_laplacian_hat(monkeypatch):
 
 
 def _dense_pencil(lap, lap_hat):
-    """The pencil's former reduction: L_hat densified, span' L_hat span."""
+    """The pencil's former reduction: L_hat densified, span' L_hat span.
+    L_hat may be held sparse or dense."""
     mu, vecs = np.linalg.eigh(lap.toarray())
-    lhd = lap_hat.toarray()
+    lhd = lap_hat.toarray() if sp.issparse(lap_hat) else np.asarray(lap_hat)
     keep = mu > PINV_CUTOFF * max(float(mu[-1]), 0.0)
     span = vecs[:, keep]
     inv_sqrt = 1.0 / np.sqrt(mu[keep])
@@ -347,3 +348,159 @@ def test_pencil_matches_dense_reduction(matrix):
     gen, leak = spectra.pencil
     np.testing.assert_allclose(gen[[0, -1]], expected[[0, -1]], rtol=1e-13, atol=0)
     assert leak <= 1e-8 * spectra.laplacian_norm
+
+
+# ------------------------------------------- one held form per Laplacian
+
+DENSE_GRAPHS = {
+    "complete": lambda: generate_odn("complete", 120, seed=2, diag=("uniform", 0, 1)),
+    "density-0.7": lambda: random_odn(np.random.default_rng(3), 150, density=0.7),
+    "isolated-vertex": complete_with_isolated_vertex,
+}
+
+
+@pytest.mark.parametrize("make", DENSE_GRAPHS.values(), ids=DENSE_GRAPHS.keys())
+def test_dense_graph_holds_one_dense_laplacian_per_side(make):
+    decomp = decompose(make())
+    spectra = PairSpectra(decomp)
+    result = sparsify_laplacian(spectra, EPS, SEED)
+    assert spectra.laplacian_hat is None
+    spectra.hat = result  # set after construction, as the sparsify command does
+    for side, held in ((decomp, spectra.laplacian), (result, spectra.laplacian_hat)):
+        assert isinstance(held, np.ndarray)
+        assert held.tobytes() == side.laplacian.toarray().tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_odn("grid", rows=30, cols=30, seed=1, diag=("uniform", 0, 1)),
+    lambda: generate_odn("erdos-renyi", 500, density=0.01, seed=4),
+    lambda: random_odn(np.random.default_rng(5), 300, density=0.3),
+], ids=["grid", "erdos-renyi-disconnected", "density-0.3"])
+def test_sparse_graph_keeps_its_csr_laplacian(make):
+    decomp = decompose(make())
+    spectra = PairSpectra(decomp)
+    spectra.hat = sparsify_laplacian(spectra, EPS, SEED)
+    assert spectra.laplacian is decomp.laplacian
+    assert spectra.laplacian_hat is spectra.hat.laplacian
+
+
+def _graph_sides(monkeypatch, module):
+    """Records every decomposition and SparsifierResult `module` makes."""
+    made = []
+    for name in ("decompose", "sparsify_laplacian"):
+        def recording(*args, _make=getattr(module, name), **kwargs):
+            made.append(_make(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(module, name, recording)
+    return made
+
+
+def _assert_no_csr_kept(made, count):
+    assert len(made) == count
+    for side in made:
+        assert "adjacency" not in vars(side) and "laplacian" not in vars(side), side
+
+
+def test_dense_pipelines_keep_no_csr_copy(monkeypatch, tmp_path, capsys):
+    from odnsparse import applications, cli
+
+    a, b = tmp_path / "a.mtx", tmp_path / "b.mtx"
+    write_matrix_market(generate_odn("complete", 80, seed=3, diag=("uniform", 0, 1)), a)
+    made = _graph_sides(monkeypatch, cli)
+    assert main(["sparsify", "--input", str(a), "--out-matrix", str(b)]) == 0
+    _assert_no_csr_kept(made, 2)
+    made.clear()
+    assert main(["verify", str(a), str(b)]) == 0
+    _assert_no_csr_kept(made, 2)
+
+    made = _graph_sides(monkeypatch, applications)
+    assert pca_compare(_factor_correlation(400, 80), EPS, 5, seed=SEED).passed
+    _assert_no_csr_kept(made, 2)
+
+
+# The norms as the sparse difference of the sides' CSR forms computed them.
+def _sparse_difference_norms(base, hat, m, m_hat):
+    def norm(x, y):
+        return spectra_module.spectral_norm(spectra_module._sparse(x) - spectra_module._sparse(y))
+
+    return {
+        "matrix_diff_norm": norm(m, m_hat),
+        "laplacian_diff_norm": norm(base.laplacian, hat.laplacian),
+        "adjacency_diff_norm": norm(base.adjacency, hat.adjacency),
+    }
+
+
+def _negative_zero_diagonal():
+    """Diagonal range [-1, 1], so M_hat's diagonal is 0.0, against M's -0.0."""
+    k = generate_odn("complete", 30, seed=8)
+    diag = np.linspace(-1.0, 1.0, 30)
+    diag[[3, 7]] = -0.0
+    return OdnMatrix(30, k.rows, k.cols, k.vals, diag)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_odn("complete", 60, seed=4, diag=("uniform", 0, 1)),
+    lambda: generate_odn("erdos-renyi", 120, density=0.02, seed=5),
+    complete_with_isolated_vertex,
+    _disconnected,
+    _negative_zero_diagonal,
+], ids=["connected", "disconnected", "isolated-vertex", "small-disconnected",
+        "negative-zero-diagonal"])
+@pytest.mark.parametrize("hat_kind", ["decomposition", "sparsifier"])
+def test_difference_norms_are_bit_identical_to_sparse_differences(make, hat_kind):
+    matrix = make()
+    decomp = decompose(matrix)
+    result = sparsify_laplacian(decomp, EPS, SEED)
+    m_hat = result.matrix(decomp.center)
+    hat = decompose(m_hat) if hat_kind == "decomposition" else result
+    spectra = PairSpectra(decomp, hat, matrix_hat=m_hat)
+    got = {name: getattr(spectra, name) for name in
+           ("matrix_diff_norm", "laplacian_diff_norm", "adjacency_diff_norm")}
+    assert got == _sparse_difference_norms(decompose(matrix), hat, matrix, m_hat)
+
+
+def test_verify_pipeline_memory():
+    """The whole verify pipeline on complete n = 300, 1000 probes: the traced
+    peak and what the pair keeps afterwards, in units of one n x n array."""
+    n = 300
+    matrix = generate_odn("complete", n, seed=3, diag=("uniform", 0, 1))
+    decomp = decompose(matrix)
+    m_hat = sparsify_laplacian(decomp, EPS, SEED).matrix(decomp.center)
+    del decomp
+    tracemalloc.start()
+    try:
+        spectra = PairSpectra(decompose(matrix), decompose(m_hat))
+        record = verify_sparsifier(spectra, epsilon=EPS, probes=1000, seed=SEED)
+        assert eigenvalue_ratio_check(spectra, epsilon=EPS).passed
+        assert sparsifier_norm_check(spectra, epsilon=EPS,
+                                     sparsifier_ok=record.passed).passed
+        assert adjacency_norm_check(spectra).passed
+        assert spectral_report(spectra, epsilon=EPS).passed
+        assert weyl_check(spectra).passed
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert record.passed and record.mode == "exact"
+    # Measured: 9.5 and 4.1; before one form per Laplacian, 14.3 and 7.9.
+    assert peak <= 11 * n * n * 8
+    assert retained <= 5 * n * n * 8
+
+
+def test_difference_norm_of_a_csr_with_duplicate_entries():
+    """A raw CSR Laplacian may store one entry in several parts: they are
+    summed before it is subtracted."""
+    lap = decompose(_disconnected()).laplacian_dense()
+    coo = sp.coo_matrix(lap)
+    # Every entry stored twice, as two halves, in one row-sorted CSR.
+    order = np.argsort(np.tile(coo.row, 2), kind="stable")
+    rows = np.tile(coo.row, 2)[order]
+    halves = sp.csr_matrix((np.tile(coo.data / 2, 2)[order], np.tile(coo.col, 2)[order],
+                            np.searchsorted(rows, np.arange(lap.shape[0] + 1))),
+                           shape=lap.shape)
+    assert not halves.has_canonical_format
+    other = 1.5 * lap
+    expected = float(np.abs(np.linalg.eigvalsh(other - lap)).max())
+    got = sparsifier_norm_check(other, halves, EPS).norm_diff
+    np.testing.assert_allclose(got, expected, rtol=1e-14)
+    assert not halves.has_canonical_format  # the caller's matrix is left as it was

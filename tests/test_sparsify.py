@@ -22,10 +22,10 @@ from odnsparse import (
     verify_sparsifier,
 )
 from odnsparse import spectra
-from odnsparse.sparsify import _draw_counts
+from odnsparse.sparsify import _draw_counts, _sketch_potentials
 from odnsparse.spectra import PINV_CUTOFF
 
-from conftest import random_odn
+from conftest import complete_with_isolated_vertex, random_odn
 
 
 def two_component_graph():
@@ -167,6 +167,27 @@ class TestEffectiveResistances:
         exact, _ = effective_resistances(d)
         approx, _ = effective_resistances(d, mode="approximate")
         assert np.all(np.abs(approx - exact) <= 0.25 * exact)
+
+    def test_streamed_sketch_matches_the_m_by_k_formula(self):
+        d = decompose(generate_odn("complete", 60, seed=2))
+        potentials = _sketch_potentials(d, 9)
+        src = d.matrix
+        diff = potentials[src.rows] - potentials[src.cols]
+        expected = (diff * diff).sum(axis=1)
+        approx, _ = effective_resistances(d, mode="approximate", seed=9)
+        np.testing.assert_allclose(approx, expected, rtol=1e-12, atol=0)
+
+    def test_streamed_sketch_memory(self):
+        # The m x k difference was 172 MB here (k = 1924, m = 11175), and the
+        # formula held three such arrays (334 MB traced).
+        d = decompose(generate_odn("complete", 150, seed=1))
+        tracemalloc.start()
+        try:
+            effective_resistances(d, mode="approximate")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 60e6
 
     def test_approximate_deterministic(self):
         d = decompose(generate_odn("erdos-renyi", 15, density=0.5, seed=1))
@@ -479,9 +500,11 @@ class TestSparsifierMatrix:
 
 
 def _probe_extremes_reference(spectra, probes, seed):
-    """The former probe block: components from a COO copy of L, and masked
-    copies of the probes for centring and normalising."""
-    lap = spectra.laplacian
+    """The former probe block: components from a COO copy of L, masked copies
+    of the probes for centring and normalising, norms through an x * x
+    temporary, and whole-block products with the sides' CSR Laplacians."""
+    lap = getattr(spectra.base, "laplacian", spectra.base)
+    lap_hat = getattr(spectra.hat, "laplacian", spectra.hat)
     coo = sp.coo_matrix(lap)
     off = (coo.row != coo.col) & (coo.data != 0)
     graph = sp.csr_matrix((np.ones(off.sum()), (coo.row[off], coo.col[off])),
@@ -495,7 +518,7 @@ def _probe_extremes_reference(spectra, probes, seed):
     norms = np.linalg.norm(x, axis=0)
     good = norms > 0
     x = x[:, good] / norms[good]
-    numer = np.einsum("ij,ij->j", x, spectra._product(spectra.laplacian_hat, x))
+    numer = np.einsum("ij,ij->j", x, spectra._product(lap_hat, x))
     denom = np.einsum("ij,ij->j", x, spectra._product(lap, x))
     ratios = numer / denom
     return float(ratios.min()), float(ratios.max()), x.shape[1]
@@ -510,14 +533,17 @@ def _with_isolated_vertex():
 class TestProbeBlock:
     @pytest.mark.parametrize("make", [
         lambda: generate_odn("complete", 60, seed=4, diag=("uniform", 0, 1)),
+        lambda: generate_odn("complete", 400, seed=3, diag=("uniform", 0, 1)),
         lambda: generate_odn("erdos-renyi", 120, density=0.02, seed=5),
         _with_isolated_vertex,
-    ], ids=["connected", "disconnected", "isolated-vertex"])
+        complete_with_isolated_vertex,
+    ], ids=["connected", "complete-400", "disconnected", "isolated-vertex",
+            "dense-isolated-vertex"])
     @pytest.mark.parametrize("raw", [False, True], ids=["decomposition", "laplacian"])
     def test_probe_extremes_match_reference(self, make, raw):
         d = decompose(make())
         if not raw:
-            assert (d.components[0] == 1) == (d.n == 60)
+            assert (d.components[0] == 1) == (d.n in (60, 400))
         res = sparsify_laplacian(d, 0.3, seed=3)
         pair = PairSpectra(d.laplacian, res.laplacian) if raw else PairSpectra(d, res)
         rec = verify_sparsifier(pair, epsilon=0.3, probes=200, seed=9)
