@@ -66,11 +66,8 @@ from .spectra import (
 )
 from .applications import (
     PcaComparison,
-    QuadFormRecord,
-    QuadFormReport,
     correlation_from_data,
     pca_compare,
-    quadform_gap,
 )
 
 __version__ = "0.1.0"
@@ -97,8 +94,6 @@ __all__ = [
     "PairSpectra",
     "ParseError",
     "PcaComparison",
-    "QuadFormRecord",
-    "QuadFormReport",
     "RatioCheck",
     "SparsifierNormCheck",
     "SparsifierResult",
@@ -118,7 +113,6 @@ __all__ = [
     "generate_odn",
     "parse_generator_spec",
     "pca_compare",
-    "quadform_gap",
     "read_matrix_market",
     "reconstruct",
     "sample_count",

@@ -1,9 +1,7 @@
 """Downstream uses of the sparsification pipeline.
 
-Quadratic-form gap certification (|x'Mx - x'M_hat x| against
-||M - M_hat|| * ||x||^2, plus inertia of both matrices) and approximate
-PCA on nonnegative correlation matrices with per-component and
-cumulative variance-deviation bounds.
+Approximate PCA on nonnegative correlation matrices with per-component
+and cumulative variance-deviation bounds.
 """
 
 from __future__ import annotations
@@ -16,85 +14,15 @@ import numpy as np
 
 from .core import OdnMatrix, decompose, validate_odn
 from .errors import (
-    DimensionMismatchError,
     NonFiniteError,
     NotCorrelationError,
     NotOdnError,
     ZeroVarianceColumnError,
 )
 from .sparsify import VerificationRecord, sparsify_laplacian, verify_sparsifier
-from .spectra import DENSE_LIMIT, InertiaCounts, PairSpectra, eigen_decompose
+from .spectra import DENSE_LIMIT, PairSpectra, eigen_decompose
 
 _ROUNDING_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class QuadFormRecord:
-    x: np.ndarray
-    value: float
-    value_hat: float
-    gap: float
-    bound: float
-
-
-@dataclass(frozen=True, eq=False)
-class QuadFormReport:
-    records: list[QuadFormRecord]
-    norm_diff: float
-    inertia: InertiaCounts
-    inertia_hat: InertiaCounts
-
-    @property
-    def inertia_match(self) -> bool:
-        return self.inertia == self.inertia_hat
-
-    @property
-    def max_gap(self) -> float:
-        return max((r.gap for r in self.records), default=0.0)
-
-
-def quadform_gap(matrix, matrix_hat, xs) -> QuadFormReport:
-    """Evaluate x'Mx and x'M_hat x over probe vectors with certified gaps.
-
-    The certified per-vector bound is ||M - M_hat||_2 * ||x||^2, which
-    the measured gap can never exceed. Both matrices are densified at any
-    n, so the pair's dense limit admits n.
-    """
-    m = validate_odn(matrix)
-    m_hat = validate_odn(matrix_hat)
-    if m.n != m_hat.n:
-        raise DimensionMismatchError((m.n, m.n), (m_hat.n, m_hat.n))
-    a = m.to_dense()
-    b = m_hat.to_dense()
-    spectra = PairSpectra(matrix=m, matrix_hat=m_hat, dense_limit=m.n)
-    norm_diff = spectra.matrix_diff_norm
-
-    records = []
-    for x in xs:
-        v = np.asarray(x, dtype=np.float64).reshape(-1)
-        if v.shape != (m.n,):
-            raise DimensionMismatchError(v.shape, (m.n,))
-        q = float(v @ a @ v)
-        q_hat = float(v @ b @ v)
-        records.append(
-            QuadFormRecord(
-                x=v,
-                value=q,
-                value_hat=q_hat,
-                gap=abs(q - q_hat),
-                bound=norm_diff * float(v @ v),
-            )
-        )
-
-    eig_a, eig_b = spectra.matrix_values
-    tol_a = 1e-9 * max(1.0, float(np.abs(eig_a).max()))
-    tol_b = 1e-9 * max(1.0, float(np.abs(eig_b).max()))
-    return QuadFormReport(
-        records=records,
-        norm_diff=norm_diff,
-        inertia=InertiaCounts.from_values(eig_a, tol_a),
-        inertia_hat=InertiaCounts.from_values(eig_b, tol_b),
-    )
 
 
 def correlation_from_data(data, *, unbiased: bool = False) -> OdnMatrix:
@@ -200,7 +128,6 @@ def pca_compare(
     seed: int = 0,
     *,
     constant: float = 9.0,
-    probes: int = 1000,
     dense_limit: int = DENSE_LIMIT,
 ) -> PcaComparison:
     """Compare top-p component variances before and after sparsification.
@@ -224,7 +151,7 @@ def pca_compare(
     result = sparsify_laplacian(spectra, epsilon, seed, constant)
     m_hat = result.matrix(decomp.center)
     spectra.hat = result
-    verification = verify_sparsifier(spectra, epsilon=epsilon, probes=probes, seed=seed)
+    verification = verify_sparsifier(spectra, epsilon=epsilon)
     rho = spectra.laplacian_norm
     unit_bound = epsilon * math.sqrt(m.n) * rho
 

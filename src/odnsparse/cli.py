@@ -67,8 +67,6 @@ def _add_common(parser):
     parser.add_argument("--constant", type=float, default=9.0,
                         help="oversampling constant C (default 9)")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    parser.add_argument("--probes", type=int, default=1000,
-                        help="random probe vectors for verification (default 1000)")
     parser.add_argument("--dense-limit", type=int, default=DENSE_LIMIT,
                         help=f"max n for dense eigensolves (default {DENSE_LIMIT})")
     parser.add_argument("--out-report", metavar="PATH", help="write the JSON report")
@@ -129,7 +127,6 @@ def _report_skeleton(source, matrix, args, extra_params=None) -> dict:
         "epsilon": args.epsilon,
         "constant": args.constant,
         "seed": args.seed,
-        "probes": args.probes,
         "dense_limit": args.dense_limit,
         "resistance_mode": "exact",
         "epsilon_above_small_regime": bool(args.epsilon > EPSILON_SMALL_REGIME),
@@ -196,9 +193,15 @@ def cmd_sparsify(args) -> int:
     spectra.hat, spectra.matrix_hat = result, m_hat
 
     t0 = time.perf_counter()
-    verification = verify_sparsifier(spectra, epsilon=args.epsilon, probes=args.probes,
-                                     seed=args.seed)
+    verification = verify_sparsifier(spectra, epsilon=args.epsilon)
     ratios = eigenvalue_ratio_check(spectra, epsilon=args.epsilon)
+    # Nothing reads L or L_hat after the ratio check: drop the pair's held
+    # forms, and a CSR Laplacian cached on either side, before the report's
+    # two eigensolves of M and M_hat.
+    for role in ("laplacian", "laplacian_hat"):
+        spectra.__dict__.pop(role, None)
+    for side in (decomp, result):
+        side.__dict__.pop("laplacian", None)
     stages["verify"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -249,10 +252,7 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     spectra = PairSpectra(decompose(matrix_a), decompose(matrix_b),
                           dense_limit=args.dense_limit)
-    verification = verify_sparsifier(spectra, epsilon=args.epsilon, probes=args.probes,
-                                     seed=args.seed)
-    # Before the norm checks: above the dense limit it raises, and their
-    # iterative norm solves would be wasted.
+    verification = verify_sparsifier(spectra, epsilon=args.epsilon)
     ratios = eigenvalue_ratio_check(spectra, epsilon=args.epsilon)
     lap_check = sparsifier_norm_check(
         spectra, epsilon=args.epsilon, sparsifier_ok=verification.passed
@@ -324,7 +324,7 @@ def cmd_pca_demo(args) -> int:
     t0 = time.perf_counter()
     comparison = pca_compare(
         matrix, args.epsilon, args.components, args.seed,
-        constant=args.constant, probes=args.probes, dense_limit=args.dense_limit,
+        constant=args.constant, dense_limit=args.dense_limit,
     )
     stages["pca"] = time.perf_counter() - t0
     stages["solve_dense"] = comparison.dense_seconds

@@ -13,7 +13,7 @@ import json
 from importlib import resources
 from pathlib import Path
 
-from .applications import PcaComparison, QuadFormReport
+from .applications import PcaComparison
 from .sparsify import RatioCheck, SparsifierResult, VerificationRecord
 from .spectra import (
     NormComparison,
@@ -22,17 +22,13 @@ from .spectra import (
     WeylCheck,
 )
 
-SCHEMA_VERSION = "1.0"
+SCHEMA_VERSION = "2.0"
 
 
 def verification_to_dict(v: VerificationRecord) -> dict:
     return {
         "n": v.n,
         "epsilon": v.epsilon,
-        "probes": v.probes,
-        "seed": v.seed,
-        "probe_min": v.probe_min,
-        "probe_max": v.probe_max,
         "gen_min": v.gen_min,
         "gen_max": v.gen_max,
         "kernel_leak": v.kernel_leak,
@@ -136,27 +132,6 @@ def pca_to_dict(p: PcaComparison) -> dict:
         "nnz_before": p.nnz_before,
         "nnz_after": p.nnz_after,
         "verification": verification_to_dict(p.verification),
-    }
-
-
-def quadform_to_dict(q: QuadFormReport) -> dict:
-    # Probe vectors are summarized by norm; the raw vectors stay in the
-    # in-memory records only.
-    return {
-        "norm_diff": q.norm_diff,
-        "inertia": vars(q.inertia).copy(),
-        "inertia_hat": vars(q.inertia_hat).copy(),
-        "inertia_match": q.inertia_match,
-        "records": [
-            {
-                "x_norm": float((r.x @ r.x) ** 0.5),
-                "value": r.value,
-                "value_hat": r.value_hat,
-                "gap": r.gap,
-                "bound": r.bound,
-            }
-            for r in q.records
-        ],
     }
 
 

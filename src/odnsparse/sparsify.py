@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .core import GraphViews, LaplacianDecomposition, OdnMatrix, _degrees
-from .errors import DenseLimitExceededError, InvalidConstantError, InvalidEpsilonError
+from .errors import InvalidConstantError, InvalidEpsilonError
 from .spectra import PINV_CUTOFF, PairSpectra, _require_same_shape
 
 # epsilon threshold below which the strictest published edge-count
@@ -255,10 +255,6 @@ class VerificationRecord:
 
     n: int
     epsilon: float
-    probes: int
-    seed: int
-    probe_min: float | None
-    probe_max: float | None
     gen_min: float | None
     gen_max: float | None
     kernel_leak: float | None
@@ -275,27 +271,15 @@ def _max_abs(x) -> float:
     return float(max(x.max(), -x.min()))
 
 
-def verify_sparsifier(
-    laplacian,
-    laplacian_hat=None,
-    epsilon=None,
-    probes: int = 1000,
-    seed: int = 0,
-) -> VerificationRecord:
-    """Check the spectral-sparsifier inequality numerically.
+def verify_sparsifier(laplacian, laplacian_hat=None, epsilon=None) -> VerificationRecord:
+    """Check the spectral-sparsifier inequality exactly.
 
-    Draws `probes` Gaussian vectors, projects them off the all-ones
-    kernel of each connected component (the pair's `laplacian_labels`: the
-    decomposition's components, computed once), and records the extreme
-    Rayleigh ratios x'L_hat x / x'Lx. The probe block is centred and
-    normalised in place unless L has several components or a probe has zero
-    norm, so it is held once. A Laplacian within the pair's dense limit that
-    stores at least n^2 / 8 entries multiplies the probe block as a dense
-    BLAS product; any other goes through its own (sparse) product. The
-    products are formed 128 probes at a time, so of the n x probes arrays
-    only the probe block is whole. Within the dense limit it also computes
-    the exact extreme generalized eigenvalues of (L_hat, L) on the range of
-    L, which decide the `passed` flag; above it the probe extremes do.
+    Computes the extreme generalized eigenvalues of the pencil (L_hat, L) on
+    the range of L (`PairSpectra.pencil`) and the leak of L_hat on L's
+    kernel; both extremes within (1 +- eps) and no leak decide `passed`. A
+    zero L passes only against a zero L_hat ("trivial-zero"). The pencil
+    needs L's dense eigendecomposition: above the pair's dense limit it
+    raises DenseLimitExceededError, and nothing is certified.
     """
     spectra = PairSpectra.of(laplacian, laplacian_hat)
     lap = spectra.laplacian
@@ -303,62 +287,27 @@ def verify_sparsifier(
     _require_same_shape(lap, lap_hat)
     if not (0.0 < epsilon < 1.0):
         raise InvalidEpsilonError(epsilon)
-    if probes < 1:
-        raise ValueError(f"probes must be >= 1, got {probes}")
-    n = lap.shape[0]
-    grace = 1e-9
     scale_hat = _max_abs(lap_hat)
-    probe_min = probe_max = gen_min = gen_max = None
+    gen_min = gen_max = None
 
     if _max_abs(lap) == 0.0:
-        kept, kernel_leak, passed, mode = 0, scale_hat, scale_hat <= 1e-12, "trivial-zero"
+        kernel_leak, passed, mode = scale_hat, scale_hat <= 1e-12, "trivial-zero"
     else:
-        labels = spectra.laplacian_labels
-        rng = np.random.Generator(np.random.PCG64(seed))
-        x = rng.standard_normal((n, probes))
-        # In place where no row or column is left out: the same bits as the
-        # masked copies, without them.
-        if not labels.any():
-            x -= x.mean(axis=0)
-        else:
-            for c in np.unique(labels):
-                idx = labels == c
-                x[idx] -= x[idx].mean(axis=0)
-        norms = np.sqrt(np.einsum("ij,ij->j", x, x))
-        good = norms > 0
-        if good.all():
-            x /= norms
-        else:
-            x = x[:, good] / norms[good]
-        kept = x.shape[1]
-
-        ratios = spectra._quadratic_forms(lap_hat, x)
-        ratios /= spectra._quadratic_forms(lap, x)
-        probe_min = float(ratios.min())
-        probe_max = float(ratios.max())
-
-        try:
-            gen, kernel_leak = spectra.pencil
-        except DenseLimitExceededError:
-            low, high, mode = probe_min, probe_max, "probes-only"
-            kernel_leak, leak_ok = None, True
-        else:
-            rho = max(float(spectra.laplacian_values[-1]), 0.0)
-            gen_min = float(gen[0])
-            gen_max = float(gen[-1])
-            low, high, mode = gen_min, gen_max, "exact"
-            leak_ok = kernel_leak <= 1e-8 * max(rho, scale_hat)
+        gen, kernel_leak = spectra.pencil
+        rho = max(float(spectra.laplacian_values[-1]), 0.0)
+        gen_min = float(gen[0])
+        gen_max = float(gen[-1])
+        grace = 1e-9
         passed = (
-            leak_ok and low >= 1.0 - epsilon - grace and high <= 1.0 + epsilon + grace
+            kernel_leak <= 1e-8 * max(rho, scale_hat)
+            and gen_min >= 1.0 - epsilon - grace
+            and gen_max <= 1.0 + epsilon + grace
         )
+        mode = "exact"
 
     return VerificationRecord(
-        n=n,
+        n=lap.shape[0],
         epsilon=float(epsilon),
-        probes=int(kept),
-        seed=int(seed),
-        probe_min=probe_min,
-        probe_max=probe_max,
         gen_min=gen_min,
         gen_max=gen_max,
         kernel_leak=kernel_leak,

@@ -16,8 +16,7 @@ operand as its largest-magnitude Ritz value plus that pair's residual.
 The pair holds each Laplacian in one form, read by every role: a dense
 array filled from the graph's coordinates when the graph is dense and
 within the limit, else the graph's CSR Laplacian. The difference norms
-subtract one side from the other's dense form in one n x n buffer, and
-the probe products run in column blocks.
+subtract one side from the other's dense form in one n x n buffer.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 from scipy.linalg import eigh_tridiagonal  # noqa: F401  (bench/tracer.py patches this name)
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
@@ -39,11 +37,13 @@ DENSE_LIMIT = 4096
 # Laplacian eigenvalues below PINV_CUTOFF * rho(L) count as kernel.
 PINV_CUTOFF = 1e-10
 _ARPACK_START_SEED = 0x0D25
-# An operand within the dense limit is multiplied in its dense form when it
-# stores at least this share of its n^2 entries (`PairSpectra._cheaper_form`).
-# Block products (BLAS-3): measured with 1000 probe vectors on 2 BLAS
-# threads, the dense product wins from about 6 % stored at n = 400, 900 and
-# 2000, and ties or loses below that.
+# The pencil's one block product L_hat V, with V the n x n eigenvectors of L,
+# takes L_hat's dense form when L_hat is within the dense limit and stores at
+# least this share of its n^2 entries (`PairSpectra._cheaper_form`). Measured
+# on 2 BLAS threads, the dense (BLAS-3) product takes 2, 19 and 170 ms at
+# n = 400, 900 and 2000 whatever the share; the sparse one is faster only
+# below about 5 % stored at n = 400 and 4 % at n = 900, and ties at 2 % at
+# n = 2000. At 1/8 the dense product is 2.5-6 times faster.
 _DENSE_PRODUCT_SHARE = 1 / 8
 # ARPACK's single-vector products are memory-bound, so the dense form pays
 # only where it is no larger than the CSR form: 8 n^2 <= 12 nnz bytes. Top-50
@@ -51,8 +51,6 @@ _DENSE_PRODUCT_SHARE = 1 / 8
 # 45 vs 52, 65 vs 51, 94 vs 49 ms; n = 2000, 602 vs 1312, 2142 vs 1299,
 # 3758 vs 1166 ms. The block-product share would slow the 12-25 % band.
 _DENSE_ARPACK_SHARE = 2 / 3
-# Probe columns per block product in `PairSpectra._quadratic_forms`.
-_PROBE_COLUMNS = 128
 
 
 def _dense(x) -> np.ndarray:
@@ -67,18 +65,6 @@ def _sparse(x) -> sp.csr_matrix:
     if isinstance(x, OdnMatrix):
         return sp.csr_matrix(x.adjacency() + sp.diags(x.diag))
     return sp.csr_matrix(x)
-
-
-def _offdiag_components(lap) -> np.ndarray:
-    """Connected-component labels of the graph of a raw Laplacian's
-    off-diagonal nonzeros."""
-    coo = sp.coo_matrix(lap)
-    # Stored zeros are not edges.
-    off = (coo.row != coo.col) & (coo.data != 0)
-    graph = sp.csr_matrix(
-        (np.ones(off.sum()), (coo.row[off], coo.col[off])), shape=coo.shape
-    )
-    return connected_components(graph, directed=False)[1]
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -163,8 +149,9 @@ def eigen_decompose(matrix, k: int | None = None, method: str = "dense") -> Eige
     It multiplies by `matrix` in the form given (an OdnMatrix as CSR);
     `PairSpectra.eigsh_operand` picks the cheaper one: dense within the dense
     limit when at least 2/3 of n^2 is stored, so that the dense array is no
-    larger than the CSR form, else sparse. Block products (`PairSpectra._product`)
-    go dense from n^2 / 8 stored instead: BLAS-3 pays off far sooner.
+    larger than the CSR form, else sparse. The pencil's block product
+    (`PairSpectra.pencil`) goes dense from n^2 / 8 stored instead: BLAS-3
+    pays off far sooner.
     """
     operand = _sparse(matrix) if isinstance(matrix, OdnMatrix) else matrix
     n = operand.shape[0]
@@ -297,23 +284,6 @@ class PairSpectra:
                 pass
         return _sparse(x) if isinstance(x, OdnMatrix) else x
 
-    def _product(self, x, block: np.ndarray) -> np.ndarray:
-        """`x @ block`: a dense BLAS product when `x` is within the dense limit
-        and stores at least n^2 / 8 entries (_DENSE_PRODUCT_SHARE), else `x`'s
-        own product. The dense copy lives only for the product."""
-        return self._cheaper_form(x, _DENSE_PRODUCT_SHARE) @ block
-
-    def _quadratic_forms(self, x, block: np.ndarray) -> np.ndarray:
-        """x_j' X x_j for each column x_j of `block`, with X = `x` in the form
-        `_product` picks, taken once. The products are formed in column blocks
-        of _PROBE_COLUMNS, so only one such block of X @ block exists at a time."""
-        operand = self._cheaper_form(x, _DENSE_PRODUCT_SHARE)
-        out = np.empty(block.shape[1])
-        for start in range(0, block.shape[1], _PROBE_COLUMNS):
-            cols = block[:, start:start + _PROBE_COLUMNS]
-            out[start:start + _PROBE_COLUMNS] = np.einsum("ij,ij->j", cols, operand @ cols)
-        return out
-
     def eigsh_operand(self, x):
         """`x` in the form ARPACK multiplies by fastest: dense when it is within
         the dense limit and the dense array is no larger than the CSR form (at
@@ -356,15 +326,6 @@ class PairSpectra:
         return np.linalg.eigh(self._densify(self.laplacian))
 
     @cached_property
-    def laplacian_labels(self) -> np.ndarray:
-        """Connected-component labels of L's graph: the decomposition's own
-        `components` when `base` has them, else read off a raw Laplacian."""
-        components = getattr(self.base, "components", None)
-        if components is not None:
-            return components[1]
-        return _offdiag_components(self.laplacian)
-
-    @cached_property
     def laplacian_values(self) -> np.ndarray:
         if "laplacian_eigh" in self.__dict__:
             return self.laplacian_eigh[0]
@@ -379,16 +340,19 @@ class PairSpectra:
         """Eigenvalues of the pencil (L_hat, L) on the range of L, and the
         leak ||L_hat K||_2 on L's kernel basis K.
 
-        Both come from one product L_hat V with L's eigenvectors V, formed by
-        `_product`: a sparse L_hat is never densified. Only the resistances
-        and the pencil use V, so it is released here; L's eigenvalues are kept.
+        Both come from one product L_hat V with L's eigenvectors V: a dense
+        BLAS product when L_hat is within the dense limit and stores at least
+        n^2 / 8 entries (_DENSE_PRODUCT_SHARE), else L_hat's own sparse
+        product, so an L_hat below that share is never densified. Only the
+        resistances and the pencil use V, so it is released here; L's
+        eigenvalues are kept.
         """
         mu, vecs = self.laplacian_eigh
         self.__dict__.setdefault("laplacian_values", mu)
         del self.laplacian_eigh
         # mu ascends, so the kernel is the leading columns and the range the rest.
         split = int(np.searchsorted(mu, PINV_CUTOFF * max(float(mu[-1]), 0.0), "right"))
-        hat_vecs = self._product(self.laplacian_hat, vecs)
+        hat_vecs = self._cheaper_form(self.laplacian_hat, _DENSE_PRODUCT_SHARE) @ vecs
         leak = float(np.linalg.norm(hat_vecs[:, :split], 2)) if split else 0.0
         inv_sqrt = 1.0 / np.sqrt(mu[split:])
         reduced = (vecs[:, split:].T @ hat_vecs[:, split:]) * np.outer(inv_sqrt, inv_sqrt)

@@ -10,16 +10,10 @@ from odnsparse import (
     NotOdnError,
     ZeroVarianceColumnError,
     correlation_from_data,
-    decompose,
     generate_odn,
     pca_compare,
-    quadform_gap,
-    reconstruct,
-    sparsify_laplacian,
     validate_odn,
 )
-
-from conftest import random_odn
 
 
 def factor_data(rng, samples=200, features=10, noise=0.3):
@@ -29,39 +23,6 @@ def factor_data(rng, samples=200, features=10, noise=0.3):
     return np.outer(factor, loadings) + noise * rng.standard_normal(
         (samples, features)
     )
-
-
-class TestQuadformGap:
-    def test_zero_vector(self, rng):
-        m = random_odn(rng, 6)
-        rep = quadform_gap(m, m, [np.zeros(6)])
-        assert rep.records[0].gap == 0.0
-        assert rep.records[0].bound == 0.0
-
-    def test_identical_matrices(self, rng):
-        m = random_odn(rng, 6)
-        xs = [rng.standard_normal(6) for _ in range(4)]
-        rep = quadform_gap(m, m, xs)
-        assert all(r.gap == 0.0 for r in rep.records)
-        assert rep.inertia_match
-
-    def test_diagonal_basis_vectors(self):
-        m = validate_odn(np.diag([0.0, 10.0]))
-        m_hat = validate_odn(np.diag([5.0, 5.0]))
-        rep = quadform_gap(m, m_hat, list(np.eye(2)))
-        for r in rep.records:
-            assert r.gap == 5.0  # |M_ii - d| = (delta_max - delta_min) / 2
-            assert r.gap <= r.bound + 1e-12
-
-    def test_certified_bound_never_violated(self, rng):
-        m = random_odn(rng, 20, density=0.5)
-        d = decompose(m)
-        res = sparsify_laplacian(d, 0.3, seed=8)
-        m_hat = reconstruct(res.adjacency, d.center)
-        xs = [rng.standard_normal(20) * float(rng.uniform(0.1, 10)) for _ in range(1000)]
-        rep = quadform_gap(m, m_hat, xs)
-        for r in rep.records:
-            assert r.gap <= r.bound * (1 + 1e-9) + 1e-12
 
 
 class TestCorrelationFromData:

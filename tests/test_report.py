@@ -9,7 +9,6 @@ from odnsparse import (
     eigenvalue_ratio_check,
     generate_odn,
     pca_compare,
-    quadform_gap,
     reconstruct,
     sparsify_laplacian,
     spectral_report,
@@ -19,7 +18,6 @@ from odnsparse.report import (
     SCHEMA_VERSION,
     dumps_report,
     pca_to_dict,
-    quadform_to_dict,
     ratio_check_to_dict,
     sparsifier_to_dict,
     spectral_to_dict,
@@ -42,7 +40,7 @@ def pipeline():
 
 
 def build_full_report(m, d, res, m_hat):
-    ver = verify_sparsifier(d.laplacian, res.laplacian, 0.25, probes=50, seed=5)
+    ver = verify_sparsifier(d.laplacian, res.laplacian, 0.25)
     spect = spectral_report(m, m_hat, 0.25)
     ratios = eigenvalue_ratio_check(d.laplacian, res.laplacian, 0.25)
     return {
@@ -59,7 +57,6 @@ def build_full_report(m, d, res, m_hat):
             "epsilon": 0.25,
             "constant": 9.0,
             "seed": 5,
-            "probes": 50,
             "dense_limit": 4096,
             "resistance_mode": "exact",
             "epsilon_above_small_regime": True,
@@ -90,18 +87,6 @@ class TestSchema:
             "timings": {},
         }
         validate_report(report)
-
-    def test_quadform_dict_shape(self, pipeline, rng):
-        m, d, res, m_hat = pipeline
-        rep = quadform_gap(m, m_hat, [rng.standard_normal(m.n)])
-        payload = quadform_to_dict(rep)
-        assert set(payload["records"][0]) == {
-            "x_norm",
-            "value",
-            "value_hat",
-            "gap",
-            "bound",
-        }
 
     def test_bad_report_rejected(self, pipeline):
         report = build_full_report(*pipeline)

@@ -128,7 +128,7 @@ def test_shared_pair_matches_standalone_checks(make, build):
     lap_hat = spectra.laplacian_hat
 
     shared = {
-        "verify": verify_sparsifier(spectra, epsilon=EPS, probes=200, seed=SEED),
+        "verify": verify_sparsifier(spectra, epsilon=EPS),
         "ratios": eigenvalue_ratio_check(spectra, epsilon=EPS),
         "laplacian_norm": sparsifier_norm_check(spectra, epsilon=EPS),
         "adjacency_norm": adjacency_norm_check(spectra),
@@ -136,7 +136,7 @@ def test_shared_pair_matches_standalone_checks(make, build):
         "weyl": weyl_check(spectra),
     }
     alone = {
-        "verify": verify_sparsifier(decomp.laplacian, lap_hat, EPS, probes=200, seed=SEED),
+        "verify": verify_sparsifier(decomp.laplacian, lap_hat, EPS),
         "ratios": eigenvalue_ratio_check(decomp.laplacian_dense(), lap_hat, EPS),
         "laplacian_norm": sparsifier_norm_check(decomp.laplacian, lap_hat, EPS),
         "adjacency_norm": adjacency_norm_check(decomp, decompose(m_hat)),
@@ -279,7 +279,8 @@ def test_sparse_operands_stay_sparse_for_arpack(make, monkeypatch):
     assert sp.issparse(spectra.eigsh_operand(matrix))
     assert densified == []
     # A block product goes dense from n^2 / 8 stored instead.
-    product = spectra._product(matrix, np.eye(matrix.n))
+    product = spectra._cheaper_form(matrix, spectra_module._DENSE_PRODUCT_SHARE) @ np.eye(
+        matrix.n)
     assert densified == ([matrix] if share >= 1 / 8 else [])
     np.testing.assert_array_equal(product, matrix.to_dense())
 
@@ -348,6 +349,14 @@ def test_pencil_matches_dense_reduction(matrix):
     gen, leak = spectra.pencil
     np.testing.assert_allclose(gen[[0, -1]], expected[[0, -1]], rtol=1e-13, atol=0)
     assert leak <= 1e-8 * spectra.laplacian_norm
+    # Random quadratic forms off L's kernel never leave the pencil's extremes.
+    labels = decomp.components[1]
+    x = np.random.default_rng(SEED).standard_normal((matrix.n, 200))
+    for c in np.unique(labels):
+        x[labels == c] -= x[labels == c].mean(axis=0)
+    ratios = (np.einsum("ij,ij->j", x, spectra.laplacian_hat @ x)
+              / np.einsum("ij,ij->j", x, decomp.laplacian @ x))
+    assert gen[0] - 1e-9 <= ratios.min() and ratios.max() <= gen[-1] + 1e-9
 
 
 # ------------------------------------------- one held form per Laplacian
@@ -419,6 +428,25 @@ def test_dense_pipelines_keep_no_csr_copy(monkeypatch, tmp_path, capsys):
     _assert_no_csr_kept(made, 2)
 
 
+@pytest.mark.parametrize("spec", ["complete:n=80,seed=3",
+                                  "grid:rows=6,cols=6,diag=uniform(0,1)"])
+def test_sparsify_report_runs_without_held_laplacians(spec, monkeypatch, capsys):
+    """The sparsify command drops L and L_hat, in every form, before the
+    report's eigensolves of M and M_hat."""
+    from odnsparse import cli
+
+    held = []
+
+    def recording(spectra, *args, _report=cli.spectral_report, **kwargs):
+        held.extend(role for role in ("laplacian", "laplacian_hat") if role in vars(spectra))
+        held.extend(side for side in (spectra.base, spectra.hat) if "laplacian" in vars(side))
+        return _report(spectra, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "spectral_report", recording)
+    assert main(["sparsify", "--gen", spec]) == 0
+    assert held == []
+
+
 # The norms as the sparse difference of the sides' CSR forms computed them.
 def _sparse_difference_norms(base, hat, m, m_hat):
     def norm(x, y):
@@ -461,7 +489,7 @@ def test_difference_norms_are_bit_identical_to_sparse_differences(make, hat_kind
 
 
 def test_verify_pipeline_memory():
-    """The whole verify pipeline on complete n = 300, 1000 probes: the traced
+    """The whole verify pipeline on complete n = 300: the traced
     peak and what the pair keeps afterwards, in units of one n x n array."""
     n = 300
     matrix = generate_odn("complete", n, seed=3, diag=("uniform", 0, 1))
@@ -471,7 +499,7 @@ def test_verify_pipeline_memory():
     tracemalloc.start()
     try:
         spectra = PairSpectra(decompose(matrix), decompose(m_hat))
-        record = verify_sparsifier(spectra, epsilon=EPS, probes=1000, seed=SEED)
+        record = verify_sparsifier(spectra, epsilon=EPS)
         assert eigenvalue_ratio_check(spectra, epsilon=EPS).passed
         assert sparsifier_norm_check(spectra, epsilon=EPS,
                                      sparsifier_ok=record.passed).passed
@@ -482,7 +510,7 @@ def test_verify_pipeline_memory():
     finally:
         tracemalloc.stop()
     assert record.passed and record.mode == "exact"
-    # Measured: 9.5 and 4.1; before one form per Laplacian, 14.3 and 7.9.
+    # Measured: 6.2 and 4.0.
     assert peak <= 11 * n * n * 8
     assert retained <= 5 * n * n * 8
 

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from odnsparse import (
     DenseLimitExceededError,
@@ -25,7 +24,7 @@ from odnsparse import spectra
 from odnsparse.sparsify import _draw_counts, _sketch_potentials
 from odnsparse.spectra import PINV_CUTOFF
 
-from conftest import complete_with_isolated_vertex, random_odn
+from conftest import random_odn
 
 
 def two_component_graph():
@@ -353,26 +352,22 @@ class TestSampler:
 class TestVerify:
     def test_identical_passes(self):
         d = decompose(generate_odn("erdos-renyi", 12, density=0.5, seed=2))
-        rec = verify_sparsifier(d.laplacian, d.laplacian, 0.1, probes=200, seed=1)
+        rec = verify_sparsifier(d.laplacian, d.laplacian, 0.1)
         assert rec.passed
-        np.testing.assert_allclose([rec.probe_min, rec.probe_max], 1.0, rtol=1e-12)
         np.testing.assert_allclose([rec.gen_min, rec.gen_max], 1.0, rtol=1e-12)
 
     def test_doubled_fails_with_ratio_two(self):
         d = decompose(generate_odn("erdos-renyi", 12, density=0.5, seed=2))
-        rec = verify_sparsifier(d.laplacian, 2 * d.laplacian.toarray(), 0.5, seed=1)
+        rec = verify_sparsifier(d.laplacian, 2 * d.laplacian.toarray(), 0.5)
         assert not rec.passed
         np.testing.assert_allclose(rec.gen_max, 2.0, rtol=1e-12)
 
     def test_pipeline_k5(self):
         d = decompose(generate_odn("complete", 5, weight=1.0))
         res = sparsify_laplacian(d, 0.3, seed=7)
-        rec = verify_sparsifier(d.laplacian, res.laplacian, 0.3, seed=7)
+        rec = verify_sparsifier(d.laplacian, res.laplacian, 0.3)
         assert rec.passed
         assert rec.mode == "exact"
-        # probes can never exit the exact extremes
-        assert rec.probe_min >= rec.gen_min - 1e-9
-        assert rec.probe_max <= rec.gen_max + 1e-9
 
     def test_zero_pair_trivially_passes(self):
         lap = np.zeros((3, 3))
@@ -387,7 +382,7 @@ class TestVerify:
         bad[0, 6] = bad[6, 0] = -1.0
         bad[0, 0] += 1.0
         bad[6, 6] += 1.0
-        rec = verify_sparsifier(ref, bad, 0.5, seed=3)
+        rec = verify_sparsifier(ref, bad, 0.5)
         assert not rec.passed
         assert rec.kernel_leak > 1e-3
 
@@ -400,10 +395,10 @@ class TestVerify:
         d = decompose(SAMPLER_INPUTS[name]())
         res = sparsify_laplacian(d, 0.25, seed=2)
         extremes = []
-        for share in (0, d.n * d.n):  # never dense, always dense
+        for share in (0, d.n * d.n):  # always dense, never dense
             monkeypatch.setattr(spectra, "_DENSE_PRODUCT_SHARE", share)
-            rec = verify_sparsifier(d.laplacian, res.laplacian, 0.25, seed=4)
-            extremes.append([rec.probe_min, rec.probe_max])
+            rec = verify_sparsifier(d.laplacian, res.laplacian, 0.25)
+            extremes.append([rec.gen_min, rec.gen_max])
         np.testing.assert_allclose(extremes[0], extremes[1], rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("name,limit,dense", [
@@ -418,18 +413,17 @@ class TestVerify:
         monkeypatch.setattr(sp.csr_matrix, "toarray",
                             lambda self, *a, **k: calls.append(1) or toarray(self, *a, **k))
         block = np.random.default_rng(0).standard_normal((lap.shape[0], 8))
-        got = PairSpectra(dense_limit=limit)._product(lap, block)
+        operand = PairSpectra(dense_limit=limit)._cheaper_form(
+            lap, spectra._DENSE_PRODUCT_SHARE)
+        got = operand @ block
         assert len(calls) == int(dense)
         np.testing.assert_allclose(got, lap @ block, rtol=1e-12, atol=1e-12)
 
-    def test_probes_only_mode(self):
+    def test_above_dense_limit_raises(self):
         d = decompose(generate_odn("complete", 12, weight=1.0))
-        rec = verify_sparsifier(
-            PairSpectra(d.laplacian, d.laplacian, dense_limit=4),
-            epsilon=0.2, probes=64, seed=0,
-        )
-        assert rec.mode == "probes-only"
-        assert rec.passed
+        with pytest.raises(DenseLimitExceededError):
+            verify_sparsifier(PairSpectra(d.laplacian, d.laplacian, dense_limit=4),
+                              epsilon=0.2)
 
 
 class TestRatioCheck:
@@ -497,62 +491,3 @@ class TestSparsifierMatrix:
         matrix = generate_odn("equicorrelation", 30, correlation=0.4)
         assert pca_compare(matrix, 0.25, 3, seed=2).passed
         assert validations == []
-
-
-def _probe_extremes_reference(spectra, probes, seed):
-    """The former probe block: components from a COO copy of L, masked copies
-    of the probes for centring and normalising, norms through an x * x
-    temporary, and whole-block products with the sides' CSR Laplacians."""
-    lap = getattr(spectra.base, "laplacian", spectra.base)
-    lap_hat = getattr(spectra.hat, "laplacian", spectra.hat)
-    coo = sp.coo_matrix(lap)
-    off = (coo.row != coo.col) & (coo.data != 0)
-    graph = sp.csr_matrix((np.ones(off.sum()), (coo.row[off], coo.col[off])),
-                          shape=coo.shape)
-    labels = connected_components(graph, directed=False)[1]
-    rng = np.random.Generator(np.random.PCG64(seed))
-    x = rng.standard_normal((lap.shape[0], probes))
-    for c in np.unique(labels):
-        idx = labels == c
-        x[idx] -= x[idx].mean(axis=0)
-    norms = np.linalg.norm(x, axis=0)
-    good = norms > 0
-    x = x[:, good] / norms[good]
-    numer = np.einsum("ij,ij->j", x, spectra._product(lap_hat, x))
-    denom = np.einsum("ij,ij->j", x, spectra._product(lap, x))
-    ratios = numer / denom
-    return float(ratios.min()), float(ratios.max()), x.shape[1]
-
-
-def _with_isolated_vertex():
-    """A 6x6 grid plus one vertex with no edges."""
-    grid = generate_odn("grid", rows=6, cols=6, seed=2, diag=("uniform", 0, 1))
-    return OdnMatrix(37, grid.rows, grid.cols, grid.vals, np.append(grid.diag, 0.5))
-
-
-class TestProbeBlock:
-    @pytest.mark.parametrize("make", [
-        lambda: generate_odn("complete", 60, seed=4, diag=("uniform", 0, 1)),
-        lambda: generate_odn("complete", 400, seed=3, diag=("uniform", 0, 1)),
-        lambda: generate_odn("erdos-renyi", 120, density=0.02, seed=5),
-        _with_isolated_vertex,
-        complete_with_isolated_vertex,
-    ], ids=["connected", "complete-400", "disconnected", "isolated-vertex",
-            "dense-isolated-vertex"])
-    @pytest.mark.parametrize("raw", [False, True], ids=["decomposition", "laplacian"])
-    def test_probe_extremes_match_reference(self, make, raw):
-        d = decompose(make())
-        if not raw:
-            assert (d.components[0] == 1) == (d.n in (60, 400))
-        res = sparsify_laplacian(d, 0.3, seed=3)
-        pair = PairSpectra(d.laplacian, res.laplacian) if raw else PairSpectra(d, res)
-        rec = verify_sparsifier(pair, epsilon=0.3, probes=200, seed=9)
-        low, high, kept = _probe_extremes_reference(pair, 200, 9)
-        assert (rec.probe_min, rec.probe_max, rec.probes) == (low, high, kept)
-
-    def test_components_come_from_the_decomposition(self, monkeypatch):
-        d = decompose(two_component_graph())
-        res = sparsify_laplacian(d, 0.3, seed=1)
-        monkeypatch.setattr(spectra, "_offdiag_components", None)
-        rec = verify_sparsifier(PairSpectra(d, res), epsilon=0.3, probes=50)
-        assert rec.probe_min is not None
