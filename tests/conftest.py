@@ -2,9 +2,11 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import odnsparse
 from odnsparse import OdnMatrix
+from odnsparse.spectra import PINV_CUTOFF
 
 
 def child_env(**extra) -> dict:
@@ -30,6 +32,18 @@ def complete_with_isolated_vertex(n: int = 40) -> OdnMatrix:
     """K_(n-1) plus one vertex with no edges: a dense graph with a zero degree."""
     k = odnsparse.generate_odn("complete", n - 1, seed=5, diag=("uniform", 0, 1))
     return OdnMatrix(n, k.rows, k.cols, k.vals, np.append(k.diag, 0.5))
+
+
+def dense_pencil(lap, lap_hat) -> np.ndarray:
+    """Reference pencil (L_hat, L) on L's range, all dense: span' L_hat span
+    scaled by mu^(-1/2) on both sides. Either Laplacian may be held sparse
+    or dense."""
+    lap, lap_hat = (x.toarray() if sp.issparse(x) else np.asarray(x) for x in (lap, lap_hat))
+    mu, vecs = np.linalg.eigh(lap)
+    keep = mu > PINV_CUTOFF * max(float(mu[-1]), 0.0)
+    span = vecs[:, keep]
+    inv_sqrt = 1.0 / np.sqrt(mu[keep])
+    return np.linalg.eigvalsh((span.T @ lap_hat @ span) * np.outer(inv_sqrt, inv_sqrt))
 
 
 def random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -82,6 +82,12 @@ class TestSparsify:
             main(["sparsify"])  # neither --input nor --gen
         assert exc.value.code == 1
 
+    def test_probes_option_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sparsify", "--gen", "complete:n=10", "--probes", "100"])
+        assert exc.value.code == 1
+        assert "--probes" in capsys.readouterr().err
+
     def test_regime_warning(self, capsys):
         code, _, err = run(["bounds", "--gen", "complete:n=5", "--epsilon", "0.25"], capsys)
         assert code == 0

@@ -100,6 +100,27 @@ class TestSchema:
         with pytest.raises(Exception):
             validate_report(report)
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("verification", "probes", 1000),
+        ("verification", "seed", 7),
+        ("verification", "probe_min", 0.99),
+        ("verification", "probe_max", 1.01),
+        ("verification", "mode", "probes-only"),
+        ("parameters", "probes", 1000),
+        ("applications", "quadform", {"records": []}),
+    ], ids=["probes", "seed", "probe_min", "probe_max", "probes-only", "parameters.probes",
+            "quadform"])
+    def test_version_1_probe_fields_rejected(self, pipeline, section, key, value):
+        """Schema 2.0 has no Rayleigh probes and no quadratic-form application."""
+        import jsonschema
+
+        assert SCHEMA_VERSION == "2.0"
+        report = build_full_report(*pipeline)
+        validate_report(report)
+        report.setdefault(section, {})[key] = value
+        with pytest.raises(jsonschema.ValidationError):
+            validate_report(report)
+
 
 class TestSerialization:
     def test_no_nan_allowed(self):

@@ -29,9 +29,8 @@ from odnsparse import (
 )
 from odnsparse import spectra as spectra_module
 from odnsparse.cli import main
-from odnsparse.spectra import PINV_CUTOFF
 
-from conftest import complete_with_isolated_vertex, random_odn
+from conftest import complete_with_isolated_vertex, dense_pencil, random_odn
 
 EPS = 0.25
 SEED = 7
@@ -323,17 +322,6 @@ def test_grid_pencil_never_densifies_laplacian_hat(monkeypatch):
     assert not any(x is spectra.laplacian_hat for x in densified)
 
 
-def _dense_pencil(lap, lap_hat):
-    """The pencil's former reduction: L_hat densified, span' L_hat span.
-    L_hat may be held sparse or dense."""
-    mu, vecs = np.linalg.eigh(lap.toarray())
-    lhd = lap_hat.toarray() if sp.issparse(lap_hat) else np.asarray(lap_hat)
-    keep = mu > PINV_CUTOFF * max(float(mu[-1]), 0.0)
-    span = vecs[:, keep]
-    inv_sqrt = 1.0 / np.sqrt(mu[keep])
-    return np.linalg.eigvalsh((span.T @ lhd @ span) * np.outer(inv_sqrt, inv_sqrt))
-
-
 @pytest.mark.parametrize("matrix", [
     generate_odn("grid", rows=30, cols=30, seed=1, diag=("uniform", 0, 1)),
     generate_odn("complete", 400, seed=3, diag=("uniform", 0, 1)),
@@ -345,7 +333,7 @@ def test_pencil_matches_dense_reduction(matrix):
         assert decomp.components[0] > 1
     spectra = PairSpectra(decomp)
     spectra.hat = sparsify_laplacian(spectra, EPS, SEED)
-    expected = _dense_pencil(decomp.laplacian, spectra.laplacian_hat)
+    expected = dense_pencil(decomp.laplacian, spectra.laplacian_hat)
     gen, leak = spectra.pencil
     np.testing.assert_allclose(gen[[0, -1]], expected[[0, -1]], rtol=1e-13, atol=0)
     assert leak <= 1e-8 * spectra.laplacian_norm

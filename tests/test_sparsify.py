@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from odnsparse import (
     DenseLimitExceededError,
@@ -24,7 +25,7 @@ from odnsparse import spectra
 from odnsparse.sparsify import _draw_counts, _sketch_potentials
 from odnsparse.spectra import PINV_CUTOFF
 
-from conftest import random_odn
+from conftest import complete_with_isolated_vertex, dense_pencil, random_odn
 
 
 def two_component_graph():
@@ -390,6 +391,20 @@ class TestVerify:
         with pytest.raises(DimensionMismatchError):
             verify_sparsifier(np.zeros((2, 2)), np.zeros((3, 3)), 0.2)
 
+    def test_zero_reference_against_nonzero_candidate_fails(self):
+        cand = decompose(two_component_graph()).laplacian_dense()
+        rec = verify_sparsifier(np.zeros((7, 7)), cand, 0.2)
+        assert not rec.passed
+        assert rec.mode == "trivial-zero"
+        assert rec.kernel_leak == np.abs(cand).max()
+        assert rec.gen_min is None and rec.gen_max is None
+
+    def test_invalid_epsilon(self):
+        lap = decompose(generate_odn("complete", 4, weight=1.0)).laplacian
+        for bad in (0.0, 1.0, 1.5, -0.1):
+            with pytest.raises(InvalidEpsilonError):
+                verify_sparsifier(lap, lap, bad)
+
     @pytest.mark.parametrize("name", sorted(SAMPLER_INPUTS))
     def test_dense_and_sparse_products_agree(self, name, monkeypatch):
         d = decompose(SAMPLER_INPUTS[name]())
@@ -491,3 +506,45 @@ class TestSparsifierMatrix:
         matrix = generate_odn("equicorrelation", 30, correlation=0.4)
         assert pca_compare(matrix, 0.25, 3, seed=2).passed
         assert validations == []
+
+
+def _with_isolated_vertex():
+    """A 6x6 grid plus one vertex with no edges."""
+    grid = generate_odn("grid", rows=6, cols=6, seed=2, diag=("uniform", 0, 1))
+    return OdnMatrix(37, grid.rows, grid.cols, grid.vals, np.append(grid.diag, 0.5))
+
+
+class TestExactVerdict:
+    @pytest.mark.parametrize("make", [
+        lambda: generate_odn("complete", 60, seed=4, diag=("uniform", 0, 1)),
+        lambda: generate_odn("complete", 400, seed=3, diag=("uniform", 0, 1)),
+        lambda: generate_odn("erdos-renyi", 120, density=0.02, seed=5),
+        _with_isolated_vertex,
+        complete_with_isolated_vertex,
+    ], ids=["connected", "complete-400", "disconnected", "isolated-vertex",
+            "dense-isolated-vertex"])
+    @pytest.mark.parametrize("raw", [False, True], ids=["decomposition", "laplacian"])
+    def test_extremes_match_dense_reduction(self, make, raw):
+        """The verdict's extremes are those of the dense pencil on L's range,
+        from a decomposition or from bare Laplacians, and quadratic forms
+        centred on each component of the graph stay inside them."""
+        d = decompose(make())
+        if not raw:
+            assert (d.components[0] == 1) == (d.n in (60, 400))
+        res = sparsify_laplacian(d, 0.3, seed=3)
+        pair = PairSpectra(d.laplacian, res.laplacian) if raw else PairSpectra(d, res)
+        rec = verify_sparsifier(pair, epsilon=0.3)
+        assert rec.mode == "exact"
+        expected = dense_pencil(d.laplacian, res.laplacian)
+        np.testing.assert_allclose([rec.gen_min, rec.gen_max], expected[[0, -1]],
+                                   rtol=1e-13, atol=0)
+        assert rec.kernel_leak <= 1e-8 * np.linalg.norm(d.laplacian_dense(), 2)
+        assert rec.passed == (rec.gen_min >= 0.7 - 1e-9 and rec.gen_max <= 1.3 + 1e-9)
+        labels = connected_components(sp.csr_matrix(d.laplacian_dense() != 0),
+                                      directed=False)[1]
+        x = np.random.default_rng(9).standard_normal((d.n, 200))
+        for c in np.unique(labels):
+            x[labels == c] -= x[labels == c].mean(axis=0)
+        ratios = (np.einsum("ij,ij->j", x, res.laplacian @ x)
+                  / np.einsum("ij,ij->j", x, d.laplacian @ x))
+        assert rec.gen_min - 1e-9 <= ratios.min() and ratios.max() <= rec.gen_max + 1e-9
