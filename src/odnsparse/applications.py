@@ -23,6 +23,8 @@ from .sparsify import VerificationRecord, sparsify_laplacian, verify_sparsifier
 from .spectra import DENSE_LIMIT, PairSpectra, eigen_decompose
 
 _ROUNDING_TOL = 1e-12
+# Columns per block of the standard deviations in `correlation_from_data`.
+_STD_COLUMNS = 64
 
 
 def correlation_from_data(data, *, unbiased: bool = False) -> OdnMatrix:
@@ -55,10 +57,15 @@ def correlation_from_data(data, *, unbiased: bool = False) -> OdnMatrix:
 
     ddof = 1 if unbiased else 0
     z = x - x.mean(axis=0)
-    std = z.std(axis=0, ddof=ddof)
+    # In column blocks: `std` of the whole of z makes a samples x features
+    # temporary. Each column's sums run down its rows either way.
+    std = np.empty(features)
+    for start in range(0, features, _STD_COLUMNS):
+        block = slice(start, start + _STD_COLUMNS)
+        std[block] = z[:, block].std(axis=0, ddof=ddof)
     # A constant column can leave std ~ machine-eps * scale instead of an
     # exact zero; treat anything at rounding level as zero variance.
-    scale = np.abs(x).max(axis=0)
+    scale = np.maximum(x.max(axis=0), -x.min(axis=0))  # max |x|, without |x|
     flat = np.flatnonzero(std <= 1e-12 * scale)
     if flat.size:
         raise ZeroVarianceColumnError(int(flat[0]))
@@ -153,6 +160,7 @@ def pca_compare(
     spectra.hat = result
     verification = verify_sparsifier(spectra, epsilon=epsilon)
     rho = spectra.laplacian_norm
+    spectra.release_laplacians()  # nothing reads L or L_hat after rho(L)
     unit_bound = epsilon * math.sqrt(m.n) * rho
 
     t0 = time.perf_counter()

@@ -10,6 +10,7 @@ Exit codes: 0 all checks passed, 1 usage/input error, 2 bound violation.
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 import warnings
@@ -61,12 +62,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(parser):
+# verify and bounds sample nothing; they accept --seed like the other commands.
+_UNUSED_SEED_HELP = ("nothing is sampled: only copied into the report's "
+                     "parameters.seed (default 0)")
+
+
+def _add_common(parser, seed_help="seed of the edge sampler (default 0)"):
     parser.add_argument("--epsilon", type=float, default=0.25,
                         help="target spectral approximation (default 0.25)")
     parser.add_argument("--constant", type=float, default=9.0,
                         help="oversampling constant C (default 9)")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    parser.add_argument("--seed", type=int, default=0, help=seed_help)
     parser.add_argument("--dense-limit", type=int, default=DENSE_LIMIT,
                         help=f"max n for dense eigensolves (default {DENSE_LIMIT})")
     parser.add_argument("--out-report", metavar="PATH", help="write the JSON report")
@@ -97,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="check every bound on a matrix pair")
     verify.add_argument("matrix_a", help="reference matrix (Matrix Market)")
     verify.add_argument("matrix_b", help="candidate sparsifier (Matrix Market)")
-    _add_common(verify)
+    _add_common(verify, _UNUSED_SEED_HELP)
 
     pca = sub.add_parser("pca-demo", help="correlation PCA comparison from CSV data")
     pca.add_argument("--input", metavar="PATH", required=True,
@@ -108,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bounds = sub.add_parser("bounds", help="print the deviation bound, no sparsification")
     _add_input(bounds)
-    _add_common(bounds)
+    _add_common(bounds, _UNUSED_SEED_HELP)
     return parser
 
 
@@ -156,8 +162,20 @@ def _warn_small_regime(epsilon):
         )
 
 
+def _close_timings(timings, args) -> None:
+    """Record the peak resident set so far in `timings` (ru_maxrss: KiB on
+    Linux, bytes on macOS) and, on -v, print the stage timings and the peak."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    timings["peak_rss_mb"] = peak / (1 << (20 if sys.platform == "darwin" else 10))
+    if args.verbose:
+        for stage, seconds in timings.get("stages", {}).items():
+            print(f"timing: {stage} {seconds * 1e3:.2f} ms", file=sys.stderr)
+        print(f"memory: peak RSS {timings['peak_rss_mb']:.1f} MB", file=sys.stderr)
+
+
 def _finish(report, failures, timings, args, spectral=None, pca=None) -> int:
     report["checks"] = {"all_passed": not failures, "failures": sorted(failures)}
+    _close_timings(timings, args)
     report["timings"] = timings
     if args.out_report:
         write_report(report, args.out_report)
@@ -165,9 +183,6 @@ def _finish(report, failures, timings, args, spectral=None, pca=None) -> int:
         write_spectral_csv(spectral, args.out_csv)
     if args.out_csv and pca is not None:
         write_pca_csv(pca, args.out_csv)
-    if args.verbose:
-        for stage, seconds in timings.get("stages", {}).items():
-            print(f"timing: {stage} {seconds * 1e3:.2f} ms", file=sys.stderr)
     if failures:
         print("FAIL: " + ", ".join(sorted(failures)))
         return 2
@@ -195,13 +210,8 @@ def cmd_sparsify(args) -> int:
     t0 = time.perf_counter()
     verification = verify_sparsifier(spectra, epsilon=args.epsilon)
     ratios = eigenvalue_ratio_check(spectra, epsilon=args.epsilon)
-    # Nothing reads L or L_hat after the ratio check: drop the pair's held
-    # forms, and a CSR Laplacian cached on either side, before the report's
-    # two eigensolves of M and M_hat.
-    for role in ("laplacian", "laplacian_hat"):
-        spectra.__dict__.pop(role, None)
-    for side in (decomp, result):
-        side.__dict__.pop("laplacian", None)
+    # Nothing reads L or L_hat after the ratio check.
+    spectra.release_laplacians()
     stages["verify"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -258,6 +268,8 @@ def cmd_verify(args) -> int:
         spectra, epsilon=args.epsilon, sparsifier_ok=verification.passed
     )
     adj_check = adjacency_norm_check(spectra)
+    # Nothing reads L or L_hat after the norm checks.
+    spectra.release_laplacians()
     stages["checks"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -369,6 +381,7 @@ def cmd_bounds(args) -> int:
     predicted_nnz = 2 * min(q, matrix.stored_pairs) + matrix.n
     stages["bounds"] = time.perf_counter() - t0
     timings["stages"] = stages
+    _close_timings(timings, args)
 
     print(f"n={matrix.n} stored_pairs={matrix.stored_pairs} "
           f"nnz_offdiag={matrix.nnz_offdiag}")

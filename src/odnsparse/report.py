@@ -2,8 +2,8 @@
 
 Reports are serialized with sorted keys and no NaN/Inf, so two runs with
 identical configuration produce byte-identical JSON apart from the
-`timings` subtree (wall-clock stage timings and the start timestamp live
-there and nowhere else).
+`timings` subtree (wall-clock stage timings, the start timestamp and the
+peak resident set size `peak_rss_mb` live there and nowhere else).
 """
 
 from __future__ import annotations

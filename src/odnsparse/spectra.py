@@ -16,11 +16,18 @@ operand as its largest-magnitude Ritz value plus that pair's residual.
 The pair holds each Laplacian in one form, read by every role: a dense
 array filled from the graph's coordinates when the graph is dense and
 within the limit, else the graph's CSR Laplacian. The difference norms
-subtract one side from the other's dense form in one n x n buffer.
+subtract one side from the other's dense form in one n x n buffer. The
+pencil frees L's eigenvectors V and the product L_hat V before its solve,
+and scales the reduced matrix V' L_hat V in place: it holds about 4 n^2
+floats there (the two Laplacians, the reduced matrix and the solver's
+copy), not 8. A command drops the held Laplacians (`release_laplacians`)
+once its last Laplacian check is done, before the eigensolves of M and
+M_hat, and hands the freed pages back to the system.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,6 +58,22 @@ _DENSE_PRODUCT_SHARE = 1 / 8
 # 45 vs 52, 65 vs 51, 94 vs 49 ms; n = 2000, 602 vs 1312, 2142 vs 1299,
 # 3758 vs 1166 ms. The block-product share would slow the 12-25 % band.
 _DENSE_ARPACK_SHARE = 2 / 3
+# Rows of the pencil's reduced matrix scaled per step: the scale factors of a
+# block take _PENCIL_ROWS x n x 8 B, 4.2 MB at n = 4096.
+_PENCIL_ROWS = 128
+
+# glibc serves an array below its adaptive mmap threshold (up to 32 MiB: an
+# n x n array up to n = 2048) from the heap once any larger block was freed,
+# and free() gives back only the heap's top. The held Laplacians dropped in
+# `release_laplacians` can then stay resident under what a later allocation
+# pins, and the next eigensolve's workspace lands on top of them: `sparsify
+# --input` of a complete n = 2000 file peaked at 398 MB, not 355 MB, until
+# malloc_trim handed their pages back. Other C libraries have no malloc_trim.
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
 
 
 def _dense(x) -> np.ndarray:
@@ -243,6 +266,20 @@ class PairSpectra:
         self._hat = side
         self.__dict__.pop("laplacian_hat", None)  # held for the previous side
 
+    def release_laplacians(self) -> None:
+        """Drop the held `laplacian` and `laplacian_hat`, and a CSR Laplacian
+        cached on either side, once no check reads them again: a dense pair
+        frees 2 n^2 x 8 B before the eigensolves of M and M_hat, and the
+        heap's free pages go back to the system (`_malloc_trim`). A role read
+        later builds its form again."""
+        for role in ("laplacian", "laplacian_hat"):
+            self.__dict__.pop(role, None)
+        for side in (self.base, self.hat):
+            if isinstance(side, GraphViews):
+                side.__dict__.pop("laplacian", None)
+        if _malloc_trim is not None:
+            _malloc_trim(0)
+
     @cached_property
     def laplacian(self):
         """L in the one form every role reads (`_held_form`)."""
@@ -344,8 +381,11 @@ class PairSpectra:
         BLAS product when L_hat is within the dense limit and stores at least
         n^2 / 8 entries (_DENSE_PRODUCT_SHARE), else L_hat's own sparse
         product, so an L_hat below that share is never densified. Only the
-        resistances and the pencil use V, so it is released here; L's
-        eigenvalues are kept.
+        resistances and the pencil use V, so it is released here, and L_hat V
+        with it before the solve; L's eigenvalues are kept. The reduced matrix
+        V' L_hat V is scaled by s_i s_j, s = mu^(-1/2), in place, in blocks of
+        _PENCIL_ROWS rows: each entry is x * (s_i * s_j), as with the whole
+        outer product, and no n x n temporary is made.
         """
         mu, vecs = self.laplacian_eigh
         self.__dict__.setdefault("laplacian_values", mu)
@@ -354,8 +394,12 @@ class PairSpectra:
         split = int(np.searchsorted(mu, PINV_CUTOFF * max(float(mu[-1]), 0.0), "right"))
         hat_vecs = self._cheaper_form(self.laplacian_hat, _DENSE_PRODUCT_SHARE) @ vecs
         leak = float(np.linalg.norm(hat_vecs[:, :split], 2)) if split else 0.0
+        reduced = vecs[:, split:].T @ hat_vecs[:, split:]
+        del vecs, hat_vecs
         inv_sqrt = 1.0 / np.sqrt(mu[split:])
-        reduced = (vecs[:, split:].T @ hat_vecs[:, split:]) * np.outer(inv_sqrt, inv_sqrt)
+        for start in range(0, len(inv_sqrt), _PENCIL_ROWS):
+            block = slice(start, start + _PENCIL_ROWS)
+            reduced[block] *= np.outer(inv_sqrt[block], inv_sqrt)
         return np.linalg.eigvalsh(reduced), leak
 
     @cached_property

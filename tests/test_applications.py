@@ -110,6 +110,39 @@ class TestCorrelationDirect:
         assert (correlation_from_data(data, unbiased=unbiased)
                 == _correlation_via_validate(data, unbiased))
 
+    @pytest.mark.parametrize("unbiased", [False, True], ids=["ddof-0", "ddof-1"])
+    def test_blocked_std_and_signed_scale_equal_former_expressions(self, unbiased):
+        """The standard deviations in blocks of 64 columns and max|x| taken as
+        max(max x, -min x) give what `std` of the whole array and `abs` gave:
+        150 columns, so the last block is partial, of many offsets and scales
+        (some all-negative, so that -min x is the larger), and then one of
+        them constant up to rounding."""
+        rng = np.random.default_rng(8)
+        data = factor_data(rng, samples=301, features=150)
+        data *= rng.choice([1e-3, 1.0, 1e3, 1e5], 150)  # positive: no sign flips
+        data += rng.uniform(-50.0, 50.0, 150)
+        assert (correlation_from_data(data, unbiased=unbiased)
+                == _correlation_via_validate(data, unbiased))
+        data[:, 70] = 0.1
+        with pytest.raises(ZeroVarianceColumnError) as new:
+            correlation_from_data(data, unbiased=unbiased)
+        with pytest.raises(ZeroVarianceColumnError) as old:
+            _correlation_via_validate(data, unbiased)
+        assert new.value.column == old.value.column == 70
+
+    def test_one_samples_sized_temporary(self):
+        """Only the centred copy is samples x features: the blocked standard
+        deviations and the signed scale add none."""
+        data = factor_data(np.random.default_rng(1), samples=2000, features=400)
+        tracemalloc.start()
+        try:
+            correlation_from_data(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Measured: 1.20 x data.nbytes (2.01 x with `std` and `abs` of the whole).
+        assert peak <= 1.5 * data.nbytes
+
     def test_exact_zero_correlations_dropped(self):
         data = _uncorrelated_columns()
         m = correlation_from_data(data)

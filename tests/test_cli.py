@@ -305,3 +305,67 @@ class TestBounds:
             printed, eigenvalue_deviation_bound(m, 0.25), rtol=1e-10
         )
         validate_report(json.loads(report_path.read_text()))
+
+
+class TestCommonFlags:
+    @pytest.fixture
+    def pair_paths(self, k5_path, tmp_path, capsys):
+        """K5 and a sparsifier of it."""
+        hat = tmp_path / "k5hat.mtx"
+        code, _, _ = run(["sparsify", "--input", str(k5_path), "--epsilon", "0.3",
+                          "--out-matrix", str(hat)], capsys)
+        assert code == 0
+        return k5_path, hat
+
+    def _argv(self, command, pair_paths, tmp_path):
+        a, b = pair_paths
+        return {
+            "sparsify": ["sparsify", "--input", str(a)],
+            "verify": ["verify", str(a), str(b)],
+            "pca-demo": ["pca-demo", "--input", str(_factor_csv(tmp_path))],
+            "bounds": ["bounds", "--input", str(a)],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["sparsify", "verify", "pca-demo", "bounds"])
+    def test_every_report_records_peak_rss(self, command, pair_paths, tmp_path, capsys):
+        report_path = tmp_path / "r.json"
+        code, _, err = run(self._argv(command, pair_paths, tmp_path)
+                           + ["-v", "--out-report", str(report_path)], capsys)
+        assert code == 0
+        report = json.loads(report_path.read_text())
+        validate_report(report)
+        peak = report["timings"]["peak_rss_mb"]
+        assert 1.0 < peak < 1e6  # MB, not KiB or bytes
+        lines = [line for line in err.splitlines() if line.startswith("memory: ")]
+        assert lines == [f"memory: peak RSS {peak:.1f} MB"]
+
+    @pytest.mark.parametrize("command", ["verify", "bounds"])
+    def test_seed_is_only_recorded(self, command, pair_paths, tmp_path, capsys):
+        """verify and bounds sample nothing: --seed changes only
+        parameters.seed, and their help says so."""
+        outputs = []
+        for seed in (1, 2):
+            report_path = tmp_path / f"r{seed}.json"
+            code, out, _ = run(self._argv(command, pair_paths, tmp_path)
+                               + ["--seed", str(seed), "--out-report", str(report_path)],
+                               capsys)
+            assert code == 0
+            report = json.loads(report_path.read_text())
+            assert report["parameters"].pop("seed") == seed
+            del report["timings"]
+            outputs.append((out, report))
+        assert outputs[0] == outputs[1]
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "only copied into the report's parameters.seed" in " ".join(
+            capsys.readouterr().out.split())
+
+
+def _factor_csv(tmp_path):
+    rng = np.random.default_rng(4)
+    data = (rng.standard_normal((60, 1)) * rng.uniform(0.5, 1.0, 6)
+            + 0.5 * rng.standard_normal((60, 6)))
+    path = tmp_path / "factor.csv"
+    np.savetxt(path, data, delimiter=",", header=",".join(f"c{k}" for k in range(6)),
+               comments="")
+    return path

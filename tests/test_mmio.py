@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from odnsparse import mmio
+
 from odnsparse import (
     AsymmetricError,
     DuplicateEntryError,
@@ -131,6 +133,73 @@ def reference_write(matrix: OdnMatrix, path) -> None:
     out.append(f"{matrix.n} {matrix.n} {len(entries)}")
     out.extend(f"{row} {col} {value:.16e}" for row, col, value in entries)
     Path(path).write_text("\n".join(out) + "\n")
+
+
+def _former_entries_valid(entries, size, expected, symmetric):
+    """`mmio._entries_valid` as it was: keys from new (larger, smaller) index
+    arrays, sorted into a copy."""
+    if len(entries) != expected:
+        return False
+    if not len(entries):
+        return True
+    i, j = entries["i"], entries["j"]
+    if min(i.min(), j.min()) < 1 or max(i.max(), j.max()) > size:
+        return False
+    if symmetric:
+        i, j = np.maximum(i, j), np.minimum(i, j)
+    keys = np.sort(i * (size + 1) + j)
+    return not np.any(keys[1:] == keys[:-1])
+
+
+def former_read(path) -> OdnMatrix:
+    """The vectorised reader as it was before its build stopped copying the
+    entries: record fields as views, the (min, max) pair and the masks as new
+    arrays, then one gather of each."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mmio, "_entries_valid", _former_entries_valid)
+        size, symmetric, entries = mmio._read_entries(path)
+    r, c, v = entries["i"] - 1, entries["j"] - 1, entries["value"]
+    if not symmetric:
+        return validate_odn(sp.coo_matrix((v, (r, c)), shape=(size, size)))
+    r, c = np.minimum(r, c), np.maximum(r, c)
+    off = r != c
+    for bad, error in ((~np.isfinite(v), NonFiniteError),
+                       (off & (v < 0), NegativeOffDiagonalError)):
+        if bad.any():
+            k = np.flatnonzero(bad)
+            k = int(k[np.lexsort((c[k], r[k]))[0]])
+            raise error(int(r[k]), int(c[k]), float(v[k]))
+    diag = np.zeros(size)
+    on = ~off & (v != 0)
+    diag[r[on]] = v[on]
+    off &= v != 0
+    return OdnMatrix(size, r[off], c[off], v[off], diag)
+
+
+def _read_or_raise(read, path):
+    try:
+        return read(path), None
+    except Exception as exc:  # compared below, then raised again
+        return None, exc
+
+
+def read_as_former(path) -> OdnMatrix:
+    """`read_matrix_market`, checked against `former_read` on the same file:
+    the equal matrix, or an error of the same type and message."""
+    got, error = _read_or_raise(mmio.read_matrix_market, path)
+    former, former_error = _read_or_raise(former_read, path)
+    assert (type(error), str(error)) == (type(former_error), str(former_error))
+    if error is not None:
+        raise error
+    assert got == former
+    return got
+
+
+@pytest.fixture(autouse=True)
+def every_read_checked_against_former(monkeypatch):
+    """Every `read_matrix_market` call of this module runs `read_as_former`,
+    so each input here is also read by the former build."""
+    monkeypatch.setitem(globals(), "read_matrix_market", read_as_former)
 
 
 def outcome(read, path):
@@ -450,20 +519,20 @@ class TestAgainstReference:
         path = write(tmp_path, "\n".join(complete_lines) + "\n")  # 2.4 MB
         tracemalloc.start()
         try:
-            read_matrix_market(path)
+            mmio.read_matrix_market(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Measured: 10.1 MB. Through validate_odn's sparse copies it was
+        # Measured: 3.93 MB, in the duplicate check and in splitting the
+        # record array. Building from record views with new (min, max) arrays
+        # and masks it was 8.17 MB; through validate_odn's sparse copies
         # 27.7 MB; the line-by-line reader peaks at 48.9 MB.
-        assert peak < 20e6
+        assert peak < 4.9e6
 
     def test_entries_parsed_from_the_open_file(self, tmp_path, complete_lines,
                                                monkeypatch):
         """A file without body comments never becomes a list of lines; one
         with them falls back to the list, with the same result."""
-        from odnsparse import mmio
-
         plain = write(tmp_path, "\n".join(complete_lines) + "\n", "plain.mtx")
         noted = write(tmp_path, "\n".join(complete_lines[:2] + ["% note"]
                                           + complete_lines[2:]) + "\n", "noted.mtx")
@@ -474,7 +543,7 @@ class TestAgainstReference:
             return _read(path)
 
         monkeypatch.setattr(mmio, "_read_entry_lines", counting)
-        first = read_matrix_market(plain)
+        first = mmio.read_matrix_market(plain)
         tracemalloc.start()
         try:
             mmio._read_entries(plain)
@@ -482,9 +551,10 @@ class TestAgainstReference:
         finally:
             tracemalloc.stop()
         assert fallbacks == []
-        # Measured: 4.5 MB for 1.9 MB of entries; with the list of lines, 14.1 MB.
+        # Measured: 3.9 MB for 1.9 MB of entries (4.5 MB with the duplicate
+        # keys sorted into a copy); with the list of lines, 14.1 MB.
         assert peak < 7e6
-        assert read_matrix_market(noted) == first
+        assert mmio.read_matrix_market(noted) == first
         assert fallbacks == [noted]
 
 

@@ -29,6 +29,7 @@ from odnsparse import (
 )
 from odnsparse import spectra as spectra_module
 from odnsparse.cli import main
+from odnsparse.generators import parse_generator_spec
 
 from conftest import complete_with_isolated_vertex, dense_pencil, random_odn
 
@@ -416,23 +417,88 @@ def test_dense_pipelines_keep_no_csr_copy(monkeypatch, tmp_path, capsys):
     _assert_no_csr_kept(made, 2)
 
 
-@pytest.mark.parametrize("spec", ["complete:n=80,seed=3",
-                                  "grid:rows=6,cols=6,diag=uniform(0,1)"])
-def test_sparsify_report_runs_without_held_laplacians(spec, monkeypatch, capsys):
-    """The sparsify command drops L and L_hat, in every form, before the
-    report's eigensolves of M and M_hat."""
+def _held_laplacians(spectra):
+    """The Laplacians a pair still holds, in any form."""
+    held = [role for role in ("laplacian", "laplacian_hat") if role in vars(spectra)]
+    held.extend(side for side in (spectra.base, spectra.hat) if "laplacian" in vars(side))
+    return held
+
+
+HELD_SPECS = ["complete:n=80,seed=3", "grid:rows=6,cols=6,diag=uniform(0,1)"]
+
+
+def test_release_hands_freed_pages_back(monkeypatch):
+    """Dropping the held Laplacians trims the heap, where the C library can."""
+    trims = []
+    monkeypatch.setattr(spectra_module, "_malloc_trim", trims.append)
+    pair = PairSpectra(decompose(generate_odn("complete", 20, seed=1)))
+    assert isinstance(pair.laplacian, np.ndarray)
+    pair.release_laplacians()
+    assert trims == [0] and "laplacian" not in vars(pair)
+    monkeypatch.setattr(spectra_module, "_malloc_trim", None)
+    pair.release_laplacians()  # no malloc_trim: nothing to call
+
+
+def _report_recording_held(monkeypatch):
+    """Records the Laplacians held when the CLI's spectral report starts."""
     from odnsparse import cli
 
     held = []
 
     def recording(spectra, *args, _report=cli.spectral_report, **kwargs):
-        held.extend(role for role in ("laplacian", "laplacian_hat") if role in vars(spectra))
-        held.extend(side for side in (spectra.base, spectra.hat) if "laplacian" in vars(side))
+        held.extend(_held_laplacians(spectra))
+        held.append("report")
         return _report(spectra, *args, **kwargs)
 
     monkeypatch.setattr(cli, "spectral_report", recording)
+    return held
+
+
+@pytest.mark.parametrize("spec", HELD_SPECS)
+def test_sparsify_report_runs_without_held_laplacians(spec, monkeypatch, capsys):
+    """The sparsify command drops L and L_hat, in every form, before the
+    report's eigensolves of M and M_hat."""
+    held = _report_recording_held(monkeypatch)
     assert main(["sparsify", "--gen", spec]) == 0
-    assert held == []
+    assert held == ["report"]
+
+
+@pytest.mark.parametrize("spec", HELD_SPECS)
+def test_verify_report_runs_without_held_laplacians(spec, monkeypatch, tmp_path, capsys):
+    """The verify command drops L and L_hat, in every form, after the norm
+    checks and before the report's eigensolves of M and M_hat."""
+    a, b = tmp_path / "a.mtx", tmp_path / "b.mtx"
+    assert main(["sparsify", "--gen", spec, "--out-matrix", str(b)]) == 0
+    write_matrix_market(generate_odn(**parse_generator_spec(spec)), a)
+    held = _report_recording_held(monkeypatch)
+    assert main(["verify", str(a), str(b)]) == 0
+    assert held == ["report"]
+
+
+@pytest.mark.parametrize("matrix", [
+    _factor_correlation(400, 80),
+    generate_odn("grid", rows=6, cols=6, weight=0.1, diag=1.0),
+], ids=["dense", "sparse"])
+def test_pca_solves_run_without_held_laplacians(matrix, monkeypatch):
+    """pca_compare drops L and L_hat, in every form, once rho(L) is read and
+    before its eigensolves of M and M_hat."""
+    from odnsparse import applications
+
+    pairs, held = [], []
+
+    def verifying(spectra, *args, _verify=applications.verify_sparsifier, **kwargs):
+        pairs.append(spectra)
+        return _verify(spectra, *args, **kwargs)
+
+    def solving(*args, _solve=applications.eigen_decompose, **kwargs):
+        held.extend(_held_laplacians(pairs[0]))
+        held.append("solve")
+        return _solve(*args, **kwargs)
+
+    monkeypatch.setattr(applications, "verify_sparsifier", verifying)
+    monkeypatch.setattr(applications, "eigen_decompose", solving)
+    assert pca_compare(matrix, EPS, 2, seed=SEED).passed
+    assert held == ["solve", "solve"]
 
 
 # The norms as the sparse difference of the sides' CSR forms computed them.
@@ -477,8 +543,9 @@ def test_difference_norms_are_bit_identical_to_sparse_differences(make, hat_kind
 
 
 def test_verify_pipeline_memory():
-    """The whole verify pipeline on complete n = 300: the traced
-    peak and what the pair keeps afterwards, in units of one n x n array."""
+    """The whole verify pipeline on complete n = 300, library calls in the
+    CLI's order: the traced peak and what the pair keeps afterwards, in units
+    of one n x n array."""
     n = 300
     matrix = generate_odn("complete", n, seed=3, diag=("uniform", 0, 1))
     decomp = decompose(matrix)
@@ -492,13 +559,14 @@ def test_verify_pipeline_memory():
         assert sparsifier_norm_check(spectra, epsilon=EPS,
                                      sparsifier_ok=record.passed).passed
         assert adjacency_norm_check(spectra).passed
+        spectra.release_laplacians()
         assert spectral_report(spectra, epsilon=EPS).passed
         assert weyl_check(spectra).passed
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert record.passed and record.mode == "exact"
-    # Measured: 6.2 and 4.0.
+    # Measured: 5.0 and 2.0; 6.2 and 4.0 with L and L_hat held through the report.
     assert peak <= 11 * n * n * 8
     assert retained <= 5 * n * n * 8
 

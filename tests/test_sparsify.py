@@ -514,15 +514,19 @@ def _with_isolated_vertex():
     return OdnMatrix(37, grid.rows, grid.cols, grid.vals, np.append(grid.diag, 0.5))
 
 
+EXACT_VERDICT_INPUTS = [
+    lambda: generate_odn("complete", 60, seed=4, diag=("uniform", 0, 1)),
+    lambda: generate_odn("complete", 400, seed=3, diag=("uniform", 0, 1)),
+    lambda: generate_odn("erdos-renyi", 120, density=0.02, seed=5),
+    _with_isolated_vertex,
+    complete_with_isolated_vertex,
+]
+EXACT_VERDICT_IDS = ["connected", "complete-400", "disconnected", "isolated-vertex",
+                     "dense-isolated-vertex"]
+
+
 class TestExactVerdict:
-    @pytest.mark.parametrize("make", [
-        lambda: generate_odn("complete", 60, seed=4, diag=("uniform", 0, 1)),
-        lambda: generate_odn("complete", 400, seed=3, diag=("uniform", 0, 1)),
-        lambda: generate_odn("erdos-renyi", 120, density=0.02, seed=5),
-        _with_isolated_vertex,
-        complete_with_isolated_vertex,
-    ], ids=["connected", "complete-400", "disconnected", "isolated-vertex",
-            "dense-isolated-vertex"])
+    @pytest.mark.parametrize("make", EXACT_VERDICT_INPUTS, ids=EXACT_VERDICT_IDS)
     @pytest.mark.parametrize("raw", [False, True], ids=["decomposition", "laplacian"])
     def test_extremes_match_dense_reduction(self, make, raw):
         """The verdict's extremes are those of the dense pencil on L's range,
@@ -548,3 +552,23 @@ class TestExactVerdict:
         ratios = (np.einsum("ij,ij->j", x, res.laplacian @ x)
                   / np.einsum("ij,ij->j", x, d.laplacian @ x))
         assert rec.gen_min - 1e-9 <= ratios.min() and ratios.max() <= rec.gen_max + 1e-9
+
+    @pytest.mark.parametrize("make", EXACT_VERDICT_INPUTS, ids=EXACT_VERDICT_IDS)
+    @pytest.mark.parametrize("raw", [False, True], ids=["decomposition", "laplacian"])
+    def test_in_place_scaling_is_bit_identical(self, make, raw):
+        """The pencil scaled in row blocks, with V and L_hat V freed before the
+        solve, gives the eigenvalues of (V' L_hat V) * outer(s, s) exactly."""
+        d = decompose(make())
+        res = sparsify_laplacian(d, 0.3, seed=3)
+        def make_pair():
+            return PairSpectra(d.laplacian, res.laplacian) if raw else PairSpectra(d, res)
+
+        pair, former = make_pair(), make_pair()
+        mu, vecs = former.laplacian_eigh
+        split = int(np.searchsorted(mu, PINV_CUTOFF * max(float(mu[-1]), 0.0), "right"))
+        hat_vecs = former._cheaper_form(former.laplacian_hat, spectra._DENSE_PRODUCT_SHARE) @ vecs
+        s = 1.0 / np.sqrt(mu[split:])
+        expected = np.linalg.eigvalsh((vecs[:, split:].T @ hat_vecs[:, split:]) * np.outer(s, s))
+        gen = pair.pencil[0]
+        assert np.array_equal(gen[[0, -1]], expected[[0, -1]])
+        assert np.array_equal(gen, expected)
