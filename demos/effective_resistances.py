@@ -35,13 +35,3 @@ for name, m in [
     count, _ = d.components
     total = (m.vals * od.effective_resistances(d)[0]).sum()
     print(f"{name}: sum(w*R) = {total:.10f}, n - c = {m.n - count}")
-
-# The sketched mode avoids the dense pseudoinverse and still lands within
-# 25% of the exact values with high probability.
-m = od.generate_odn("erdos-renyi", 60, density=0.3, seed=5)
-d = od.decompose(m)
-exact, _ = od.effective_resistances(d)
-approx, _ = od.effective_resistances(d, mode="approximate", seed=1)
-worst = np.abs(approx / exact - 1.0).max()
-print(f"\nsketched resistances on {len(exact)} edges: "
-      f"worst relative error {worst:.3f} (guarantee: 0.25 w.h.p.)")

@@ -18,19 +18,14 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .core import GraphViews, LaplacianDecomposition, OdnMatrix, _degrees
-from .errors import InvalidConstantError, InvalidEpsilonError
-from .spectra import PINV_CUTOFF, PairSpectra, _require_same_shape
+from .errors import InvalidConstantError
+from .spectra import PINV_CUTOFF, PairSpectra, _require_epsilon, _require_same_shape
 
 # epsilon threshold below which the strictest published edge-count
 # guarantees are stated; sampling itself works for any epsilon in (0, 1).
 EPSILON_SMALL_REGIME = 1.0 / 120.0
-# Sketched resistances: k = ceil(24 ln n / distortion^2) projection rows
-# give multiplicative error within +-distortion with high probability.
-SKETCH_DISTORTION = 0.25
-_SKETCH_ROW_CHUNK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,108 +66,32 @@ class SparsifierResult(GraphViews):
         return 2 * self.distinct_edges + self.n
 
 
-def _exact_resistances(spectra: PairSpectra) -> np.ndarray:
-    src = spectra.base.matrix
-    mu, vecs = spectra.laplacian_eigh
-    rho = max(float(mu[-1]), 0.0)
-    inv = np.zeros_like(mu)
-    keep = mu > PINV_CUTOFF * rho
-    inv[keep] = 1.0 / mu[keep]
-    # R_e = P_ii + P_jj - 2 P_ij with P = L^+: O(n^2) memory whatever m is.
-    pinv = (vecs * inv) @ vecs.T
-    diag = np.diagonal(pinv)
-    return diag[src.rows] + diag[src.cols] - 2.0 * pinv[src.rows, src.cols]
-
-
-def _sketch_potentials(decomp: LaplacianDecomposition, seed: int) -> np.ndarray:
-    """The n x k potentials Z' of the sketch Z = Q W^(1/2) B L^+, where Q has
-    k = ceil(24 ln n / 0.25^2) rows of +-1/sqrt(k). The solves ground one
-    vertex per connected component, which leaves within-component potential
-    differences exact.
-    """
-    src = decomp.matrix
-    n = decomp.n
-    m = src.stored_pairs
-    k = int(math.ceil(24.0 * math.log(max(n, 2)) / SKETCH_DISTORTION**2))
-
-    sqrt_w = np.sqrt(src.vals)
-    incidence = sp.csr_matrix(
-        (
-            np.concatenate([sqrt_w, -sqrt_w]),
-            (np.tile(np.arange(m), 2), np.concatenate([src.rows, src.cols])),
-        ),
-        shape=(m, n),
-    )
-
-    rng = np.random.Generator(np.random.PCG64(seed).jumped())
-    sketch = np.empty((k, n))
-    scale = 1.0 / math.sqrt(k)
-    for start in range(0, k, _SKETCH_ROW_CHUNK):
-        stop = min(start + _SKETCH_ROW_CHUNK, k)
-        block = rng.integers(0, 2, size=(stop - start, m)).astype(np.float64)
-        block = (2.0 * block - 1.0) * scale
-        sketch[start:stop] = (incidence.T @ block.T).T
-
-    count, labels = decomp.components
-    lap = decomp.laplacian.tocsr()
-    potentials = np.zeros((n, k))
-    for c in range(count):
-        idx = np.flatnonzero(labels == c)
-        if len(idx) < 2:
-            continue
-        grounded = idx[1:]
-        sub = lap[grounded, :][:, grounded].tocsc()
-        potentials[grounded] = splu(sub).solve(sketch[:, grounded].T)
-    return potentials
-
-
-def _sketched_resistances(decomp: LaplacianDecomposition, seed: int) -> np.ndarray:
-    """Johnson-Lindenstrauss sketch of the incidence factorization:
-    R~_e = ||Z (e_i - e_j)||^2 for the potentials Z' of `_sketch_potentials`.
-
-    The m x k potential differences are formed in blocks of columns and
-    summed into one length-m array, so no m x k array exists.
-    """
-    src = decomp.matrix
-    potentials = _sketch_potentials(decomp, seed)
-    resistance = np.zeros(src.stored_pairs)
-    for start in range(0, potentials.shape[1], _SKETCH_ROW_CHUNK):
-        block = potentials[:, start:start + _SKETCH_ROW_CHUNK]
-        diff = block[src.rows] - block[src.cols]
-        diff *= diff
-        resistance += diff.sum(axis=1)
-    return resistance
-
-
 def effective_resistances(
     decomp: LaplacianDecomposition | PairSpectra,
-    mode: str = "exact",
-    *,
-    seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-edge effective resistances and normalized sampling probabilities.
 
     Returns the arrays (resistance, probability), aligned with the stored
     pairs `decomp.matrix.rows/cols/vals`; an edge's leverage is
-    vals * resistance. Exact mode forms the pseudoinverse P of the
-    Laplacian from its eigendecomposition (eigenvalues at or below
-    1e-10 * rho(L) treated as zero) and reads R_e = P_ii + P_jj - 2 P_ij;
-    it needs O(n^2) memory, independent of the edge count, and raises
-    DenseLimitExceededError above the pair's dense limit.
-    Approximate mode sketches the incidence factorization and is accurate
-    within +-25% with high probability. Disconnected inputs are fine: the
-    pseudoinverse acts per component.
+    vals * resistance. Forms the pseudoinverse P of the Laplacian from its
+    eigendecomposition (eigenvalues at or below 1e-10 * rho(L) treated as
+    zero) and reads R_e = P_ii + P_jj - 2 P_ij: O(n^2) memory whatever the
+    edge count. Disconnected inputs are fine, since the pseudoinverse acts
+    per component. Above the pair's dense limit it raises
+    DenseLimitExceededError.
     """
     spectra = PairSpectra.of(decomp)
     src = spectra.matrix
     if src.stored_pairs == 0:
         return np.zeros(0), np.zeros(0)
-    if mode == "exact":
-        resistance = _exact_resistances(spectra)
-    elif mode == "approximate":
-        resistance = _sketched_resistances(spectra.base, seed)
-    else:
-        raise ValueError(f"unknown resistance mode {mode!r}")
+    mu, vecs = spectra.laplacian_eigh
+    rho = max(float(mu[-1]), 0.0)
+    inv = np.zeros_like(mu)
+    keep = mu > PINV_CUTOFF * rho
+    inv[keep] = 1.0 / mu[keep]
+    pinv = (vecs * inv) @ vecs.T
+    diag = np.diagonal(pinv)
+    resistance = diag[src.rows] + diag[src.cols] - 2.0 * pinv[src.rows, src.cols]
     leverage = src.vals * resistance
     return resistance, leverage / leverage.sum()
 
@@ -201,8 +120,6 @@ def sparsify_laplacian(
     epsilon: float,
     seed: int = 0,
     constant: float = 9.0,
-    *,
-    mode: str = "exact",
 ) -> SparsifierResult:
     """Draw an epsilon-spectral sparsifier of the decomposition's Laplacian.
 
@@ -214,8 +131,7 @@ def sparsify_laplacian(
     A Laplacian with no edges short-circuits to the empty sparsifier. Given
     a PairSpectra, its eigendecomposition of L is shared with later checks.
     """
-    if not (0.0 < epsilon < 1.0) or not math.isfinite(epsilon):
-        raise InvalidEpsilonError(epsilon)
+    _require_epsilon(epsilon)
     if not constant > 0.0:
         raise InvalidConstantError(constant)
 
@@ -232,7 +148,7 @@ def sparsify_laplacian(
             epsilon_above_small_regime=warn,
         )
 
-    _, probability = effective_resistances(decomp, mode, seed=seed)
+    _, probability = effective_resistances(decomp)
     q = sample_count(n, epsilon, constant)
 
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -281,16 +197,19 @@ def verify_sparsifier(laplacian, laplacian_hat=None, epsilon=None) -> Verificati
     needs L's dense eigendecomposition: above the pair's dense limit it
     raises DenseLimitExceededError, and nothing is certified.
     """
+    _require_epsilon(epsilon)
     spectra = PairSpectra.of(laplacian, laplacian_hat)
+    _require_same_shape(spectra.base, spectra.hat)
     lap = spectra.laplacian
-    lap_hat = spectra.laplacian_hat
-    _require_same_shape(lap, lap_hat)
-    if not (0.0 < epsilon < 1.0):
-        raise InvalidEpsilonError(epsilon)
-    scale_hat = _max_abs(lap_hat)
+    lap_nonzero = _max_abs(lap) != 0.0
+    if lap_nonzero and "pencil" not in vars(spectra):
+        # Solve L before L_hat's held form exists: one n x n array fewer
+        # alive during the solve, which sets this function's peak.
+        spectra.laplacian_eigh
+    scale_hat = _max_abs(spectra.laplacian_hat)
     gen_min = gen_max = None
 
-    if _max_abs(lap) == 0.0:
+    if not lap_nonzero:
         kernel_leak, passed, mode = scale_hat, scale_hat <= 1e-12, "trivial-zero"
     else:
         gen, kernel_leak = spectra.pencil
@@ -336,6 +255,7 @@ def eigenvalue_ratio_check(
     The comparison carries an additive slack of tol * rho(L) so that
     kernel eigenvalues computed as ~1e-15 noise do not flip the verdict.
     """
+    _require_epsilon(epsilon)
     spectra = PairSpectra.of(laplacian, laplacian_hat)
     _require_same_shape(spectra.laplacian, spectra.laplacian_hat)
     mu = spectra.laplacian_values[::-1]

@@ -221,8 +221,20 @@ def eigen_decompose(matrix, k: int | None = None, method: str = "dense") -> Eige
     raise ValueError(f"unknown method {method!r}")
 
 
+def _require_epsilon(epsilon) -> None:
+    """Raise InvalidEpsilonError unless 0 < epsilon < 1: also for None, NaN
+    and +-inf."""
+    try:
+        valid = 0.0 < epsilon < 1.0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise InvalidEpsilonError(epsilon)
+
+
 def _require_same_shape(x, y) -> None:
-    shapes = [(z.n, z.n) if isinstance(z, OdnMatrix) else np.shape(z) for z in (x, y)]
+    shapes = [(z.n, z.n) if isinstance(z, (OdnMatrix, GraphViews)) else np.shape(z)
+              for z in (x, y)]
     if shapes[0] != shapes[1]:
         raise DimensionMismatchError(*shapes)
 
@@ -492,6 +504,7 @@ def sparsifier_norm_check(
     knows that inequality did not hold (sparsifier_ok=False), a violation
     is labelled "hypothesis-unmet" rather than "fail".
     """
+    _require_epsilon(epsilon)
     spectra = PairSpectra.of(laplacian, laplacian_hat)
     _require_same_shape(spectra.laplacian, spectra.laplacian_hat)
     norm_diff = spectra.laplacian_diff_norm
@@ -572,8 +585,7 @@ def eigenvalue_deviation_bound(
     The certified ceiling on every per-index eigenvalue deviation of the
     sparsification pipeline, valid whenever the sparsifier inequality held.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise InvalidEpsilonError(epsilon)
+    _require_epsilon(epsilon)
     spectra = matrix if isinstance(matrix, PairSpectra) else PairSpectra(
         decomp or decompose(validate_odn(matrix)))
     decomp = spectra.base

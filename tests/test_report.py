@@ -108,10 +108,12 @@ class TestSchema:
         ("verification", "mode", "probes-only"),
         ("parameters", "probes", 1000),
         ("applications", "quadform", {"records": []}),
+        ("parameters", "resistance_mode", "approximate"),
     ], ids=["probes", "seed", "probe_min", "probe_max", "probes-only", "parameters.probes",
-            "quadform"])
+            "quadform", "approximate"])
     def test_version_1_probe_fields_rejected(self, pipeline, section, key, value):
-        """Schema 2.0 has no Rayleigh probes and no quadratic-form application."""
+        """Schema 2.0 rejects the removed fields: the Rayleigh probes, the
+        quadratic-form application and the approximate resistance mode."""
         import jsonschema
 
         assert SCHEMA_VERSION == "2.0"

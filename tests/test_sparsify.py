@@ -14,15 +14,17 @@ from odnsparse import (
     PairSpectra,
     decompose,
     effective_resistances,
+    eigenvalue_deviation_bound,
     eigenvalue_ratio_check,
     generate_odn,
     sample_count,
+    sparsifier_norm_check,
     sparsify_laplacian,
     validate_odn,
     verify_sparsifier,
 )
 from odnsparse import spectra
-from odnsparse.sparsify import _draw_counts, _sketch_potentials
+from odnsparse.sparsify import _draw_counts
 from odnsparse.spectra import PINV_CUTOFF
 
 from conftest import complete_with_isolated_vertex, dense_pencil, random_odn
@@ -154,46 +156,6 @@ class TestEffectiveResistances:
         d = decompose(generate_odn("complete", 8, weight=1.0))
         with pytest.raises(DenseLimitExceededError):
             effective_resistances(PairSpectra(d, dense_limit=4))
-
-    def test_approximate_within_quarter(self):
-        d = decompose(generate_odn("erdos-renyi", 30, density=0.4, seed=3))
-        exact, _ = effective_resistances(d)
-        approx, _ = effective_resistances(d, mode="approximate")
-        assert np.all(approx >= (1 - 0.25) * exact)
-        assert np.all(approx <= (1 + 0.25) * exact)
-
-    def test_approximate_disconnected(self):
-        d = decompose(two_component_graph())
-        exact, _ = effective_resistances(d)
-        approx, _ = effective_resistances(d, mode="approximate")
-        assert np.all(np.abs(approx - exact) <= 0.25 * exact)
-
-    def test_streamed_sketch_matches_the_m_by_k_formula(self):
-        d = decompose(generate_odn("complete", 60, seed=2))
-        potentials = _sketch_potentials(d, 9)
-        src = d.matrix
-        diff = potentials[src.rows] - potentials[src.cols]
-        expected = (diff * diff).sum(axis=1)
-        approx, _ = effective_resistances(d, mode="approximate", seed=9)
-        np.testing.assert_allclose(approx, expected, rtol=1e-12, atol=0)
-
-    def test_streamed_sketch_memory(self):
-        # The m x k difference was 172 MB here (k = 1924, m = 11175), and the
-        # formula held three such arrays (334 MB traced).
-        d = decompose(generate_odn("complete", 150, seed=1))
-        tracemalloc.start()
-        try:
-            effective_resistances(d, mode="approximate")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 60e6
-
-    def test_approximate_deterministic(self):
-        d = decompose(generate_odn("erdos-renyi", 15, density=0.5, seed=1))
-        a, _ = effective_resistances(d, mode="approximate", seed=9)
-        b, _ = effective_resistances(d, mode="approximate", seed=9)
-        assert a.tolist() == b.tolist()
 
 
 class TestSparsify:
@@ -350,7 +312,49 @@ class TestSampler:
         assert counts.sum() == len(uniforms)
 
 
+EPSILON_ENTRY_POINTS = {
+    "sparsify_laplacian": lambda pair, eps: sparsify_laplacian(pair, eps),
+    "verify_sparsifier": lambda pair, eps: verify_sparsifier(pair, epsilon=eps),
+    "eigenvalue_ratio_check": lambda pair, eps: eigenvalue_ratio_check(pair, epsilon=eps),
+    "sparsifier_norm_check": lambda pair, eps: sparsifier_norm_check(pair, epsilon=eps),
+    "eigenvalue_deviation_bound": lambda pair, eps: eigenvalue_deviation_bound(pair, eps),
+}
+
+
+@pytest.mark.parametrize("bad", [None, 0.0, 1.0, 1.5, -0.2, float("nan"), float("inf")],
+                         ids=["None", "0", "1", "1.5", "-0.2", "nan", "inf"])
+@pytest.mark.parametrize("entry", sorted(EPSILON_ENTRY_POINTS))
+def test_epsilon_outside_open_unit_interval_raises(entry, bad):
+    """Every entry point that takes epsilon rejects anything outside (0, 1)
+    with InvalidEpsilonError, before it builds any held Laplacian."""
+    d = decompose(generate_odn("complete", 6, weight=1.0))
+    pair = PairSpectra(d, d)
+    with pytest.raises(InvalidEpsilonError):
+        EPSILON_ENTRY_POINTS[entry](pair, bad)
+    assert not {"laplacian", "laplacian_hat"} & vars(pair).keys()
+
+
 class TestVerify:
+    @pytest.mark.parametrize("spec", [
+        dict(model="complete", n=40, seed=3),
+        dict(model="grid", rows=6, cols=6, seed=3),
+    ], ids=["dense", "sparse"])
+    def test_laplacian_solved_before_hat_is_held(self, spec, monkeypatch):
+        """verify_sparsifier solves eigh(L) while L_hat's held form does not
+        exist yet, so the two dense Laplacians are never both alive in it."""
+        d = decompose(generate_odn(**spec))
+        res = sparsify_laplacian(d, 0.25, seed=1)
+        pair = PairSpectra(d, res)
+        held = []
+
+        def solving(x, *args, _eigh=spectra.np.linalg.eigh, **kwargs):
+            held.append("laplacian_hat" in vars(pair))
+            return _eigh(x, *args, **kwargs)
+
+        monkeypatch.setattr(spectra.np.linalg, "eigh", solving)
+        assert verify_sparsifier(pair, epsilon=0.25).passed
+        assert held == [False]
+
     def test_identical_passes(self):
         d = decompose(generate_odn("erdos-renyi", 12, density=0.5, seed=2))
         rec = verify_sparsifier(d.laplacian, d.laplacian, 0.1)
