@@ -37,11 +37,9 @@ from .errors import (
 from .generators import generate_odn, parse_generator_spec
 from .mmio import read_matrix_market, write_matrix_market
 from .sparsify import (
-    RatioCheck,
     SparsifierResult,
     VerificationRecord,
     effective_resistances,
-    eigenvalue_ratio_check,
     sample_count,
     sparsify_laplacian,
     verify_sparsifier,
@@ -94,7 +92,6 @@ __all__ = [
     "PairSpectra",
     "ParseError",
     "PcaComparison",
-    "RatioCheck",
     "SparsifierNormCheck",
     "SparsifierResult",
     "SpectralReport",
@@ -109,7 +106,6 @@ __all__ = [
     "effective_resistances",
     "eigen_decompose",
     "eigenvalue_deviation_bound",
-    "eigenvalue_ratio_check",
     "generate_odn",
     "parse_generator_spec",
     "pca_compare",

@@ -28,7 +28,6 @@ from .report import (
     SCHEMA_VERSION,
     norm_check_to_dict,
     pca_to_dict,
-    ratio_check_to_dict,
     sparsifier_to_dict,
     spectral_to_dict,
     verification_to_dict,
@@ -38,7 +37,6 @@ from .report import (
 )
 from .sparsify import (
     EPSILON_SMALL_REGIME,
-    eigenvalue_ratio_check,
     sample_count,
     sparsify_laplacian,
     verify_sparsifier,
@@ -209,8 +207,7 @@ def cmd_sparsify(args) -> int:
 
     t0 = time.perf_counter()
     verification = verify_sparsifier(spectra, epsilon=args.epsilon)
-    ratios = eigenvalue_ratio_check(spectra, epsilon=args.epsilon)
-    # Nothing reads L or L_hat after the ratio check.
+    # Nothing reads L or L_hat after the pencil.
     spectra.release_laplacians()
     stages["verify"] = time.perf_counter() - t0
 
@@ -226,8 +223,6 @@ def cmd_sparsify(args) -> int:
     failures = []
     if not verification.passed:
         failures.append("sparsifier-inequality")
-    if not ratios.passed:
-        failures.append("eigenvalue-ratios")
     if not spect.eigenvalue_bound_passed:
         failures.append("eigenvalue-deviation-bound")
     if not spect.angles_passed:
@@ -236,7 +231,6 @@ def cmd_sparsify(args) -> int:
     report = _report_skeleton(source, matrix, args)
     report["sparsifier"] = sparsifier_to_dict(result)
     report["verification"] = verification_to_dict(verification)
-    report["eigenvalue_ratios"] = ratio_check_to_dict(ratios)
     report["spectral"] = spectral_to_dict(spect)
     timings["stages"] = stages
 
@@ -263,7 +257,6 @@ def cmd_verify(args) -> int:
     spectra = PairSpectra(decompose(matrix_a), decompose(matrix_b),
                           dense_limit=args.dense_limit)
     verification = verify_sparsifier(spectra, epsilon=args.epsilon)
-    ratios = eigenvalue_ratio_check(spectra, epsilon=args.epsilon)
     lap_check = sparsifier_norm_check(
         spectra, epsilon=args.epsilon, sparsifier_ok=verification.passed
     )
@@ -287,8 +280,6 @@ def cmd_verify(args) -> int:
         failures.append("adjacency-norm-bound")
     if not weyl.passed:
         failures.append("weyl-bound")
-    if not ratios.passed:
-        failures.append("eigenvalue-ratios")
     if not spect.eigenvalue_bound_passed:
         failures.append("eigenvalue-deviation-bound")
     if not spect.angles_passed:
@@ -297,7 +288,6 @@ def cmd_verify(args) -> int:
     report = _report_skeleton(f"file:{args.matrix_a}", matrix_a, args)
     report["input"]["source"] += f" vs file:{args.matrix_b}"
     report["verification"] = verification_to_dict(verification)
-    report["eigenvalue_ratios"] = ratio_check_to_dict(ratios)
     report["norm_checks"] = {
         "laplacian": norm_check_to_dict(lap_check),
         "adjacency": norm_check_to_dict(adj_check),

@@ -65,10 +65,10 @@ class InvalidEpsilonError(OdnError):
 
 
 class InvalidConstantError(OdnError):
-    """Oversampling constant must be positive."""
+    """Oversampling constant must be finite and positive."""
 
     def __init__(self, constant: float):
-        super().__init__(f"oversampling constant must be > 0, got {constant!r}")
+        super().__init__(f"oversampling constant must be finite and > 0, got {constant!r}")
         self.constant = constant
 
 

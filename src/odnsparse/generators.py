@@ -9,6 +9,7 @@ diagonal), so a spec is reproducible bit-for-bit.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -145,7 +146,12 @@ def generate_odn(
     elif isinstance(diag, tuple) and diag and diag[0] == "constant":
         diagonal = np.full(n, float(diag[1]))
     elif isinstance(diag, tuple) and diag and diag[0] == "uniform":
-        diagonal = rng.uniform(float(diag[1]), float(diag[2]), size=n)
+        low, high = float(diag[1]), float(diag[2])
+        if not (math.isfinite(low) and math.isfinite(high) and low <= high):
+            raise GeneratorSpecError(
+                f"bad diag spec {diag!r}: uniform bounds must be finite with low <= high"
+            )
+        diagonal = rng.uniform(low, high, size=n)
     else:
         raise GeneratorSpecError(f"bad diag spec {diag!r}")
 

@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 from .applications import PcaComparison
-from .sparsify import RatioCheck, SparsifierResult, VerificationRecord
+from .sparsify import SparsifierResult, VerificationRecord
 from .spectra import (
     NormComparison,
     SparsifierNormCheck,
@@ -22,7 +22,7 @@ from .spectra import (
     WeylCheck,
 )
 
-SCHEMA_VERSION = "2.0"
+SCHEMA_VERSION = "3.0"
 
 
 def verification_to_dict(v: VerificationRecord) -> dict:
@@ -46,15 +46,6 @@ def sparsifier_to_dict(r: SparsifierResult) -> dict:
         "oversample_constant": r.oversample_constant,
         "epsilon_above_small_regime": r.epsilon_above_small_regime,
         "nnz_after": r.nnz_after,
-    }
-
-
-def ratio_check_to_dict(r: RatioCheck) -> dict:
-    return {
-        "epsilon": r.epsilon,
-        "passed": r.passed,
-        "worst_low": r.worst_low,
-        "worst_high": r.worst_high,
     }
 
 

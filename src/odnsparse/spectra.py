@@ -6,8 +6,12 @@ bound, and the end-to-end eigenvalue deviation bound
 eps * sqrt(n) * rho(L) + (delta_max - delta_min) / 2 with its per-index
 angle bounds. A run computes each dense eigensolve once: every check
 reads its eigen-data from one shared `PairSpectra` for the pair (M, M_hat),
-whose roles each solve on first use. The pair also owns the dense limit:
-above it, a role with no iterative path raises DenseLimitExceededError.
+whose roles each solve on first use. Of the two Laplacians only L is
+solved: its eigendecomposition gives the exact resistances and the pencil
+(L_hat, L), the one sparsifier verdict; L_hat enters only through the
+pencil's product L_hat V and the difference norms. The pair also owns the
+dense limit: above it, a role with no iterative path raises
+DenseLimitExceededError.
 The one iterative eigensolver is ARPACK's implicitly restarted Lanczos
 (`scipy.sparse.linalg.eigsh`), started from one fixed random vector: it
 gives top-k eigenpairs, and above the dense limit the 2-norm of a sparse
@@ -38,7 +42,12 @@ from scipy.linalg import eigh_tridiagonal  # noqa: F401  (bench/tracer.py patche
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .core import GraphViews, LaplacianDecomposition, OdnMatrix, decompose, validate_odn
-from .errors import DenseLimitExceededError, DimensionMismatchError, InvalidEpsilonError
+from .errors import (
+    DenseLimitExceededError,
+    DimensionMismatchError,
+    InvalidConstantError,
+    InvalidEpsilonError,
+)
 
 DENSE_LIMIT = 4096
 # Laplacian eigenvalues below PINV_CUTOFF * rho(L) count as kernel.
@@ -232,6 +241,17 @@ def _require_epsilon(epsilon) -> None:
         raise InvalidEpsilonError(epsilon)
 
 
+def _require_constant(constant) -> None:
+    """Raise InvalidConstantError unless the oversampling constant C is finite
+    and > 0: also for None and NaN."""
+    try:
+        valid = 0.0 < constant < math.inf
+    except TypeError:
+        valid = False
+    if not valid:
+        raise InvalidConstantError(constant)
+
+
 def _require_same_shape(x, y) -> None:
     shapes = [(z.n, z.n) if isinstance(z, (OdnMatrix, GraphViews)) else np.shape(z)
               for z in (x, y)]
@@ -315,7 +335,11 @@ class PairSpectra:
         return side.laplacian
 
     def _densify(self, x) -> np.ndarray:
-        """`x` as a dense array; the one check of its size against the limit."""
+        """`x` as a dense array, or DenseLimitExceededError above the limit:
+        the check of every role with no sparse path. Three other sites compare
+        n with the limit and take a sparse path above it instead of raising:
+        `_held_form` (held CSR Laplacian), `_difference_norm` (sparse
+        difference) and `spectral_norm` (ARPACK)."""
         n = x.n if isinstance(x, OdnMatrix) else np.shape(x)[0]
         if n > self.dense_limit:
             raise DenseLimitExceededError(n, self.dense_limit)
@@ -379,10 +403,6 @@ class PairSpectra:
         if "laplacian_eigh" in self.__dict__:
             return self.laplacian_eigh[0]
         return np.linalg.eigvalsh(self._densify(self.laplacian))
-
-    @cached_property
-    def laplacian_hat_values(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self._densify(self.laplacian_hat))
 
     @cached_property
     def pencil(self) -> tuple[np.ndarray, float]:

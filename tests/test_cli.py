@@ -307,6 +307,28 @@ class TestBounds:
         validate_report(json.loads(report_path.read_text()))
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--gen", "complete:n=5", "--constant", "-1"],
+    ["bounds", "--gen", "complete:n=5", "--constant", "nan"],
+    ["bounds", "--gen", "complete:n=5", "--constant", "inf"],
+    ["sparsify", "--gen", "complete:n=5", "--constant", "inf"],
+    ["bounds", "--gen", "complete:n=5", "--epsilon", "1e-200"],
+    ["sparsify", "--gen", "complete:n=5", "--epsilon", "1e-200"],
+    ["bounds", "--gen", "complete:n=4,diag=uniform(0,inf)"],
+    ["sparsify", "--gen", "complete:n=4,diag=uniform(0,inf)"],
+    ["sparsify", "--gen", "complete:n=4,diag=uniform(1,0)"],
+], ids=["bounds-constant-negative", "bounds-constant-nan", "bounds-constant-inf",
+        "sparsify-constant-inf", "bounds-epsilon-tiny", "sparsify-epsilon-tiny",
+        "bounds-diag-infinite", "sparsify-diag-infinite", "sparsify-diag-reversed"])
+def test_invalid_parameter_exits_one_with_one_error_line(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        err.splitlines()[-1]]
+
+
 class TestCommonFlags:
     @pytest.fixture
     def pair_paths(self, k5_path, tmp_path, capsys):

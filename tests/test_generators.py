@@ -92,6 +92,17 @@ class TestModels:
         assert np.all(m.diag >= -1.0)
         assert np.all(m.diag < 2.0)
 
+    @pytest.mark.parametrize("low,high", [(0.0, float("inf")), (float("-inf"), 0.0),
+                                          (float("nan"), 1.0), (1.0, 0.0)],
+                             ids=["high-inf", "low-inf", "low-nan", "reversed"])
+    def test_uniform_diag_bounds_rejected(self, low, high):
+        with pytest.raises(GeneratorSpecError, match="uniform"):
+            generate_odn("complete", 4, diag=("uniform", low, high))
+
+    def test_uniform_diag_equal_bounds(self):
+        m = generate_odn("complete", 4, diag=("uniform", 0.5, 0.5))
+        assert np.array_equal(m.diag, np.full(4, 0.5))
+
     def test_all_models_validate(self):
         specs = [
             ("complete", dict(n=8)),

@@ -6,7 +6,6 @@ import pytest
 
 from odnsparse import (
     decompose,
-    eigenvalue_ratio_check,
     generate_odn,
     pca_compare,
     reconstruct,
@@ -18,7 +17,6 @@ from odnsparse.report import (
     SCHEMA_VERSION,
     dumps_report,
     pca_to_dict,
-    ratio_check_to_dict,
     sparsifier_to_dict,
     spectral_to_dict,
     strip_timings,
@@ -42,7 +40,6 @@ def pipeline():
 def build_full_report(m, d, res, m_hat):
     ver = verify_sparsifier(d.laplacian, res.laplacian, 0.25)
     spect = spectral_report(m, m_hat, 0.25)
-    ratios = eigenvalue_ratio_check(d.laplacian, res.laplacian, 0.25)
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "odnsparse", "version": "0.1.0"},
@@ -63,7 +60,6 @@ def build_full_report(m, d, res, m_hat):
         },
         "sparsifier": sparsifier_to_dict(res),
         "verification": verification_to_dict(ver),
-        "eigenvalue_ratios": ratio_check_to_dict(ratios),
         "spectral": spectral_to_dict(spect),
         "checks": {"all_passed": True, "failures": []},
         "timings": {"started_at": "2025-01-01T00:00:00+00:00", "stages": {}},
@@ -109,14 +105,16 @@ class TestSchema:
         ("parameters", "probes", 1000),
         ("applications", "quadform", {"records": []}),
         ("parameters", "resistance_mode", "approximate"),
+        ("eigenvalue_ratios", "passed", True),
     ], ids=["probes", "seed", "probe_min", "probe_max", "probes-only", "parameters.probes",
-            "quadform", "approximate"])
+            "quadform", "approximate", "eigenvalue_ratios"])
     def test_version_1_probe_fields_rejected(self, pipeline, section, key, value):
-        """Schema 2.0 rejects the removed fields: the Rayleigh probes, the
-        quadratic-form application and the approximate resistance mode."""
+        """Schema 3.0 rejects the removed fields: the Rayleigh probes, the
+        quadratic-form application, the approximate resistance mode and the
+        eigenvalue-ratio section."""
         import jsonschema
 
-        assert SCHEMA_VERSION == "2.0"
+        assert SCHEMA_VERSION == "3.0"
         report = build_full_report(*pipeline)
         validate_report(report)
         report.setdefault(section, {})[key] = value

@@ -10,12 +10,12 @@ from odnsparse import (
     DimensionMismatchError,
     InvalidConstantError,
     InvalidEpsilonError,
+    OdnError,
     OdnMatrix,
     PairSpectra,
     decompose,
     effective_resistances,
     eigenvalue_deviation_bound,
-    eigenvalue_ratio_check,
     generate_odn,
     sample_count,
     sparsifier_norm_check,
@@ -203,6 +203,25 @@ class TestSparsify:
         with pytest.raises(InvalidConstantError):
             sparsify_laplacian(d, 0.5, constant=0.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), None],
+                             ids=["0", "-1", "nan", "inf", "None"])
+    def test_constant_must_be_finite_and_positive(self, bad):
+        with pytest.raises(InvalidConstantError):
+            sample_count(5, 0.25, bad)
+        # Checked before the resistances, also for an input with no edges.
+        for matrix in (generate_odn("complete", 4, weight=1.0),
+                       generate_odn("erdos-renyi", 4, density=0.0)):
+            pair = PairSpectra(decompose(matrix))
+            with pytest.raises(InvalidConstantError):
+                sparsify_laplacian(pair, 0.25, constant=bad)
+            assert "laplacian_eigh" not in vars(pair)
+
+    @pytest.mark.parametrize("epsilon,constant", [(1e-200, 9.0), (1e-160, 9.0),
+                                                  (0.25, 1e308)])
+    def test_budget_not_finite_raises(self, epsilon, constant):
+        with pytest.raises(OdnError, match="not finite"):
+            sample_count(5, epsilon, constant)
+
     def test_epsilon_regime_flag(self):
         d = decompose(generate_odn("complete", 4, weight=1.0))
         assert sparsify_laplacian(d, 0.25, seed=0).epsilon_above_small_regime
@@ -315,7 +334,6 @@ class TestSampler:
 EPSILON_ENTRY_POINTS = {
     "sparsify_laplacian": lambda pair, eps: sparsify_laplacian(pair, eps),
     "verify_sparsifier": lambda pair, eps: verify_sparsifier(pair, epsilon=eps),
-    "eigenvalue_ratio_check": lambda pair, eps: eigenvalue_ratio_check(pair, epsilon=eps),
     "sparsifier_norm_check": lambda pair, eps: sparsifier_norm_check(pair, epsilon=eps),
     "eigenvalue_deviation_bound": lambda pair, eps: eigenvalue_deviation_bound(pair, eps),
 }
@@ -443,23 +461,6 @@ class TestVerify:
         with pytest.raises(DenseLimitExceededError):
             verify_sparsifier(PairSpectra(d.laplacian, d.laplacian, dense_limit=4),
                               epsilon=0.2)
-
-
-class TestRatioCheck:
-    def test_identical(self):
-        d = decompose(generate_odn("complete", 6, weight=2.0))
-        assert eigenvalue_ratio_check(d.laplacian, d.laplacian, 0.1).passed
-
-    def test_scaled_boundary(self):
-        d = decompose(generate_odn("complete", 6, weight=1.0))
-        scaled = 1.3 * d.laplacian_dense()
-        assert eigenvalue_ratio_check(d.laplacian, scaled, 0.3 + 1e-12).passed
-        assert not eigenvalue_ratio_check(d.laplacian, scaled, 0.2).passed
-
-    def test_pipeline(self):
-        d = decompose(generate_odn("complete", 5, weight=1.0))
-        res = sparsify_laplacian(d, 0.3, seed=7)
-        assert eigenvalue_ratio_check(d.laplacian, res.laplacian, 0.3).passed
 
 
 class TestSparsifierMatrix:
