@@ -122,6 +122,7 @@ class PcaComparison:
     iterative_converged: bool
     nnz_before: int
     nnz_after: int
+    paths: dict[str, str]  # `PairSpectra.paths` of the pair: the pencil's solver
 
     @property
     def passed(self) -> bool:
@@ -210,4 +211,5 @@ def pca_compare(
         iterative_converged=sparse_sys.converged,
         nnz_before=m.nnz,
         nnz_after=result.nnz_after,
+        paths=spectra.paths,
     )

@@ -44,6 +44,7 @@ from .sparsify import (
 from .spectra import (
     DENSE_LIMIT,
     PairSpectra,
+    _blas_pools,
     adjacency_norm_check,
     eigenvalue_deviation_bound,
     sparsifier_norm_check,
@@ -160,20 +161,27 @@ def _warn_small_regime(epsilon):
         )
 
 
-def _close_timings(timings, args) -> None:
+def _close_timings(timings, args, paths) -> None:
     """Record the peak resident set so far in `timings` (ru_maxrss: KiB on
-    Linux, bytes on macOS) and, on -v, print the stage timings and the peak."""
+    Linux, bytes on macOS) and, on -v, print the stage timings, the peak,
+    each bundled OpenBLAS pool with its thread count, and whether the pencil
+    extremes and each difference norm came from a dense solve or ARPACK
+    (`paths`, see `PairSpectra.paths`)."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     timings["peak_rss_mb"] = peak / (1 << (20 if sys.platform == "darwin" else 10))
     if args.verbose:
         for stage, seconds in timings.get("stages", {}).items():
             print(f"timing: {stage} {seconds * 1e3:.2f} ms", file=sys.stderr)
         print(f"memory: peak RSS {timings['peak_rss_mb']:.1f} MB", file=sys.stderr)
+        for owner, library, threads in _blas_pools():
+            print(f"blas: {owner}: {library}, {threads} threads", file=sys.stderr)
+        for role, path in paths.items():
+            print(f"path: {role} {path}", file=sys.stderr)
 
 
-def _finish(report, failures, timings, args, spectral=None, pca=None) -> int:
+def _finish(report, failures, timings, args, paths, spectral=None, pca=None) -> int:
     report["checks"] = {"all_passed": not failures, "failures": sorted(failures)}
-    _close_timings(timings, args)
+    _close_timings(timings, args, paths)
     report["timings"] = timings
     if args.out_report:
         write_report(report, args.out_report)
@@ -241,7 +249,7 @@ def cmd_sparsify(args) -> int:
     if verification.gen_min is not None:
         print(f"ratio extremes: [{verification.gen_min:.6f}, {verification.gen_max:.6f}] "
               f"target [{1 - args.epsilon:.6f}, {1 + args.epsilon:.6f}]")
-    return _finish(report, failures, timings, args, spectral=spect)
+    return _finish(report, failures, timings, args, spectra.paths, spectral=spect)
 
 
 def cmd_verify(args) -> int:
@@ -300,7 +308,7 @@ def cmd_verify(args) -> int:
           f"[{lap_check.status}]")
     print(f"||A-A_hat||={adj_check.lhs:.6g} sqrt(n)*||L-L_hat||={adj_check.rhs:.6g}")
     print(f"weyl: max|a_i-b_i|={weyl.max_deviation:.6g} ||A-B||={weyl.norm:.6g}")
-    return _finish(report, failures, timings, args, spectral=spect)
+    return _finish(report, failures, timings, args, spectra.paths, spectral=spect)
 
 
 def cmd_pca_demo(args) -> int:
@@ -352,7 +360,7 @@ def cmd_pca_demo(args) -> int:
               f"var_hat={comparison.variances_hat[i]:.6f} gap={comparison.gaps[i]:.3g}")
     print(f"dense solve {comparison.dense_seconds * 1e3:.2f} ms, "
           f"iterative solve {comparison.iterative_seconds * 1e3:.2f} ms")
-    return _finish(report, failures, timings, args, pca=comparison)
+    return _finish(report, failures, timings, args, comparison.paths, pca=comparison)
 
 
 def cmd_bounds(args) -> int:
@@ -371,7 +379,7 @@ def cmd_bounds(args) -> int:
     predicted_nnz = 2 * min(q, matrix.stored_pairs) + matrix.n
     stages["bounds"] = time.perf_counter() - t0
     timings["stages"] = stages
-    _close_timings(timings, args)
+    _close_timings(timings, args, spectra.paths)
 
     print(f"n={matrix.n} stored_pairs={matrix.stored_pairs} "
           f"nnz_offdiag={matrix.nnz_offdiag}")

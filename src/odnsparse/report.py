@@ -22,7 +22,7 @@ from .spectra import (
     WeylCheck,
 )
 
-SCHEMA_VERSION = "3.0"
+SCHEMA_VERSION = "3.1"
 
 
 def verification_to_dict(v: VerificationRecord) -> dict:

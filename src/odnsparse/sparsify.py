@@ -11,7 +11,12 @@ are bit-reproducible for a fixed (input, epsilon, seed, C).
 
 The one sparsifier verdict is the exact pencil (`verify_sparsifier`): the
 extreme generalized eigenvalues of (L_hat, L) on the range of L, and the
-leak of L_hat on L's kernel. The sorted-eigenvalue corridor
+leak of L_hat on L's kernel. ARPACK finds the two extremes, and each is
+widened outward by its Ritz residual and a rounding allowance, so the
+verdict compares an interval that holds the exact extremes with 1 +- eps.
+ARPACK's BLAS runs on one thread (`spectra._arpack`): scipy's bundled
+OpenBLAS pool, left spinning after its calls, would otherwise slow numpy's
+next dense solve. The sorted-eigenvalue corridor
 (1 - eps) mu_i <= mu_hat_i <= (1 + eps) mu_i follows from that verdict by
 Courant-Fischer, so it is not solved for separately.
 """
@@ -19,6 +24,7 @@ Courant-Fischer, so it is not solved for separately.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -123,6 +129,25 @@ def sample_count(n: int, epsilon: float, constant: float) -> int:
     return int(math.ceil(budget))
 
 
+def _uniforms(rng: np.random.Generator, q: int) -> np.ndarray:
+    """The q uniforms of the draws, at 8 bytes each. OdnError naming q and
+    those bytes when they exceed the machine's physical memory or cannot be
+    allocated: a tiny epsilon can ask for terabytes, whatever the graph."""
+    need = 8 * q
+    try:
+        fits = need <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):  # no sysconf: try to allocate
+        fits = True
+    if fits:
+        try:
+            return rng.random(q)
+        except (MemoryError, ValueError):  # ValueError: past numpy's largest size
+            pass
+    raise OdnError(f"the sample budget q={q} needs {need} bytes for its uniforms, "
+                   "more than can be allocated; use a larger epsilon or a smaller "
+                   "constant C")
+
+
 def _draw_counts(uniforms: np.ndarray, cumulative: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws per edge, for cumulative probabilities `cumulative`.
 
@@ -171,7 +196,7 @@ def sparsify_laplacian(
     _, probability = effective_resistances(decomp)
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    counts = _draw_counts(rng.random(q), np.cumsum(probability)).astype(np.float64)
+    counts = _draw_counts(_uniforms(rng, q), np.cumsum(probability)).astype(np.float64)
     weights = src.vals * (counts / (q * probability))
     keep = counts > 0
     return SparsifierResult(
@@ -211,7 +236,11 @@ def verify_sparsifier(laplacian, laplacian_hat=None, epsilon=None) -> Verificati
 
     Computes the extreme generalized eigenvalues of the pencil (L_hat, L) on
     the range of L (`PairSpectra.pencil`) and the leak of L_hat on L's
-    kernel; both extremes within (1 +- eps) and no leak decide `passed`. A
+    kernel; both extremes within (1 +- eps) and no leak decide `passed`. The
+    extremes come from ARPACK, each widened outward by its Ritz residual plus
+    a rounding allowance n * eps * |theta|, so `gen_min` and `gen_max` bracket
+    the exact extremes (a dense solve where the reduced pencil has fewer than
+    3 rows or ARPACK does not converge). A
     zero L passes only against a zero L_hat ("trivial-zero"). The pencil
     needs L's dense eigendecomposition: above the pair's dense limit it
     raises DenseLimitExceededError, and nothing is certified.
@@ -231,10 +260,8 @@ def verify_sparsifier(laplacian, laplacian_hat=None, epsilon=None) -> Verificati
     if not lap_nonzero:
         kernel_leak, passed, mode = scale_hat, scale_hat <= 1e-12, "trivial-zero"
     else:
-        gen, kernel_leak = spectra.pencil
+        (gen_min, gen_max), kernel_leak = spectra.pencil
         rho = max(float(spectra.laplacian_values[-1]), 0.0)
-        gen_min = float(gen[0])
-        gen_max = float(gen[-1])
         grace = 1e-9
         passed = (
             kernel_leak <= 1e-8 * max(rho, scale_hat)

@@ -13,26 +13,36 @@ pencil's product L_hat V and the difference norms. The pair also owns the
 dense limit: above it, a role with no iterative path raises
 DenseLimitExceededError.
 The one iterative eigensolver is ARPACK's implicitly restarted Lanczos
-(`scipy.sparse.linalg.eigsh`), started from one fixed random vector: it
-gives top-k eigenpairs, and above the dense limit the 2-norm of a sparse
-operand as its largest-magnitude Ritz value plus that pair's residual.
+(`scipy.sparse.linalg.eigsh`), started from one fixed random vector. It
+gives top-k eigenpairs; the pencil's two extremes, each widened outward by
+its Ritz residual; and the 2-norm of a sparse difference (of any sparse
+operand above the dense limit) as a bracket: the largest-magnitude Ritz
+value below, that value plus its residual above. Each widening also adds
+n * eps * |theta| for rounding, so that the bracket holds the dense solve's
+value too. A check reads whichever end of a bracket makes it stricter.
+Every ARPACK call runs with scipy's bundled OpenBLAS on one thread
+(`_arpack`): numpy and scipy each bundle their own OpenBLAS, and scipy's
+workers, left spinning after ARPACK's BLAS calls, would take the cores
+from numpy's next dense solve.
 
 The pair holds each Laplacian in one form, read by every role: a dense
 array filled from the graph's coordinates when the graph is dense and
 within the limit, else the graph's CSR Laplacian. The difference norms
 subtract one side from the other's dense form in one n x n buffer. The
 pencil frees L's eigenvectors V and the product L_hat V before its solve,
-and scales the reduced matrix V' L_hat V in place: it holds about 4 n^2
-floats there (the two Laplacians, the reduced matrix and the solver's
-copy), not 8. A command drops the held Laplacians (`release_laplacians`)
-once its last Laplacian check is done, before the eigensolves of M and
-M_hat, and hands the freed pages back to the system.
+and scales the reduced matrix V' L_hat V in place: it holds about 3 n^2
+floats there (the two Laplacians and the reduced matrix, which ARPACK
+multiplies by without a copy), not 8. A command drops the held Laplacians
+(`release_laplacians`) once its last Laplacian check is done, before the
+eigensolves of M and M_hat, and hands the freed pages back to the system.
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,6 +80,14 @@ _DENSE_ARPACK_SHARE = 2 / 3
 # Rows of the pencil's reduced matrix scaled per step: the scale factors of a
 # block take _PENCIL_ROWS x n x 8 B, 4.2 MB at n = 4096.
 _PENCIL_ROWS = 128
+# ARPACK restarts allowed for the pencil's two extremes before the dense solve
+# takes over. Over 90 pencils (paths, grids, Erdos-Renyi and complete graphs,
+# n <= 900) a converged solve took at most 325 products, 18 restarts of 18; on
+# a path of 50 vertices, whose lowest eigenvalue is double, ARPACK's default of
+# 10 n restarts spent 8354 products (0.17 s, a dense solve takes 0.2 ms)
+# without converging. 50 restarts bound a failure near 900 products: about 4
+# dense solves at n = 900 and fewer from there to the dense limit.
+_PENCIL_RESTARTS = 50
 
 # glibc serves an array below its adaptive mmap threshold (up to 32 MiB: an
 # n x n array up to n = 2048) from the heap once any larger block was freed,
@@ -83,6 +101,45 @@ try:
     _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
 except (AttributeError, OSError, TypeError):
     _malloc_trim = None
+
+
+def _openblas(module: str, suffix: str = ""):
+    """(get_num_threads, set_num_threads, get_config) of the bundled
+    `scipy_openblas` that the extension `module` links, or None where its
+    symbols are missing (MKL, or a system OpenBLAS shared by numpy and scipy).
+    numpy's wheels name them with the suffix `64_`, scipy's with none."""
+    try:
+        lib = ctypes.CDLL(importlib.import_module(module).__file__)
+        functions = tuple(getattr(lib, f"scipy_openblas_{name}{suffix}")
+                          for name in ("get_num_threads", "set_num_threads", "get_config"))
+    except (AttributeError, ImportError, OSError, TypeError):
+        return None
+    for function, argtypes, restype in zip(functions, ([], [ctypes.c_int], []),
+                                           (ctypes.c_int, None, ctypes.c_char_p)):
+        function.argtypes, function.restype = argtypes, restype
+    return functions
+
+
+# numpy's and scipy's wheels each bundle an OpenBLAS with its own thread pool.
+# After a BLAS call from ARPACK, scipy's idle workers spin for OpenBLAS's
+# thread timeout and take the cores from numpy's next dense solve: on 2 cores,
+# `sparsify` of a 30 x 30 grid with ARPACK's pool left at 2 threads spent
+# 0.37 s, not 0.30 s, in `PairSpectra.systems`, and the job was no faster than
+# with dense solves only. ARPACK's own BLAS works on single vectors, so
+# `_arpack` holds this pool to one thread for the call.
+# The pool's thread count is process-wide: calls from several threads take
+# _ARPACK_HOLD in turn, so that each puts back the count it found.
+_ARPACK_BLAS = _openblas("scipy.sparse.linalg._eigen.arpack._arpacklib")
+_ARPACK_HOLD = threading.Lock()
+
+
+def _blas_pools() -> list[tuple[str, str, int]]:
+    """(owner, library, threads) of each bundled OpenBLAS pool found: numpy's,
+    and scipy's, which ARPACK uses."""
+    pools = [("numpy", _openblas("numpy._core._multiarray_umath", "64_")),
+             ("scipy (1 thread inside ARPACK)", _ARPACK_BLAS)]
+    return [(owner, " ".join(found[2]().decode().split()), int(found[0]()))
+            for owner, found in pools if found is not None]
 
 
 def _dense(x) -> np.ndarray:
@@ -99,18 +156,66 @@ def _sparse(x) -> sp.csr_matrix:
     return sp.csr_matrix(x)
 
 
+def _stored(x) -> int:
+    """Entries `x` stores: an OdnMatrix's or a sparse matrix's nnz, else n^2."""
+    return x.nnz if isinstance(x, OdnMatrix) or sp.issparse(x) else np.shape(x)[0] ** 2
+
+
 def _start_vector(n: int) -> np.ndarray:
     """ARPACK's fixed start vector. Not `ones`: that vector lies in the kernel
     of every Laplacian and of L - L_hat, where ARPACK breaks down."""
     return np.random.Generator(np.random.PCG64(_ARPACK_START_SEED)).standard_normal(n)
 
 
+def _arpack(operand, k: int, which: str, maxiter: int | None = None):
+    """`eigsh(operand, k, which=which, maxiter=maxiter)` from the fixed start
+    vector, with scipy's OpenBLAS held to one thread (`_ARPACK_BLAS`) and its
+    thread count put back afterwards, also when ARPACK raises."""
+    v0 = _start_vector(operand.shape[0])
+    if _ARPACK_BLAS is None:
+        return eigsh(operand, k=k, which=which, v0=v0, maxiter=maxiter)
+    get_threads, set_threads, _ = _ARPACK_BLAS
+    with _ARPACK_HOLD:
+        threads = get_threads()
+        set_threads(1)
+        try:
+            return eigsh(operand, k=k, which=which, v0=v0, maxiter=maxiter)
+        finally:
+            set_threads(threads)
+
+
+def _residuals(operand, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """||A q_i - theta_i q_i||_2 of each Ritz pair (theta_i, q_i)."""
+    return np.linalg.norm(operand @ vectors - vectors * values, axis=0)
+
+
+def _rounding(n: int, theta):
+    """n * eps * |theta|: about twice the worst-case rounding of a length-n
+    inner product, by which a Ritz value, its residual and a dense solve of
+    the same matrix can disagree. The pencil's ARPACK extremes widened by
+    their residuals alone missed numpy's `eigvalsh` by up to 1.4e-15 relative
+    in the tests; at the dense limit this adds 9.1e-13 relative."""
+    return n * np.finfo(np.float64).eps * np.abs(theta)
+
+
+def _arpack_norm(operand) -> tuple[float, float]:
+    """(low, high) estimates of ||operand||_2 from ARPACK's largest-magnitude
+    Ritz pair (theta, q): low = |theta| and high = |theta| + ||A q - theta q||,
+    each moved outward by `_rounding`."""
+    n = operand.shape[0]
+    if n == 1 or not operand.count_nonzero():
+        value = float(abs(operand).max())  # ARPACK needs n >= 2 and a nonzero operand
+        return value, value
+    theta, q = _arpack(operand, k=1, which="LM")
+    value, pad = abs(float(theta[0])), float(_rounding(n, theta[0]))
+    return value - pad, value + float(_residuals(operand, theta, q)[0]) + pad
+
+
 def spectral_norm(matrix, *, dense_limit: int = DENSE_LIMIT) -> float:
     """2-norm of a symmetric matrix: max |eigenvalue|.
 
-    Dense eigensolve up to dense_limit. Beyond it, |theta| + ||A q - theta q||
-    for ARPACK's largest-magnitude Ritz pair (theta, q): the Ritz value plus
-    its residual, an upper estimate of the norm.
+    Dense eigensolve up to dense_limit. Beyond it, the upper estimate of
+    `_arpack_norm`: ARPACK's largest-magnitude Ritz value plus its residual.
     """
     n = matrix.n if isinstance(matrix, OdnMatrix) else matrix.shape[0]
     if n <= dense_limit:
@@ -118,12 +223,7 @@ def spectral_norm(matrix, *, dense_limit: int = DENSE_LIMIT) -> float:
         if not d.size:
             return 0.0
         return float(np.abs(np.linalg.eigvalsh(d)).max())
-    operand = _sparse(matrix)
-    if n == 1 or not operand.count_nonzero():
-        return float(abs(operand).max())  # ARPACK needs n >= 2 and a nonzero operand
-    theta, q = eigsh(operand, k=1, which="LM", v0=_start_vector(n))
-    residual = np.linalg.norm(operand @ q[:, 0] - theta[0] * q[:, 0])
-    return float(abs(theta[0]) + residual)
+    return _arpack_norm(_sparse(matrix))[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,7 +310,7 @@ def eigen_decompose(matrix, k: int | None = None, method: str = "dense") -> Eige
         if k is None or not (1 <= k < n):
             raise ValueError(f"iterative mode needs 1 <= k < n, got k={k}, n={n}")
         try:
-            values, vectors = eigsh(operand, k=k, which="LA", v0=_start_vector(n))
+            values, vectors = _arpack(operand, k=k, which="LA")
             converged = True
         except ArpackNoConvergence as err:
             values, vectors = err.eigenvalues, err.eigenvectors
@@ -218,12 +318,11 @@ def eigen_decompose(matrix, k: int | None = None, method: str = "dense") -> Eige
         order = np.argsort(values)[::-1]
         values = values[order]
         vectors = _fix_signs(vectors[:, order])
-        defect = operand @ vectors - vectors * values
         return EigenSystem(
             values=values,
             vectors=vectors,
             method="iterative",
-            residual=float(np.linalg.norm(defect, axis=0).max(initial=0.0)),
+            residual=float(_residuals(operand, values, vectors).max(initial=0.0)),
             converged=converged,
             k_converged=None if converged else len(values),
         )
@@ -271,7 +370,8 @@ class PairSpectra:
     decomposition already solved, else runs the cheaper values-only solve.
     `laplacian` and `laplacian_hat` are each side's Laplacian in the one form
     every role reads (`_held_form`); setting `hat` drops the form held for the
-    previous one.
+    previous one. `paths` records, for the pencil and each difference norm
+    solved, whether its values came from a "dense" solve or from "arpack".
 
     No role densifies an operand larger than `dense_limit` (see the module
     docstring for what runs above it).
@@ -283,6 +383,7 @@ class PairSpectra:
         self.matrix = base.matrix if isinstance(base, LaplacianDecomposition) else matrix
         self.matrix_hat = hat.matrix if isinstance(hat, LaplacianDecomposition) else matrix_hat
         self.dense_limit = dense_limit
+        self.paths: dict[str, str] = {}
 
     @classmethod
     def of(cls, base, hat=None) -> "PairSpectra":
@@ -349,8 +450,7 @@ class PairSpectra:
         """`x` as a dense array when it is within the dense limit and stores at
         least `share` * n^2 entries, else as it is (an OdnMatrix as CSR)."""
         n = x.n if isinstance(x, OdnMatrix) else np.shape(x)[0]
-        stored = x.nnz if isinstance(x, OdnMatrix) or sp.issparse(x) else n * n
-        if stored >= share * n * n:
+        if _stored(x) >= share * n * n:
             try:
                 return self._densify(x)
             except DenseLimitExceededError:
@@ -363,18 +463,32 @@ class PairSpectra:
         least 2/3 of n^2 stored, _DENSE_ARPACK_SHARE), else sparse."""
         return self._cheaper_form(x, _DENSE_ARPACK_SHARE)
 
-    def _difference_norm(self, x, y, *, offdiag: bool = False) -> float:
-        """||x - y||_2, or with `offdiag` that of two OdnMatrix adjacencies.
+    def _difference_norm(self, role: str, x, y, *, offdiag: bool = False
+                         ) -> tuple[float, float]:
+        """(low, high) estimates of ||x - y||_2; with `offdiag`, x and y are
+        OdnMatrix and only their adjacencies are subtracted. `paths[role]`
+        records the path taken.
 
-        Within the dense limit one n x n buffer holds x's dense form, and y's
-        entries are subtracted from it in place: its coordinates for an
-        OdnMatrix, its stored entries for a sparse matrix, else the array.
-        Each entry is one IEEE subtraction, as in the sparse difference."""
+        Above the dense limit, or when both store fewer than 2/3 n^2 entries
+        (_DENSE_ARPACK_SHARE), ARPACK takes the sparse difference
+        (`_arpack_norm`); within the limit, a solve that does not converge
+        falls back to the dense path. There one n x n buffer holds x's dense
+        form, and y's entries are subtracted from it in place: its coordinates
+        for an OdnMatrix, its stored entries for a sparse matrix, else the
+        array. Each entry is one IEEE subtraction, as in the sparse difference,
+        and both estimates are the dense solve's max |eigenvalue|."""
         n = x.n if isinstance(x, OdnMatrix) else np.shape(x)[0]
-        if n > self.dense_limit:
-            if offdiag:
-                x, y = x.adjacency(), y.adjacency()
-            return spectral_norm(_sparse(x) - _sparse(y), dense_limit=self.dense_limit)
+        if n > self.dense_limit or max(_stored(x), _stored(y)) < _DENSE_ARPACK_SHARE * n * n:
+            sides = (x.adjacency(), y.adjacency()) if offdiag else (x, y)
+            try:
+                norm = _arpack_norm(_sparse(sides[0]) - _sparse(sides[1]))
+            except ArpackNoConvergence:
+                if n > self.dense_limit:
+                    raise
+            else:
+                self.paths[role] = "arpack"
+                return norm
+        self.paths[role] = "dense"
         buf = np.array(x, dtype=np.float64) if isinstance(x, np.ndarray) else _dense(x)
         if isinstance(y, OdnMatrix):
             buf[y.rows, y.cols] -= y.vals
@@ -392,7 +506,8 @@ class PairSpectra:
             buf[np.repeat(np.arange(n), np.diff(y.indptr)), y.indices] -= y.data
         else:
             buf -= y
-        return spectral_norm(buf, dense_limit=self.dense_limit)
+        norm = spectral_norm(buf, dense_limit=self.dense_limit)
+        return norm, norm
 
     @cached_property
     def laplacian_eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -405,9 +520,9 @@ class PairSpectra:
         return np.linalg.eigvalsh(self._densify(self.laplacian))
 
     @cached_property
-    def pencil(self) -> tuple[np.ndarray, float]:
-        """Eigenvalues of the pencil (L_hat, L) on the range of L, and the
-        leak ||L_hat K||_2 on L's kernel basis K.
+    def pencil(self) -> tuple[tuple[float, float], float]:
+        """The extreme eigenvalues (low, high) of the pencil (L_hat, L) on the
+        range of L, and the leak ||L_hat K||_2 on L's kernel basis K.
 
         Both come from one product L_hat V with L's eigenvectors V: a dense
         BLAS product when L_hat is within the dense limit and stores at least
@@ -417,7 +532,12 @@ class PairSpectra:
         with it before the solve; L's eigenvalues are kept. The reduced matrix
         V' L_hat V is scaled by s_i s_j, s = mu^(-1/2), in place, in blocks of
         _PENCIL_ROWS rows: each entry is x * (s_i * s_j), as with the whole
-        outer product, and no n x n temporary is made.
+        outer product, and no n x n temporary is made. ARPACK takes its two
+        extremes (`eigsh(which="BE")`), and each is moved outward by its Ritz
+        residual and `_rounding`, so that the verdict reads an interval that
+        holds the exact extremes; a reduced matrix of size below 3, or one on
+        which ARPACK does not converge in _PENCIL_RESTARTS restarts, is solved
+        dense (`paths["pencil"]`).
         """
         mu, vecs = self.laplacian_eigh
         self.__dict__.setdefault("laplacian_values", mu)
@@ -432,7 +552,18 @@ class PairSpectra:
         for start in range(0, len(inv_sqrt), _PENCIL_ROWS):
             block = slice(start, start + _PENCIL_ROWS)
             reduced[block] *= np.outer(inv_sqrt[block], inv_sqrt)
-        return np.linalg.eigvalsh(reduced), leak
+        if len(reduced) >= 3:
+            try:
+                theta, q = _arpack(reduced, k=2, which="BE", maxiter=_PENCIL_RESTARTS)
+            except ArpackNoConvergence:
+                pass
+            else:
+                self.paths["pencil"] = "arpack"
+                widen = _residuals(reduced, theta, q) + _rounding(len(reduced), theta)
+                return (float(theta[0] - widen[0]), float(theta[1] + widen[1])), leak
+        self.paths["pencil"] = "dense"
+        values = np.linalg.eigvalsh(reduced)
+        return (float(values[0]), float(values[-1])), leak
 
     @cached_property
     def laplacian_norm(self) -> float:
@@ -458,17 +589,19 @@ class PairSpectra:
         sides = (self.matrix, self.matrix_hat)
         return tuple(np.linalg.eigvalsh(self._densify(x)) for x in sides)
 
+    # The difference norms, each as (low, high) estimates (`_difference_norm`).
     @cached_property
-    def matrix_diff_norm(self) -> float:
-        return self._difference_norm(self.matrix, self.matrix_hat)
+    def matrix_diff_norm(self) -> tuple[float, float]:
+        return self._difference_norm("matrix_diff_norm", self.matrix, self.matrix_hat)
 
     @cached_property
-    def laplacian_diff_norm(self) -> float:
-        return self._difference_norm(self.laplacian, self.laplacian_hat)
+    def laplacian_diff_norm(self) -> tuple[float, float]:
+        return self._difference_norm("laplacian_diff_norm", self.laplacian, self.laplacian_hat)
 
     @cached_property
-    def adjacency_diff_norm(self) -> float:
-        return self._difference_norm(self.base.edges, self.hat.edges, offdiag=True)
+    def adjacency_diff_norm(self) -> tuple[float, float]:
+        return self._difference_norm("adjacency_diff_norm", self.base.edges, self.hat.edges,
+                                     offdiag=True)
 
 
 @dataclass(frozen=True)
@@ -479,12 +612,13 @@ class WeylCheck:
 
 
 def weyl_check(a, b=None) -> WeylCheck:
-    """max_i |alpha_i - beta_i| against ||A - B||_2, sorted eigenvalues."""
+    """max_i |alpha_i - beta_i| against ||A - B||_2, sorted eigenvalues; the
+    norm is its low estimate (`PairSpectra._difference_norm`)."""
     spectra = a if isinstance(a, PairSpectra) else PairSpectra(matrix=a, matrix_hat=b)
     _require_same_shape(spectra.matrix, spectra.matrix_hat)
     alphas, betas = spectra.matrix_values
     deviation = float(np.abs(alphas - betas).max())
-    norm = spectra.matrix_diff_norm
+    norm = spectra.matrix_diff_norm[0]
     return WeylCheck(deviation, norm, deviation <= norm + 1e-9 * (1.0 + norm))
 
 
@@ -496,11 +630,12 @@ class NormComparison:
 
 
 def adjacency_norm_check(g, h=None) -> NormComparison:
-    """||A_G - A_H|| against sqrt(n) * ||L_G - L_H|| for two graphs."""
+    """||A_G - A_H|| against sqrt(n) * ||L_G - L_H|| for two graphs: the high
+    estimate of the first norm against the low one of the second."""
     spectra = PairSpectra.of(g, h)
     _require_same_shape(spectra.laplacian, spectra.laplacian_hat)
-    lhs = spectra.adjacency_diff_norm
-    rhs = math.sqrt(np.shape(spectra.laplacian)[0]) * spectra.laplacian_diff_norm
+    lhs = spectra.adjacency_diff_norm[1]
+    rhs = math.sqrt(np.shape(spectra.laplacian)[0]) * spectra.laplacian_diff_norm[0]
     return NormComparison(lhs, rhs, lhs <= rhs + 1e-9 * (1.0 + rhs))
 
 
@@ -518,7 +653,7 @@ class SparsifierNormCheck:
 def sparsifier_norm_check(
     laplacian, laplacian_hat=None, epsilon=None, *, sparsifier_ok: bool = True
 ) -> SparsifierNormCheck:
-    """||L - L_hat|| against eps * rho(L).
+    """||L - L_hat|| (its high estimate) against eps * rho(L).
 
     The bound is implied by the sparsifier inequality; when the caller
     knows that inequality did not hold (sparsifier_ok=False), a violation
@@ -527,7 +662,7 @@ def sparsifier_norm_check(
     _require_epsilon(epsilon)
     spectra = PairSpectra.of(laplacian, laplacian_hat)
     _require_same_shape(spectra.laplacian, spectra.laplacian_hat)
-    norm_diff = spectra.laplacian_diff_norm
+    norm_diff = spectra.laplacian_diff_norm[1]
     bound = epsilon * spectra.laplacian_norm
     if norm_diff <= bound * (1.0 + 1e-9):
         status = "pass"
@@ -672,7 +807,8 @@ def spectral_report(
 
     Pairs eigenvalues by descending index, checks every deviation against
     eps * sqrt(n) * rho(L) + (delta_max - delta_min)/2, evaluates the
-    per-index angle bounds with r_norm = ||M - M_hat||, and reports the
+    per-index angle bounds with r_norm = ||M - M_hat|| (its low estimate,
+    the stricter bound), and reports the
     inertia of both spectra. `dk_bounds_swapped` carries the angle bounds
     with the roles of the two spectra exchanged, as a diagnostic.
     """
@@ -684,7 +820,7 @@ def spectral_report(
     sys_a, sys_b = spectra.systems
     deviations = np.abs(sys_a.values - sys_b.values)
     bound = eigenvalue_deviation_bound(spectra, epsilon)
-    r_norm = spectra.matrix_diff_norm
+    r_norm = spectra.matrix_diff_norm[0]
 
     angles = davis_kahan(sys_a, sys_b, r_norm, gap_tol)
     # The bounds of davis_kahan(sys_b, sys_a): gaps only, no angles.

@@ -329,6 +329,20 @@ def test_invalid_parameter_exits_one_with_one_error_line(argv, capsys):
         err.splitlines()[-1]]
 
 
+@pytest.mark.parametrize("epsilon", ["1e-5", "1e-10"])
+def test_sample_budget_beyond_memory_exits_one(epsilon, capsys):
+    """q = 7.2e11 uniforms (5.8 TB), and q = 7.2e21, past numpy's largest
+    array: a typed error naming q and the bytes, before anything is drawn."""
+    from odnsparse.sparsify import sample_count
+
+    q = sample_count(5, float(epsilon), 9.0)
+    code, out, err = run(["sparsify", "--gen", "complete:n=5", "--epsilon", epsilon], capsys)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert f"error: the sample budget q={q} needs {8 * q} bytes" in err
+
+
 class TestCommonFlags:
     @pytest.fixture
     def pair_paths(self, k5_path, tmp_path, capsys):
@@ -360,6 +374,27 @@ class TestCommonFlags:
         assert 1.0 < peak < 1e6  # MB, not KiB or bytes
         lines = [line for line in err.splitlines() if line.startswith("memory: ")]
         assert lines == [f"memory: peak RSS {peak:.1f} MB"]
+
+    @pytest.mark.parametrize("command,paths", [
+        ("sparsify", ["pencil arpack", "matrix_diff_norm dense"]),
+        ("verify", ["pencil arpack", "laplacian_diff_norm dense", "adjacency_diff_norm dense",
+                    "matrix_diff_norm dense"]),
+        ("pca-demo", ["pencil arpack"]),
+        ("bounds", []),
+    ])
+    def test_verbose_names_blas_pools_and_solver_paths(self, command, paths, pair_paths,
+                                                       tmp_path, capsys):
+        """-v prints each bundled OpenBLAS pool with its thread count, and the
+        solver of the pencil's extremes and of each difference norm."""
+        from odnsparse.spectra import _blas_pools
+
+        code, _, err = run(self._argv(command, pair_paths, tmp_path) + ["-v"], capsys)
+        assert code == 0
+        lines = err.splitlines()
+        assert [line for line in lines if line.startswith("blas: ")] == [
+            f"blas: {owner}: {library}, {threads} threads"
+            for owner, library, threads in _blas_pools()]
+        assert [line[6:] for line in lines if line.startswith("path: ")] == paths
 
     @pytest.mark.parametrize("command", ["verify", "bounds"])
     def test_seed_is_only_recorded(self, command, pair_paths, tmp_path, capsys):

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from odnsparse import (
     DenseLimitExceededError,
@@ -38,40 +39,43 @@ SEED = 7
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Counts calls of the dense eigensolvers numpy.linalg.eigh / eigvalsh."""
-    counts = {"eigh": 0, "eigvalsh": 0}
-    for name in counts:
-        def counting(*args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+    """Counts calls of the dense eigensolvers numpy.linalg.eigh / eigvalsh and
+    of ARPACK's eigsh, as `spectra` calls it."""
+    counts = {"eigh": 0, "eigvalsh": 0, "eigsh": 0}
+    for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                        (spectra_module, "eigsh")):
+        def counting(*args, _name=name, _solve=getattr(owner, name), **kwargs):
             counts[_name] += 1
             return _solve(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     return counts
 
 
 def test_sparsify_solves_each_matrix_once(solves, tmp_path, capsys):
-    # eigh: L, M, M_hat; eigvalsh: the pencil (L_hat, L), M - M_hat.
+    # eigh: L, M, M_hat; eigsh: the pencil (L_hat, L), M - M_hat (a sparse pair).
     code = main(["sparsify", "--gen", "grid:rows=5,cols=5,diag=uniform(0,1)",
                  "--seed", str(SEED), "--out-report", str(tmp_path / "r.json")])
     assert code == 0
-    assert solves == {"eigh": 3, "eigvalsh": 2}
+    assert solves == {"eigh": 3, "eigvalsh": 0, "eigsh": 2}
 
 
 def test_verify_solves_each_matrix_once(solves, tmp_path, capsys):
     a, b = tmp_path / "a.mtx", tmp_path / "b.mtx"
     write_matrix_market(generate_odn("complete", 20, seed=3, diag=("uniform", 0, 1)), a)
     assert main(["sparsify", "--input", str(a), "--out-matrix", str(b)]) == 0
-    solves.update(eigh=0, eigvalsh=0)
-    # eigh: L, M, M_hat; eigvalsh: the pencil, L - L_hat, A - A_hat, M - M_hat.
+    solves.update(eigh=0, eigvalsh=0, eigsh=0)
+    # eigh: L, M, M_hat; eigsh: the pencil; eigvalsh: L - L_hat, A - A_hat,
+    # M - M_hat (a dense pair).
     assert main(["verify", str(a), str(b), "--out-report", str(tmp_path / "r.json")]) == 0
-    assert solves == {"eigh": 3, "eigvalsh": 4}
+    assert solves == {"eigh": 3, "eigvalsh": 3, "eigsh": 1}
 
 
 def test_pca_solves_each_matrix_once(solves):
     matrix = generate_odn("equicorrelation", 15, correlation=0.4)
-    # eigh: L, M; eigvalsh: the pencil. M_hat is solved by Lanczos.
+    # eigh: L, M; eigsh: the pencil, and M_hat by Lanczos.
     assert pca_compare(matrix, EPS, 3, seed=SEED).passed
-    assert solves == {"eigh": 2, "eigvalsh": 1}
+    assert solves == {"eigh": 2, "eigvalsh": 0, "eigsh": 2}
 
 
 def _connected():
@@ -150,7 +154,7 @@ def test_verify_above_dense_limit_exits_one_without_solving(solves, tmp_path, ca
     write_matrix_market(generate_odn("complete", 60, seed=2, diag=("uniform", 0, 1)), a)
     assert main(["sparsify", "--input", str(a), "--out-matrix", str(b)]) == 0
     capsys.readouterr()
-    solves.update(eigh=0, eigvalsh=0)
+    solves.update(eigh=0, eigvalsh=0, eigsh=0)
     norm_solves = []
 
     def counting(*args, _norm=spectra_module.spectral_norm, **kwargs):
@@ -159,7 +163,7 @@ def test_verify_above_dense_limit_exits_one_without_solving(solves, tmp_path, ca
 
     monkeypatch.setattr(spectra_module, "spectral_norm", counting)
     assert main(["verify", str(a), str(b), "--dense-limit", "10"]) == 1
-    assert solves == {"eigh": 0, "eigvalsh": 0}
+    assert solves == {"eigh": 0, "eigvalsh": 0, "eigsh": 0}
     assert norm_solves == []
     err = capsys.readouterr().err
     assert "n=60 exceeds the dense limit 10" in err
@@ -202,17 +206,18 @@ def _assert_norms_match_dense(spectra, norms):
 def test_pair_above_dense_limit_solves_nothing_dense(solves):
     spectra = _grid_pair(0)
     n = spectra.base.n
-    solves.update(eigh=0, eigvalsh=0)
+    solves.update(eigh=0, eigvalsh=0, eigsh=0)
     for role in DENSE_ONLY_ROLES:
         with pytest.raises(DenseLimitExceededError):
             getattr(spectra, role)
-    assert solves == {"eigh": 0, "eigvalsh": 0}
+    assert solves == {"eigh": 0, "eigvalsh": 0, "eigsh": 0}
 
     tracemalloc.start()
     norms = _pair_norms(spectra)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert solves == {"eigh": 0, "eigvalsh": 0}
+    # One ARPACK solve per norm: rho(L) and the three differences.
+    assert solves == {"eigh": 0, "eigvalsh": 0, "eigsh": 4}
     assert peak < n * n * 8
     _assert_norms_match_dense(spectra, norms)
 
@@ -253,7 +258,8 @@ def test_pca_corr_sized_input_runs_arpack_on_dense_operand(arpack_operands):
     comparison = pca_compare(_factor_correlation(), EPS, 50, seed=1)
     assert comparison.passed
     assert comparison.nnz_after >= 2 / 3 * comparison.n**2
-    assert arpack_operands == [np.ndarray]
+    # The pencil's reduced matrix, then M_hat.
+    assert arpack_operands == [np.ndarray, np.ndarray]
 
 
 @pytest.mark.parametrize("make", [
@@ -332,7 +338,10 @@ def test_pencil_matches_dense_reduction(matrix):
     spectra.hat = sparsify_laplacian(spectra, EPS, SEED)
     expected = dense_pencil(decomp.laplacian, spectra.laplacian_hat)
     gen, leak = spectra.pencil
-    np.testing.assert_allclose(gen[[0, -1]], expected[[0, -1]], rtol=1e-13, atol=0)
+    # ARPACK's extremes, widened outward: they bracket the dense ones, closely.
+    assert spectra.paths["pencil"] == "arpack"
+    assert gen[0] <= expected[0] and expected[-1] <= gen[1]
+    assert max(expected[0] - gen[0], gen[1] - expected[-1]) <= 1e-12 * abs(expected).max()
     assert leak <= 1e-8 * spectra.laplacian_norm
     # Random quadratic forms off L's kernel never leave the pencil's extremes.
     labels = decomp.components[1]
@@ -497,10 +506,14 @@ def test_pca_solves_run_without_held_laplacians(matrix, monkeypatch):
     assert held == ["solve", "solve"]
 
 
-# The norms as the sparse difference of the sides' CSR forms computed them.
-def _sparse_difference_norms(base, hat, m, m_hat):
+# The norms as the sparse difference of the sides' CSR forms computes them:
+# by ARPACK (`_arpack_norm`) on the "arpack" path, else by a dense solve.
+def _sparse_difference_norms(base, hat, m, m_hat, path):
     def norm(x, y):
-        return spectra_module.spectral_norm(spectra_module._sparse(x) - spectra_module._sparse(y))
+        diff = spectra_module._sparse(x) - spectra_module._sparse(y)
+        if path == "arpack":
+            return spectra_module._arpack_norm(diff)
+        return (spectra_module.spectral_norm(diff),) * 2
 
     return {
         "matrix_diff_norm": norm(m, m_hat),
@@ -517,25 +530,71 @@ def _negative_zero_diagonal():
     return OdnMatrix(30, k.rows, k.cols, k.vals, diag)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: generate_odn("complete", 60, seed=4, diag=("uniform", 0, 1)),
-    lambda: generate_odn("erdos-renyi", 120, density=0.02, seed=5),
-    complete_with_isolated_vertex,
-    _disconnected,
-    _negative_zero_diagonal,
+# Each input with the path of all three norms: "dense" where a side stores at
+# least 2/3 of n^2 entries (the complete graphs), else "arpack".
+@pytest.mark.parametrize("make,path", [
+    (lambda: generate_odn("complete", 60, seed=4, diag=("uniform", 0, 1)), "dense"),
+    (lambda: generate_odn("erdos-renyi", 120, density=0.02, seed=5), "arpack"),
+    (complete_with_isolated_vertex, "dense"),
+    (_disconnected, "arpack"),
+    (_negative_zero_diagonal, "dense"),
 ], ids=["connected", "disconnected", "isolated-vertex", "small-disconnected",
         "negative-zero-diagonal"])
 @pytest.mark.parametrize("hat_kind", ["decomposition", "sparsifier"])
-def test_difference_norms_are_bit_identical_to_sparse_differences(make, hat_kind):
+def test_difference_norms_are_bit_identical_to_sparse_differences(make, path, hat_kind):
     matrix = make()
     decomp = decompose(matrix)
     result = sparsify_laplacian(decomp, EPS, SEED)
     m_hat = result.matrix(decomp.center)
     hat = decompose(m_hat) if hat_kind == "decomposition" else result
     spectra = PairSpectra(decomp, hat, matrix_hat=m_hat)
-    got = {name: getattr(spectra, name) for name in
-           ("matrix_diff_norm", "laplacian_diff_norm", "adjacency_diff_norm")}
-    assert got == _sparse_difference_norms(decompose(matrix), hat, matrix, m_hat)
+    names = ("matrix_diff_norm", "laplacian_diff_norm", "adjacency_diff_norm")
+    got = {name: getattr(spectra, name) for name in names}
+    assert spectra.paths == dict.fromkeys(names, path)
+    assert got == _sparse_difference_norms(decompose(matrix), hat, matrix, m_hat, path)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_odn("grid", rows=12, cols=15, seed=1, diag=("uniform", 0, 1)),
+    lambda: generate_odn("erdos-renyi", 120, density=0.02, seed=5),
+    lambda: random_odn(np.random.default_rng(5), 300, density=0.3),
+    _disconnected,
+], ids=["grid", "erdos-renyi-disconnected", "random-0.3", "small-disconnected"])
+def test_sparse_difference_norms_bracket_the_dense_norm(make):
+    """Within the dense limit, a sparse pair's difference norms come from
+    ARPACK: the Ritz value (low) and Ritz value plus residual (high), each
+    with the rounding allowance, hold max |eigvalsh| of the dense difference."""
+    matrix = make()
+    decomp = decompose(matrix)
+    result = sparsify_laplacian(decomp, EPS, SEED)
+    m_hat = result.matrix(decomp.center)
+    spectra = PairSpectra(decomp, result, matrix_hat=m_hat)
+    dense = {
+        "matrix_diff_norm": matrix.to_dense() - m_hat.to_dense(),
+        "laplacian_diff_norm": decomp.laplacian_dense() - result.laplacian_dense(),
+        "adjacency_diff_norm": (decomp.adjacency - result.adjacency).toarray(),
+    }
+    for name, difference in dense.items():
+        low, high = getattr(spectra, name)
+        exact = float(np.abs(np.linalg.eigvalsh(difference)).max())
+        assert spectra.paths[name] == "arpack", name
+        assert low <= exact <= high, name
+        assert high - low <= 1e-12 * exact, name
+
+
+def test_difference_norm_falls_back_to_dense_without_convergence(monkeypatch):
+    matrix = generate_odn("erdos-renyi", 120, density=0.02, seed=5)
+    decomp = decompose(matrix)
+    m_hat = sparsify_laplacian(decomp, EPS, SEED).matrix(decomp.center)
+
+    def not_converged(operand, *args, **kwargs):
+        raise ArpackNoConvergence("0 of 1", np.zeros(0), np.zeros((operand.shape[0], 0)))
+
+    monkeypatch.setattr(spectra_module, "eigsh", not_converged)
+    spectra = PairSpectra(matrix=matrix, matrix_hat=m_hat)
+    exact = float(np.abs(np.linalg.eigvalsh(matrix.to_dense() - m_hat.to_dense())).max())
+    assert spectra.matrix_diff_norm == (exact, exact)
+    assert spectra.paths == {"matrix_diff_norm": "dense"}
 
 
 def test_verify_pipeline_memory():

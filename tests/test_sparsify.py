@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 from odnsparse import (
     DenseLimitExceededError,
@@ -221,6 +222,20 @@ class TestSparsify:
     def test_budget_not_finite_raises(self, epsilon, constant):
         with pytest.raises(OdnError, match="not finite"):
             sample_count(5, epsilon, constant)
+
+    def test_budget_past_numpy_largest_array_raises(self, monkeypatch):
+        """Without sysconf's memory size, the allocation itself is tried: past
+        numpy's largest array (q = 7.2e21) it fails, and the error is typed."""
+        from odnsparse import sparsify as sparsify_module
+
+        def no_sysconf(name):
+            raise ValueError(name)
+
+        monkeypatch.setattr(sparsify_module.os, "sysconf", no_sysconf)
+        d = decompose(generate_odn("complete", 5, weight=1.0))
+        q = sample_count(5, 1e-10, 9.0)
+        with pytest.raises(OdnError, match=f"q={q} needs {8 * q} bytes"):
+            sparsify_laplacian(d, 1e-10, seed=0)
 
     def test_epsilon_regime_flag(self):
         d = decompose(generate_odn("complete", 4, weight=1.0))
@@ -560,9 +575,77 @@ class TestExactVerdict:
 
     @pytest.mark.parametrize("make", EXACT_VERDICT_INPUTS, ids=EXACT_VERDICT_IDS)
     @pytest.mark.parametrize("raw", [False, True], ids=["decomposition", "laplacian"])
-    def test_in_place_scaling_is_bit_identical(self, make, raw):
+    def test_widened_extremes_bracket_dense_pencil(self, make, raw):
+        """ARPACK's extremes, each widened by its Ritz residual and the rounding
+        allowance, hold the dense pencil's extremes, within 1e-12 of scale."""
+        d = decompose(make())
+        res = sparsify_laplacian(d, 0.3, seed=3)
+        pair = PairSpectra(d.laplacian, res.laplacian) if raw else PairSpectra(d, res)
+        rec = verify_sparsifier(pair, epsilon=0.3)
+        assert pair.paths["pencil"] == "arpack"
+        expected = dense_pencil(d.laplacian, res.laplacian)
+        assert rec.gen_min <= expected[0] and expected[-1] <= rec.gen_max
+        widening = max(expected[0] - rec.gen_min, rec.gen_max - expected[-1])
+        assert widening <= 1e-12 * np.abs(expected).max()
+
+    def test_small_pencil_is_solved_dense(self):
+        """A reduced pencil below 3 rows, here a path on 3 vertices (rank 2),
+        is too small for ARPACK's two extremes: eigvalsh solves it."""
+        d = decompose(generate_odn("path", 3, seed=1))
+        pair = PairSpectra(d, sparsify_laplacian(d, 0.3, seed=3))
+        rec = verify_sparsifier(pair, epsilon=0.3)
+        assert pair.paths["pencil"] == "dense"
+        expected = dense_pencil(d.laplacian, pair.hat.laplacian)
+        np.testing.assert_allclose([rec.gen_min, rec.gen_max], expected[[0, -1]],
+                                   rtol=1e-13)
+
+    def test_pencil_falls_back_to_dense_without_convergence(self, monkeypatch):
+        """When ARPACK does not converge, the pencil's extremes are those of the
+        dense solve of the same reduced matrix."""
+        d = decompose(generate_odn("complete", 60, seed=4, diag=("uniform", 0, 1)))
+        res = sparsify_laplacian(d, 0.3, seed=3)
+        reduced = []
+
+        def not_converged(operand, *args, **kwargs):
+            reduced.append(operand.copy())
+            raise ArpackNoConvergence("0 of 2", np.zeros(0), np.zeros((len(operand), 0)))
+
+        monkeypatch.setattr(spectra, "eigsh", not_converged)
+        pair = PairSpectra(d, res)
+        rec = verify_sparsifier(pair, epsilon=0.3)
+        assert pair.paths["pencil"] == "dense"
+        values = np.linalg.eigvalsh(reduced[0])
+        assert (rec.gen_min, rec.gen_max) == (values[0], values[-1])
+
+    def test_pencil_restarts_are_capped(self, monkeypatch):
+        """A path on 50 vertices has a double lowest pencil eigenvalue, on which
+        ARPACK did not converge in its default 10 n restarts (8354 products):
+        it gets _PENCIL_RESTARTS restarts of ncv - k = 18 products after its
+        first 20, and whichever solve decides, the extremes are the pencil's."""
+        d = decompose(generate_odn("path", 50))
+        res = sparsify_laplacian(d, 0.25, seed=0)
+        products = []
+
+        def counting(operand, *args, _eigsh=spectra.eigsh, **kwargs):
+            def matvec(x):
+                products.append(1)
+                return operand @ x
+
+            return _eigsh(LinearOperator(operand.shape, matvec=matvec, dtype=np.float64),
+                          *args, **kwargs)
+
+        monkeypatch.setattr(spectra, "eigsh", counting)
+        rec = verify_sparsifier(PairSpectra(d, res), epsilon=0.25)
+        assert 0 < len(products) <= 20 + 18 * spectra._PENCIL_RESTARTS
+        expected = dense_pencil(d.laplacian, res.laplacian)
+        np.testing.assert_allclose([rec.gen_min, rec.gen_max], expected[[0, -1]],
+                                   rtol=1e-13)
+
+    @pytest.mark.parametrize("make", EXACT_VERDICT_INPUTS, ids=EXACT_VERDICT_IDS)
+    @pytest.mark.parametrize("raw", [False, True], ids=["decomposition", "laplacian"])
+    def test_in_place_scaling_is_bit_identical(self, make, raw, monkeypatch):
         """The pencil scaled in row blocks, with V and L_hat V freed before the
-        solve, gives the eigenvalues of (V' L_hat V) * outer(s, s) exactly."""
+        solve, hands ARPACK exactly (V' L_hat V) * outer(s, s)."""
         d = decompose(make())
         res = sparsify_laplacian(d, 0.3, seed=3)
         def make_pair():
@@ -573,7 +656,14 @@ class TestExactVerdict:
         split = int(np.searchsorted(mu, PINV_CUTOFF * max(float(mu[-1]), 0.0), "right"))
         hat_vecs = former._cheaper_form(former.laplacian_hat, spectra._DENSE_PRODUCT_SHARE) @ vecs
         s = 1.0 / np.sqrt(mu[split:])
-        expected = np.linalg.eigvalsh((vecs[:, split:].T @ hat_vecs[:, split:]) * np.outer(s, s))
-        gen = pair.pencil[0]
-        assert np.array_equal(gen[[0, -1]], expected[[0, -1]])
-        assert np.array_equal(gen, expected)
+        expected = (vecs[:, split:].T @ hat_vecs[:, split:]) * np.outer(s, s)
+        solved = []
+
+        def recording(operand, *args, _eigsh=spectra.eigsh, **kwargs):
+            solved.append(operand.copy())
+            return _eigsh(operand, *args, **kwargs)
+
+        monkeypatch.setattr(spectra, "eigsh", recording)
+        pair.pencil
+        assert pair.paths["pencil"] == "arpack"
+        assert len(solved) == 1 and np.array_equal(solved[0], expected)

@@ -1,9 +1,10 @@
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 from odnsparse import (
     DimensionMismatchError,
@@ -146,6 +147,83 @@ class TestSpectralNorm:
         # ARPACK fails on an operand with no nonzero entry and on n = 1.
         assert spectral_norm(sp.csr_matrix((50, 50)), dense_limit=10) == 0.0
         assert spectral_norm(np.array([[-2.0]]), dense_limit=0) == 2.0
+
+
+@pytest.fixture
+def scipy_pool():
+    """(get, set) of scipy's bundled OpenBLAS pool, set to 2 threads for the
+    test and put back afterwards; skipped where scipy has no such pool."""
+    if spectra_module._ARPACK_BLAS is None:
+        pytest.skip("scipy has no bundled OpenBLAS to hold")
+    get_threads, set_threads, _ = spectra_module._ARPACK_BLAS
+    prior = get_threads()
+    set_threads(2)
+    yield get_threads, set_threads
+    set_threads(prior)
+
+
+def _thread_reading_operator(get_threads, seen, fail=False):
+    """A 20 x 20 diagonal LinearOperator whose matvec records the pool's
+    thread count, and with `fail` raises ArpackNoConvergence from inside."""
+    diagonal = np.arange(1.0, 21.0)
+
+    def matvec(x):
+        seen.append(get_threads())
+        if fail:
+            raise ArpackNoConvergence("gave up", np.zeros(0), np.zeros((20, 0)))
+        return diagonal * np.ravel(x)
+
+    return LinearOperator((20, 20), matvec=matvec, dtype=np.float64)
+
+
+class TestArpackThreads:
+    """`_arpack` holds scipy's OpenBLAS to one thread during ARPACK only."""
+
+    def test_one_thread_inside_prior_count_after(self, scipy_pool):
+        get_threads, _ = scipy_pool
+        seen = []
+        values, _ = spectra_module._arpack(_thread_reading_operator(get_threads, seen),
+                                           k=2, which="LA")
+        np.testing.assert_allclose(np.sort(values), [19.0, 20.0], rtol=1e-12)
+        assert seen and set(seen) == {1}
+        assert get_threads() == 2
+
+    def test_prior_count_restored_after_no_convergence(self, scipy_pool):
+        get_threads, _ = scipy_pool
+        seen = []
+        with pytest.raises(ArpackNoConvergence):
+            spectra_module._arpack(_thread_reading_operator(get_threads, seen, fail=True),
+                                   k=2, which="LA")
+        assert seen == [1]
+        assert get_threads() == 2
+
+    def test_no_op_without_the_symbols(self, scipy_pool, monkeypatch):
+        get_threads, _ = scipy_pool
+        monkeypatch.setattr(spectra_module, "_ARPACK_BLAS", None)
+        seen = []
+        spectra_module._arpack(_thread_reading_operator(get_threads, seen), k=2, which="LA")
+        assert seen and set(seen) == {2}
+        assert get_threads() == 2
+
+    def test_threads_restore_the_prior_count(self, scipy_pool):
+        """Concurrent calls from more threads than cores leave the pool at the
+        count found before the first one."""
+        get_threads, _ = scipy_pool
+        matrix = sp.diags(np.arange(1.0, 41.0)).tocsr()
+        workers = [threading.Thread(target=lambda: [
+            spectra_module._arpack(matrix, k=2, which="LA") for _ in range(5)])
+            for _ in range(6)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in workers)
+        assert get_threads() == 2
+
+    def test_missing_symbols_find_no_pool(self):
+        # A suffix that no bundled OpenBLAS uses, and a module that does not exist.
+        assert spectra_module._openblas("numpy._core._multiarray_umath", "_no_such") is None
+        assert spectra_module._openblas("odnsparse.no_such_module") is None
 
 
 class TestWeyl:
