@@ -22,7 +22,7 @@ from .spectra import (
     WeylCheck,
 )
 
-SCHEMA_VERSION = "3.1"
+SCHEMA_VERSION = "4.0"
 
 
 def verification_to_dict(v: VerificationRecord) -> dict:
@@ -60,6 +60,7 @@ def spectral_to_dict(r: SpectralReport) -> dict:
         "nnz_after": r.nnz_after,
         "eigenvalue_bound_passed": r.eigenvalue_bound_passed,
         "angles_passed": r.angles_passed,
+        "vacuous_angles": r.vacuous_angles,
         "inertia": vars(r.inertia).copy(),
         "inertia_hat": vars(r.inertia_hat).copy(),
         "inertia_match": r.inertia_match,
@@ -159,15 +160,15 @@ def write_spectral_csv(r: SpectralReport, path) -> None:
             ["i", "lambda", "lambda_hat", "deviation", "sin_theta", "dk_bound"]
         )
         for i in range(r.n):
-            bound = r.angles[i].bound
+            angle = r.angles[i]
             writer.writerow(
                 [
                     i + 1,
                     repr(float(r.values[i])),
                     repr(float(r.values_hat[i])),
                     repr(float(r.deviations[i])),
-                    repr(r.angles[i].sin_theta),
-                    "undefined" if bound is None else repr(bound),
+                    "" if angle.sin_theta is None else repr(angle.sin_theta),
+                    "undefined" if angle.bound is None else repr(angle.bound),
                 ]
             )
 

@@ -25,6 +25,13 @@ Every ARPACK call runs with scipy's bundled OpenBLAS on one thread
 workers, left spinning after ARPACK's BLAS calls, would take the cores
 from numpy's next dense solve.
 
+The spectra of M and M_hat are solved for their values only
+(`PairSpectra.matrix_values`, one `eigvalsh` per side): the deviations,
+Weyl, the inertia and every Davis-Kahan bound r_norm / gap read them. An
+eigenvector is solved only for an index whose bound is below 1, where the
+angle check can fail (`spectral_report`); elsewhere the check passes
+vacuously and its angle is left unsolved.
+
 The pair holds each Laplacian in one form, read by every role: a dense
 array filled from the graph's coordinates when the graph is dense and
 within the limit, else the graph's CSR Laplacian. The difference norms
@@ -35,6 +42,8 @@ floats there (the two Laplacians and the reduced matrix, which ARPACK
 multiplies by without a copy), not 8. A command drops the held Laplacians
 (`release_laplacians`) once its last Laplacian check is done, before the
 eigensolves of M and M_hat, and hands the freed pages back to the system.
+The spectral stage holds no n x n eigenvector array unless the angle
+check needs a dense fallback.
 """
 
 from __future__ import annotations
@@ -77,6 +86,16 @@ _DENSE_PRODUCT_SHARE = 1 / 8
 # 45 vs 52, 65 vs 51, 94 vs 49 ms; n = 2000, 602 vs 1312, 2142 vs 1299,
 # 3758 vs 1166 ms. The block-product share would slow the 12-25 % band.
 _DENSE_ARPACK_SHARE = 2 / 3
+# The angle check's eigenvectors of M and M_hat come from ARPACK's top k
+# (which implies k < n - 1) when k <= n / 40, else from a dense `eigh` of
+# the side. Top-k `eigsh` on the operand ARPACK gets against `eigh`, 2 BLAS
+# threads, complete graphs (dense operands): n = 100, k = 1 1.2 vs 1.7 ms,
+# k = 2 5.3 ms; n = 400, k = 10 22 vs 23 ms, k = 20 27 ms; n = 900, k = 20
+# 72 vs 104 ms, k = 50 118 ms; n = 2000, k = 50 0.64 vs 1.22 s, k = 100
+# 1.39 s. Grid 30 x 30 (CSR): k = 20 20 vs 138 ms, k = 100 160 ms. k = 1,
+# the Perron vector and the one index live on the bench inputs, is 2.5 ms
+# at n = 400 and 22 ms at n = 2000.
+_ARPACK_VECTOR_SHARE = 1 / 40
 # Rows of the pencil's reduced matrix scaled per step: the scale factors of a
 # block take _PENCIL_ROWS x n x 8 B, 4.2 MB at n = 4096.
 _PENCIL_ROWS = 128
@@ -124,9 +143,9 @@ def _openblas(module: str, suffix: str = ""):
 # After a BLAS call from ARPACK, scipy's idle workers spin for OpenBLAS's
 # thread timeout and take the cores from numpy's next dense solve: on 2 cores,
 # `sparsify` of a 30 x 30 grid with ARPACK's pool left at 2 threads spent
-# 0.37 s, not 0.30 s, in `PairSpectra.systems`, and the job was no faster than
-# with dense solves only. ARPACK's own BLAS works on single vectors, so
-# `_arpack` holds this pool to one thread for the call.
+# 0.37 s, not 0.30 s, in the dense eigensolves of M and M_hat, and the job was
+# no faster than with dense solves only. ARPACK's own BLAS works on single
+# vectors, so `_arpack` holds this pool to one thread for the call.
 # The pool's thread count is process-wide: calls from several threads take
 # _ARPACK_HOLD in turn, so that each puts back the count it found.
 _ARPACK_BLAS = _openblas("scipy.sparse.linalg._eigen.arpack._arpacklib")
@@ -370,8 +389,9 @@ class PairSpectra:
     decomposition already solved, else runs the cheaper values-only solve.
     `laplacian` and `laplacian_hat` are each side's Laplacian in the one form
     every role reads (`_held_form`); setting `hat` drops the form held for the
-    previous one. `paths` records, for the pencil and each difference norm
-    solved, whether its values came from a "dense" solve or from "arpack".
+    previous one. `paths` records, for the pencil, each difference norm and
+    each side's eigenvectors solved, whether they came from a "dense" solve or
+    from "arpack".
 
     No role densifies an operand larger than `dense_limit` (see the module
     docstring for what runs above it).
@@ -576,18 +596,29 @@ class PairSpectra:
         return float(np.abs(values).max()) if values.size else 0.0
 
     @cached_property
-    def systems(self) -> tuple[EigenSystem, EigenSystem]:
-        """Eigenpairs of M and of M_hat."""
-        sides = (self.matrix, self.matrix_hat)
-        return tuple(eigen_decompose(self._densify(x)) for x in sides)
-
-    @cached_property
     def matrix_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues of M and of M_hat."""
-        if "systems" in self.__dict__:
-            return tuple(system.values[::-1] for system in self.systems)
+        """Ascending eigenvalues of M and of M_hat: the only dense solve of
+        either."""
         sides = (self.matrix, self.matrix_hat)
         return tuple(np.linalg.eigvalsh(self._densify(x)) for x in sides)
+
+    def top_systems(self, k: int) -> tuple[EigenSystem, EigenSystem]:
+        """The top-k eigenpairs of M and of M_hat. Each side runs ARPACK on its
+        cheaper form (`eigsh_operand`) when k <= n / 40 (_ARPACK_VECTOR_SHARE),
+        else, or when ARPACK does not converge, a dense `eigh` of the side cut
+        to k. `paths` records which, as "matrix_vectors" and
+        "matrix_hat_vectors"."""
+        systems = []
+        for role, x in (("matrix_vectors", self.matrix),
+                        ("matrix_hat_vectors", self.matrix_hat)):
+            system = None
+            if k <= _ARPACK_VECTOR_SHARE * x.n:
+                system = eigen_decompose(self.eigsh_operand(x), k, method="iterative")
+            if system is None or not system.converged:
+                system = eigen_decompose(self._densify(x), k)
+            self.paths[role] = "arpack" if system.method == "iterative" else "dense"
+            systems.append(system)
+        return tuple(systems)
 
     # The difference norms, each as (low, high) estimates (`_difference_norm`).
     @cached_property
@@ -679,11 +710,12 @@ class AngleBound:
 
     `bound` is None when the relevant eigenvalue gap falls below the gap
     tolerance ("undefined"); bounds at or above 1 are vacuous. Both cases
-    count as passed.
+    count as passed, and `spectral_report` leaves their `sin_theta` None
+    (not solved).
     """
 
     index: int
-    sin_theta: float
+    sin_theta: float | None
     bound: float | None
     passed: bool
 
@@ -701,6 +733,25 @@ def _gap_bounds(alphas, betas, r_norm: float, gap_tol: float | None):
         return gap, r_norm / gap, gap_tol
 
 
+def _sin_theta(a_vecs: np.ndarray, b_vecs: np.ndarray) -> np.ndarray:
+    """sin of the angle between each column pair, capped at 1. ||b - (a.b) a||
+    equals sqrt(1 - (a.b)^2) for unit vectors but has no cancellation noise
+    floor near zero angle."""
+    inner = np.einsum("ij,ij->j", a_vecs, b_vecs)
+    return np.minimum(1.0, np.linalg.norm(b_vecs - a_vecs * inner, axis=0))
+
+
+def _angle_bounds(gap, bound, gap_tol: float, sin_theta) -> list[AngleBound]:
+    """One AngleBound per index from `_gap_bounds` and the angles, None where
+    an angle was not solved: undefined below the gap tolerance, vacuous from
+    bound 1, else passed when sin_theta <= bound + 1e-9."""
+    return [
+        AngleBound(i, s, None, True) if not gap[i] > gap_tol
+        else AngleBound(i, s, float(bound[i]), bool(bound[i] >= 1.0 or s <= bound[i] + 1e-9))
+        for i, s in enumerate(sin_theta)
+    ]
+
+
 def davis_kahan(
     a_sys: EigenSystem,
     b_sys: EigenSystem,
@@ -715,18 +766,8 @@ def davis_kahan(
     if a_sys.n != b_sys.n or a_sys.k != b_sys.k:
         raise DimensionMismatchError((a_sys.n, a_sys.k), (b_sys.n, b_sys.k))
     gap, bound, gap_tol = _gap_bounds(a_sys.values, b_sys.values, r_norm, gap_tol)
-
-    a_vecs, b_vecs = a_sys.vectors, b_sys.vectors
-    # ||b - (a.b) a|| equals sqrt(1 - (a.b)^2) for unit vectors but has no
-    # cancellation noise floor near zero angle.
-    inner = np.einsum("ij,ij->j", a_vecs, b_vecs)
-    sin_theta = np.minimum(1.0, np.linalg.norm(b_vecs - a_vecs * inner, axis=0))
-    passed = (sin_theta <= bound + 1e-9) | (bound >= 1.0)
-    return [
-        AngleBound(i, float(sin_theta[i]), float(bound[i]), bool(passed[i]))
-        if gap[i] > gap_tol else AngleBound(i, float(sin_theta[i]), None, True)
-        for i in range(len(gap))
-    ]
+    sin_theta = _sin_theta(a_sys.vectors, b_sys.vectors)
+    return _angle_bounds(gap, bound, gap_tol, [float(s) for s in sin_theta])
 
 
 def eigenvalue_deviation_bound(
@@ -792,6 +833,12 @@ class SpectralReport:
         return float(self.deviations.max()) if len(self.deviations) else 0.0
 
     @property
+    def vacuous_angles(self) -> int:
+        """Indices whose angle bound is vacuous (>= 1) or undefined, so that
+        their sin_theta was not solved."""
+        return sum(angle.sin_theta is None for angle in self.angles)
+
+    @property
     def passed(self) -> bool:
         return self.eigenvalue_bound_passed and self.angles_passed
 
@@ -811,33 +858,48 @@ def spectral_report(
     the stricter bound), and reports the
     inertia of both spectra. `dk_bounds_swapped` carries the angle bounds
     with the roles of the two spectra exchanged, as a diagnostic.
+
+    Everything but the angles reads the eigenvalues of M and M_hat alone
+    (`PairSpectra.matrix_values`). An angle is solved only where its bound
+    is defined and below 1 (a live index), the one place the check can
+    fail: the eigenvectors of the top-k block that holds every live index
+    come from `PairSpectra.top_systems`, and sin(theta) is computed on those
+    columns as `davis_kahan` does. Every other index has sin_theta None and
+    passes, with the bound `davis_kahan` gives it.
     """
     spectra = matrix if isinstance(matrix, PairSpectra) else PairSpectra(
         decompose(validate_odn(matrix)), matrix_hat=validate_odn(matrix_hat))
     m, m_hat = spectra.matrix, spectra.matrix_hat
     _require_same_shape(m, m_hat)
 
-    sys_a, sys_b = spectra.systems
-    deviations = np.abs(sys_a.values - sys_b.values)
+    alphas, betas = (values[::-1] for values in spectra.matrix_values)
+    deviations = np.abs(alphas - betas)
     bound = eigenvalue_deviation_bound(spectra, epsilon)
     r_norm = spectra.matrix_diff_norm[0]
 
-    angles = davis_kahan(sys_a, sys_b, r_norm, gap_tol)
+    gap, dk_bounds, tol = _gap_bounds(alphas, betas, r_norm, gap_tol)
+    live = np.flatnonzero((gap > tol) & (dk_bounds < 1.0))
+    sin_theta = [None] * m.n
+    if live.size:
+        sys_a, sys_b = spectra.top_systems(int(live[-1]) + 1)
+        for i, s in zip(live, _sin_theta(sys_a.vectors[:, live], sys_b.vectors[:, live])):
+            sin_theta[i] = float(s)
+    angles = _angle_bounds(gap, dk_bounds, tol, sin_theta)
     # The bounds of davis_kahan(sys_b, sys_a): gaps only, no angles.
-    gap, swapped, tol = _gap_bounds(sys_b.values, sys_a.values, r_norm, gap_tol)
+    gap, swapped, tol = _gap_bounds(betas, alphas, r_norm, gap_tol)
 
-    rho_a = float(np.abs(sys_a.values).max()) if m.n else 0.0
-    rho_b = float(np.abs(sys_b.values).max()) if m.n else 0.0
-    inertia = InertiaCounts.from_values(sys_a.values, 1e-9 * max(1.0, rho_a))
-    inertia_hat = InertiaCounts.from_values(sys_b.values, 1e-9 * max(1.0, rho_b))
-    min_abs = float(np.abs(sys_a.values).min())
+    rho_a = float(np.abs(alphas).max()) if m.n else 0.0
+    rho_b = float(np.abs(betas).max()) if m.n else 0.0
+    inertia = InertiaCounts.from_values(alphas, 1e-9 * max(1.0, rho_a))
+    inertia_hat = InertiaCounts.from_values(betas, 1e-9 * max(1.0, rho_b))
+    min_abs = float(np.abs(alphas).min())
 
     max_dev = float(deviations.max())
     return SpectralReport(
         epsilon=float(epsilon),
         n=m.n,
-        values=sys_a.values,
-        values_hat=sys_b.values,
+        values=alphas,
+        values_hat=betas,
         deviations=deviations,
         bound=bound,
         r_norm=r_norm,

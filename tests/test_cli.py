@@ -376,16 +376,20 @@ class TestCommonFlags:
         assert lines == [f"memory: peak RSS {peak:.1f} MB"]
 
     @pytest.mark.parametrize("command,paths", [
-        ("sparsify", ["pencil arpack", "matrix_diff_norm dense"]),
+        ("sparsify", ["pencil arpack", "matrix_diff_norm dense", "matrix_vectors dense",
+                      "matrix_hat_vectors dense"]),
         ("verify", ["pencil arpack", "laplacian_diff_norm dense", "adjacency_diff_norm dense",
-                    "matrix_diff_norm dense"]),
+                    "matrix_diff_norm dense", "matrix_vectors dense",
+                    "matrix_hat_vectors dense"]),
         ("pca-demo", ["pencil arpack"]),
         ("bounds", []),
     ])
     def test_verbose_names_blas_pools_and_solver_paths(self, command, paths, pair_paths,
                                                        tmp_path, capsys):
         """-v prints each bundled OpenBLAS pool with its thread count, and the
-        solver of the pencil's extremes and of each difference norm."""
+        solver of the pencil's extremes, of each difference norm and of the
+        eigenvectors of M and M_hat that the angle check solved (K5's live
+        angles take a dense solve)."""
         from odnsparse.spectra import _blas_pools
 
         code, _, err = run(self._argv(command, pair_paths, tmp_path) + ["-v"], capsys)

@@ -20,3 +20,13 @@ def test_demo_exits_zero(demo, tmp_path):
                           cwd=tmp_path, env=child_env(TMPDIR=str(tmpdir)))
     assert proc.returncode == 0, proc.stderr
     assert list(tmpdir.iterdir()) == []
+
+
+def test_dense_demo_reads_solved_angles(tmp_path):
+    """The dense demo keeps the indices whose bound is below 1, which are the
+    ones whose sin(theta) the spectral report solves: it prints the worst."""
+    demo = DEMOS[0].parent / "sparsify_dense_matrix.py"
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          cwd=tmp_path, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert "informative indices, worst sin(theta)=" in proc.stdout

@@ -109,15 +109,35 @@ class TestSchema:
     ], ids=["probes", "seed", "probe_min", "probe_max", "probes-only", "parameters.probes",
             "quadform", "approximate", "eigenvalue_ratios"])
     def test_version_1_probe_fields_rejected(self, pipeline, section, key, value):
-        """Schema 3.1 rejects the removed fields: the Rayleigh probes, the
+        """Schema 4.0 rejects the removed fields: the Rayleigh probes, the
         quadratic-form application, the approximate resistance mode and the
         eigenvalue-ratio section."""
         import jsonschema
 
-        assert SCHEMA_VERSION == "3.1"
+        assert SCHEMA_VERSION == "4.0"
         report = build_full_report(*pipeline)
         validate_report(report)
         report.setdefault(section, {})[key] = value
+        with pytest.raises(jsonschema.ValidationError):
+            validate_report(report)
+
+
+class TestSchemaFour:
+    def test_null_angles_and_vacuous_count(self, pipeline):
+        """Schema 4.0: sin_theta is null exactly where it was not solved, and
+        `vacuous_angles` counts those pairs; the count is required."""
+        import jsonschema
+
+        report = build_full_report(*pipeline)
+        validate_report(report)
+        spectral = report["spectral"]
+        nulls = [pair["sin_theta"] is None for pair in spectral["pairs"]]
+        assert spectral["vacuous_angles"] == sum(nulls) > 0
+        for pair in spectral["pairs"]:
+            if pair["sin_theta"] is None:
+                assert pair["dk_passed"]
+                assert pair["dk_bound"] is None or pair["dk_bound"] >= 1.0
+        del spectral["vacuous_angles"]
         with pytest.raises(jsonschema.ValidationError):
             validate_report(report)
 
@@ -158,6 +178,25 @@ class TestCsv:
         assert float(rows[1][1]) == spect.values[0]
         bounds = {row[5] for row in rows[1:]}
         assert all(b == "undefined" or float(b) >= 0 for b in bounds)
+
+    def test_null_angles_write_empty_cells(self, tmp_path):
+        """An unsolved (vacuous or undefined) angle is an empty sin_theta cell,
+        a solved one its repr."""
+        m = generate_odn("complete", 60, seed=4, diag=("uniform", 0, 1))
+        d = decompose(m)
+        spect = spectral_report(m, sparsify_laplacian(d, 0.25, seed=7).matrix(d.center), 0.25)
+        assert 0 < spect.vacuous_angles < m.n
+        path = tmp_path / "s.csv"
+        write_spectral_csv(spect, path)
+        with open(path) as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert "None" not in path.read_text()
+        for row, angle in zip(rows, spect.angles):
+            if angle.sin_theta is None:
+                assert row[4] == ""
+            else:
+                assert float(row[4]) == angle.sin_theta
+        assert sum(row[4] == "" for row in rows) == spect.vacuous_angles
 
     def test_pca_csv(self, tmp_path):
         m = generate_odn("equicorrelation", 8, correlation=0.3)

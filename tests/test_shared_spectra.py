@@ -2,6 +2,7 @@
 standalone check functions."""
 
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -53,11 +54,14 @@ def solves(monkeypatch):
 
 
 def test_sparsify_solves_each_matrix_once(solves, tmp_path, capsys):
-    # eigh: L, M, M_hat; eigsh: the pencil (L_hat, L), M - M_hat (a sparse pair).
+    # eigh: L; eigvalsh: M, M_hat; eigsh: the pencil (L_hat, L), M - M_hat (a
+    # sparse pair). No angle bound is below 1, so no eigenvector of M or M_hat
+    # is solved.
     code = main(["sparsify", "--gen", "grid:rows=5,cols=5,diag=uniform(0,1)",
                  "--seed", str(SEED), "--out-report", str(tmp_path / "r.json")])
     assert code == 0
-    assert solves == {"eigh": 3, "eigvalsh": 0, "eigsh": 2}
+    assert solves == {"eigh": 1, "eigvalsh": 2, "eigsh": 2}
+    assert json.loads((tmp_path / "r.json").read_text())["spectral"]["vacuous_angles"] == 25
 
 
 def test_verify_solves_each_matrix_once(solves, tmp_path, capsys):
@@ -65,17 +69,19 @@ def test_verify_solves_each_matrix_once(solves, tmp_path, capsys):
     write_matrix_market(generate_odn("complete", 20, seed=3, diag=("uniform", 0, 1)), a)
     assert main(["sparsify", "--input", str(a), "--out-matrix", str(b)]) == 0
     solves.update(eigh=0, eigvalsh=0, eigsh=0)
-    # eigh: L, M, M_hat; eigsh: the pencil; eigvalsh: L - L_hat, A - A_hat,
-    # M - M_hat (a dense pair).
+    # eigh: L, and M and M_hat for the Perron vector's angle (its bound is
+    # below 1; at n = 20 a dense solve is cheaper than ARPACK's top 1);
+    # eigsh: the pencil; eigvalsh: L - L_hat, A - A_hat, M - M_hat (a dense
+    # pair), M, M_hat.
     assert main(["verify", str(a), str(b), "--out-report", str(tmp_path / "r.json")]) == 0
-    assert solves == {"eigh": 3, "eigvalsh": 3, "eigsh": 1}
+    assert solves == {"eigh": 3, "eigvalsh": 5, "eigsh": 1}
 
 
 def test_pca_solves_each_matrix_once(solves):
     matrix = generate_odn("equicorrelation", 15, correlation=0.4)
-    # eigh: L, M; eigsh: the pencil, and M_hat by Lanczos.
+    # eigh: L; eigvalsh: M; eigsh: the pencil, and M_hat by Lanczos.
     assert pca_compare(matrix, EPS, 3, seed=SEED).passed
-    assert solves == {"eigh": 2, "eigvalsh": 0, "eigsh": 2}
+    assert solves == {"eigh": 1, "eigvalsh": 1, "eigsh": 2}
 
 
 def _connected():
@@ -170,8 +176,7 @@ def test_verify_above_dense_limit_exits_one_without_solving(solves, tmp_path, ca
     assert "--dense-limit" in err and "PairSpectra(dense_limit=...)" in err
 
 
-DENSE_ONLY_ROLES = ["laplacian_eigh", "laplacian_values", "pencil", "systems",
-                    "matrix_values"]
+DENSE_ONLY_ROLES = ["laplacian_eigh", "laplacian_values", "pencil", "matrix_values"]
 
 
 def _grid_pair(seed):
@@ -486,24 +491,31 @@ def test_verify_report_runs_without_held_laplacians(spec, monkeypatch, tmp_path,
 ], ids=["dense", "sparse"])
 def test_pca_solves_run_without_held_laplacians(matrix, monkeypatch):
     """pca_compare drops L and L_hat, in every form, once rho(L) is read and
-    before its eigensolves of M and M_hat."""
+    before its eigensolves of M (values only) and M_hat."""
     from odnsparse import applications
 
     pairs, held = [], []
 
+    def recording(_solve):
+        def solving(*args, **kwargs):
+            held.extend(_held_laplacians(pairs[0]))
+            held.append(_solve.__name__)
+            return _solve(*args, **kwargs)
+
+        return solving
+
     def verifying(spectra, *args, _verify=applications.verify_sparsifier, **kwargs):
         pairs.append(spectra)
-        return _verify(spectra, *args, **kwargs)
-
-    def solving(*args, _solve=applications.eigen_decompose, **kwargs):
-        held.extend(_held_laplacians(pairs[0]))
-        held.append("solve")
-        return _solve(*args, **kwargs)
+        record = _verify(spectra, *args, **kwargs)
+        # Every dense solve from here on is one of M or M_hat.
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+        return record
 
     monkeypatch.setattr(applications, "verify_sparsifier", verifying)
-    monkeypatch.setattr(applications, "eigen_decompose", solving)
+    monkeypatch.setattr(applications, "eigen_decompose",
+                        recording(applications.eigen_decompose))
     assert pca_compare(matrix, EPS, 2, seed=SEED).passed
-    assert held == ["solve", "solve"]
+    assert held == ["eigvalsh", "eigen_decompose"]
 
 
 # The norms as the sparse difference of the sides' CSR forms computes them:

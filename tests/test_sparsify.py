@@ -549,9 +549,10 @@ class TestExactVerdict:
     @pytest.mark.parametrize("make", EXACT_VERDICT_INPUTS, ids=EXACT_VERDICT_IDS)
     @pytest.mark.parametrize("raw", [False, True], ids=["decomposition", "laplacian"])
     def test_extremes_match_dense_reduction(self, make, raw):
-        """The verdict's extremes are those of the dense pencil on L's range,
-        from a decomposition or from bare Laplacians, and quadratic forms
-        centred on each component of the graph stay inside them."""
+        """The verdict's extremes bracket those of the dense pencil on L's
+        range, within 1e-12 of their scale, from a decomposition or from bare
+        Laplacians, and quadratic forms centred on each component of the graph
+        stay inside them."""
         d = decompose(make())
         if not raw:
             assert (d.components[0] == 1) == (d.n in (60, 400))
@@ -560,8 +561,11 @@ class TestExactVerdict:
         rec = verify_sparsifier(pair, epsilon=0.3)
         assert rec.mode == "exact"
         expected = dense_pencil(d.laplacian, res.laplacian)
-        np.testing.assert_allclose([rec.gen_min, rec.gen_max], expected[[0, -1]],
-                                   rtol=1e-13, atol=0)
+        # A bracket, not a match: the widening's rounding allowance n * eps
+        # alone is 8.9e-14 relative at n = 400.
+        assert rec.gen_min <= expected[0] and expected[-1] <= rec.gen_max
+        widening = max(expected[0] - rec.gen_min, rec.gen_max - expected[-1])
+        assert widening <= 1e-12 * np.abs(expected).max()
         assert rec.kernel_leak <= 1e-8 * np.linalg.norm(d.laplacian_dense(), 2)
         assert rec.passed == (rec.gen_min >= 0.7 - 1e-9 and rec.gen_max <= 1.3 + 1e-9)
         labels = connected_components(sp.csr_matrix(d.laplacian_dense() != 0),

@@ -553,9 +553,11 @@ class TestSwappedAngleBounds:
         d = decompose(m)
         spectra = PairSpectra(d, matrix_hat=sparsify_laplacian(d, 0.25, seed=7).matrix(d.center))
         report = spectral_report(spectra, epsilon=0.25)
-        sys_a, sys_b = spectra.systems
+        sys_a, sys_b = _full_systems(spectra.matrix, spectra.matrix_hat)
         expected = [a.bound for a in davis_kahan(sys_b, sys_a, report.r_norm)]
-        assert report.dk_bounds_swapped == expected
+        # The report's values come from eigvalsh, davis_kahan's here from eigh.
+        _assert_bounds_close(report.dk_bounds_swapped, expected, report.r_norm,
+                             np.abs(sys_a.values).max())
 
     @pytest.mark.parametrize("gap_tol", [None, 0.05])
     def test_equal_on_repeated_eigenvalue(self, gap_tol):
@@ -567,3 +569,108 @@ class TestSwappedAngleBounds:
         expected = [a.bound for a in davis_kahan(sys_a, sys_a, report.r_norm, gap_tol)]
         assert report.dk_bounds_swapped == expected
         assert expected.count(None) >= 18
+
+
+def _full_systems(m, m_hat):
+    """Every eigenpair of M and of M_hat, by dense eigh: the reference the
+    value-only report is checked against."""
+    return eigen_decompose(m.to_dense()), eigen_decompose(m_hat.to_dense())
+
+
+def _assert_bounds_close(got, expected, r_norm, scale):
+    """Davis-Kahan bounds r_norm / gap: None (undefined) at the same indices,
+    and the gaps equal to 1e-12 of the spectral scale. The gaps, not the
+    bounds: eigvalsh and eigh agree to the last bits of each eigenvalue, and
+    a bound over a tiny gap magnifies that difference (a vacuous bound of
+    1491 differed by 9e-12 relative)."""
+    assert [b is None for b in got] == [b is None for b in expected]
+    for x, y in zip(got, expected):
+        if y is not None and x != y:
+            assert abs(r_norm / x - r_norm / y) <= 1e-12 * max(1.0, scale)
+
+
+def _sparsified(m, seed=7, epsilon=0.25):
+    d = decompose(m)
+    return sparsify_laplacian(d, epsilon, seed=seed).matrix(d.center)
+
+
+class TestLiveAngles:
+    """spectral_report solves angles only at live indices (bound defined and
+    below 1), by ARPACK's top k or a dense fallback."""
+
+    def _check_against_full(self, m, m_hat, epsilon=0.25, gap_tol=None):
+        spectra = PairSpectra(decompose(m), matrix_hat=m_hat)
+        report = spectral_report(spectra, epsilon=epsilon, gap_tol=gap_tol)
+        sys_a, sys_b = _full_systems(m, m_hat)
+        full = davis_kahan(sys_a, sys_b, report.r_norm, gap_tol)
+        _assert_bounds_close([a.bound for a in report.angles], [a.bound for a in full],
+                             report.r_norm, np.abs(sys_a.values).max())
+        live = [a.index for a in full if a.bound is not None and a.bound < 1.0]
+        for angle, expected in zip(report.angles, full):
+            if angle.index in live:
+                assert abs(angle.sin_theta - expected.sin_theta) <= 1e-12
+                assert angle.passed == expected.passed
+            else:
+                assert angle.sin_theta is None and angle.passed
+        assert report.vacuous_angles == m.n - len(live)
+        assert report.angles_passed == all(a.passed for a in full)
+        deviation = float(np.abs(sys_a.values - sys_b.values).max())
+        assert report.eigenvalue_bound_passed == (deviation <= report.bound * (1 + 1e-9))
+        np.testing.assert_allclose(report.values, sys_a.values, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(report.values_hat, sys_b.values, rtol=1e-12, atol=1e-12)
+        return spectra, report, live
+
+    def test_perron_angle_by_arpack(self):
+        m = generate_odn("complete", 60, seed=4, diag=("uniform", 0, 1))
+        spectra, report, live = self._check_against_full(m, _sparsified(m))
+        assert live == [0]
+        assert report.angles[0].sin_theta > 0
+        assert spectra.paths["matrix_vectors"] == "arpack"
+        assert spectra.paths["matrix_hat_vectors"] == "arpack"
+
+    def test_vacuous_everywhere_solves_no_vectors(self, monkeypatch):
+        m = generate_odn("grid", rows=6, cols=7, seed=1, diag=("uniform", 0, 1))
+        m_hat = _sparsified(m)
+
+        def no_vectors(*args, **kwargs):
+            raise AssertionError("an eigenvector was solved")
+
+        monkeypatch.setattr(PairSpectra, "top_systems", no_vectors)
+        spectra, report, live = self._check_against_full(m, m_hat)
+        assert live == [] and report.vacuous_angles == m.n
+        assert "matrix_vectors" not in spectra.paths
+
+    def test_dense_fallback_without_convergence(self, monkeypatch):
+        def not_converged(operand, *args, **kwargs):
+            raise ArpackNoConvergence("0 of 1", np.zeros(0), np.zeros((operand.shape[0], 0)))
+
+        m = generate_odn("complete", 60, seed=4, diag=("uniform", 0, 1))
+        m_hat = _sparsified(m)
+        spectra = PairSpectra(decompose(m), matrix_hat=m_hat)
+        monkeypatch.setattr(spectra_module, "eigsh", not_converged)
+        sys_a, sys_b = spectra.top_systems(1)
+        assert spectra.paths["matrix_vectors"] == spectra.paths["matrix_hat_vectors"] == "dense"
+        full_a, full_b = _full_systems(m, m_hat)
+        np.testing.assert_array_equal(sys_a.vectors, full_a.vectors[:, :1])
+        np.testing.assert_array_equal(sys_b.vectors, full_b.vectors[:, :1])
+
+    def test_dense_above_break_even(self):
+        # Identical sides: r_norm is 0, so every defined bound is 0 and live,
+        # and k = n takes the dense solve.
+        m = random_odn(np.random.default_rng(2), 30, density=0.5)
+        spectra, report, live = self._check_against_full(m, m)
+        assert len(live) == m.n and report.vacuous_angles == 0
+        assert spectra.paths["matrix_vectors"] == "dense"
+
+    @pytest.mark.parametrize("case", range(24))
+    def test_verdicts_match_full_eigh(self, case):
+        """Random ODN pairs, among them n <= 3, no edges, disconnected graphs
+        and a zero diagonal: every verdict and live angle as with full eigh."""
+        rng = np.random.default_rng(1000 + case)
+        n = [1, 2, 3][case] if case < 3 else int(rng.integers(4, 90))
+        density = [0.0, 0.05, 0.3, 1.0][case % 4]
+        diag = (0.0, 0.0) if case % 3 == 0 else (-1.0, 2.0)
+        m = random_odn(rng, n, density=density, diag_low=diag[0], diag_high=diag[1])
+        epsilon = float(rng.choice([0.1, 0.25, 0.5]))
+        self._check_against_full(m, _sparsified(m, int(rng.integers(1 << 30)), epsilon),
+                                 epsilon)
