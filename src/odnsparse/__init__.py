@@ -23,6 +23,7 @@ from .errors import (
     DenseLimitExceededError,
     DimensionMismatchError,
     DuplicateEntryError,
+    FactorizationError,
     GeneratorSpecError,
     InvalidConstantError,
     InvalidEpsilonError,
@@ -77,6 +78,7 @@ __all__ = [
     "DimensionMismatchError",
     "DuplicateEntryError",
     "EigenSystem",
+    "FactorizationError",
     "GeneratorSpecError",
     "InertiaCounts",
     "InvalidConstantError",

@@ -108,15 +108,17 @@ class OdnMatrix:
     def nnz(self) -> int:
         return self.nnz_offdiag + int(np.count_nonzero(self.diag))
 
-    def adjacency(self) -> sp.csr_matrix:
-        """Off-diagonal part as a symmetric sparse matrix with zero diagonal.
-
-        The stored coordinates are already the upper triangle in CSR order, so
-        it is that triangle plus its transpose: O(m), no sort. Canonical.
-        """
+    def upper(self) -> sp.csr_matrix:
+        """The stored upper triangle as a sparse matrix: the coordinates are
+        already in CSR order, so O(m), no sort. Canonical."""
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.rows, minlength=self.n), out=indptr[1:])
-        upper = sp.csr_matrix((self.vals, self.cols, indptr), shape=(self.n, self.n))
+        return sp.csr_matrix((self.vals, self.cols, indptr), shape=(self.n, self.n))
+
+    def adjacency(self) -> sp.csr_matrix:
+        """Off-diagonal part as a symmetric sparse matrix with zero diagonal:
+        the upper triangle plus its transpose. Canonical."""
+        upper = self.upper()
         return upper + upper.T.tocsr()
 
     def to_dense(self) -> np.ndarray:
@@ -275,8 +277,8 @@ class GraphViews:
     @cached_property
     def components(self) -> tuple[int, np.ndarray]:
         """(count, labels) of connected components of the underlying graph,
-        labelled on the cached adjacency if there is one, else a transient one."""
-        count, labels = connected_components(self._adjacency(), directed=False)
+        labelled on its upper triangle: a third of the work of the adjacency."""
+        count, labels = connected_components(self.edges.upper(), directed=False)
         return int(count), labels
 
 

@@ -56,6 +56,17 @@ class DenseLimitExceededError(OdnError):
         self.limit = limit
 
 
+class FactorizationError(OdnError):
+    """`dpotrf` or `dtrtri` failed on the grounded Laplacian at the 1-based
+    `pivot` (LAPACK's info), which is graph vertex `vertex`."""
+
+    def __init__(self, routine: str, pivot: int, vertex: int | None):
+        super().__init__(f"{routine} failed at pivot {pivot} (vertex {vertex}): the Laplacian "
+                         "grounded at one vertex per component is not positive definite "
+                         "in floating point")
+        self.routine, self.pivot, self.vertex = routine, pivot, vertex
+
+
 class InvalidEpsilonError(OdnError):
     """epsilon outside the open interval (0, 1)."""
 

@@ -22,7 +22,7 @@ from .spectra import (
     WeylCheck,
 )
 
-SCHEMA_VERSION = "4.0"
+SCHEMA_VERSION = "5.0"
 
 
 def verification_to_dict(v: VerificationRecord) -> dict:
@@ -31,6 +31,7 @@ def verification_to_dict(v: VerificationRecord) -> dict:
         "epsilon": v.epsilon,
         "gen_min": v.gen_min,
         "gen_max": v.gen_max,
+        "eps_hat": v.eps_hat,
         "kernel_leak": v.kernel_leak,
         "passed": v.passed,
         "mode": v.mode,

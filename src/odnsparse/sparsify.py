@@ -9,14 +9,14 @@ positive-semidefinite order with failure probability at most 1/n for
 C >= 9. All randomness comes from numpy's PCG64 generator, so results
 are bit-reproducible for a fixed (input, epsilon, seed, C).
 
-The one sparsifier verdict is the exact pencil (`verify_sparsifier`): the
-extreme generalized eigenvalues of (L_hat, L) on the range of L, and the
-leak of L_hat on L's kernel. ARPACK finds the two extremes, and each is
-widened outward by its Ritz residual and a rounding allowance, so the
-verdict compares an interval that holds the exact extremes with 1 +- eps.
-ARPACK's BLAS runs on one thread (`spectra._arpack`): scipy's bundled
-OpenBLAS pool, left spinning after its calls, would otherwise slow numpy's
-next dense solve. The sorted-eigenvalue corridor
+The resistances and the verdict read L through one Cholesky factor of L
+with a vertex per connected component grounded (`PairSpectra.grounded_factor`),
+whose kernel, the components' indicator vectors, is exact. The verdict is
+the exact pencil (`verify_sparsifier`): the extreme generalized eigenvalues
+of (L_hat, L) on that grounded complement of ker L, and the leak of L_hat on
+ker L. ARPACK finds the two extremes, each widened outward by its Ritz
+residual and a rounding allowance, so the verdict compares an interval that
+holds the exact extremes with 1 +- eps. The sorted-eigenvalue corridor
 (1 - eps) mu_i <= mu_hat_i <= (1 + eps) mu_i follows from that verdict by
 Courant-Fischer, so it is not solved for separately.
 """
@@ -29,13 +29,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import GraphViews, LaplacianDecomposition, OdnMatrix, _degrees
 from .errors import OdnError
 from .spectra import (
-    PINV_CUTOFF,
     PairSpectra,
+    _BLOCK_ROWS,
+    _max_abs,
     _require_constant,
     _require_epsilon,
     _require_same_shape,
@@ -91,25 +91,27 @@ def effective_resistances(
 
     Returns the arrays (resistance, probability), aligned with the stored
     pairs `decomp.matrix.rows/cols/vals`; an edge's leverage is
-    vals * resistance. Forms the pseudoinverse P of the Laplacian from its
-    eigendecomposition (eigenvalues at or below 1e-10 * rho(L) treated as
-    zero) and reads R_e = P_ii + P_jj - 2 P_ij: O(n^2) memory whatever the
-    edge count. Disconnected inputs are fine, since the pseudoinverse acts
-    per component. Above the pair's dense limit it raises
-    DenseLimitExceededError.
+    vals * resistance. G = C^-T C^-1 = L_g^-1 from `PairSpectra.grounded_factor`
+    gives R_uv = G_uu + G_vv - 2 G_uv, a grounded vertex reading as 0: exact
+    per component, in O(n^2) memory whatever the edge count. Above the
+    pair's dense limit it raises DenseLimitExceededError.
     """
     spectra = PairSpectra.of(decomp)
     src = spectra.matrix
     if src.stored_pairs == 0:
         return np.zeros(0), np.zeros(0)
-    mu, vecs = spectra.laplacian_eigh
-    rho = max(float(mu[-1]), 0.0)
-    inv = np.zeros_like(mu)
-    keep = mu > PINV_CUTOFF * rho
-    inv[keep] = 1.0 / mu[keep]
-    pinv = (vecs * inv) @ vecs.T
-    diag = np.diagonal(pinv)
-    resistance = diag[src.rows] + diag[src.cols] - 2.0 * pinv[src.rows, src.cols]
+    kept, inv = spectra.grounded_factor
+    k = len(kept)
+    gram = np.zeros((k + 1, k + 1))  # a last row and column of 0s for the grounded
+    np.matmul(inv.T, inv, out=gram[:k, :k])
+    index = np.full(src.n, k)
+    index[kept] = np.arange(k)
+    resistance = np.empty(src.stored_pairs)
+    step = _BLOCK_ROWS * src.n
+    for start in range(0, len(resistance), step):
+        rows, cols = index[src.rows[start:start + step]], index[src.cols[start:start + step]]
+        resistance[start:start + step] = gram[rows, rows] + gram[cols, cols] - 2 * gram[rows, cols]
+    del gram
     leverage = src.vals * resistance
     return resistance, leverage / leverage.sum()
 
@@ -176,42 +178,33 @@ def sparsify_laplacian(
     sorted uniforms with one search per edge, which gives the same counts
     as one search per draw. Repeated draws of one edge accumulate weight.
     A Laplacian with no edges short-circuits to the empty sparsifier. Given
-    a PairSpectra, its eigendecomposition of L is shared with later checks.
+    a PairSpectra, its grounded factor of L is shared with the verdict.
     """
     _require_epsilon(epsilon)
     src = decomp.matrix
-    n = src.n
-    q = sample_count(n, epsilon, constant)
-    warn = bool(epsilon > EPSILON_SMALL_REGIME)
-    if src.stored_pairs == 0:
-        return SparsifierResult(
-            edges=OdnMatrix(n, [], [], [], np.zeros(n)),
-            epsilon=float(epsilon),
-            seed=int(seed),
-            samples_drawn=0,
-            oversample_constant=float(constant),
-            epsilon_above_small_regime=warn,
-        )
-
-    _, probability = effective_resistances(decomp)
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    counts = _draw_counts(_uniforms(rng, q), np.cumsum(probability)).astype(np.float64)
-    weights = src.vals * (counts / (q * probability))
-    keep = counts > 0
+    q = sample_count(src.n, epsilon, constant)
+    keep, weights, drawn = np.zeros(0, dtype=bool), np.zeros(0), 0  # no edges
+    if src.stored_pairs:
+        probability = effective_resistances(decomp)[1]  # the resistances are freed
+        rng = np.random.Generator(np.random.PCG64(seed))
+        counts = _draw_counts(_uniforms(rng, q), np.cumsum(probability)).astype(np.float64)
+        weights = src.vals * (counts / (q * probability))
+        keep, drawn = counts > 0, q
     return SparsifierResult(
-        edges=OdnMatrix(n, src.rows[keep], src.cols[keep], weights[keep], np.zeros(n)),
-        epsilon=float(epsilon),
-        seed=int(seed),
-        samples_drawn=q,
+        edges=OdnMatrix(src.n, src.rows[keep], src.cols[keep], weights[keep], np.zeros(src.n)),
+        epsilon=float(epsilon), seed=int(seed), samples_drawn=drawn,
         oversample_constant=float(constant),
-        epsilon_above_small_regime=warn,
-    )
+        epsilon_above_small_regime=bool(epsilon > EPSILON_SMALL_REGIME))
 
 
 @dataclass(frozen=True)
 class VerificationRecord:
-    """Outcome of checking (1-eps) x'Lx <= x'L_hat x <= (1+eps) x'Lx."""
+    """Outcome of checking (1-eps) x'Lx <= x'L_hat x <= (1+eps) x'Lx.
+
+    `eps_hat` = max(1 - gen_min, gen_max - 1) is the epsilon achieved, an
+    upper bound on it since the extremes are widened outward; None unless
+    the mode is "exact".
+    """
 
     n: int
     epsilon: float
@@ -220,30 +213,21 @@ class VerificationRecord:
     kernel_leak: float | None
     passed: bool
     mode: str
-
-
-def _max_abs(x) -> float:
-    """max |x_ij|, without an n x n temporary for a dense x."""
-    if not min(x.shape):
-        return 0.0
-    if sp.issparse(x):
-        return float(abs(x).max())
-    return float(max(x.max(), -x.min()))
+    eps_hat: float | None = None
 
 
 def verify_sparsifier(laplacian, laplacian_hat=None, epsilon=None) -> VerificationRecord:
     """Check the spectral-sparsifier inequality exactly.
 
-    Computes the extreme generalized eigenvalues of the pencil (L_hat, L) on
-    the range of L (`PairSpectra.pencil`) and the leak of L_hat on L's
-    kernel; both extremes within (1 +- eps) and no leak decide `passed`. The
-    extremes come from ARPACK, each widened outward by its Ritz residual plus
-    a rounding allowance n * eps * |theta|, so `gen_min` and `gen_max` bracket
-    the exact extremes (a dense solve where the reduced pencil has fewer than
-    3 rows or ARPACK does not converge). A
-    zero L passes only against a zero L_hat ("trivial-zero"). The pencil
-    needs L's dense eigendecomposition: above the pair's dense limit it
-    raises DenseLimitExceededError, and nothing is certified.
+    `passed` needs both extremes of the pencil (L_hat, L) on a complement of
+    ker L (`PairSpectra.pencil`) within 1 +- eps, and a leak of L_hat on ker
+    L, the indicator vectors of the components of L's graph, of at most
+    1e-8 max(rho(L), max |L_hat_ij|). `gen_min` and `gen_max` are ARPACK's
+    extremes, each widened outward by its Ritz residual and a rounding
+    allowance n * eps * |theta|, so they bracket the exact extremes. A zero L
+    passes only against a zero L_hat ("trivial-zero"). L's grounded factor is
+    dense: above the pair's dense limit it raises DenseLimitExceededError,
+    and nothing is certified.
     """
     _require_epsilon(epsilon)
     spectra = PairSpectra.of(laplacian, laplacian_hat)
@@ -251,31 +235,21 @@ def verify_sparsifier(laplacian, laplacian_hat=None, epsilon=None) -> Verificati
     lap = spectra.laplacian
     lap_nonzero = _max_abs(lap) != 0.0
     if lap_nonzero and "pencil" not in vars(spectra):
-        # Solve L before L_hat's held form exists: one n x n array fewer
-        # alive during the solve, which sets this function's peak.
-        spectra.laplacian_eigh
+        # Factor L before L_hat's held form exists: one n x n array fewer
+        # alive during the factorization.
+        spectra.grounded_factor
     scale_hat = _max_abs(spectra.laplacian_hat)
-    gen_min = gen_max = None
+    gen_min = gen_max = eps_hat = None
 
     if not lap_nonzero:
         kernel_leak, passed, mode = scale_hat, scale_hat <= 1e-12, "trivial-zero"
     else:
         (gen_min, gen_max), kernel_leak = spectra.pencil
-        rho = max(float(spectra.laplacian_values[-1]), 0.0)
-        grace = 1e-9
-        passed = (
-            kernel_leak <= 1e-8 * max(rho, scale_hat)
-            and gen_min >= 1.0 - epsilon - grace
-            and gen_max <= 1.0 + epsilon + grace
-        )
+        eps_hat = max(1.0 - gen_min, gen_max - 1.0)
+        passed = (kernel_leak <= 1e-8 * max(spectra.laplacian_norm, scale_hat)
+                  and gen_min >= 1.0 - epsilon - 1e-9 and gen_max <= 1.0 + epsilon + 1e-9)
         mode = "exact"
 
-    return VerificationRecord(
-        n=lap.shape[0],
-        epsilon=float(epsilon),
-        gen_min=gen_min,
-        gen_max=gen_max,
-        kernel_leak=kernel_leak,
-        passed=bool(passed),
-        mode=mode,
-    )
+    return VerificationRecord(n=lap.shape[0], epsilon=float(epsilon), gen_min=gen_min,
+                              gen_max=gen_max, kernel_leak=kernel_leak, passed=bool(passed),
+                              mode=mode, eps_hat=eps_hat)

@@ -4,46 +4,39 @@ Covers: Weyl's eigenvalue perturbation bound, the Davis-Kahan angle
 bound, the adjacency-vs-Laplacian norm comparison, the sparsifier norm
 bound, and the end-to-end eigenvalue deviation bound
 eps * sqrt(n) * rho(L) + (delta_max - delta_min) / 2 with its per-index
-angle bounds. A run computes each dense eigensolve once: every check
-reads its eigen-data from one shared `PairSpectra` for the pair (M, M_hat),
-whose roles each solve on first use. Of the two Laplacians only L is
-solved: its eigendecomposition gives the exact resistances and the pencil
-(L_hat, L), the one sparsifier verdict; L_hat enters only through the
-pencil's product L_hat V and the difference norms. The pair also owns the
+angle bounds. Every check reads from one shared `PairSpectra` for the pair
+(M, M_hat), whose roles each solve once, on first use, and which owns the
 dense limit: above it, a role with no iterative path raises
 DenseLimitExceededError.
-The one iterative eigensolver is ARPACK's implicitly restarted Lanczos
-(`scipy.sparse.linalg.eigsh`), started from one fixed random vector. It
-gives top-k eigenpairs; the pencil's two extremes, each widened outward by
-its Ritz residual; and the 2-norm of a sparse difference (of any sparse
-operand above the dense limit) as a bracket: the largest-magnitude Ritz
-value below, that value plus its residual above. Each widening also adds
-n * eps * |theta| for rounding, so that the bracket holds the dense solve's
-value too. A check reads whichever end of a bracket makes it stricter.
-Every ARPACK call runs with scipy's bundled OpenBLAS on one thread
-(`_arpack`): numpy and scipy each bundle their own OpenBLAS, and scipy's
-workers, left spinning after ARPACK's BLAS calls, would take the cores
-from numpy's next dense solve.
+
+L is factored, not eigendecomposed (`PairSpectra.grounded_factor`): its
+kernel is exact, the indicator vectors of its graph's components, and one
+grounded vertex per component leaves a positive definite L_g = C C'. C^-1
+feeds the resistances, through L_g^-1 = C^-T C^-1, and the pencil
+(L_hat, L), through C^-1 L_hat_g C^-T.
+
+The one iterative eigensolver is ARPACK's (`scipy.sparse.linalg.eigsh`),
+from one fixed start vector. It gives top-k eigenpairs, and the pencil's
+two extremes, rho(L) and the 2-norm of a sparse difference (of any sparse
+operand above the dense limit) as brackets: a Ritz value widened by its
+residual and by n * eps * |theta| for rounding, so that the bracket holds
+the dense solve's value too. A check reads whichever end makes it
+stricter. Every scipy ARPACK, LAPACK and BLAS call holds scipy's bundled
+OpenBLAS to one thread (`_one_scipy_thread`): its workers, left spinning,
+would take the cores from numpy's next dense solve.
 
 The spectra of M and M_hat are solved for their values only
-(`PairSpectra.matrix_values`, one `eigvalsh` per side): the deviations,
-Weyl, the inertia and every Davis-Kahan bound r_norm / gap read them. An
-eigenvector is solved only for an index whose bound is below 1, where the
-angle check can fail (`spectral_report`); elsewhere the check passes
-vacuously and its angle is left unsolved.
+(`PairSpectra.matrix_values`): the deviations, Weyl, the inertia and every
+Davis-Kahan bound r_norm / gap read them. An eigenvector is solved only
+for an index whose bound is below 1, where the angle check can fail.
 
 The pair holds each Laplacian in one form, read by every role: a dense
-array filled from the graph's coordinates when the graph is dense and
-within the limit, else the graph's CSR Laplacian. The difference norms
-subtract one side from the other's dense form in one n x n buffer. The
-pencil frees L's eigenvectors V and the product L_hat V before its solve,
-and scales the reduced matrix V' L_hat V in place: it holds about 3 n^2
-floats there (the two Laplacians and the reduced matrix, which ARPACK
-multiplies by without a copy), not 8. A command drops the held Laplacians
-(`release_laplacians`) once its last Laplacian check is done, before the
-eigensolves of M and M_hat, and hands the freed pages back to the system.
-The spectral stage holds no n x n eigenvector array unless the angle
-check needs a dense fallback.
+array when the graph is dense and within the limit, else its CSR
+Laplacian. The pencil's solve holds 3 n^2 floats: both Laplacians and the
+reduced matrix, which ARPACK multiplies by without a copy. A command drops
+the held Laplacians (`release_laplacians`) before the eigensolves of M and
+M_hat; the spectral stage holds no n x n eigenvector array unless the
+angle check needs a dense fallback.
 """
 
 from __future__ import annotations
@@ -52,39 +45,34 @@ import ctypes
 import importlib
 import math
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import blas, lapack
 from scipy.linalg import eigh_tridiagonal  # noqa: F401  (bench/tracer.py patches this name)
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .core import GraphViews, LaplacianDecomposition, OdnMatrix, decompose, validate_odn
 from .errors import (
     DenseLimitExceededError,
     DimensionMismatchError,
+    FactorizationError,
     InvalidConstantError,
     InvalidEpsilonError,
+    OdnError,
 )
 
 DENSE_LIMIT = 4096
-# Laplacian eigenvalues below PINV_CUTOFF * rho(L) count as kernel.
-PINV_CUTOFF = 1e-10
 _ARPACK_START_SEED = 0x0D25
-# The pencil's one block product L_hat V, with V the n x n eigenvectors of L,
-# takes L_hat's dense form when L_hat is within the dense limit and stores at
-# least this share of its n^2 entries (`PairSpectra._cheaper_form`). Measured
-# on 2 BLAS threads, the dense (BLAS-3) product takes 2, 19 and 170 ms at
-# n = 400, 900 and 2000 whatever the share; the sparse one is faster only
-# below about 5 % stored at n = 400 and 4 % at n = 900, and ties at 2 % at
-# n = 2000. At 1/8 the dense product is 2.5-6 times faster.
-_DENSE_PRODUCT_SHARE = 1 / 8
 # ARPACK's single-vector products are memory-bound, so the dense form pays
 # only where it is no larger than the CSR form: 8 n^2 <= 12 nnz bytes. Top-50
 # eigsh on 2 BLAS threads, sparse vs dense: n = 400 at 12 / 44 / 74 % stored,
 # 45 vs 52, 65 vs 51, 94 vs 49 ms; n = 2000, 602 vs 1312, 2142 vs 1299,
-# 3758 vs 1166 ms. The block-product share would slow the 12-25 % band.
+# 3758 vs 1166 ms.
 _DENSE_ARPACK_SHARE = 2 / 3
 # The angle check's eigenvectors of M and M_hat come from ARPACK's top k
 # (which implies k < n - 1) when k <= n / 40, else from a dense `eigh` of
@@ -96,9 +84,6 @@ _DENSE_ARPACK_SHARE = 2 / 3
 # the Perron vector and the one index live on the bench inputs, is 2.5 ms
 # at n = 400 and 22 ms at n = 2000.
 _ARPACK_VECTOR_SHARE = 1 / 40
-# Rows of the pencil's reduced matrix scaled per step: the scale factors of a
-# block take _PENCIL_ROWS x n x 8 B, 4.2 MB at n = 4096.
-_PENCIL_ROWS = 128
 # ARPACK restarts allowed for the pencil's two extremes before the dense solve
 # takes over. Over 90 pencils (paths, grids, Erdos-Renyi and complete graphs,
 # n <= 900) a converged solve took at most 325 products, 18 restarts of 18; on
@@ -107,6 +92,10 @@ _PENCIL_ROWS = 128
 # without converging. 50 restarts bound a failure near 900 products: about 4
 # dense solves at n = 900 and fewer from there to the dense limit.
 _PENCIL_RESTARTS = 50
+# Rows per step of a grounded block's copy, and edges per step (times n) of
+# the resistance read: a step's temporaries take 32 n x 8 B, 1 MB at n = 4096,
+# where one `x[np.ix_(kept, kept)]` took 3 n^2 x 8 B.
+_BLOCK_ROWS = 32
 
 # glibc serves an array below its adaptive mmap threshold (up to 32 MiB: an
 # n x n array up to n = 2048) from the heap once any larger block was freed,
@@ -140,25 +129,41 @@ def _openblas(module: str, suffix: str = ""):
 
 
 # numpy's and scipy's wheels each bundle an OpenBLAS with its own thread pool.
-# After a BLAS call from ARPACK, scipy's idle workers spin for OpenBLAS's
-# thread timeout and take the cores from numpy's next dense solve: on 2 cores,
+# After a BLAS call from scipy, its idle workers spin for OpenBLAS's thread
+# timeout and take the cores from numpy's next dense solve: on 2 cores,
 # `sparsify` of a 30 x 30 grid with ARPACK's pool left at 2 threads spent
-# 0.37 s, not 0.30 s, in the dense eigensolves of M and M_hat, and the job was
-# no faster than with dense solves only. ARPACK's own BLAS works on single
-# vectors, so `_arpack` holds this pool to one thread for the call.
-# The pool's thread count is process-wide: calls from several threads take
-# _ARPACK_HOLD in turn, so that each puts back the count it found.
-_ARPACK_BLAS = _openblas("scipy.sparse.linalg._eigen.arpack._arpacklib")
-_ARPACK_HOLD = threading.Lock()
+# 0.37 s, not 0.30 s, in the dense eigensolves of M and M_hat. So every scipy
+# ARPACK, LAPACK and BLAS call (ARPACK links scipy.linalg's OpenBLAS) holds
+# this pool to one thread (`_one_scipy_thread`). The count is process-wide:
+# calls from several threads take the re-entrant _SCIPY_HOLD in turn.
+_SCIPY_BLAS = _openblas("scipy.sparse.linalg._eigen.arpack._arpacklib")
+_SCIPY_HOLD = threading.RLock()
 
 
 def _blas_pools() -> list[tuple[str, str, int]]:
     """(owner, library, threads) of each bundled OpenBLAS pool found: numpy's,
-    and scipy's, which ARPACK uses."""
+    and scipy's, which ARPACK and the grounded factor use."""
     pools = [("numpy", _openblas("numpy._core._multiarray_umath", "64_")),
-             ("scipy (1 thread inside ARPACK)", _ARPACK_BLAS)]
+             ("scipy (1 thread inside its calls)", _SCIPY_BLAS)]
     return [(owner, " ".join(found[2]().decode().split()), int(found[0]()))
             for owner, found in pools if found is not None]
+
+
+@contextmanager
+def _one_scipy_thread():
+    """Hold scipy's OpenBLAS pool to one thread inside the block and put back
+    the count found, also on raising; a no-op where its symbols are missing."""
+    if _SCIPY_BLAS is None:
+        yield
+        return
+    get_threads, set_threads, _ = _SCIPY_BLAS
+    with _SCIPY_HOLD:
+        threads = get_threads()
+        set_threads(1)
+        try:
+            yield
+        finally:
+            set_threads(threads)
 
 
 def _dense(x) -> np.ndarray:
@@ -180,6 +185,27 @@ def _stored(x) -> int:
     return x.nnz if isinstance(x, OdnMatrix) or sp.issparse(x) else np.shape(x)[0] ** 2
 
 
+def _max_abs(x) -> float:
+    """max |x_ij|, without an n x n temporary for a dense x."""
+    if not min(x.shape):
+        return 0.0
+    if sp.issparse(x):
+        return float(abs(x).max())
+    return float(max(x.max(), -x.min()))
+
+
+def _grounded_block(x, kept: np.ndarray) -> np.ndarray:
+    """Rows and columns `kept` of a symmetric `x`, dense or sparse, as a new
+    dense array in Fortran order, which LAPACK and BLAS overwrite in place;
+    copied _BLOCK_ROWS rows at a time."""
+    x = sp.csr_matrix(x) if sp.issparse(x) else x
+    block = np.empty((len(kept), len(kept)), order="F")
+    for start in range(0, len(kept), _BLOCK_ROWS):
+        rows = kept[start:start + _BLOCK_ROWS]
+        block[:, start:start + len(rows)] = _dense(x[rows])[:, kept].T  # x symmetric
+    return block
+
+
 def _start_vector(n: int) -> np.ndarray:
     """ARPACK's fixed start vector. Not `ones`: that vector lies in the kernel
     of every Laplacian and of L - L_hat, where ARPACK breaks down."""
@@ -188,19 +214,10 @@ def _start_vector(n: int) -> np.ndarray:
 
 def _arpack(operand, k: int, which: str, maxiter: int | None = None):
     """`eigsh(operand, k, which=which, maxiter=maxiter)` from the fixed start
-    vector, with scipy's OpenBLAS held to one thread (`_ARPACK_BLAS`) and its
-    thread count put back afterwards, also when ARPACK raises."""
+    vector, with scipy's OpenBLAS held to one thread (`_one_scipy_thread`)."""
     v0 = _start_vector(operand.shape[0])
-    if _ARPACK_BLAS is None:
+    with _one_scipy_thread():
         return eigsh(operand, k=k, which=which, v0=v0, maxiter=maxiter)
-    get_threads, set_threads, _ = _ARPACK_BLAS
-    with _ARPACK_HOLD:
-        threads = get_threads()
-        set_threads(1)
-        try:
-            return eigsh(operand, k=k, which=which, v0=v0, maxiter=maxiter)
-        finally:
-            set_threads(threads)
 
 
 def _residuals(operand, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -221,10 +238,9 @@ def _arpack_norm(operand) -> tuple[float, float]:
     """(low, high) estimates of ||operand||_2 from ARPACK's largest-magnitude
     Ritz pair (theta, q): low = |theta| and high = |theta| + ||A q - theta q||,
     each moved outward by `_rounding`."""
-    n = operand.shape[0]
-    if n == 1 or not operand.count_nonzero():
-        value = float(abs(operand).max())  # ARPACK needs n >= 2 and a nonzero operand
-        return value, value
+    n, scale = operand.shape[0], _max_abs(operand)
+    if n == 1 or not scale:  # ARPACK needs n >= 2 and a nonzero operand
+        return scale, scale
     theta, q = _arpack(operand, k=1, which="LM")
     value, pad = abs(float(theta[0])), float(_rounding(n, theta[0]))
     return value - pad, value + float(_residuals(operand, theta, q)[0]) + pad
@@ -238,10 +254,7 @@ def spectral_norm(matrix, *, dense_limit: int = DENSE_LIMIT) -> float:
     """
     n = matrix.n if isinstance(matrix, OdnMatrix) else matrix.shape[0]
     if n <= dense_limit:
-        d = _dense(matrix)
-        if not d.size:
-            return 0.0
-        return float(np.abs(np.linalg.eigvalsh(d)).max())
+        return float(np.abs(np.linalg.eigvalsh(_dense(matrix))).max(initial=0.0))
     return _arpack_norm(_sparse(matrix))[1]
 
 
@@ -300,9 +313,7 @@ def eigen_decompose(matrix, k: int | None = None, method: str = "dense") -> Eige
     It multiplies by `matrix` in the form given (an OdnMatrix as CSR);
     `PairSpectra.eigsh_operand` picks the cheaper one: dense within the dense
     limit when at least 2/3 of n^2 is stored, so that the dense array is no
-    larger than the CSR form, else sparse. The pencil's block product
-    (`PairSpectra.pencil`) goes dense from n^2 / 8 stored instead: BLAS-3
-    pays off far sooner.
+    larger than the CSR form, else sparse.
     """
     operand = _sparse(matrix) if isinstance(matrix, OdnMatrix) else matrix
     n = operand.shape[0]
@@ -311,20 +322,11 @@ def eigen_decompose(matrix, k: int | None = None, method: str = "dense") -> Eige
 
     if method == "dense":
         values, vectors = np.linalg.eigh(_dense(operand))
-        values = values[::-1]
-        vectors = vectors[:, ::-1]
-        if k is not None:
-            values = values[:k]
-            vectors = vectors[:, :k]
+        values, vectors = values[::-1][:k], vectors[:, ::-1][:, :k]
         # The reversed view has a negative stride, which BLAS cannot take:
         # copy it once, then fix the signs of the copy in place.
         vectors = _fix_signs(np.ascontiguousarray(vectors))
-        return EigenSystem(
-            values=values.copy(),
-            vectors=vectors,
-            method="dense",
-            residual=None,
-        )
+        return EigenSystem(values=values.copy(), vectors=vectors, method="dense", residual=None)
     if method == "iterative":
         if k is None or not (1 <= k < n):
             raise ValueError(f"iterative mode needs 1 <= k < n, got k={k}, n={n}")
@@ -335,16 +337,10 @@ def eigen_decompose(matrix, k: int | None = None, method: str = "dense") -> Eige
             values, vectors = err.eigenvalues, err.eigenvectors
             converged = False
         order = np.argsort(values)[::-1]
-        values = values[order]
-        vectors = _fix_signs(vectors[:, order])
-        return EigenSystem(
-            values=values,
-            vectors=vectors,
-            method="iterative",
-            residual=float(_residuals(operand, values, vectors).max(initial=0.0)),
-            converged=converged,
-            k_converged=None if converged else len(values),
-        )
+        values, vectors = values[order], _fix_signs(vectors[:, order])
+        return EigenSystem(values=values, vectors=vectors, method="iterative",
+                           residual=float(_residuals(operand, values, vectors).max(initial=0.0)),
+                           converged=converged, k_converged=None if converged else len(values))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -385,13 +381,11 @@ class PairSpectra:
     side also gives `matrix` or `matrix_hat`. A run that sparsifies sets
     `hat` and `matrix_hat` once the sparsifier exists. Every check function
     accepts an instance in place of its matrix pair. Each role is a
-    cached_property; a values-only role reuses the eigenvalues of a full
-    decomposition already solved, else runs the cheaper values-only solve.
-    `laplacian` and `laplacian_hat` are each side's Laplacian in the one form
-    every role reads (`_held_form`); setting `hat` drops the form held for the
-    previous one. `paths` records, for the pencil, each difference norm and
-    each side's eigenvectors solved, whether they came from a "dense" solve or
-    from "arpack".
+    cached_property. `laplacian` and `laplacian_hat` are each side's
+    Laplacian in the one form every role reads (`_held_form`); setting `hat`
+    drops the form held for the previous one. `paths` records, for the
+    pencil, each difference norm and each side's eigenvectors solved,
+    whether they came from a "dense" solve or from "arpack".
 
     No role densifies an operand larger than `dense_limit` (see the module
     docstring for what runs above it).
@@ -457,31 +451,21 @@ class PairSpectra:
 
     def _densify(self, x) -> np.ndarray:
         """`x` as a dense array, or DenseLimitExceededError above the limit:
-        the check of every role with no sparse path. Three other sites compare
-        n with the limit and take a sparse path above it instead of raising:
-        `_held_form` (held CSR Laplacian), `_difference_norm` (sparse
-        difference) and `spectral_norm` (ARPACK)."""
+        the check of every role with no sparse path."""
         n = x.n if isinstance(x, OdnMatrix) else np.shape(x)[0]
         if n > self.dense_limit:
             raise DenseLimitExceededError(n, self.dense_limit)
         return _dense(x)
 
-    def _cheaper_form(self, x, share: float):
-        """`x` as a dense array when it is within the dense limit and stores at
-        least `share` * n^2 entries, else as it is (an OdnMatrix as CSR)."""
-        n = x.n if isinstance(x, OdnMatrix) else np.shape(x)[0]
-        if _stored(x) >= share * n * n:
-            try:
-                return self._densify(x)
-            except DenseLimitExceededError:
-                pass
-        return _sparse(x) if isinstance(x, OdnMatrix) else x
-
     def eigsh_operand(self, x):
         """`x` in the form ARPACK multiplies by fastest: dense when it is within
         the dense limit and the dense array is no larger than the CSR form (at
-        least 2/3 of n^2 stored, _DENSE_ARPACK_SHARE), else sparse."""
-        return self._cheaper_form(x, _DENSE_ARPACK_SHARE)
+        least 2/3 of n^2 stored, _DENSE_ARPACK_SHARE), else sparse (an
+        OdnMatrix as CSR)."""
+        n = x.n if isinstance(x, OdnMatrix) else np.shape(x)[0]
+        if n <= self.dense_limit and _stored(x) >= _DENSE_ARPACK_SHARE * n * n:
+            return _dense(x)
+        return _sparse(x) if isinstance(x, OdnMatrix) else x
 
     def _difference_norm(self, role: str, x, y, *, offdiag: bool = False
                          ) -> tuple[float, float]:
@@ -529,49 +513,77 @@ class PairSpectra:
         norm = spectral_norm(buf, dense_limit=self.dense_limit)
         return norm, norm
 
-    @cached_property
-    def laplacian_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self._densify(self.laplacian))
+    def _components(self) -> tuple[int, np.ndarray]:
+        """(count, labels) of the connected components of L's graph: a graph
+        side's own, else those of a raw Laplacian's pattern."""
+        if isinstance(self.base, GraphViews):
+            return self.base.components
+        return connected_components(self.laplacian != 0, directed=False)
+
+    def _kernel_leak(self, x) -> float:
+        """||x K||_2, with K the orthonormal indicator vectors of the components
+        of L's graph: exactly the kernel of L."""
+        labels = self._components()[1]  # every label occurs: the shape is n x count
+        basis = sp.csr_matrix((np.bincount(labels)[labels] ** -0.5,
+                               (np.arange(len(labels)), labels)))
+        return float(np.linalg.norm(_dense(x @ basis), 2))
 
     @cached_property
-    def laplacian_values(self) -> np.ndarray:
-        if "laplacian_eigh" in self.__dict__:
-            return self.laplacian_eigh[0]
-        return np.linalg.eigvalsh(self._densify(self.laplacian))
+    def grounded_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """(kept, C^-1): the vertices left once the vertex of largest degree in
+        each component of L's graph (lowest index on ties) is grounded, and
+        the inverse of the lower Cholesky factor of L_g = C C' on them, from
+        `dpotrf` and `dtrtri` in place in a dense copy. Grounding an end of a
+        path with weights (1e-20, 1) would leave L_g singular in floating
+        point. Raises OdnError for a raw L whose rows do not sum to zero on
+        its components, FactorizationError where LAPACK fails, and
+        DenseLimitExceededError above the limit."""
+        lap = self.laplacian
+        n = lap.shape[0]
+        if n > self.dense_limit:
+            raise DenseLimitExceededError(n, self.dense_limit)
+        if not isinstance(self.base, GraphViews) and (
+                self._kernel_leak(lap) > 1e-8 * _max_abs(lap)):
+            raise OdnError("L is not a graph Laplacian: its rows do not sum to zero "
+                           "on the connected components of its graph")
+        count, labels = self._components()
+        order = np.lexsort((-lap.diagonal(), labels))  # stable: lowest index on ties
+        grounded = order[np.searchsorted(labels[order], np.arange(count))]
+        kept = np.delete(np.arange(n), grounded)
+        if not kept.size:  # no edges: LAPACK rejects an empty matrix
+            return kept, np.zeros((0, 0))
+        with _one_scipy_thread():
+            factor, info = lapack.dpotrf(_grounded_block(lap, kept), lower=1, overwrite_a=1)
+            routine = "dpotrf"
+            if not info:
+                factor, info = lapack.dtrtri(factor, lower=1, overwrite_c=1)
+                routine = "dtrtri"
+        if info:
+            raise FactorizationError(routine, info, int(kept[info - 1]) if info > 0 else None)
+        return kept, factor
 
     @cached_property
     def pencil(self) -> tuple[tuple[float, float], float]:
         """The extreme eigenvalues (low, high) of the pencil (L_hat, L) on the
-        range of L, and the leak ||L_hat K||_2 on L's kernel basis K.
+        grounded complement of ker L, and the leak ||L_hat K||_2 on L's kernel
+        basis K (`_kernel_leak`); with no leak, the extremes on the range of L.
 
-        Both come from one product L_hat V with L's eigenvectors V: a dense
-        BLAS product when L_hat is within the dense limit and stores at least
-        n^2 / 8 entries (_DENSE_PRODUCT_SHARE), else L_hat's own sparse
-        product, so an L_hat below that share is never densified. Only the
-        resistances and the pencil use V, so it is released here, and L_hat V
-        with it before the solve; L's eigenvalues are kept. The reduced matrix
-        V' L_hat V is scaled by s_i s_j, s = mu^(-1/2), in place, in blocks of
-        _PENCIL_ROWS rows: each entry is x * (s_i * s_j), as with the whole
-        outer product, and no n x n temporary is made. ARPACK takes its two
-        extremes (`eigsh(which="BE")`), and each is moved outward by its Ritz
-        residual and `_rounding`, so that the verdict reads an interval that
-        holds the exact extremes; a reduced matrix of size below 3, or one on
-        which ARPACK does not converge in _PENCIL_RESTARTS restarts, is solved
-        dense (`paths["pencil"]`).
+        Two in-place `dtrmm` calls turn a dense copy of L_hat's grounded block
+        into C^-1 L_hat_g C^-T; the factor, which no later role reads, is
+        released before the solve. ARPACK's two extremes (`eigsh(which="BE")`)
+        are each moved outward by their Ritz residual and `_rounding`, so the
+        interval holds the exact extremes; a reduced matrix of size below 3,
+        or one on which ARPACK does not converge in _PENCIL_RESTARTS restarts,
+        is solved dense (`paths["pencil"]`).
         """
-        mu, vecs = self.laplacian_eigh
-        self.__dict__.setdefault("laplacian_values", mu)
-        del self.laplacian_eigh
-        # mu ascends, so the kernel is the leading columns and the range the rest.
-        split = int(np.searchsorted(mu, PINV_CUTOFF * max(float(mu[-1]), 0.0), "right"))
-        hat_vecs = self._cheaper_form(self.laplacian_hat, _DENSE_PRODUCT_SHARE) @ vecs
-        leak = float(np.linalg.norm(hat_vecs[:, :split], 2)) if split else 0.0
-        reduced = vecs[:, split:].T @ hat_vecs[:, split:]
-        del vecs, hat_vecs
-        inv_sqrt = 1.0 / np.sqrt(mu[split:])
-        for start in range(0, len(inv_sqrt), _PENCIL_ROWS):
-            block = slice(start, start + _PENCIL_ROWS)
-            reduced[block] *= np.outer(inv_sqrt[block], inv_sqrt)
+        kept, inv = self.grounded_factor
+        del self.grounded_factor
+        leak = self._kernel_leak(self.laplacian_hat)
+        reduced = _grounded_block(self.laplacian_hat, kept)
+        with _one_scipy_thread():
+            reduced = blas.dtrmm(1.0, inv, reduced, lower=1, overwrite_b=1)
+            reduced = blas.dtrmm(1.0, inv, reduced, side=1, lower=1, trans_a=1, overwrite_b=1)
+        del inv
         if len(reduced) >= 3:
             try:
                 theta, q = _arpack(reduced, k=2, which="BE", maxiter=_PENCIL_RESTARTS)
@@ -587,13 +599,9 @@ class PairSpectra:
 
     @cached_property
     def laplacian_norm(self) -> float:
-        """rho(L): from L's eigenvalues within the dense limit, else `spectral_norm`'s
-        ARPACK upper estimate."""
-        try:
-            values = self.laplacian_values
-        except DenseLimitExceededError:
-            return spectral_norm(self.laplacian, dense_limit=self.dense_limit)
-        return float(np.abs(values).max()) if values.size else 0.0
+        """rho(L): the upper end of ARPACK's estimate (`_arpack_norm`) on L's
+        cheaper form (`eigsh_operand`), at every n."""
+        return _arpack_norm(self.eigsh_operand(self.laplacian))[1]
 
     @cached_property
     def matrix_values(self) -> tuple[np.ndarray, np.ndarray]:

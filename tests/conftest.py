@@ -2,11 +2,12 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 import odnsparse
 from odnsparse import OdnMatrix
-from odnsparse.spectra import PINV_CUTOFF
 
 
 def child_env(**extra) -> dict:
@@ -34,16 +35,40 @@ def complete_with_isolated_vertex(n: int = 40) -> OdnMatrix:
     return OdnMatrix(n, k.rows, k.cols, k.vals, np.append(k.diag, 0.5))
 
 
+def _dense(x) -> np.ndarray:
+    return x.toarray() if sp.issparse(x) else np.asarray(x, dtype=np.float64)
+
+
+def grounded_lowest(lap) -> list[np.ndarray]:
+    """The vertices of each component of a Laplacian's graph, less the one of
+    lowest index, which is grounded: an independent choice from the
+    library's, which grounds the vertex of largest degree."""
+    labels = connected_components(sp.csr_matrix(_dense(lap) != 0), directed=False)[1]
+    return [np.flatnonzero(labels == c)[1:] for c in np.unique(labels)]
+
+
+def grounded_resistances(matrix: OdnMatrix) -> np.ndarray:
+    """Reference resistances of the stored pairs: per component, ground its
+    lowest vertex and invert the rest of L by `np.linalg.solve`; then
+    R_uv = G_uu + G_vv - 2 G_uv, a grounded vertex reading as 0."""
+    lap = odnsparse.decompose(matrix).laplacian_dense()
+    gram = np.zeros_like(lap)
+    for kept in grounded_lowest(lap):
+        block = np.ix_(kept, kept)
+        gram[block] = np.linalg.solve(lap[block], np.eye(len(kept)))
+    rows, cols = matrix.rows, matrix.cols
+    return gram[rows, rows] + gram[cols, cols] - 2.0 * gram[rows, cols]
+
+
 def dense_pencil(lap, lap_hat) -> np.ndarray:
-    """Reference pencil (L_hat, L) on L's range, all dense: span' L_hat span
-    scaled by mu^(-1/2) on both sides. Either Laplacian may be held sparse
-    or dense."""
-    lap, lap_hat = (x.toarray() if sp.issparse(x) else np.asarray(x) for x in (lap, lap_hat))
-    mu, vecs = np.linalg.eigh(lap)
-    keep = mu > PINV_CUTOFF * max(float(mu[-1]), 0.0)
-    span = vecs[:, keep]
-    inv_sqrt = 1.0 / np.sqrt(mu[keep])
-    return np.linalg.eigvalsh((span.T @ lap_hat @ span) * np.outer(inv_sqrt, inv_sqrt))
+    """Reference eigenvalues of the pencil (L_hat, L) on the complement of
+    ker L that grounding each component's lowest vertex leaves, ascending:
+    `scipy.linalg.eigh(L_hat_g, L_g)`. Either Laplacian may be held sparse or
+    dense."""
+    lap, lap_hat = _dense(lap), _dense(lap_hat)
+    kept = np.concatenate(grounded_lowest(lap))
+    block = np.ix_(kept, kept)
+    return scipy.linalg.eigh(lap_hat[block], lap[block], eigvals_only=True)
 
 
 def random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:

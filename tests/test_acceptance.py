@@ -52,6 +52,7 @@ class RunRecord:
     verify_passed: bool
     gen_min: float
     gen_max: float
+    eps_hat: float
     ratio_passed: bool
     max_deviation: float
     bound: float
@@ -129,6 +130,7 @@ def runs(models):
                         verify_passed=ver.passed,
                         gen_min=ver.gen_min,
                         gen_max=ver.gen_max,
+                        eps_hat=ver.eps_hat,
                         ratio_passed=ratio_passed,
                         max_deviation=float(np.abs(lam - lam_hat).max()),
                         bound=bound,
@@ -172,6 +174,8 @@ def test_criterion_02_sparsifier_quadratic_form_corridor(runs):
             continue
         if r.gen_min < 1 - r.epsilon - 1e-9 or r.gen_max > 1 + r.epsilon + 1e-9:
             failures.append(f"{r.model} eps={r.epsilon} seed={r.seed}: extremes")
+        if not r.eps_hat <= r.epsilon + 1e-9:
+            failures.append(f"{r.model} eps={r.epsilon} seed={r.seed}: eps_hat {r.eps_hat}")
     _criterion(
         "criterion 2 (quadratic-form corridor)",
         not failures,

@@ -109,12 +109,12 @@ class TestSchema:
     ], ids=["probes", "seed", "probe_min", "probe_max", "probes-only", "parameters.probes",
             "quadform", "approximate", "eigenvalue_ratios"])
     def test_version_1_probe_fields_rejected(self, pipeline, section, key, value):
-        """Schema 4.0 rejects the removed fields: the Rayleigh probes, the
+        """Schema 5.0 rejects the removed fields: the Rayleigh probes, the
         quadratic-form application, the approximate resistance mode and the
         eigenvalue-ratio section."""
         import jsonschema
 
-        assert SCHEMA_VERSION == "4.0"
+        assert SCHEMA_VERSION == "5.0"
         report = build_full_report(*pipeline)
         validate_report(report)
         report.setdefault(section, {})[key] = value
@@ -140,6 +140,22 @@ class TestSchemaFour:
         del spectral["vacuous_angles"]
         with pytest.raises(jsonschema.ValidationError):
             validate_report(report)
+
+
+class TestSchemaFive:
+    def test_eps_hat(self, pipeline):
+        """Schema 5.0: `verification.eps_hat` is the epsilon the exact pencil
+        achieved, max(1 - gen_min, gen_max - 1), and null in the trivial-zero
+        mode."""
+        report = build_full_report(*pipeline)
+        validate_report(report)
+        ver = report["verification"]
+        assert ver["mode"] == "exact"
+        assert ver["eps_hat"] == max(1.0 - ver["gen_min"], ver["gen_max"] - 1.0)
+        zero = verification_to_dict(verify_sparsifier(np.zeros((3, 3)), np.zeros((3, 3)), 0.25))
+        assert zero["mode"] == "trivial-zero" and zero["eps_hat"] is None
+        report["verification"] = zero
+        validate_report(report)
 
 
 class TestSerialization:

@@ -54,13 +54,13 @@ def solves(monkeypatch):
 
 
 def test_sparsify_solves_each_matrix_once(solves, tmp_path, capsys):
-    # eigh: L; eigvalsh: M, M_hat; eigsh: the pencil (L_hat, L), M - M_hat (a
-    # sparse pair). No angle bound is below 1, so no eigenvector of M or M_hat
-    # is solved.
+    # eigvalsh: M, M_hat; eigsh: the pencil (L_hat, L), rho(L), M - M_hat (a
+    # sparse pair). L is factored, not solved, and no angle bound is below 1,
+    # so no eigenvector of M or M_hat is solved.
     code = main(["sparsify", "--gen", "grid:rows=5,cols=5,diag=uniform(0,1)",
                  "--seed", str(SEED), "--out-report", str(tmp_path / "r.json")])
     assert code == 0
-    assert solves == {"eigh": 1, "eigvalsh": 2, "eigsh": 2}
+    assert solves == {"eigh": 0, "eigvalsh": 2, "eigsh": 3}
     assert json.loads((tmp_path / "r.json").read_text())["spectral"]["vacuous_angles"] == 25
 
 
@@ -69,19 +69,19 @@ def test_verify_solves_each_matrix_once(solves, tmp_path, capsys):
     write_matrix_market(generate_odn("complete", 20, seed=3, diag=("uniform", 0, 1)), a)
     assert main(["sparsify", "--input", str(a), "--out-matrix", str(b)]) == 0
     solves.update(eigh=0, eigvalsh=0, eigsh=0)
-    # eigh: L, and M and M_hat for the Perron vector's angle (its bound is
-    # below 1; at n = 20 a dense solve is cheaper than ARPACK's top 1);
-    # eigsh: the pencil; eigvalsh: L - L_hat, A - A_hat, M - M_hat (a dense
+    # eigh: M and M_hat for the Perron vector's angle (its bound is below 1;
+    # at n = 20 a dense solve is cheaper than ARPACK's top 1); eigsh: the
+    # pencil, rho(L); eigvalsh: L - L_hat, A - A_hat, M - M_hat (a dense
     # pair), M, M_hat.
     assert main(["verify", str(a), str(b), "--out-report", str(tmp_path / "r.json")]) == 0
-    assert solves == {"eigh": 3, "eigvalsh": 5, "eigsh": 1}
+    assert solves == {"eigh": 2, "eigvalsh": 5, "eigsh": 2}
 
 
 def test_pca_solves_each_matrix_once(solves):
     matrix = generate_odn("equicorrelation", 15, correlation=0.4)
-    # eigh: L; eigvalsh: M; eigsh: the pencil, and M_hat by Lanczos.
+    # eigvalsh: M; eigsh: the pencil, rho(L), and M_hat by Lanczos.
     assert pca_compare(matrix, EPS, 3, seed=SEED).passed
-    assert solves == {"eigh": 1, "eigvalsh": 1, "eigsh": 2}
+    assert solves == {"eigh": 0, "eigvalsh": 1, "eigsh": 3}
 
 
 def _connected():
@@ -176,7 +176,7 @@ def test_verify_above_dense_limit_exits_one_without_solving(solves, tmp_path, ca
     assert "--dense-limit" in err and "PairSpectra(dense_limit=...)" in err
 
 
-DENSE_ONLY_ROLES = ["laplacian_eigh", "laplacian_values", "pencil", "matrix_values"]
+DENSE_ONLY_ROLES = ["grounded_factor", "pencil", "matrix_values"]
 
 
 def _grid_pair(seed):
@@ -263,8 +263,8 @@ def test_pca_corr_sized_input_runs_arpack_on_dense_operand(arpack_operands):
     comparison = pca_compare(_factor_correlation(), EPS, 50, seed=1)
     assert comparison.passed
     assert comparison.nnz_after >= 2 / 3 * comparison.n**2
-    # The pencil's reduced matrix, then M_hat.
-    assert arpack_operands == [np.ndarray, np.ndarray]
+    # The pencil's reduced matrix, L for rho(L), then M_hat.
+    assert arpack_operands == [np.ndarray, np.ndarray, np.ndarray]
 
 
 @pytest.mark.parametrize("make", [
@@ -285,11 +285,6 @@ def test_sparse_operands_stay_sparse_for_arpack(make, monkeypatch):
     monkeypatch.setattr(spectra, "_densify", recording)
     assert sp.issparse(spectra.eigsh_operand(matrix))
     assert densified == []
-    # A block product goes dense from n^2 / 8 stored instead.
-    product = spectra._cheaper_form(matrix, spectra_module._DENSE_PRODUCT_SHARE) @ np.eye(
-        matrix.n)
-    assert densified == ([matrix] if share >= 1 / 8 else [])
-    np.testing.assert_array_equal(product, matrix.to_dense())
 
 
 def test_operand_above_dense_limit_stays_sparse():
@@ -310,24 +305,21 @@ def test_dense_and_sparse_arpack_operands_agree():
     assert max(dense.residual, sparse.residual) <= 1e-8 * rho
 
 
-def _no_toarray(self, *args, **kwargs):
-    raise AssertionError("a sparse operand was densified")
-
-
-def test_grid_pencil_never_densifies_laplacian_hat(monkeypatch):
+def test_grid_pencil_memory():
+    """On a 30 x 30 grid, whose Laplacians are held as CSR, the pencil's
+    traced peak past the factor is at most 1.5 n x n arrays: L_hat's grounded
+    block, which becomes the reduced matrix in place."""
     matrix = generate_odn("grid", rows=30, cols=30, seed=1, diag=("uniform", 0, 1))
     spectra = PairSpectra(decompose(matrix))
     spectra.hat = sparsify_laplacian(spectra, EPS, SEED)
-    densified = []
-
-    def recording(x, _densify=PairSpectra._densify):
-        densified.append(x)
-        return _densify(spectra, x)
-
-    monkeypatch.setattr(spectra, "_densify", recording)
-    monkeypatch.setattr(sp.csr_matrix, "toarray", _no_toarray)
-    spectra.pencil
-    assert not any(x is spectra.laplacian_hat for x in densified)
+    spectra.laplacian_hat, spectra.grounded_factor
+    tracemalloc.start()
+    try:
+        spectra.pencil
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * matrix.n**2 * 8
 
 
 @pytest.mark.parametrize("matrix", [

@@ -9,6 +9,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 from odnsparse import (
     DenseLimitExceededError,
     DimensionMismatchError,
+    FactorizationError,
     InvalidConstantError,
     InvalidEpsilonError,
     OdnError,
@@ -23,12 +24,18 @@ from odnsparse import (
     sparsify_laplacian,
     validate_odn,
     verify_sparsifier,
+    write_matrix_market,
 )
 from odnsparse import spectra
 from odnsparse.sparsify import _draw_counts
-from odnsparse.spectra import PINV_CUTOFF
 
-from conftest import complete_with_isolated_vertex, dense_pencil, random_odn
+from conftest import (
+    complete_with_isolated_vertex,
+    dense_pencil,
+    grounded_lowest,
+    grounded_resistances,
+    random_odn,
+)
 
 
 def two_component_graph():
@@ -40,22 +47,6 @@ def two_component_graph():
     return OdnMatrix(7, rows, cols, vals, np.zeros(7))
 
 
-def resistances_by_edge_differences(spectra: PairSpectra) -> np.ndarray:
-    """Reference: R_e = sum_k (v_ik - v_jk)^2 / mu_k over L's eigenpairs,
-    the O(m * n) formula, evaluated in blocks of edges."""
-    mu, vecs = spectra.laplacian_eigh
-    inv = np.zeros_like(mu)
-    keep = mu > PINV_CUTOFF * max(float(mu[-1]), 0.0)
-    inv[keep] = 1.0 / mu[keep]
-    src = spectra.matrix
-    out = np.empty(src.stored_pairs)
-    for start in range(0, len(out), 2048):
-        block = slice(start, start + 2048)
-        diff = vecs[src.rows[block]] - vecs[src.cols[block]]
-        out[block] = (diff * diff) @ inv
-    return out
-
-
 def log_weight_grid():
     """60 x 60 grid with weights 10**U(-4, 0): four decades of conductance."""
     grid = generate_odn("grid", rows=60, cols=60)
@@ -63,7 +54,7 @@ def log_weight_grid():
     return OdnMatrix(grid.n, grid.rows, grid.cols, weights, grid.diag)
 
 
-PSEUDOINVERSE_INPUTS = {
+RESISTANCE_INPUTS = {
     "grid-30x30": lambda: generate_odn("grid", rows=30, cols=30, diag=("uniform", 0, 1)),
     "complete-300": lambda: generate_odn("complete", 300, seed=1),
     "erdos-renyi-500": lambda: generate_odn("erdos-renyi", 500, density=0.01, seed=0),
@@ -72,14 +63,11 @@ PSEUDOINVERSE_INPUTS = {
 
 
 class TestEffectiveResistances:
-    @pytest.mark.parametrize("name", PSEUDOINVERSE_INPUTS)
-    def test_pseudoinverse_matches_edge_differences(self, name):
-        d = decompose(PSEUDOINVERSE_INPUTS[name]())
-        spectra = PairSpectra(d)
-        resistance, _ = effective_resistances(spectra)
-        np.testing.assert_allclose(
-            resistance, resistances_by_edge_differences(spectra), rtol=1e-10
-        )
+    @pytest.mark.parametrize("name", RESISTANCE_INPUTS)
+    def test_grounded_factor_matches_grounded_solve(self, name):
+        d = decompose(RESISTANCE_INPUTS[name]())
+        resistance, _ = effective_resistances(PairSpectra(d))
+        np.testing.assert_allclose(resistance, grounded_resistances(d.matrix), rtol=1e-10)
         # Foster: sum_e w_e R_e = n - components.
         np.testing.assert_allclose(
             (d.matrix.vals * resistance).sum(), d.n - d.components[0], rtol=1e-8
@@ -88,7 +76,7 @@ class TestEffectiveResistances:
     def test_exact_memory_is_quadratic_in_n(self):
         d = decompose(generate_odn("complete", 300, seed=1))
         spectra = PairSpectra(d)
-        spectra.laplacian_eigh
+        spectra.grounded_factor
         n, m = d.n, d.matrix.stored_pairs
         tracemalloc.start()
         try:
@@ -215,7 +203,7 @@ class TestSparsify:
             pair = PairSpectra(decompose(matrix))
             with pytest.raises(InvalidConstantError):
                 sparsify_laplacian(pair, 0.25, constant=bad)
-            assert "laplacian_eigh" not in vars(pair)
+            assert "grounded_factor" not in vars(pair)
 
     @pytest.mark.parametrize("epsilon,constant", [(1e-200, 9.0), (1e-160, 9.0),
                                                   (0.25, 1e308)])
@@ -372,19 +360,19 @@ class TestVerify:
         dict(model="complete", n=40, seed=3),
         dict(model="grid", rows=6, cols=6, seed=3),
     ], ids=["dense", "sparse"])
-    def test_laplacian_solved_before_hat_is_held(self, spec, monkeypatch):
-        """verify_sparsifier solves eigh(L) while L_hat's held form does not
-        exist yet, so the two dense Laplacians are never both alive in it."""
+    def test_laplacian_factored_before_hat_is_held(self, spec, monkeypatch):
+        """verify_sparsifier factors L while L_hat's held form does not exist
+        yet, so the two dense Laplacians are never both alive with it."""
         d = decompose(generate_odn(**spec))
         res = sparsify_laplacian(d, 0.25, seed=1)
         pair = PairSpectra(d, res)
         held = []
 
-        def solving(x, *args, _eigh=spectra.np.linalg.eigh, **kwargs):
+        def factoring(*args, _dpotrf=spectra.lapack.dpotrf, **kwargs):
             held.append("laplacian_hat" in vars(pair))
-            return _eigh(x, *args, **kwargs)
+            return _dpotrf(*args, **kwargs)
 
-        monkeypatch.setattr(spectra.np.linalg, "eigh", solving)
+        monkeypatch.setattr(spectra.lapack, "dpotrf", factoring)
         assert verify_sparsifier(pair, epsilon=0.25).passed
         assert held == [False]
 
@@ -443,33 +431,30 @@ class TestVerify:
                 verify_sparsifier(lap, lap, bad)
 
     @pytest.mark.parametrize("name", sorted(SAMPLER_INPUTS))
-    def test_dense_and_sparse_products_agree(self, name, monkeypatch):
+    def test_dense_and_sparse_forms_agree(self, name):
+        """The verdict is the same whether each Laplacian is held as CSR or as
+        a dense array: the grounded blocks copied from either are equal."""
         d = decompose(SAMPLER_INPUTS[name]())
         res = sparsify_laplacian(d, 0.25, seed=2)
         extremes = []
-        for share in (0, d.n * d.n):  # always dense, never dense
-            monkeypatch.setattr(spectra, "_DENSE_PRODUCT_SHARE", share)
-            rec = verify_sparsifier(d.laplacian, res.laplacian, 0.25)
+        for form in (sp.csr_matrix, np.asarray):
+            lap = form(d.laplacian.toarray()) if form is np.asarray else d.laplacian
+            lap_hat = form(res.laplacian.toarray()) if form is np.asarray else res.laplacian
+            rec = verify_sparsifier(lap, lap_hat, 0.25)
             extremes.append([rec.gen_min, rec.gen_max])
         np.testing.assert_allclose(extremes[0], extremes[1], rtol=1e-13, atol=0)
 
-    @pytest.mark.parametrize("name,limit,dense", [
-        ("grid-30x30", spectra.DENSE_LIMIT, False),
-        ("complete-400", spectra.DENSE_LIMIT, True),
-        ("complete-400", 399, False),
-    ])
-    def test_product_path(self, name, limit, dense, monkeypatch):
+    @pytest.mark.parametrize("name", ["grid-30x30", "complete-400"])
+    @pytest.mark.parametrize("dense", [False, True], ids=["csr", "dense"])
+    def test_grounded_block(self, name, dense):
+        """A Laplacian's grounded block comes out as a new Fortran-ordered
+        array, which LAPACK and BLAS overwrite in place, from either form."""
         lap = decompose(SAMPLER_INPUTS[name]()).laplacian
-        calls = []
-        toarray = sp.csr_matrix.toarray
-        monkeypatch.setattr(sp.csr_matrix, "toarray",
-                            lambda self, *a, **k: calls.append(1) or toarray(self, *a, **k))
-        block = np.random.default_rng(0).standard_normal((lap.shape[0], 8))
-        operand = PairSpectra(dense_limit=limit)._cheaper_form(
-            lap, spectra._DENSE_PRODUCT_SHARE)
-        got = operand @ block
-        assert len(calls) == int(dense)
-        np.testing.assert_allclose(got, lap @ block, rtol=1e-12, atol=1e-12)
+        kept = np.arange(1, lap.shape[0], 2)
+        held = lap.toarray() if dense else lap
+        block = spectra._grounded_block(held, kept)
+        assert block.flags.f_contiguous and not np.shares_memory(block, held)
+        np.testing.assert_array_equal(block, lap.toarray()[np.ix_(kept, kept)])
 
     def test_above_dense_limit_raises(self):
         d = decompose(generate_odn("complete", 12, weight=1.0))
@@ -610,7 +595,9 @@ class TestExactVerdict:
         res = sparsify_laplacian(d, 0.3, seed=3)
         reduced = []
 
-        def not_converged(operand, *args, **kwargs):
+        def not_converged(operand, *args, _eigsh=spectra.eigsh, **kwargs):
+            if kwargs["which"] != "BE":  # rho(L)
+                return _eigsh(operand, *args, **kwargs)
             reduced.append(operand.copy())
             raise ArpackNoConvergence("0 of 2", np.zeros(0), np.zeros((len(operand), 0)))
 
@@ -647,20 +634,17 @@ class TestExactVerdict:
 
     @pytest.mark.parametrize("make", EXACT_VERDICT_INPUTS, ids=EXACT_VERDICT_IDS)
     @pytest.mark.parametrize("raw", [False, True], ids=["decomposition", "laplacian"])
-    def test_in_place_scaling_is_bit_identical(self, make, raw, monkeypatch):
-        """The pencil scaled in row blocks, with V and L_hat V freed before the
-        solve, hands ARPACK exactly (V' L_hat V) * outer(s, s)."""
+    def test_reduced_matrix_matches_dense_product(self, make, raw, monkeypatch):
+        """The reduced matrix formed in place by two `dtrmm` calls, and handed
+        to ARPACK, is C^-1 L_hat_g C^-T by numpy's Cholesky and inverse, to
+        1e-12 of its scale."""
         d = decompose(make())
         res = sparsify_laplacian(d, 0.3, seed=3)
-        def make_pair():
-            return PairSpectra(d.laplacian, res.laplacian) if raw else PairSpectra(d, res)
-
-        pair, former = make_pair(), make_pair()
-        mu, vecs = former.laplacian_eigh
-        split = int(np.searchsorted(mu, PINV_CUTOFF * max(float(mu[-1]), 0.0), "right"))
-        hat_vecs = former._cheaper_form(former.laplacian_hat, spectra._DENSE_PRODUCT_SHARE) @ vecs
-        s = 1.0 / np.sqrt(mu[split:])
-        expected = (vecs[:, split:].T @ hat_vecs[:, split:]) * np.outer(s, s)
+        pair = PairSpectra(d.laplacian, res.laplacian) if raw else PairSpectra(d, res)
+        kept = pair.grounded_factor[0]
+        block = np.ix_(kept, kept)
+        inv = np.linalg.inv(np.linalg.cholesky(d.laplacian_dense()[block]))
+        expected = inv @ res.laplacian_dense()[block] @ inv.T
         solved = []
 
         def recording(operand, *args, _eigsh=spectra.eigsh, **kwargs):
@@ -670,4 +654,116 @@ class TestExactVerdict:
         monkeypatch.setattr(spectra, "eigsh", recording)
         pair.pencil
         assert pair.paths["pencil"] == "arpack"
-        assert len(solved) == 1 and np.array_equal(solved[0], expected)
+        assert "grounded_factor" not in vars(pair)  # released before the solve
+        assert len(solved) == 1
+        np.testing.assert_allclose(solved[0], expected, rtol=0,
+                                   atol=1e-12 * np.abs(expected).max())
+
+
+def weak_path() -> OdnMatrix:
+    """A path on 3 vertices with edge weights (1e-20, 1)."""
+    return OdnMatrix(3, [0, 1], [1, 2], [1e-20, 1.0], np.zeros(3))
+
+
+class TestWeakEdge:
+    """A path whose first edge is 1e-20 times its second. Its kernel is exact
+    from the graph, so the weak edge keeps its resistance 1e20; a kernel cut
+    at 1e-10 rho(L) read it as 0.25, and certified a sparsifier without it."""
+
+    def test_resistances(self):
+        resistance, probability = effective_resistances(decompose(weak_path()))
+        np.testing.assert_allclose(resistance, [1e20, 1.0], rtol=1e-12)
+        np.testing.assert_allclose(probability, [0.5, 0.5], rtol=1e-12)
+
+    def test_sparsify_draws_both_edges_evenly(self):
+        res = sparsify_laplacian(decompose(weak_path()), 0.25, seed=0)
+        q = res.samples_drawn
+        counts = res.edges.vals / (weak_path().vals * 2.0 / q)
+        assert res.distinct_edges == 2
+        np.testing.assert_allclose(counts, np.round(counts), rtol=1e-12)
+        assert counts.sum() == pytest.approx(q, rel=1e-12)
+
+    @pytest.mark.parametrize("raw", [False, True], ids=["decomposition", "laplacian"])
+    def test_verify_rejects_dropping_the_weak_edge(self, raw):
+        d = decompose(weak_path())
+        hat = decompose(OdnMatrix(3, [1], [2], [1.0], np.zeros(3)))
+        pair = PairSpectra(d.laplacian_dense(), hat.laplacian) if raw else PairSpectra(d, hat)
+        rec = verify_sparsifier(pair, epsilon=0.25)
+        # x = e_0: x' L_hat x = 0 against x' L x = 1e-20.
+        assert not rec.passed and rec.mode == "exact"
+        assert rec.gen_min == pytest.approx(0.0, abs=1e-12)
+
+
+class TestFactorErrors:
+    def test_indefinite_laplacian_raises_typed_error(self):
+        """Rows summing to zero with a negative weight: not positive
+        semidefinite. Vertex 0 is grounded (degrees 0, -2, 0), and LAPACK's
+        Cholesky stops at the first pivot left, vertex 1's -2."""
+        lap = np.array([[0.0, 1.0, -1.0], [1.0, -2.0, 1.0], [-1.0, 1.0, 0.0]])
+        with pytest.raises(FactorizationError) as caught:
+            verify_sparsifier(lap, lap, 0.25)
+        assert (caught.value.routine, caught.value.pivot, caught.value.vertex) == ("dpotrf", 1, 1)
+
+    def test_no_edges_leave_nothing_to_factor(self):
+        for base in (np.zeros((3, 3)), decompose(OdnMatrix(3, [], [], [], np.zeros(3)))):
+            kept, inv = PairSpectra(base).grounded_factor
+            assert kept.size == 0 and inv.shape == (0, 0)
+
+    def test_not_a_laplacian_raises(self):
+        """A diagonal matrix has no edges, but its rows do not sum to zero."""
+        with pytest.raises(OdnError, match="not a graph Laplacian"):
+            verify_sparsifier(np.eye(3), np.eye(3), 0.25)
+
+    def test_cli_exits_one_with_one_error_line(self, tmp_path, capsys):
+        """A path with weights (1, 1e-20, 1): its degrees round the weak edge
+        away, so L grounded anywhere is singular in floating point."""
+        from odnsparse.cli import main
+
+        path = tmp_path / "path.mtx"
+        write_matrix_market(OdnMatrix(4, [0, 1, 2], [1, 2, 3], [1.0, 1e-20, 1.0],
+                                      np.zeros(4)), path)
+        assert main(["sparsify", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error" in line.lower()]
+        assert errors == ["error: dpotrf failed at pivot 3 (vertex 3): the Laplacian grounded "
+                          "at one vertex per component is not positive definite in floating "
+                          "point"]
+
+
+def random_graph_case(case: int) -> OdnMatrix:
+    """Random ODN input `case`: n <= 3 in every fourth case, else 4 to 12;
+    densities from 0 (no edges) to 1; the edges across up to three random
+    vertex classes dropped, which leaves disconnected graphs and isolated
+    vertices; a zero diagonal in every third case."""
+    rng = np.random.default_rng(4100 + case)
+    n = int(rng.integers(1, 4)) if case % 4 == 0 else int(rng.integers(4, 13))
+    m = random_odn(rng, n, density=float(rng.choice([0.0, 0.3, 0.7, 1.0])))
+    classes = rng.integers(0, int(rng.integers(1, 4)), n)
+    same = classes[m.rows] == classes[m.cols]
+    diag = np.zeros(n) if case % 3 == 0 else m.diag
+    return OdnMatrix(n, m.rows[same], m.cols[same], m.vals[same], diag)
+
+
+@pytest.mark.parametrize("case", range(48))
+def test_random_inputs_match_grounded_references(case):
+    """Resistances against a grounded `np.linalg.solve` per component, with
+    Foster's identity sum_e w_e R_e = n - components; the verdict's extremes
+    against `scipy.linalg.eigh(L_hat_g, L_g)`, within the widening."""
+    matrix = random_graph_case(case)
+    d = decompose(matrix)
+    resistance, _ = effective_resistances(d)
+    np.testing.assert_allclose(resistance, grounded_resistances(matrix), rtol=1e-9)
+    np.testing.assert_allclose((matrix.vals * resistance).sum(), d.n - d.components[0],
+                               rtol=1e-9, atol=1e-12)
+    res = sparsify_laplacian(d, 0.3, seed=case)
+    rec = verify_sparsifier(PairSpectra(d, res), epsilon=0.3)
+    if matrix.stored_pairs == 0:
+        assert rec.mode == "trivial-zero" and rec.passed and rec.eps_hat is None
+        return
+    expected = dense_pencil(d.laplacian, res.laplacian)
+    low, high = expected[0] - rec.gen_min, rec.gen_max - expected[-1]
+    scale = np.abs(expected).max()
+    assert -1e-12 * scale <= min(low, high) and max(low, high) <= 1e-12 * scale
+    assert rec.kernel_leak <= 1e-12 * scale
+    assert not rec.passed or rec.eps_hat <= 0.3 + 1e-9

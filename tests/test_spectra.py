@@ -8,6 +8,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 from odnsparse import (
     DimensionMismatchError,
+    FactorizationError,
     InvalidEpsilonError,
     PairSpectra,
     adjacency_norm_check,
@@ -153,9 +154,9 @@ class TestSpectralNorm:
 def scipy_pool():
     """(get, set) of scipy's bundled OpenBLAS pool, set to 2 threads for the
     test and put back afterwards; skipped where scipy has no such pool."""
-    if spectra_module._ARPACK_BLAS is None:
+    if spectra_module._SCIPY_BLAS is None:
         pytest.skip("scipy has no bundled OpenBLAS to hold")
-    get_threads, set_threads, _ = spectra_module._ARPACK_BLAS
+    get_threads, set_threads, _ = spectra_module._SCIPY_BLAS
     prior = get_threads()
     set_threads(2)
     yield get_threads, set_threads
@@ -177,7 +178,8 @@ def _thread_reading_operator(get_threads, seen, fail=False):
 
 
 class TestArpackThreads:
-    """`_arpack` holds scipy's OpenBLAS to one thread during ARPACK only."""
+    """`_arpack` and the grounded factor hold scipy's OpenBLAS to one thread
+    during their scipy calls only."""
 
     def test_one_thread_inside_prior_count_after(self, scipy_pool):
         get_threads, _ = scipy_pool
@@ -199,7 +201,7 @@ class TestArpackThreads:
 
     def test_no_op_without_the_symbols(self, scipy_pool, monkeypatch):
         get_threads, _ = scipy_pool
-        monkeypatch.setattr(spectra_module, "_ARPACK_BLAS", None)
+        monkeypatch.setattr(spectra_module, "_SCIPY_BLAS", None)
         seen = []
         spectra_module._arpack(_thread_reading_operator(get_threads, seen), k=2, which="LA")
         assert seen and set(seen) == {2}
@@ -218,6 +220,61 @@ class TestArpackThreads:
         for worker in workers:
             worker.join(timeout=60)
         assert not any(worker.is_alive() for worker in workers)
+        assert get_threads() == 2
+
+    @staticmethod
+    def _recording(monkeypatch, get_threads, seen):
+        """Wrap the scipy LAPACK and BLAS routines the factor and the pencil
+        call so that each records the pool's thread count."""
+        from types import SimpleNamespace
+
+        def wrap(module, name):
+            def call(*args, _routine=getattr(module, name), **kwargs):
+                seen.append((name, get_threads()))
+                return _routine(*args, **kwargs)
+
+            return call
+
+        for attr, names in (("lapack", ("dpotrf", "dtrtri")), ("blas", ("dtrmm",))):
+            module = getattr(spectra_module, attr)
+            monkeypatch.setattr(spectra_module, attr, SimpleNamespace(
+                **{name: wrap(module, name) for name in names}))
+
+    def test_factor_and_pencil_run_on_one_thread(self, scipy_pool, monkeypatch):
+        get_threads, _ = scipy_pool
+        d = decompose(generate_odn("grid", rows=6, cols=6, seed=1))
+        pair = PairSpectra(d, sparsify_laplacian(d, 0.3, seed=1))
+        seen = []
+        self._recording(monkeypatch, get_threads, seen)
+        pair.pencil
+        assert seen == [("dpotrf", 1), ("dtrtri", 1), ("dtrmm", 1), ("dtrmm", 1)]
+        assert get_threads() == 2
+
+    def test_prior_count_restored_after_a_failed_factor(self, scipy_pool, monkeypatch):
+        get_threads, _ = scipy_pool
+        seen = []
+        self._recording(monkeypatch, get_threads, seen)
+        # Rows sum to zero, but the weight -1 on (0, 2) makes it indefinite.
+        lap = np.array([[0.0, 1.0, -1.0], [1.0, -2.0, 1.0], [-1.0, 1.0, 0.0]])
+        with pytest.raises(FactorizationError, match="dpotrf failed at pivot 1 "):
+            PairSpectra(lap).grounded_factor
+        assert seen == [("dpotrf", 1)]
+        assert get_threads() == 2
+
+    def test_hold_is_reentrant(self, scipy_pool):
+        """ARPACK called inside a held block neither waits on the hold forever
+        nor leaves the pool at one thread."""
+        get_threads, _ = scipy_pool
+        matrix = sp.diags(np.arange(1.0, 41.0)).tocsr()
+
+        def nested():
+            with spectra_module._one_scipy_thread():
+                spectra_module._arpack(matrix, k=2, which="LA")
+
+        worker = threading.Thread(target=nested, daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
         assert get_threads() == 2
 
     def test_missing_symbols_find_no_pool(self):
