@@ -57,8 +57,9 @@ class DenseLimitExceededError(OdnError):
 
 
 class FactorizationError(OdnError):
-    """`dpotrf` or `dtrtri` failed on the grounded Laplacian at the 1-based
-    `pivot` (LAPACK's info), which is graph vertex `vertex`."""
+    """`dpotrf`, `dtrtri` or `dpbtrf` failed on the grounded Laplacian at the
+    1-based `pivot` (LAPACK's info) of the factor's vertex order, which is
+    graph vertex `vertex`."""
 
     def __init__(self, routine: str, pivot: int, vertex: int | None):
         super().__init__(f"{routine} failed at pivot {pivot} (vertex {vertex}): the Laplacian "

@@ -22,7 +22,7 @@ from .spectra import (
     WeylCheck,
 )
 
-SCHEMA_VERSION = "5.0"
+SCHEMA_VERSION = "5.1"
 
 
 def verification_to_dict(v: VerificationRecord) -> dict:

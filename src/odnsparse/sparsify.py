@@ -34,7 +34,6 @@ from .core import GraphViews, LaplacianDecomposition, OdnMatrix, _degrees
 from .errors import OdnError
 from .spectra import (
     PairSpectra,
-    _BLOCK_ROWS,
     _max_abs,
     _require_constant,
     _require_epsilon,
@@ -91,27 +90,17 @@ def effective_resistances(
 
     Returns the arrays (resistance, probability), aligned with the stored
     pairs `decomp.matrix.rows/cols/vals`; an edge's leverage is
-    vals * resistance. G = C^-T C^-1 = L_g^-1 from `PairSpectra.grounded_factor`
-    gives R_uv = G_uu + G_vv - 2 G_uv, a grounded vertex reading as 0: exact
-    per component, in O(n^2) memory whatever the edge count. Above the
+    vals * resistance. R_uv = G_uu + G_vv - 2 G_uv, with G = L_g^-1 read
+    through `PairSpectra.grounded_factor` (`GroundedFactor.resistances`), a
+    grounded vertex reading as 0: exact per component. A dense factor holds
+    O(n^2) memory whatever the edge count, a band factor O(n kd). Above the
     pair's dense limit it raises DenseLimitExceededError.
     """
     spectra = PairSpectra.of(decomp)
     src = spectra.matrix
     if src.stored_pairs == 0:
         return np.zeros(0), np.zeros(0)
-    kept, inv = spectra.grounded_factor
-    k = len(kept)
-    gram = np.zeros((k + 1, k + 1))  # a last row and column of 0s for the grounded
-    np.matmul(inv.T, inv, out=gram[:k, :k])
-    index = np.full(src.n, k)
-    index[kept] = np.arange(k)
-    resistance = np.empty(src.stored_pairs)
-    step = _BLOCK_ROWS * src.n
-    for start in range(0, len(resistance), step):
-        rows, cols = index[src.rows[start:start + step]], index[src.cols[start:start + step]]
-        resistance[start:start + step] = gram[rows, rows] + gram[cols, cols] - 2 * gram[rows, cols]
-    del gram
+    resistance = spectra.grounded_factor.resistances(src.rows, src.cols, src.n)
     leverage = src.vals * resistance
     return resistance, leverage / leverage.sum()
 
@@ -225,9 +214,9 @@ def verify_sparsifier(laplacian, laplacian_hat=None, epsilon=None) -> Verificati
     1e-8 max(rho(L), max |L_hat_ij|). `gen_min` and `gen_max` are ARPACK's
     extremes, each widened outward by its Ritz residual and a rounding
     allowance n * eps * |theta|, so they bracket the exact extremes. A zero L
-    passes only against a zero L_hat ("trivial-zero"). L's grounded factor is
-    dense: above the pair's dense limit it raises DenseLimitExceededError,
-    and nothing is certified.
+    passes only against a zero L_hat ("trivial-zero"). L's grounded factor,
+    dense or in band storage, is a direct factor: above the pair's dense
+    limit it raises DenseLimitExceededError, and nothing is certified.
     """
     _require_epsilon(epsilon)
     spectra = PairSpectra.of(laplacian, laplacian_hat)

@@ -11,9 +11,13 @@ DenseLimitExceededError.
 
 L is factored, not eigendecomposed (`PairSpectra.grounded_factor`): its
 kernel is exact, the indicator vectors of its graph's components, and one
-grounded vertex per component leaves a positive definite L_g = C C'. C^-1
-feeds the resistances, through L_g^-1 = C^-T C^-1, and the pencil
-(L_hat, L), through C^-1 L_hat_g C^-T.
+grounded vertex per component leaves a positive definite L_g = C C'. The
+factor feeds the resistances, through G = L_g^-1, and the pencil
+(L_hat, L), through C^-1 L_hat_g C^-T. A dense factor holds C^-1, so G is
+C^-T C^-1 and the reduced matrix is formed. An L held as CSR whose grounded
+block has a narrow band after reverse Cuthill-McKee keeps C in band
+storage: the resistances read only G's band (Takahashi's recurrence) and
+ARPACK applies the reduced matrix by two band solves, with no n x n array.
 
 The one iterative eigensolver is ARPACK's (`scipy.sparse.linalg.eigsh`),
 from one fixed start vector. It gives top-k eigenpairs, and the pencil's
@@ -28,15 +32,18 @@ would take the cores from numpy's next dense solve.
 The spectra of M and M_hat are solved for their values only
 (`PairSpectra.matrix_values`): the deviations, Weyl, the inertia and every
 Davis-Kahan bound r_norm / gap read them. An eigenvector is solved only
-for an index whose bound is below 1, where the angle check can fail.
+for an index whose bound is below 1 - 1e-9, where the angle check can
+fail, by ARPACK's top or bottom block where that block is small.
 
 The pair holds each Laplacian in one form, read by every role: a dense
 array when the graph is dense and within the limit, else its CSR
-Laplacian. The pencil's solve holds 3 n^2 floats: both Laplacians and the
-reduced matrix, which ARPACK multiplies by without a copy. A command drops
-the held Laplacians (`release_laplacians`) before the eigensolves of M and
-M_hat; the spectral stage holds no n x n eigenvector array unless the
-angle check needs a dense fallback.
+Laplacian. With a dense factor, the pencil's solve holds the reduced
+matrix, which ARPACK multiplies by without a copy, besides the held
+Laplacians: 3 n^2 floats for a dense pair, n^2 for a sparse one. A band
+factor holds O(n kd) floats, kd its bandwidth. A command drops the held
+Laplacians (`release_laplacians`) before the eigensolves of M and M_hat;
+the spectral stage holds no n x n eigenvector array unless the angle check
+needs a dense fallback.
 """
 
 from __future__ import annotations
@@ -53,8 +60,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 from scipy.linalg import eigh_tridiagonal  # noqa: F401  (bench/tracer.py patches this name)
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .core import GraphViews, LaplacianDecomposition, OdnMatrix, decompose, validate_odn
 from .errors import (
@@ -74,15 +81,16 @@ _ARPACK_START_SEED = 0x0D25
 # 45 vs 52, 65 vs 51, 94 vs 49 ms; n = 2000, 602 vs 1312, 2142 vs 1299,
 # 3758 vs 1166 ms.
 _DENSE_ARPACK_SHARE = 2 / 3
-# The angle check's eigenvectors of M and M_hat come from ARPACK's top k
-# (which implies k < n - 1) when k <= n / 40, else from a dense `eigh` of
-# the side. Top-k `eigsh` on the operand ARPACK gets against `eigh`, 2 BLAS
-# threads, complete graphs (dense operands): n = 100, k = 1 1.2 vs 1.7 ms,
-# k = 2 5.3 ms; n = 400, k = 10 22 vs 23 ms, k = 20 27 ms; n = 900, k = 20
-# 72 vs 104 ms, k = 50 118 ms; n = 2000, k = 50 0.64 vs 1.22 s, k = 100
-# 1.39 s. Grid 30 x 30 (CSR): k = 20 20 vs 138 ms, k = 100 160 ms. k = 1,
-# the Perron vector and the one index live on the bench inputs, is 2.5 ms
-# at n = 400 and 22 ms at n = 2000.
+# The angle check's eigenvectors of M and M_hat come from ARPACK's top and
+# bottom blocks (which implies k < n - 1) when their k columns are at most
+# n / 40, else from a dense `eigh` of the side. Top-k `eigsh` on the operand
+# ARPACK gets against `eigh`, 2 BLAS threads, complete graphs (dense
+# operands): n = 100, k = 1 1.2 vs 1.7 ms, k = 2 5.3 ms; n = 400, k = 10 22
+# vs 23 ms, k = 20 27 ms; n = 900, k = 20 72 vs 104 ms, k = 50 118 ms;
+# n = 2000, k = 50 0.64 vs 1.22 s, k = 100 1.39 s. Grid 30 x 30 (CSR):
+# k = 20 20 vs 138 ms, k = 100 160 ms. k = 1, the Perron vector and the one
+# index live on the bench inputs, is 2.5 ms at n = 400 and 22 ms at
+# n = 2000.
 _ARPACK_VECTOR_SHARE = 1 / 40
 # ARPACK restarts allowed for the pencil's two extremes before the dense solve
 # takes over. Over 90 pencils (paths, grids, Erdos-Renyi and complete graphs,
@@ -96,6 +104,17 @@ _PENCIL_RESTARTS = 50
 # the resistance read: a step's temporaries take 32 n x 8 B, 1 MB at n = 4096,
 # where one `x[np.ix_(kept, kept)]` took 3 n^2 x 8 B.
 _BLOCK_ROWS = 32
+# A Laplacian held as CSR is factored in band storage when its grounded block,
+# reordered by reverse Cuthill-McKee, has bandwidth kd with kd + 1 <= k / 2.
+# The factor, the resistances and the pencil, dense vs band, 2 BLAS threads,
+# ms ((kd + 1) / k): grids 10x10 4.2 vs 4.0 (0.11), 30x30 101 vs 16 (0.03),
+# 60x60 4781 vs 158, 3x300 115 vs 13, 20x45 163 vs 33; paths n = 200 12 vs
+# 7, n = 3000 2466 vs 34; Erdos-Renyi n = 400 at degree 4 19 vs 14 (0.40),
+# n = 1000 at 4 126 vs 56 (0.41), n = 1500 at 5 440 vs 321 (0.49), n = 2000
+# at 6 878 vs 723 (0.53), n = 1000 at 20 170 vs 217 (0.80), n = 2000 at 20
+# 993 vs 1314 (0.80). Below k = 250 either takes a few ms (grid 15x15 7.8 vs
+# 9.5, Erdos-Renyi n = 200 at degree 3 6.6 vs 6.2 at 0.29).
+_BAND_SHARE = 1 / 2
 
 # glibc serves an array below its adaptive mmap threshold (up to 32 MiB: an
 # n x n array up to n = 2048) from the heap once any larger block was freed,
@@ -206,6 +225,141 @@ def _grounded_block(x, kept: np.ndarray) -> np.ndarray:
     return block
 
 
+def _band_inverse(band: np.ndarray) -> np.ndarray:
+    """The band of G = L_g^-1 = C^-T C^-1, in lower band storage with a last
+    column of 0s (a grounded vertex), from C in lower band storage: Takahashi,
+    Fagan and Chin's backward recurrence (1973). Column j of G C = C^-T gives
+    g = -G[j+1:, j+1:] C[j+1:, j] / c_jj for G's column j below its diagonal,
+    where C[j+1:, j] is nonzero only within the band, so only G's band is
+    read; then G_jj = (1 / c_jj - g . C[j+1:, j]) / c_jj. One `dsbmv` per
+    column: O(k kd^2) work and no k x k array."""
+    kd, k = len(band) - 1, band.shape[1]
+    inverse = np.zeros((kd + 1, k + 1), order="F")
+    if not kd:  # a diagonal L_g
+        inverse[0, :k] = band[0] ** -2.0
+        return inverse
+    inverse[0, k - 1] = band[0, k - 1] ** -2.0
+    with _one_scipy_thread():
+        for j in range(k - 2, -1, -1):
+            below, pivot = min(kd, k - 1 - j), 1.0 / band[0, j]
+            column = band[1:below + 1, j]
+            g = blas.dsbmv(kd, -pivot, inverse[:, j + 1:j + 1 + below], column, lower=1)
+            inverse[1:below + 1, j] = g
+            inverse[0, j] = pivot * (pivot - g @ column)
+    return inverse
+
+
+class _BandPencil(LinearOperator):
+    """x -> C^-1 L_hat_g C^-T x, with C in lower band storage and L_hat_g as
+    CSR: two `dtbsv` and one CSR product, and no k x k array."""
+
+    def __init__(self, band: np.ndarray, hat: sp.csr_matrix):
+        super().__init__(np.float64, hat.shape)
+        self.band, self.hat = band, hat
+
+    def _matvec(self, x):
+        kd = len(self.band) - 1
+        y = blas.dtbsv(kd, self.band, np.ravel(x), lower=1, trans=1)
+        return blas.dtbsv(kd, self.band, self.hat @ y, lower=1, overwrite_x=1)
+
+    def toarray(self) -> np.ndarray:
+        """The reduced matrix itself, C^-1 (C^-1 L_hat_g)', by two `dtbtrs`."""
+        with _one_scipy_thread():
+            half = lapack.dtbtrs(self.band, self.hat.toarray(order="F"), uplo="L")[0]
+            return lapack.dtbtrs(self.band, half.T, uplo="L", overwrite_b=1)[0]
+
+
+@dataclass(frozen=True, eq=False)
+class GroundedFactor:
+    """L_g = C C': L with one vertex per component grounded, on the vertices
+    `kept` in the factor's order. Dense (`bandwidth` None): `factor` is C^-1,
+    k x k, from `dpotrf` and `dtrtri`. Band: `kept` is in reverse
+    Cuthill-McKee order and `factor` is C in LAPACK's lower band storage,
+    (bandwidth + 1) x k, from `dpbtrf`."""
+
+    kept: np.ndarray
+    factor: np.ndarray
+    bandwidth: int | None = None
+
+    @property
+    def path(self) -> str:
+        return "dense" if self.bandwidth is None else f"band kd={self.bandwidth}"
+
+    def resistances(self, rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+        """G_uu + G_vv - 2 G_uv of G = L_g^-1 for each edge (rows, cols) of the
+        n-vertex graph, a grounded vertex reading as 0: dense, G = C^-T C^-1;
+        band, G's band (`_band_inverse`), which holds every edge. Read
+        _BLOCK_ROWS * n edges at a time."""
+        k = len(self.kept)
+        index = np.full(n, k)  # a grounded vertex reads G's last row and column of 0s
+        index[self.kept] = np.arange(k)
+        if self.bandwidth is None:
+            gram = np.zeros((k + 1, k + 1))
+            np.matmul(self.factor.T, self.factor, out=gram[:k, :k])
+
+            def inverse(r, c):
+                return gram[r, c]
+        else:
+            band = _band_inverse(self.factor)
+
+            def inverse(r, c):  # G_rc sits at offset |r - c| in column min(r, c)
+                low = np.where(np.maximum(r, c) < k, np.minimum(r, c), k)
+                return band[np.where(low < k, np.abs(r - c), 0), low]
+        resistance = np.empty(len(rows))
+        step = _BLOCK_ROWS * n
+        for start in range(0, len(resistance), step):
+            r, c = index[rows[start:start + step]], index[cols[start:start + step]]
+            resistance[start:start + step] = inverse(r, r) + inverse(c, c) - 2 * inverse(r, c)
+        return resistance
+
+    def reduced(self, lap_hat):
+        """C^-1 L_hat_g C^-T, for ARPACK: dense, formed by two in-place `dtrmm`
+        in a copy of L_hat's grounded block; band, a `_BandPencil`."""
+        if self.bandwidth is not None:
+            return _BandPencil(self.factor, _sparse(lap_hat)[self.kept][:, self.kept])
+        reduced = _grounded_block(lap_hat, self.kept)
+        with _one_scipy_thread():
+            reduced = blas.dtrmm(1.0, self.factor, reduced, lower=1, overwrite_b=1)
+            return blas.dtrmm(1.0, self.factor, reduced, side=1, lower=1, trans_a=1,
+                              overwrite_b=1)
+
+
+def _band_factor(lap, kept: np.ndarray) -> GroundedFactor | None:
+    """The grounded block of a sparse L, reordered by reverse Cuthill-McKee
+    and factored in band storage by `dpbtrf`; None when its bandwidth kd is
+    too wide for the band to pay, kd + 1 > k * _BAND_SHARE."""
+    block = sp.csr_matrix(lap)[kept][:, kept]
+    order = reverse_cuthill_mckee(block, symmetric_mode=True)
+    lower = sp.tril(block[order][:, order], format="coo")
+    kd = int((lower.row - lower.col).max(initial=0))
+    if kd + 1 > _BAND_SHARE * len(kept):
+        return None
+    band = np.zeros((kd + 1, len(kept)), order="F")
+    band[lower.row - lower.col, lower.col] = lower.data
+    kept = kept[order]
+    with _one_scipy_thread():
+        band, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+    if info:
+        raise FactorizationError("dpbtrf", info, int(kept[info - 1]) if info > 0 else None)
+    return GroundedFactor(kept, band, kd)
+
+
+def _dense_factor(lap, kept: np.ndarray) -> GroundedFactor:
+    """The grounded block of L, dense or sparse, copied dense and factored in
+    place: C by `dpotrf`, then C^-1 by `dtrtri`."""
+    if not kept.size:  # no edges: LAPACK rejects an empty matrix
+        return GroundedFactor(kept, np.zeros((0, 0)))
+    with _one_scipy_thread():
+        inv, info = lapack.dpotrf(_grounded_block(lap, kept), lower=1, overwrite_a=1)
+        routine = "dpotrf"
+        if not info:
+            inv, info = lapack.dtrtri(inv, lower=1, overwrite_c=1)
+            routine = "dtrtri"
+    if info:
+        raise FactorizationError(routine, info, int(kept[info - 1]) if info > 0 else None)
+    return GroundedFactor(kept, inv)
+
+
 def _start_vector(n: int) -> np.ndarray:
     """ARPACK's fixed start vector. Not `ones`: that vector lies in the kernel
     of every Laplacian and of L - L_hat, where ARPACK breaks down."""
@@ -304,12 +458,14 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def eigen_decompose(matrix, k: int | None = None, method: str = "dense") -> EigenSystem:
+def eigen_decompose(matrix, k: int | None = None, method: str = "dense",
+                    which: str = "LA") -> EigenSystem:
     """Eigenpairs sorted descending, full spectrum or top-k.
 
     Dense mode runs a standard symmetric eigensolver. Iterative mode runs
-    ARPACK's `eigsh(which="LA")` for the k largest (requires k < n) and
-    flags non-convergence instead of raising, returning the pairs it achieved.
+    ARPACK's `eigsh(which=which)` for the k largest ("LA") or the k smallest
+    ("SA") (requires k < n) and flags non-convergence instead of raising,
+    returning the pairs it achieved.
     It multiplies by `matrix` in the form given (an OdnMatrix as CSR);
     `PairSpectra.eigsh_operand` picks the cheaper one: dense within the dense
     limit when at least 2/3 of n^2 is stored, so that the dense array is no
@@ -331,7 +487,7 @@ def eigen_decompose(matrix, k: int | None = None, method: str = "dense") -> Eige
         if k is None or not (1 <= k < n):
             raise ValueError(f"iterative mode needs 1 <= k < n, got k={k}, n={n}")
         try:
-            values, vectors = _arpack(operand, k=k, which="LA")
+            values, vectors = _arpack(operand, k=k, which=which)
             converged = True
         except ArpackNoConvergence as err:
             values, vectors = err.eigenvalues, err.eigenvectors
@@ -383,9 +539,10 @@ class PairSpectra:
     accepts an instance in place of its matrix pair. Each role is a
     cached_property. `laplacian` and `laplacian_hat` are each side's
     Laplacian in the one form every role reads (`_held_form`); setting `hat`
-    drops the form held for the previous one. `paths` records, for the
-    pencil, each difference norm and each side's eigenvectors solved,
-    whether they came from a "dense" solve or from "arpack".
+    drops the form held for the previous one. `paths` records the form of
+    L's factor ("dense" or "band kd=<kd>") and, for the pencil, each
+    difference norm and each side's eigenvectors solved, whether they came
+    from a "dense" solve or from "arpack".
 
     No role densifies an operand larger than `dense_limit` (see the module
     docstring for what runs above it).
@@ -529,15 +686,17 @@ class PairSpectra:
         return float(np.linalg.norm(_dense(x @ basis), 2))
 
     @cached_property
-    def grounded_factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """(kept, C^-1): the vertices left once the vertex of largest degree in
-        each component of L's graph (lowest index on ties) is grounded, and
-        the inverse of the lower Cholesky factor of L_g = C C' on them, from
-        `dpotrf` and `dtrtri` in place in a dense copy. Grounding an end of a
-        path with weights (1e-20, 1) would leave L_g singular in floating
-        point. Raises OdnError for a raw L whose rows do not sum to zero on
-        its components, FactorizationError where LAPACK fails, and
-        DenseLimitExceededError above the limit."""
+    def grounded_factor(self) -> GroundedFactor:
+        """The Cholesky factor of L_g: L with the vertex of largest degree in
+        each component of L's graph grounded (lowest index on ties); grounding
+        an end of a path with weights (1e-20, 1) would leave L_g singular in
+        floating point. An L held as CSR whose grounded block has a narrow
+        band after reverse Cuthill-McKee is factored in band storage
+        (`_band_factor`); any other L in a dense copy, by `dpotrf` and
+        `dtrtri` in place. `paths["factor"]` records which. Raises OdnError
+        for a raw L whose rows do not sum to zero on its components,
+        FactorizationError where LAPACK fails, and DenseLimitExceededError
+        above the limit."""
         lap = self.laplacian
         n = lap.shape[0]
         if n > self.dense_limit:
@@ -550,17 +709,10 @@ class PairSpectra:
         order = np.lexsort((-lap.diagonal(), labels))  # stable: lowest index on ties
         grounded = order[np.searchsorted(labels[order], np.arange(count))]
         kept = np.delete(np.arange(n), grounded)
-        if not kept.size:  # no edges: LAPACK rejects an empty matrix
-            return kept, np.zeros((0, 0))
-        with _one_scipy_thread():
-            factor, info = lapack.dpotrf(_grounded_block(lap, kept), lower=1, overwrite_a=1)
-            routine = "dpotrf"
-            if not info:
-                factor, info = lapack.dtrtri(factor, lower=1, overwrite_c=1)
-                routine = "dtrtri"
-        if info:
-            raise FactorizationError(routine, info, int(kept[info - 1]) if info > 0 else None)
-        return kept, factor
+        factor = ((_band_factor(lap, kept) if sp.issparse(lap) and kept.size else None)
+                  or _dense_factor(lap, kept))
+        self.paths["factor"] = factor.path
+        return factor
 
     @cached_property
     def pencil(self) -> tuple[tuple[float, float], float]:
@@ -568,33 +720,33 @@ class PairSpectra:
         grounded complement of ker L, and the leak ||L_hat K||_2 on L's kernel
         basis K (`_kernel_leak`); with no leak, the extremes on the range of L.
 
-        Two in-place `dtrmm` calls turn a dense copy of L_hat's grounded block
-        into C^-1 L_hat_g C^-T; the factor, which no later role reads, is
-        released before the solve. ARPACK's two extremes (`eigsh(which="BE")`)
-        are each moved outward by their Ritz residual and `_rounding`, so the
-        interval holds the exact extremes; a reduced matrix of size below 3,
-        or one on which ARPACK does not converge in _PENCIL_RESTARTS restarts,
-        is solved dense (`paths["pencil"]`).
+        ARPACK's two extremes (`eigsh(which="BE")`) of C^-1 L_hat_g C^-T
+        (`GroundedFactor.reduced`) are each moved outward by their Ritz
+        residual and `_rounding`, so the interval holds the exact extremes. A
+        dense factor, which no later role reads, is released before the solve.
+        A reduced matrix of size below 3, or one on which ARPACK does not
+        converge in _PENCIL_RESTARTS restarts, is solved dense
+        (`paths["pencil"]`).
         """
-        kept, inv = self.grounded_factor
+        factor = self.grounded_factor
         del self.grounded_factor
         leak = self._kernel_leak(self.laplacian_hat)
-        reduced = _grounded_block(self.laplacian_hat, kept)
-        with _one_scipy_thread():
-            reduced = blas.dtrmm(1.0, inv, reduced, lower=1, overwrite_b=1)
-            reduced = blas.dtrmm(1.0, inv, reduced, side=1, lower=1, trans_a=1, overwrite_b=1)
-        del inv
-        if len(reduced) >= 3:
+        reduced = factor.reduced(self.laplacian_hat)
+        del factor
+        size = reduced.shape[0]
+        if size >= 3:
             try:
                 theta, q = _arpack(reduced, k=2, which="BE", maxiter=_PENCIL_RESTARTS)
             except ArpackNoConvergence:
                 pass
             else:
                 self.paths["pencil"] = "arpack"
-                widen = _residuals(reduced, theta, q) + _rounding(len(reduced), theta)
+                with _one_scipy_thread():  # a band operator's products call BLAS
+                    widen = _residuals(reduced, theta, q) + _rounding(size, theta)
                 return (float(theta[0] - widen[0]), float(theta[1] + widen[1])), leak
         self.paths["pencil"] = "dense"
-        values = np.linalg.eigvalsh(reduced)
+        values = np.linalg.eigvalsh(
+            reduced if isinstance(reduced, np.ndarray) else reduced.toarray())
         return (float(values[0]), float(values[-1])), leak
 
     @cached_property
@@ -610,20 +762,30 @@ class PairSpectra:
         sides = (self.matrix, self.matrix_hat)
         return tuple(np.linalg.eigvalsh(self._densify(x)) for x in sides)
 
-    def top_systems(self, k: int) -> tuple[EigenSystem, EigenSystem]:
-        """The top-k eigenpairs of M and of M_hat. Each side runs ARPACK on its
-        cheaper form (`eigsh_operand`) when k <= n / 40 (_ARPACK_VECTOR_SHARE),
-        else, or when ARPACK does not converge, a dense `eigh` of the side cut
-        to k. `paths` records which, as "matrix_vectors" and
-        "matrix_hat_vectors"."""
+    def live_systems(self, top: int, bottom: int = 0) -> tuple[EigenSystem, EigenSystem]:
+        """The top `top` and bottom `bottom` eigenpairs of M and of M_hat, each
+        side's columns the top block, then the bottom block, descending. Each
+        side runs ARPACK on its cheaper form (`eigsh_operand`), `which="LA"`
+        for the top block and "SA" for the bottom, when top + bottom <= n / 40
+        (_ARPACK_VECTOR_SHARE); else, or when ARPACK does not converge, one
+        dense `eigh` of the side, cut to the two blocks. `paths` records
+        which, as "matrix_vectors" and "matrix_hat_vectors"."""
         systems = []
         for role, x in (("matrix_vectors", self.matrix),
                         ("matrix_hat_vectors", self.matrix_hat)):
             system = None
-            if k <= _ARPACK_VECTOR_SHARE * x.n:
-                system = eigen_decompose(self.eigsh_operand(x), k, method="iterative")
-            if system is None or not system.converged:
-                system = eigen_decompose(self._densify(x), k)
+            if top + bottom <= _ARPACK_VECTOR_SHARE * x.n:
+                blocks = [eigen_decompose(self.eigsh_operand(x), k, method="iterative",
+                                          which=which)
+                          for k, which in ((top, "LA"), (bottom, "SA")) if k]
+                if all(block.converged for block in blocks):
+                    system = EigenSystem(np.concatenate([b.values for b in blocks]),
+                                         np.hstack([b.vectors for b in blocks]), "iterative",
+                                         max(b.residual for b in blocks))
+            if system is None:
+                values, vectors = np.linalg.eigh(self._densify(x))
+                cut = np.r_[x.n - 1:x.n - 1 - top:-1, bottom - 1:-1:-1]
+                system = EigenSystem(values[cut], _fix_signs(vectors[:, cut]), "dense", None)
             self.paths[role] = "arpack" if system.method == "iterative" else "dense"
             systems.append(system)
         return tuple(systems)
@@ -717,9 +879,13 @@ class AngleBound:
     """Angle between the i-th eigenvectors and its gap-based bound.
 
     `bound` is None when the relevant eigenvalue gap falls below the gap
-    tolerance ("undefined"); bounds at or above 1 are vacuous. Both cases
-    count as passed, and `spectral_report` leaves their `sin_theta` None
-    (not solved).
+    tolerance ("undefined"); bounds at or above 1 - 1e-9 are vacuous: no
+    sin_theta <= 1 fails them within the check's 1e-9. Both cases count as
+    passed, and `spectral_report` leaves their `sin_theta` None (not solved).
+    A bound that falls short of 1 only by rounding is vacuous too: a tie of
+    beta_i with a neighbour puts its gap at most |alpha_i - beta_i|, which
+    Weyl puts below ||M - M_hat||, and there the eigenvector of beta_i is not
+    unique, so no solver's angle is the angle.
     """
 
     index: int
@@ -752,10 +918,11 @@ def _sin_theta(a_vecs: np.ndarray, b_vecs: np.ndarray) -> np.ndarray:
 def _angle_bounds(gap, bound, gap_tol: float, sin_theta) -> list[AngleBound]:
     """One AngleBound per index from `_gap_bounds` and the angles, None where
     an angle was not solved: undefined below the gap tolerance, vacuous from
-    bound 1, else passed when sin_theta <= bound + 1e-9."""
+    bound 1 - 1e-9, else passed when sin_theta <= bound + 1e-9."""
     return [
         AngleBound(i, s, None, True) if not gap[i] > gap_tol
-        else AngleBound(i, s, float(bound[i]), bool(bound[i] >= 1.0 or s <= bound[i] + 1e-9))
+        else AngleBound(i, s, float(bound[i]),
+                        bool(bound[i] >= 1.0 - 1e-9 or s <= bound[i] + 1e-9))
         for i, s in enumerate(sin_theta)
     ]
 
@@ -842,8 +1009,8 @@ class SpectralReport:
 
     @property
     def vacuous_angles(self) -> int:
-        """Indices whose angle bound is vacuous (>= 1) or undefined, so that
-        their sin_theta was not solved."""
+        """Indices whose angle bound is vacuous (>= 1 - 1e-9) or undefined, so
+        that their sin_theta was not solved."""
         return sum(angle.sin_theta is None for angle in self.angles)
 
     @property
@@ -869,11 +1036,12 @@ def spectral_report(
 
     Everything but the angles reads the eigenvalues of M and M_hat alone
     (`PairSpectra.matrix_values`). An angle is solved only where its bound
-    is defined and below 1 (a live index), the one place the check can
-    fail: the eigenvectors of the top-k block that holds every live index
-    come from `PairSpectra.top_systems`, and sin(theta) is computed on those
-    columns as `davis_kahan` does. Every other index has sin_theta None and
-    passes, with the bound `davis_kahan` gives it.
+    is defined and below 1 - 1e-9 (a live index), the one place the check
+    can fail: the eigenvectors of a top block and a bottom block that hold
+    every live index between them, with the fewest columns, come from
+    `PairSpectra.live_systems`, and sin(theta) is computed on those columns
+    as `davis_kahan` does. Every other index has sin_theta None and passes,
+    with the bound `davis_kahan` gives it.
     """
     spectra = matrix if isinstance(matrix, PairSpectra) else PairSpectra(
         decompose(validate_odn(matrix)), matrix_hat=validate_odn(matrix_hat))
@@ -886,11 +1054,18 @@ def spectral_report(
     r_norm = spectra.matrix_diff_norm[0]
 
     gap, dk_bounds, tol = _gap_bounds(alphas, betas, r_norm, gap_tol)
-    live = np.flatnonzero((gap > tol) & (dk_bounds < 1.0))
+    # sin(theta) <= 1, so a bound within the check's 1e-9 of 1 cannot fail.
+    live = np.flatnonzero((gap > tol) & (dk_bounds < 1.0 - 1e-9))
     sin_theta = [None] * m.n
     if live.size:
-        sys_a, sys_b = spectra.top_systems(int(live[-1]) + 1)
-        for i, s in zip(live, _sin_theta(sys_a.vectors[:, live], sys_b.vectors[:, live])):
+        # The top block holds live[:split], the bottom block the rest: the
+        # split that solves the fewest vectors.
+        split = int(np.argmin(np.r_[0, live + 1] + np.r_[m.n - live, 0]))
+        top = int(live[split - 1]) + 1 if split else 0
+        bottom = m.n - int(live[split]) if split < live.size else 0
+        sys_a, sys_b = spectra.live_systems(top, bottom)
+        columns = np.where(live < top, live, live - (m.n - bottom) + top)
+        for i, s in zip(live, _sin_theta(sys_a.vectors[:, columns], sys_b.vectors[:, columns])):
             sin_theta[i] = float(s)
     angles = _angle_bounds(gap, dk_bounds, tol, sin_theta)
     # The bounds of davis_kahan(sys_b, sys_a): gaps only, no angles.

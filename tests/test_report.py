@@ -109,12 +109,12 @@ class TestSchema:
     ], ids=["probes", "seed", "probe_min", "probe_max", "probes-only", "parameters.probes",
             "quadform", "approximate", "eigenvalue_ratios"])
     def test_version_1_probe_fields_rejected(self, pipeline, section, key, value):
-        """Schema 5.0 rejects the removed fields: the Rayleigh probes, the
+        """Schema 5.1 rejects the removed fields: the Rayleigh probes, the
         quadratic-form application, the approximate resistance mode and the
         eigenvalue-ratio section."""
         import jsonschema
 
-        assert SCHEMA_VERSION == "5.0"
+        assert SCHEMA_VERSION == "5.1"
         report = build_full_report(*pipeline)
         validate_report(report)
         report.setdefault(section, {})[key] = value

@@ -17,6 +17,7 @@ from odnsparse import (
     adjacency_norm_check,
     correlation_from_data,
     decompose,
+    effective_resistances,
     eigen_decompose,
     generate_odn,
     pca_compare,
@@ -265,6 +266,16 @@ def test_pca_corr_sized_input_runs_arpack_on_dense_operand(arpack_operands):
     assert comparison.nnz_after >= 2 / 3 * comparison.n**2
     # The pencil's reduced matrix, L for rho(L), then M_hat.
     assert arpack_operands == [np.ndarray, np.ndarray, np.ndarray]
+    assert comparison.paths["factor"] == "dense"  # L is held dense
+
+
+def test_verify_pair_sized_input_keeps_the_dense_factor():
+    """A complete n = 400 pair, the size of the verify-pair benchmark input:
+    L is held dense, so it is factored dense, not in band storage."""
+    decomp = decompose(generate_odn("complete", 400, seed=3, diag=("uniform", 0, 1)))
+    spectra = PairSpectra(decomp, sparsify_laplacian(decomp, EPS, SEED))
+    assert verify_sparsifier(spectra, epsilon=EPS).passed
+    assert spectra.paths["factor"] == "dense"
 
 
 @pytest.mark.parametrize("make", [
@@ -305,14 +316,17 @@ def test_dense_and_sparse_arpack_operands_agree():
     assert max(dense.residual, sparse.residual) <= 1e-8 * rho
 
 
-def test_grid_pencil_memory():
-    """On a 30 x 30 grid, whose Laplacians are held as CSR, the pencil's
-    traced peak past the factor is at most 1.5 n x n arrays: L_hat's grounded
-    block, which becomes the reduced matrix in place."""
+def test_grid_pencil_memory(monkeypatch):
+    """On a 30 x 30 grid, whose Laplacians are held as CSR, with the dense
+    factor, the pencil's traced peak past the factor is at most 1.5 n x n
+    arrays: L_hat's grounded block, which becomes the reduced matrix in
+    place."""
+    monkeypatch.setattr(spectra_module, "_BAND_SHARE", 0.0)
     matrix = generate_odn("grid", rows=30, cols=30, seed=1, diag=("uniform", 0, 1))
     spectra = PairSpectra(decompose(matrix))
     spectra.hat = sparsify_laplacian(spectra, EPS, SEED)
     spectra.laplacian_hat, spectra.grounded_factor
+    assert spectra.paths["factor"] == "dense"
     tracemalloc.start()
     try:
         spectra.pencil
@@ -320,6 +334,26 @@ def test_grid_pencil_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * matrix.n**2 * 8
+
+
+def test_grid_band_memory():
+    """On a 60 x 60 grid, the band factor, the resistances and the pencil
+    allocate no n x n array (104 MB): their traced peak is a small multiple
+    of the band, n (kd + 1) x 8 B."""
+    matrix = generate_odn("grid", rows=60, cols=60, seed=1, diag=("uniform", 0, 1))
+    decomp = decompose(matrix)
+    hat = sparsify_laplacian(decomp, EPS, SEED)
+    spectra = PairSpectra(decomp, hat)
+    spectra.laplacian, spectra.laplacian_hat
+    tracemalloc.start()
+    try:
+        effective_resistances(spectra)
+        spectra.pencil
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spectra.paths == {"factor": "band kd=60", "pencil": "arpack"}
+    assert peak <= 4 * matrix.n * 61 * 8
 
 
 @pytest.mark.parametrize("matrix", [

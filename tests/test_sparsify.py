@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 from odnsparse import (
@@ -362,19 +362,22 @@ class TestVerify:
     ], ids=["dense", "sparse"])
     def test_laplacian_factored_before_hat_is_held(self, spec, monkeypatch):
         """verify_sparsifier factors L while L_hat's held form does not exist
-        yet, so the two dense Laplacians are never both alive with it."""
+        yet, so the two dense Laplacians are never both alive with it; the
+        grid's L takes the band factor."""
         d = decompose(generate_odn(**spec))
         res = sparsify_laplacian(d, 0.25, seed=1)
         pair = PairSpectra(d, res)
         held = []
 
-        def factoring(*args, _dpotrf=spectra.lapack.dpotrf, **kwargs):
-            held.append("laplacian_hat" in vars(pair))
-            return _dpotrf(*args, **kwargs)
+        for name in ("dpotrf", "dpbtrf"):
+            def factoring(*args, _factor=getattr(spectra.lapack, name), **kwargs):
+                held.append("laplacian_hat" in vars(pair))
+                return _factor(*args, **kwargs)
 
-        monkeypatch.setattr(spectra.lapack, "dpotrf", factoring)
+            monkeypatch.setattr(spectra.lapack, name, factoring)
         assert verify_sparsifier(pair, epsilon=0.25).passed
         assert held == [False]
+        assert pair.paths["factor"] == ("dense" if spec["model"] == "complete" else "band kd=6")
 
     def test_identical_passes(self):
         d = decompose(generate_odn("erdos-renyi", 12, density=0.5, seed=2))
@@ -635,20 +638,24 @@ class TestExactVerdict:
     @pytest.mark.parametrize("make", EXACT_VERDICT_INPUTS, ids=EXACT_VERDICT_IDS)
     @pytest.mark.parametrize("raw", [False, True], ids=["decomposition", "laplacian"])
     def test_reduced_matrix_matches_dense_product(self, make, raw, monkeypatch):
-        """The reduced matrix formed in place by two `dtrmm` calls, and handed
-        to ARPACK, is C^-1 L_hat_g C^-T by numpy's Cholesky and inverse, to
-        1e-12 of its scale."""
+        """The reduced matrix handed to ARPACK, formed in place by two `dtrmm`
+        calls from a dense factor or applied by two `dtbsv` from a band factor
+        (the sparse graphs), is C^-1 L_hat_g C^-T by numpy's
+        Cholesky and inverse in the factor's vertex order, to 1e-12 of its
+        scale."""
         d = decompose(make())
         res = sparsify_laplacian(d, 0.3, seed=3)
         pair = PairSpectra(d.laplacian, res.laplacian) if raw else PairSpectra(d, res)
-        kept = pair.grounded_factor[0]
+        kept = pair.grounded_factor.kept
+        assert pair.paths["factor"].startswith("band") == (d.matrix.nnz < d.n**2 / 2)
         block = np.ix_(kept, kept)
         inv = np.linalg.inv(np.linalg.cholesky(d.laplacian_dense()[block]))
         expected = inv @ res.laplacian_dense()[block] @ inv.T
         solved = []
 
         def recording(operand, *args, _eigsh=spectra.eigsh, **kwargs):
-            solved.append(operand.copy())
+            dense = isinstance(operand, np.ndarray)
+            solved.append(operand.copy() if dense else operand @ np.eye(operand.shape[0]))
             return _eigsh(operand, *args, **kwargs)
 
         monkeypatch.setattr(spectra, "eigsh", recording)
@@ -706,13 +713,36 @@ class TestFactorErrors:
 
     def test_no_edges_leave_nothing_to_factor(self):
         for base in (np.zeros((3, 3)), decompose(OdnMatrix(3, [], [], [], np.zeros(3)))):
-            kept, inv = PairSpectra(base).grounded_factor
-            assert kept.size == 0 and inv.shape == (0, 0)
+            pair = PairSpectra(base)
+            factor = pair.grounded_factor
+            assert factor.kept.size == 0 and factor.factor.shape == (0, 0)
+            assert pair.paths["factor"] == "dense"
 
     def test_not_a_laplacian_raises(self):
         """A diagonal matrix has no edges, but its rows do not sum to zero."""
         with pytest.raises(OdnError, match="not a graph Laplacian"):
             verify_sparsifier(np.eye(3), np.eye(3), 0.25)
+
+    def test_band_factor_failure_names_the_vertex(self):
+        """A path on 12 vertices held as CSR, whose edge (3, 4) weighs -1: the
+        band factor's `dpbtrf` fails, and the pivot is mapped back through the
+        reverse Cuthill-McKee order to the vertex's own index."""
+        n = 12
+        weights = np.ones(n - 1)
+        weights[3] = -1.0
+        adjacency = sp.coo_matrix((weights, (np.arange(n - 1), np.arange(1, n))), shape=(n, n))
+        adjacency = (adjacency + adjacency.T).tocsr()
+        lap = (sp.diags(np.asarray(adjacency.sum(axis=1)).ravel()) - adjacency).tocsr()
+        with pytest.raises(FactorizationError) as caught:
+            PairSpectra(lap).grounded_factor
+        error = caught.value
+        assert error.routine == "dpbtrf"
+        kept = np.delete(np.arange(n), 1)  # degrees 1, 2, 2, 0, 0, 2, ...: vertex 1 grounded
+        order = kept[reverse_cuthill_mckee(lap[kept][:, kept], symmetric_mode=True)]
+        assert error.vertex == order[error.pivot - 1] != kept[error.pivot - 1]
+        minors = [np.linalg.eigvalsh(lap[order[:p]][:, order[:p]].toarray())[0]
+                  for p in (error.pivot - 1, error.pivot)]
+        assert minors[0] > 0 >= minors[1]
 
     def test_cli_exits_one_with_one_error_line(self, tmp_path, capsys):
         """A path with weights (1, 1e-20, 1): its degrees round the weak edge
@@ -729,6 +759,92 @@ class TestFactorErrors:
         assert errors == ["error: dpotrf failed at pivot 3 (vertex 3): the Laplacian grounded "
                           "at one vertex per component is not positive definite in floating "
                           "point"]
+
+
+def _cut_grid():
+    """Grid 20 x 30 with the edges between columns 14 and 15 cut: two 20 x 15
+    components."""
+    grid = generate_odn("grid", rows=20, cols=30, seed=6)
+    keep = ~((grid.cols - grid.rows == 1) & (grid.rows % 30 == 14))
+    return OdnMatrix(grid.n, grid.rows[keep], grid.cols[keep], grid.vals[keep], grid.diag)
+
+
+def _grid_with_isolated_vertex():
+    grid = generate_odn("grid", rows=20, cols=20, seed=8, diag=("uniform", 0, 1))
+    return OdnMatrix(401, grid.rows, grid.cols, grid.vals, np.append(grid.diag, 0.5))
+
+
+def _log_weight_grid_30():
+    grid = generate_odn("grid", rows=30, cols=30)
+    weights = 10.0 ** np.random.default_rng(12).uniform(-4.0, 0.0, grid.stored_pairs)
+    return OdnMatrix(grid.n, grid.rows, grid.cols, weights, grid.diag)
+
+
+BAND_INPUTS = {
+    "path-8": lambda: generate_odn("path", 8, seed=1),
+    "path-300": lambda: generate_odn("path", 300, seed=2),
+    "grid-30x30": lambda: generate_odn("grid", rows=30, cols=30, seed=3, diag=("uniform", 0, 1)),
+    "grid-10x90": lambda: generate_odn("grid", rows=10, cols=90, seed=4),
+    "grid-60x60": lambda: generate_odn("grid", rows=60, cols=60, seed=5),
+    "disconnected-grid": _cut_grid,
+    "isolated-vertex": _grid_with_isolated_vertex,
+    "grid-30x30-log-weights": _log_weight_grid_30,
+}
+
+
+class TestBandPath:
+    """The band factor of a sparse L (reverse Cuthill-McKee, `dpbtrf`,
+    Takahashi's band of L_g^-1, the pencil by `dtbsv`) against the references
+    and against the dense factor, forced by `_BAND_SHARE = 0`."""
+
+    @staticmethod
+    def _run(matrix, monkeypatch, dense):
+        if dense:
+            monkeypatch.setattr(spectra, "_BAND_SHARE", 0.0)
+        pair = PairSpectra(decompose(matrix))
+        resistance = effective_resistances(pair)[0]
+        res = sparsify_laplacian(pair, 0.25, seed=3)
+        pair.hat = res
+        rec = verify_sparsifier(pair, epsilon=0.25)
+        return pair.paths["factor"], resistance, res, rec
+
+    @pytest.mark.parametrize("name", BAND_INPUTS)
+    def test_band_matches_references_and_dense_factor(self, name, monkeypatch):
+        """On each path: resistances equal the grounded solve's to 1e-10 with
+        Foster's identity; the widened extremes bracket `dense_pencil` to
+        1e-12 of scale, within 1e-12 of scale (on grid 60x60, whose dense
+        generalized solve takes 8 s, they agree with the dense factor's
+        bracket to that width). Both paths sample the same edges and give the
+        same verdict."""
+        matrix = BAND_INPUTS[name]()
+        d = decompose(matrix)
+        reference = grounded_resistances(matrix)
+        # The band path first: the dense run's patch stays for the test.
+        runs = {dense: self._run(matrix, monkeypatch, dense) for dense in (False, True)}
+        assert runs[True][0] == "dense" and runs[False][0].startswith("band kd=")
+        brackets = []
+        for path, resistance, res, rec in runs.values():
+            np.testing.assert_allclose(resistance, reference, rtol=1e-10, err_msg=path)
+            np.testing.assert_allclose((matrix.vals * resistance).sum(),
+                                       d.n - d.components[0], rtol=1e-8)
+            assert rec.mode == "exact"
+            brackets.append([rec.gen_min, rec.gen_max])
+            if d.n > 2000:
+                continue
+            # As in test_random_inputs_match_grounded_references: on path-8
+            # the dense factor's gen_min sits 1.6e-15 above the reference's,
+            # more than the widening's n * eps * |theta| for n = 6 (the
+            # reference's own rounding is not bounded by it).
+            expected = dense_pencil(d.laplacian, res.laplacian)
+            low, high = expected[0] - rec.gen_min, rec.gen_max - expected[-1]
+            scale = np.abs(expected).max()
+            assert -1e-12 * scale <= min(low, high) and max(low, high) <= 1e-12 * scale, path
+        np.testing.assert_allclose(brackets[0], brackets[1], rtol=0,
+                                   atol=1e-12 * max(map(abs, brackets[1])))
+        band, dense = runs[False][2].edges, runs[True][2].edges
+        assert np.array_equal(band.rows, dense.rows) and np.array_equal(band.cols, dense.cols)
+        np.testing.assert_allclose(band.vals, dense.vals, rtol=1e-12)
+        assert runs[False][3].passed == runs[True][3].passed
 
 
 def random_graph_case(case: int) -> OdnMatrix:

@@ -10,11 +10,13 @@ from odnsparse import (
     DimensionMismatchError,
     FactorizationError,
     InvalidEpsilonError,
+    OdnMatrix,
     PairSpectra,
     adjacency_norm_check,
     center_diagonal,
     davis_kahan,
     decompose,
+    effective_resistances,
     eigen_decompose,
     eigenvalue_deviation_bound,
     generate_odn,
@@ -235,19 +237,45 @@ class TestArpackThreads:
 
             return call
 
-        for attr, names in (("lapack", ("dpotrf", "dtrtri")), ("blas", ("dtrmm",))):
+        for attr, names in (("lapack", ("dpotrf", "dtrtri", "dpbtrf", "dtbtrs")),
+                            ("blas", ("dtrmm", "dsbmv", "dtbsv"))):
             module = getattr(spectra_module, attr)
             monkeypatch.setattr(spectra_module, attr, SimpleNamespace(
                 **{name: wrap(module, name) for name in names}))
 
     def test_factor_and_pencil_run_on_one_thread(self, scipy_pool, monkeypatch):
         get_threads, _ = scipy_pool
+        monkeypatch.setattr(spectra_module, "_BAND_SHARE", 0.0)  # the dense factor
         d = decompose(generate_odn("grid", rows=6, cols=6, seed=1))
         pair = PairSpectra(d, sparsify_laplacian(d, 0.3, seed=1))
         seen = []
         self._recording(monkeypatch, get_threads, seen)
         pair.pencil
         assert seen == [("dpotrf", 1), ("dtrtri", 1), ("dtrmm", 1), ("dtrmm", 1)]
+        assert get_threads() == 2
+
+    def test_band_factor_resistances_and_pencil_run_on_one_thread(self, scipy_pool,
+                                                                  monkeypatch):
+        """The band path: `dpbtrf`, one `dsbmv` per column but the last in the
+        resistances, and the `dtbsv` pairs of the pencil's products, also those
+        of the Ritz residuals outside ARPACK's own hold; then the dense
+        fallback's two `dtbtrs`."""
+        get_threads, _ = scipy_pool
+        d = decompose(generate_odn("grid", rows=6, cols=6, seed=1))
+        hat = sparsify_laplacian(d, 0.3, seed=1)
+        seen = []
+        self._recording(monkeypatch, get_threads, seen)
+        pair = PairSpectra(d, hat)
+        effective_resistances(pair)
+        pair.pencil
+        assert pair.paths["factor"] == "band kd=6" and pair.paths["pencil"] == "arpack"
+        names = [name for name, _ in seen]
+        assert names[:35] == ["dpbtrf"] + ["dsbmv"] * 34
+        assert set(names[35:]) == {"dtbsv"} and len(names) % 2 == 1
+        assert {threads for _, threads in seen} == {1}
+        seen.clear()
+        PairSpectra(d, hat).grounded_factor.reduced(hat.laplacian).toarray()
+        assert seen == [("dpbtrf", 1), ("dtbtrs", 1), ("dtbtrs", 1)]
         assert get_threads() == 2
 
     def test_prior_count_restored_after_a_failed_factor(self, scipy_pool, monkeypatch):
@@ -653,7 +681,7 @@ def _sparsified(m, seed=7, epsilon=0.25):
 
 class TestLiveAngles:
     """spectral_report solves angles only at live indices (bound defined and
-    below 1), by ARPACK's top k or a dense fallback."""
+    below 1 - 1e-9), by ARPACK's top and bottom blocks or a dense fallback."""
 
     def _check_against_full(self, m, m_hat, epsilon=0.25, gap_tol=None):
         spectra = PairSpectra(decompose(m), matrix_hat=m_hat)
@@ -662,7 +690,10 @@ class TestLiveAngles:
         full = davis_kahan(sys_a, sys_b, report.r_norm, gap_tol)
         _assert_bounds_close([a.bound for a in report.angles], [a.bound for a in full],
                              report.r_norm, np.abs(sys_a.values).max())
-        live = [a.index for a in full if a.bound is not None and a.bound < 1.0]
+        # sin_theta <= 1 passes a bound from 1 - 1e-9 up; below 1 only by
+        # rounding, such a bound sits over a tie of M_hat's eigenvalues,
+        # where no eigenvector is unique.
+        live = [a.index for a in full if a.bound is not None and a.bound < 1.0 - 1e-9]
         for angle, expected in zip(report.angles, full):
             if angle.index in live:
                 assert abs(angle.sin_theta - expected.sin_theta) <= 1e-12
@@ -692,7 +723,7 @@ class TestLiveAngles:
         def no_vectors(*args, **kwargs):
             raise AssertionError("an eigenvector was solved")
 
-        monkeypatch.setattr(PairSpectra, "top_systems", no_vectors)
+        monkeypatch.setattr(PairSpectra, "live_systems", no_vectors)
         spectra, report, live = self._check_against_full(m, m_hat)
         assert live == [] and report.vacuous_angles == m.n
         assert "matrix_vectors" not in spectra.paths
@@ -705,11 +736,41 @@ class TestLiveAngles:
         m_hat = _sparsified(m)
         spectra = PairSpectra(decompose(m), matrix_hat=m_hat)
         monkeypatch.setattr(spectra_module, "eigsh", not_converged)
-        sys_a, sys_b = spectra.top_systems(1)
+        sys_a, sys_b = spectra.live_systems(1)
         assert spectra.paths["matrix_vectors"] == spectra.paths["matrix_hat_vectors"] == "dense"
         full_a, full_b = _full_systems(m, m_hat)
         np.testing.assert_array_equal(sys_a.vectors, full_a.vectors[:, :1])
         np.testing.assert_array_equal(sys_b.vectors, full_b.vectors[:, :1])
+
+    def test_bottom_angle_by_arpack(self):
+        """K_(40,40) has isolated top and bottom eigenvalues, both live: a top
+        and a bottom block of one vector each, not all n = 80 columns."""
+        i, j = np.meshgrid(np.arange(40), np.arange(40, 80), indexing="ij")
+        rng = np.random.default_rng(3)
+        m = OdnMatrix(80, i.ravel(), j.ravel(), rng.uniform(0.5, 1.0, 1600),
+                      rng.uniform(0.0, 0.1, 80))
+        spectra, report, live = self._check_against_full(m, _sparsified(m))
+        assert live == [0, 79]
+        assert spectra.paths["matrix_vectors"] == spectra.paths["matrix_hat_vectors"] == "arpack"
+
+    def test_tie_within_rounding_of_one_solves_no_vectors(self, monkeypatch):
+        """No edges (case 4 below): M_hat = cI, whose eigenvectors are not
+        unique, and the extreme indices' bounds fall short of 1 by rounding
+        alone (r_norm is a low estimate). They are vacuous, and no
+        eigenvector is solved."""
+        rng = np.random.default_rng(1004)
+        m = random_odn(rng, int(rng.integers(4, 90)), density=0.0)
+
+        def no_vectors(*args, **kwargs):
+            raise AssertionError("an eigenvector was solved")
+
+        monkeypatch.setattr(PairSpectra, "live_systems", no_vectors)
+        report = spectral_report(PairSpectra(decompose(m), matrix_hat=_sparsified(m)),
+                                 epsilon=0.25)
+        near = [a for a in report.angles if a.bound is not None and a.bound < 1.0]
+        assert m.n == 66 and [a.index for a in near] == [0, 65]
+        assert all(a.bound >= 1.0 - 1e-12 and a.sin_theta is None and a.passed for a in near)
+        assert report.vacuous_angles == m.n
 
     def test_dense_above_break_even(self):
         # Identical sides: r_norm is 0, so every defined bound is 0 and live,
