@@ -43,6 +43,9 @@ from .spectra import (
 # epsilon threshold below which the strictest published edge-count
 # guarantees are stated; sampling itself works for any epsilon in (0, 1).
 EPSILON_SMALL_REGIME = 1.0 / 120.0
+# Least uniforms per block of the draws (512 KB); at least 16 per edge, so
+# that a block's m searches cost no more than its sort.
+_DRAW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,33 +123,41 @@ def sample_count(n: int, epsilon: float, constant: float) -> int:
     return int(math.ceil(budget))
 
 
-def _uniforms(rng: np.random.Generator, q: int) -> np.ndarray:
-    """The q uniforms of the draws, at 8 bytes each. OdnError naming q and
-    those bytes when they exceed the machine's physical memory or cannot be
-    allocated: a tiny epsilon can ask for terabytes, whatever the graph."""
+def _uniforms(rng: np.random.Generator, q: int, block: int):
+    """The q uniforms of the draws, `block` at a time. OdnError naming q and
+    its 8 q bytes, before any draw, when those exceed physical memory (without
+    sysconf, numpy's largest array) or a block cannot be allocated: a tiny
+    epsilon can ask for terabytes, whose draws would run for hours (7.2e11,
+    5.8 TB, at about 80 M draws/s on one Xeon core: 2.5 h)."""
     need = 8 * q
+    message = (f"the sample budget q={q} needs {need} bytes for its uniforms, "
+               "more than can be allocated; use a larger epsilon or a smaller "
+               "constant C")
     try:
         fits = need <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, OSError, ValueError):  # no sysconf: try to allocate
-        fits = True
-    if fits:
+    except (AttributeError, OSError, ValueError):
+        fits = need <= np.iinfo(np.intp).max
+    if not fits:
+        raise OdnError(message)
+    for start in range(0, q, block):
         try:
-            return rng.random(q)
-        except (MemoryError, ValueError):  # ValueError: past numpy's largest size
-            pass
-    raise OdnError(f"the sample budget q={q} needs {need} bytes for its uniforms, "
-                   "more than can be allocated; use a larger epsilon or a smaller "
-                   "constant C")
+            uniforms = rng.random(min(block, q - start))
+        except MemoryError:
+            raise OdnError(message) from None
+        yield uniforms
 
 
 def _draw_counts(uniforms: np.ndarray, cumulative: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws per edge, for cumulative probabilities `cumulative`.
+    """Inverse-CDF draws per edge of a block of uniforms, for cumulative
+    probabilities `cumulative`.
 
     Edge k takes each u with cum[k-1] <= u < cum[k], so its count is
     #{u < cum[k]} - #{u < cum[k-1]}; the last edge takes every u >= cum[-2],
     which covers uniforms beyond cum[-1] when it rounds below 1. One sort
     and m searches into the sorted uniforms replace q searches into the m
-    cumulative probabilities. Sorts `uniforms` in place.
+    cumulative probabilities. A draw's edge depends on its uniform alone, so
+    the counts of blocks add up to those of their union. Sorts `uniforms` in
+    place.
     """
     uniforms.sort()
     below = np.searchsorted(uniforms, cumulative[:-1], side="left")
@@ -163,11 +174,14 @@ def sparsify_laplacian(
 
     Identical (decomp, epsilon, seed, constant) inputs give bit-identical
     results. The q draws are inverse-CDF lookups of PCG64 uniforms in the
-    cumulative leverage probabilities; the per-edge counts are read off the
-    sorted uniforms with one search per edge, which gives the same counts
-    as one search per draw. Repeated draws of one edge accumulate weight.
-    A Laplacian with no edges short-circuits to the empty sparsifier. Given
-    a PairSpectra, its grounded factor of L is shared with the verdict.
+    cumulative leverage probabilities, drawn in blocks of max(2^16, 16 m)
+    for m edges, so the draws hold O(block + m) memory, not O(q). Each
+    block's per-edge counts are read off its sorted uniforms with one search
+    per edge (`_draw_counts`) and summed; the blocks are consecutive pieces
+    of one PCG64 stream, so the counts equal one search per draw over all q.
+    Repeated draws of one edge accumulate weight. A Laplacian with no edges
+    short-circuits to the empty sparsifier. Given a PairSpectra, its
+    grounded factor of L is shared with the verdict.
     """
     _require_epsilon(epsilon)
     src = decomp.matrix
@@ -176,7 +190,10 @@ def sparsify_laplacian(
     if src.stored_pairs:
         probability = effective_resistances(decomp)[1]  # the resistances are freed
         rng = np.random.Generator(np.random.PCG64(seed))
-        counts = _draw_counts(_uniforms(rng, q), np.cumsum(probability)).astype(np.float64)
+        cumulative = np.cumsum(probability)
+        blocks = _uniforms(rng, q, max(_DRAW_BLOCK, 16 * len(cumulative)))
+        counts = sum(_draw_counts(u, cumulative) for u in blocks).astype(np.float64)
+        del cumulative  # m floats fewer held while the weights are formed
         weights = src.vals * (counts / (q * probability))
         keep, drawn = counts > 0, q
     return SparsifierResult(

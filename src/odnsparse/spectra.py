@@ -31,9 +31,10 @@ would take the cores from numpy's next dense solve.
 
 The spectra of M and M_hat are solved for their values only
 (`PairSpectra.matrix_values`): the deviations, Weyl, the inertia and every
-Davis-Kahan bound r_norm / gap read them. An eigenvector is solved only
-for an index whose bound is below 1 - 1e-9, where the angle check can
-fail, by ARPACK's top or bottom block where that block is small.
+Davis-Kahan bound r_norm / gap read them, a side with a narrow band by
+`dsbevd` in band storage. An eigenvector is solved only for an index
+whose bound is below 1 - 1e-9, where the angle check can fail, by ARPACK's
+top or bottom block where that block is small.
 
 The pair holds each Laplacian in one form, read by every role: a dense
 array when the graph is dense and within the limit, else its CSR
@@ -43,7 +44,7 @@ Laplacians: 3 n^2 floats for a dense pair, n^2 for a sparse one. A band
 factor holds O(n kd) floats, kd its bandwidth. A command drops the held
 Laplacians (`release_laplacians`) before the eigensolves of M and M_hat;
 the spectral stage holds no n x n eigenvector array unless the angle check
-needs a dense fallback.
+needs a dense fallback; a grid holds no n x n array at all.
 """
 
 from __future__ import annotations
@@ -115,6 +116,14 @@ _BLOCK_ROWS = 32
 # 993 vs 1314 (0.80). Below k = 250 either takes a few ms (grid 15x15 7.8 vs
 # 9.5, Erdos-Renyi n = 200 at degree 3 6.6 vs 6.2 at 0.29).
 _BAND_SHARE = 1 / 2
+# M or M_hat is solved in band storage when its RCM bandwidth has
+# kd + 1 <= n / 20: (kd + 1) n doubles, not two n x n arrays. Its values,
+# dense (`eigvalsh`) vs band (CSR, RCM, `dsbevd`), first call in a fresh
+# process, 2 cores, ms ((kd + 1) / n): shuffled band graphs n = 900 at 0.02
+# 55 vs 53, 0.04 64 vs 57, 0.05 60 vs 62, 0.08 56 vs 96; n = 1600 at 0.02
+# 306 vs 182, 0.04 298 vs 275, 0.05 309 vs 331, 0.08 289 vs 575. Grids: 30x30
+# (0.034) 50 vs 43, 60x60 (0.017) 2524 vs 1093; below n = 400 about 1 ms.
+_BAND_VALUES_SHARE = 1 / 20
 
 # glibc serves an array below its adaptive mmap threshold (up to 32 MiB: an
 # n x n array up to n = 2048) from the heap once any larger block was freed,
@@ -324,24 +333,38 @@ class GroundedFactor:
                               overwrite_b=1)
 
 
-def _band_factor(lap, kept: np.ndarray) -> GroundedFactor | None:
-    """The grounded block of a sparse L, reordered by reverse Cuthill-McKee
-    and factored in band storage by `dpbtrf`; None when its bandwidth kd is
-    too wide for the band to pay, kd + 1 > k * _BAND_SHARE."""
-    block = sp.csr_matrix(lap)[kept][:, kept]
-    order = reverse_cuthill_mckee(block, symmetric_mode=True)
-    lower = sp.tril(block[order][:, order], format="coo")
-    kd = int((lower.row - lower.col).max(initial=0))
-    if kd + 1 > _BAND_SHARE * len(kept):
+def _band(x, share: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """(order, band): the reverse Cuthill-McKee order of a symmetric `x`
+    (OdnMatrix or sparse) and `x` so ordered in lower band storage, (kd + 1)
+    x n in Fortran order; None when kd + 1 > share * n. A band of width kd
+    holds at most n (2 kd + 1) entries: an `x` storing more is not ordered."""
+    n = x.n if isinstance(x, OdnMatrix) else x.shape[0]
+    if _stored(x) > n * (2 * share * n - 1):
         return None
-    band = np.zeros((kd + 1, len(kept)), order="F")
+    x = _sparse(x)
+    order = reverse_cuthill_mckee(x, symmetric_mode=True)
+    lower = sp.tril(x[order][:, order], format="coo")
+    kd = int((lower.row - lower.col).max(initial=0))
+    if kd + 1 > share * n:
+        return None
+    band = np.zeros((kd + 1, n), order="F")
     band[lower.row - lower.col, lower.col] = lower.data
-    kept = kept[order]
+    return order, band
+
+
+def _band_factor(lap, kept: np.ndarray) -> GroundedFactor | None:
+    """The grounded block of a sparse L in band storage (`_band`), factored by
+    `dpbtrf`; None when its bandwidth kd is too wide for the band to pay,
+    kd + 1 > k * _BAND_SHARE."""
+    built = _band(sp.csr_matrix(lap)[kept][:, kept], _BAND_SHARE)
+    if built is None:
+        return None
+    kept = kept[built[0]]
     with _one_scipy_thread():
-        band, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+        band, info = lapack.dpbtrf(built[1], lower=1, overwrite_ab=1)
     if info:
         raise FactorizationError("dpbtrf", info, int(kept[info - 1]) if info > 0 else None)
-    return GroundedFactor(kept, band, kd)
+    return GroundedFactor(kept, band, len(band) - 1)
 
 
 def _dense_factor(lap, kept: np.ndarray) -> GroundedFactor:
@@ -530,7 +553,7 @@ def _require_same_shape(x, y) -> None:
 
 
 class PairSpectra:
-    """Dense spectra of one matrix pair (M, M_hat), each solved at most once.
+    """Spectra of one matrix pair (M, M_hat), each solved at most once.
 
     `base` and `hat` are the graphs of M and M_hat (LaplacianDecomposition
     or SparsifierResult views, or raw Laplacians); a LaplacianDecomposition
@@ -540,9 +563,9 @@ class PairSpectra:
     cached_property. `laplacian` and `laplacian_hat` are each side's
     Laplacian in the one form every role reads (`_held_form`); setting `hat`
     drops the form held for the previous one. `paths` records the form of
-    L's factor ("dense" or "band kd=<kd>") and, for the pencil, each
-    difference norm and each side's eigenvectors solved, whether they came
-    from a "dense" solve or from "arpack".
+    L's factor and of each side's eigenvalues ("dense" or "band kd=<kd>")
+    and, for the pencil, each difference norm and each side's eigenvectors
+    solved, whether they came from a "dense" solve or from "arpack".
 
     No role densifies an operand larger than `dense_limit` (see the module
     docstring for what runs above it).
@@ -757,10 +780,28 @@ class PairSpectra:
 
     @cached_property
     def matrix_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues of M and of M_hat: the only dense solve of
-        either."""
-        sides = (self.matrix, self.matrix_hat)
-        return tuple(np.linalg.eigvalsh(self._densify(x)) for x in sides)
+        """Ascending eigenvalues of M and of M_hat, the only full solve of
+        either: by `dsbevd` in band storage (`_band`) for an OdnMatrix within
+        the dense limit with kd + 1 <= n * _BAND_VALUES_SHARE, else `eigvalsh`.
+        paths["matrix_values"] and ["matrix_hat_values"] say "band kd=<kd>"
+        or "dense"."""
+        return (self._values("matrix_values", self.matrix),
+                self._values("matrix_hat_values", self.matrix_hat))
+
+    def _values(self, role: str, x) -> np.ndarray:
+        built = None
+        if isinstance(x, OdnMatrix) and x.n <= self.dense_limit:
+            built = _band(x, _BAND_VALUES_SHARE)
+        if built is None:
+            self.paths[role] = "dense"
+            return np.linalg.eigvalsh(self._densify(x))
+        band = built[1]
+        self.paths[role] = f"band kd={len(band) - 1}"
+        with _one_scipy_thread():
+            values, _, info = lapack.dsbevd(band, compute_v=0, lower=1, overwrite_ab=1)
+        if info:
+            raise np.linalg.LinAlgError(f"dsbevd did not converge (info {info})")
+        return values
 
     def live_systems(self, top: int, bottom: int = 0) -> tuple[EigenSystem, EigenSystem]:
         """The top `top` and bottom `bottom` eigenpairs of M and of M_hat, each

@@ -376,10 +376,12 @@ class TestCommonFlags:
         assert lines == [f"memory: peak RSS {peak:.1f} MB"]
 
     @pytest.mark.parametrize("command,paths", [
-        ("sparsify", ["factor dense", "pencil arpack", "matrix_diff_norm dense",
+        ("sparsify", ["factor dense", "pencil arpack", "matrix_values dense",
+                      "matrix_hat_values dense", "matrix_diff_norm dense",
                       "matrix_vectors dense", "matrix_hat_vectors dense"]),
         ("verify", ["factor dense", "pencil arpack", "laplacian_diff_norm dense",
-                    "adjacency_diff_norm dense", "matrix_diff_norm dense",
+                    "adjacency_diff_norm dense", "matrix_values dense",
+                    "matrix_hat_values dense", "matrix_diff_norm dense",
                     "matrix_vectors dense", "matrix_hat_vectors dense"]),
         ("pca-demo", ["factor dense", "pencil arpack"]),
         ("bounds", []),
@@ -388,8 +390,9 @@ class TestCommonFlags:
                                                        tmp_path, capsys):
         """-v prints each bundled OpenBLAS pool with its thread count, and the
         form of L's grounded factor and the solver of the pencil's extremes,
-        of each difference norm and of the eigenvectors of M and M_hat that
-        the angle check solved (K5's live angles take a dense solve)."""
+        of the eigenvalues of M and M_hat, of each difference norm and of the
+        eigenvectors of M and M_hat that the angle check solved (K5's live
+        angles take a dense solve)."""
         from odnsparse.spectra import _blas_pools
 
         code, _, err = run(self._argv(command, pair_paths, tmp_path) + ["-v"], capsys)
@@ -402,12 +405,14 @@ class TestCommonFlags:
 
     def test_verbose_names_the_band_factor(self, capsys):
         """A 30 x 30 grid, held as CSR, whose grounded L has bandwidth 30
-        after reverse Cuthill-McKee: L is factored in band storage."""
+        after reverse Cuthill-McKee: L is factored in band storage, and M and
+        M_hat, of bandwidth 30 too, are solved in band storage."""
         code, _, err = run(["sparsify", "--gen", "grid:rows=30,cols=30,diag=uniform(0,1)",
                             "-v"], capsys)
         assert code == 0
         assert [line[6:] for line in err.splitlines() if line.startswith("path: ")] == [
-            "factor band kd=30", "pencil arpack", "matrix_diff_norm arpack"]
+            "factor band kd=30", "pencil arpack", "matrix_values band kd=30",
+            "matrix_hat_values band kd=30", "matrix_diff_norm arpack"]
 
     @pytest.mark.parametrize("command", ["verify", "bounds"])
     def test_seed_is_only_recorded(self, command, pair_paths, tmp_path, capsys):

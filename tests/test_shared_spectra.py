@@ -22,6 +22,7 @@ from odnsparse import (
     generate_odn,
     pca_compare,
     reconstruct,
+    sample_count,
     sparsifier_norm_check,
     sparsify_laplacian,
     spectral_report,
@@ -83,6 +84,27 @@ def test_pca_solves_each_matrix_once(solves):
     # eigvalsh: M; eigsh: the pencil, rho(L), and M_hat by Lanczos.
     assert pca_compare(matrix, EPS, 3, seed=SEED).passed
     assert solves == {"eigh": 0, "eigvalsh": 1, "eigsh": 3}
+
+
+def test_verify_of_a_dense_pair_never_reorders(solves, tmp_path, capsys, monkeypatch):
+    """Complete n = 400 and a sparsifier of it store too many entries for a
+    narrow band: M and M_hat go straight to `eigvalsh`, and reverse
+    Cuthill-McKee is never run. eigvalsh: L - L_hat, A - A_hat, M - M_hat,
+    M, M_hat."""
+    a, b = tmp_path / "a.mtx", tmp_path / "b.mtx"
+    write_matrix_market(generate_odn("complete", 400, seed=3, diag=("uniform", 0, 1)), a)
+    assert main(["sparsify", "--input", str(a), "--out-matrix", str(b)]) == 0
+    orders = []
+
+    def counting(*args, _order=spectra_module.reverse_cuthill_mckee, **kwargs):
+        orders.append(args)
+        return _order(*args, **kwargs)
+
+    monkeypatch.setattr(spectra_module, "reverse_cuthill_mckee", counting)
+    solves.update(eigh=0, eigvalsh=0, eigsh=0)
+    assert main(["verify", str(a), str(b), "--out-report", str(tmp_path / "r.json")]) == 0
+    assert solves["eigvalsh"] == 5
+    assert orders == []
 
 
 def _connected():
@@ -354,6 +376,42 @@ def test_grid_band_memory():
         tracemalloc.stop()
     assert spectra.paths == {"factor": "band kd=60", "pencil": "arpack"}
     assert peak <= 4 * matrix.n * 61 * 8
+
+
+def test_grid_band_values_memory():
+    """On a 60 x 60 grid, the eigenvalues of M and M_hat are solved in band
+    storage: their traced peak is a few bands, n (kd + 1) x 8 B (1.8 MB),
+    where each side's dense solve held an n x n array of 104 MB."""
+    matrix = generate_odn("grid", rows=60, cols=60, seed=1, diag=("uniform", 0, 1))
+    decomp = decompose(matrix)
+    spectra = PairSpectra(decomp, matrix_hat=sparsify_laplacian(decomp, EPS, SEED).matrix(
+        decomp.center))
+    tracemalloc.start()
+    try:
+        spectra.matrix_values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spectra.paths == {"matrix_values": "band kd=60", "matrix_hat_values": "band kd=60"}
+    assert peak <= 3 * matrix.n * 61 * 8
+
+
+def test_grid_sampling_memory():
+    """On a 30 x 30 grid, the q = 881 591 draws come in blocks of 2^16
+    uniforms: the resistances and the draws, past L's band factor, peak below
+    a quarter of the 8 q bytes (7 MB) that all q uniforms took at once."""
+    matrix = generate_odn("grid", rows=30, cols=30, seed=1, diag=("uniform", 0, 1))
+    spectra = PairSpectra(decompose(matrix))
+    spectra.grounded_factor
+    q = sample_count(matrix.n, EPS, 9.0)
+    tracemalloc.start()
+    try:
+        result = sparsify_laplacian(spectra, EPS, SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.samples_drawn == q
+    assert peak < 8 * q / 4
 
 
 @pytest.mark.parametrize("matrix", [

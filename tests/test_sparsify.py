@@ -27,7 +27,8 @@ from odnsparse import (
     write_matrix_market,
 )
 from odnsparse import spectra
-from odnsparse.sparsify import _draw_counts
+from odnsparse import sparsify as sparsify_module
+from odnsparse.sparsify import _draw_counts, _uniforms
 
 from conftest import (
     complete_with_isolated_vertex,
@@ -277,6 +278,11 @@ SAMPLER_INPUTS = {
     "complete-400": lambda: generate_odn("complete", 400, seed=1),
     "erdos-renyi-500": lambda: generate_odn("erdos-renyi", 500, density=0.01, seed=3),
 }
+# Sampler seeds per input, and the blocks of uniforms its q draws take: grid
+# 30 x 30 draws q = 881 591 in 14 blocks of 2^16, Erdos-Renyi q = 447 452 in
+# 7, and complete n = 400 q <= 16 m in one.
+SAMPLER_SEEDS_AND_BLOCKS = {"grid-30x30": (8, 14), "complete-400": (6, 1),
+                            "erdos-renyi-500": (5, 7)}
 
 
 class TestSampler:
@@ -289,8 +295,10 @@ class TestSampler:
         _, probability = effective_resistances(pair)
         cumulative = np.cumsum(probability)
         q = sample_count(d.n, 0.25, 9.0)
+        seeds, blocks = SAMPLER_SEEDS_AND_BLOCKS[name]
+        assert -(-q // max(sparsify_module._DRAW_BLOCK, 16 * len(probability))) == blocks
         src = d.matrix
-        for seed in range(5):
+        for seed in range(seeds):
             uniforms = np.random.Generator(np.random.PCG64(seed)).random(q)
             expected = reference_counts(uniforms, cumulative)
             assert np.array_equal(_draw_counts(uniforms.copy(), cumulative), expected)
@@ -332,6 +340,28 @@ class TestSampler:
         counts = _draw_counts(uniforms.copy(), cumulative)
         assert np.array_equal(counts, reference_counts(uniforms, cumulative))
         assert counts.sum() == len(uniforms)
+
+
+class TestBlockedDraws:
+    """The draws come in blocks of uniforms, and the counts of each block are
+    summed: bit for bit the counts of one sort of all q uniforms."""
+
+    # q below one block, q one block, and q = k blocks + a remainder.
+    @pytest.mark.parametrize("q", [63, 64, 3 * 64 + 17])
+    # A last cumulative probability of 0.7: 30% of the draws past it, which
+    # the last edge takes.
+    @pytest.mark.parametrize("last", [1.0, 0.7])
+    def test_block_counts_equal_one_sort(self, q, last):
+        cumulative = np.array([0.2, 0.5, 0.6, last])
+        blocks = list(_uniforms(np.random.Generator(np.random.PCG64(5)), q, 64))
+        assert [len(u) for u in blocks] == [64] * (q // 64) + [q % 64] * (q % 64 > 0)
+        uniforms = np.random.Generator(np.random.PCG64(5)).random(q)
+        assert np.array_equal(np.concatenate(blocks), uniforms)
+        expected = _draw_counts(uniforms.copy(), cumulative)
+        assert np.array_equal(sum(_draw_counts(u, cumulative) for u in blocks), expected)
+        assert np.array_equal(expected, reference_counts(uniforms, cumulative))
+        if last < 1.0:
+            assert expected[-1] > 0.3 * q
 
 
 EPSILON_ENTRY_POINTS = {

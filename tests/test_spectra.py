@@ -4,9 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 from odnsparse import (
+    DenseLimitExceededError,
     DimensionMismatchError,
     FactorizationError,
     InvalidEpsilonError,
@@ -237,7 +239,7 @@ class TestArpackThreads:
 
             return call
 
-        for attr, names in (("lapack", ("dpotrf", "dtrtri", "dpbtrf", "dtbtrs")),
+        for attr, names in (("lapack", ("dpotrf", "dtrtri", "dpbtrf", "dtbtrs", "dsbevd")),
                             ("blas", ("dtrmm", "dsbmv", "dtbsv"))):
             module = getattr(spectra_module, attr)
             monkeypatch.setattr(spectra_module, attr, SimpleNamespace(
@@ -276,6 +278,18 @@ class TestArpackThreads:
         seen.clear()
         PairSpectra(d, hat).grounded_factor.reduced(hat.laplacian).toarray()
         assert seen == [("dpbtrf", 1), ("dtbtrs", 1), ("dtbtrs", 1)]
+        assert get_threads() == 2
+
+    def test_band_values_run_on_one_thread(self, scipy_pool, monkeypatch):
+        """M and M_hat of a 3 x 50 grid, bandwidth 4: one `dsbevd` each."""
+        get_threads, _ = scipy_pool
+        m = generate_odn("grid", rows=3, cols=50, seed=1, diag=("uniform", 0, 1))
+        spectra = PairSpectra(matrix=m, matrix_hat=_sparsified(m))
+        seen = []
+        self._recording(monkeypatch, get_threads, seen)
+        spectra.matrix_values
+        assert spectra.paths == {"matrix_values": "band kd=4", "matrix_hat_values": "band kd=4"}
+        assert seen == [("dsbevd", 1), ("dsbevd", 1)]
         assert get_threads() == 2
 
     def test_prior_count_restored_after_a_failed_factor(self, scipy_pool, monkeypatch):
@@ -792,3 +806,99 @@ class TestLiveAngles:
         epsilon = float(rng.choice([0.1, 0.25, 0.5]))
         self._check_against_full(m, _sparsified(m, int(rng.integers(1 << 30)), epsilon),
                                  epsilon)
+
+
+def _grid(rows, cols, diag=("uniform", 0, 1)):
+    return generate_odn("grid", rows=rows, cols=cols, seed=1, diag=diag)
+
+
+def _cut_grid():
+    """A 10 x 20 grid cut between columns 9 and 10: two components."""
+    g = _grid(10, 20)
+    keep = ~((g.cols == g.rows + 1) & (g.rows % 20 == 9))
+    return OdnMatrix(g.n, g.rows[keep], g.cols[keep], g.vals[keep], g.diag)
+
+
+def _with_isolated_vertex():
+    g = _grid(10, 10)
+    return OdnMatrix(g.n + 1, g.rows, g.cols, g.vals, np.append(g.diag, 0.5))
+
+
+def _negative_diagonal():
+    g = _grid(12, 12)
+    return OdnMatrix(g.n, g.rows, g.cols, g.vals,
+                     np.random.default_rng(3).uniform(-3.0, -1.0, g.n))
+
+
+BAND_INPUTS = {
+    "path-8": lambda: generate_odn("path", 8, seed=1, diag=("uniform", 0, 1)),
+    "path-300": lambda: generate_odn("path", 300, seed=1, diag=("uniform", 0, 1)),
+    "grid-30x30": lambda: _grid(30, 30),
+    "grid-10x90": lambda: _grid(10, 90),
+    "grid-3x300": lambda: _grid(3, 300),
+    "grid-60x60": lambda: _grid(60, 60),
+    "cut-grid": _cut_grid,
+    "isolated-vertex": _with_isolated_vertex,
+    "negative-diagonal": _negative_diagonal,
+    "no-edges": lambda: OdnMatrix(50, [], [], [], np.linspace(-1.0, 2.0, 50)),
+    "n-1": lambda: OdnMatrix(1, [], [], [], [0.7]),
+    "n-2": lambda: OdnMatrix(2, [0], [1], [0.5], [0.1, -0.2]),
+}
+
+
+class TestBandValues:
+    """`PairSpectra.matrix_values` in band storage (`dsbevd`) against the dense
+    path (`eigvalsh`), each forced by `_BAND_VALUES_SHARE`."""
+
+    @pytest.mark.parametrize("name", list(BAND_INPUTS))
+    def test_values_and_verdicts_match_the_dense_path(self, name, monkeypatch):
+        m = BAND_INPUTS[name]()
+        m_hat = _sparsified(m)
+        runs = {}
+        for path, share in (("band", 1.0), ("dense", 0.0)):
+            monkeypatch.setattr(spectra_module, "_BAND_VALUES_SHARE", share)
+            spectra = PairSpectra(decompose(m), matrix_hat=m_hat)
+            runs[path] = spectra, spectral_report(spectra, epsilon=0.25)
+        (band, report), (dense, expected) = runs["band"], runs["dense"]
+        # The bandwidth of each side in reverse Cuthill-McKee order.
+        kds = []
+        for x in (m, m_hat):
+            csr = sp.csr_matrix(x.adjacency() + sp.diags(x.diag))
+            order = reverse_cuthill_mckee(csr, symmetric_mode=True)
+            lower = sp.tril(csr[order][:, order], format="coo")
+            kds.append(int((lower.row - lower.col).max(initial=0)))
+        assert [band.paths[role] for role in ("matrix_values", "matrix_hat_values")] == [
+            f"band kd={kd}" for kd in kds]
+        assert dense.paths["matrix_values"] == dense.paths["matrix_hat_values"] == "dense"
+        scale = max(np.abs(m.to_dense()).max(), np.abs(m_hat.to_dense()).max())
+        for got, want in zip(band.matrix_values, dense.matrix_values):
+            assert np.abs(got - want).max() <= 1e-12 * scale
+        for field in ("eigenvalue_bound_passed", "angles_passed", "inertia", "inertia_hat",
+                      "inertia_match", "inertia_guaranteed", "vacuous_angles"):
+            assert getattr(report, field) == getattr(expected, field), field
+        assert [a.passed for a in report.angles] == [a.passed for a in expected.angles]
+
+    def test_only_narrow_bands_leave_the_dense_path(self):
+        """A 30 x 30 grid, (kd + 1) / n = 0.034, takes the band; a 10 x 10 grid,
+        0.11, a raw dense array and a side above the dense limit do not."""
+        grid = _grid(30, 30)
+        spectra = PairSpectra(matrix=grid, matrix_hat=_grid(10, 10))
+        spectra.matrix_values
+        assert spectra.paths == {"matrix_values": "band kd=30", "matrix_hat_values": "dense"}
+        spectra = PairSpectra(matrix=grid.to_dense(), matrix_hat=grid.to_dense())
+        spectra.matrix_values
+        assert spectra.paths == {"matrix_values": "dense", "matrix_hat_values": "dense"}
+        with pytest.raises(DenseLimitExceededError):
+            PairSpectra(matrix=grid, matrix_hat=grid, dense_limit=899).matrix_values
+
+    def test_dense_side_is_turned_down_before_reordering(self, monkeypatch):
+        """A side storing more entries than any narrow band holds never reaches
+        reverse Cuthill-McKee."""
+        def no_reordering(*args, **kwargs):
+            raise AssertionError("reverse Cuthill-McKee was run")
+
+        monkeypatch.setattr(spectra_module, "reverse_cuthill_mckee", no_reordering)
+        m = generate_odn("complete", 200, seed=2, diag=("uniform", 0, 1))
+        spectra = PairSpectra(matrix=m, matrix_hat=_sparsified(m))
+        spectra.matrix_values
+        assert spectra.paths == {"matrix_values": "dense", "matrix_hat_values": "dense"}
