@@ -14,6 +14,7 @@ import resource
 import sys
 import time
 import warnings
+from contextlib import contextmanager
 from datetime import datetime, timezone
 
 import numpy as np
@@ -117,13 +118,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _stage(stages: dict, name: str):
+    """Record the block's wall time, in seconds, as `stages[name]`."""
+    t0 = time.perf_counter()
+    yield
+    stages[name] = time.perf_counter() - t0
+
+
 def _load_matrix(args, stages):
     if getattr(args, "gen", None):
         spec = parse_generator_spec(args.gen)
         return generate_odn(**spec), f"generator:{args.gen}"
-    t0 = time.perf_counter()
-    matrix = read_matrix_market(args.input)
-    stages["read"] = time.perf_counter() - t0
+    with _stage(stages, "read"):
+        matrix = read_matrix_market(args.input)
     return matrix, f"file:{args.input}"
 
 
@@ -179,8 +187,11 @@ def _close_timings(timings, args, paths) -> None:
             print(f"path: {role} {path}", file=sys.stderr)
 
 
-def _finish(report, failures, timings, args, paths, spectral=None, pca=None) -> int:
-    report["checks"] = {"all_passed": not failures, "failures": sorted(failures)}
+def _finish(report, verdicts, timings, args, paths, spectral=None, pca=None) -> int:
+    """Record the (name, passed) `verdicts` in the report's checks, write the
+    outputs asked for, print the outcome and return the exit code."""
+    failures = sorted(name for name, passed in verdicts if not passed)
+    report["checks"] = {"all_passed": not failures, "failures": failures}
     _close_timings(timings, args, paths)
     report["timings"] = timings
     if args.out_report:
@@ -190,57 +201,41 @@ def _finish(report, failures, timings, args, paths, spectral=None, pca=None) -> 
     if args.out_csv and pca is not None:
         write_pca_csv(pca, args.out_csv)
     if failures:
-        print("FAIL: " + ", ".join(sorted(failures)))
+        print("FAIL: " + ", ".join(failures))
         return 2
     print("PASS: all checks passed")
     return 0
 
 
 def cmd_sparsify(args) -> int:
-    timings: dict = {"started_at": datetime.now(timezone.utc).isoformat()}
-    stages: dict = {}
+    timings: dict = {"started_at": datetime.now(timezone.utc).isoformat(), "stages": {}}
+    stages = timings["stages"]
     matrix, source = _load_matrix(args, stages)
     _warn_small_regime(args.epsilon)
 
-    t0 = time.perf_counter()
-    decomp = decompose(matrix)
-    spectra = PairSpectra(decomp, dense_limit=args.dense_limit)
-    stages["decompose"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    result = sparsify_laplacian(spectra, args.epsilon, args.seed, args.constant)
-    stages["sparsify"] = time.perf_counter() - t0
+    with _stage(stages, "decompose"):
+        decomp = decompose(matrix)
+        spectra = PairSpectra(decomp, dense_limit=args.dense_limit)
+    with _stage(stages, "sparsify"):
+        result = sparsify_laplacian(spectra, args.epsilon, args.seed, args.constant)
     m_hat = result.matrix(decomp.center)
     spectra.hat, spectra.matrix_hat = result, m_hat
-
-    t0 = time.perf_counter()
-    verification = verify_sparsifier(spectra, epsilon=args.epsilon)
-    # Nothing reads L or L_hat after the pencil.
-    spectra.release_laplacians()
-    stages["verify"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    spect = spectral_report(spectra, epsilon=args.epsilon)
-    stages["spectral"] = time.perf_counter() - t0
-
+    with _stage(stages, "verify"):
+        verification = verify_sparsifier(spectra, epsilon=args.epsilon)
+    with _stage(stages, "spectral"):
+        spect = spectral_report(spectra, epsilon=args.epsilon)
     if args.out_matrix:
-        t0 = time.perf_counter()
-        write_matrix_market(m_hat, args.out_matrix)
-        stages["write"] = time.perf_counter() - t0
+        with _stage(stages, "write"):
+            write_matrix_market(m_hat, args.out_matrix)
 
-    failures = []
-    if not verification.passed:
-        failures.append("sparsifier-inequality")
-    if not spect.eigenvalue_bound_passed:
-        failures.append("eigenvalue-deviation-bound")
-    if not spect.angles_passed:
-        failures.append("angle-bounds")
+    verdicts = [("sparsifier-inequality", verification.passed),
+                ("eigenvalue-deviation-bound", spect.eigenvalue_bound_passed),
+                ("angle-bounds", spect.angles_passed)]
 
     report = _report_skeleton(source, matrix, args)
     report["sparsifier"] = sparsifier_to_dict(result)
     report["verification"] = verification_to_dict(verification)
     report["spectral"] = spectral_to_dict(spect)
-    timings["stages"] = stages
 
     print(f"n={matrix.n} nnz_before={matrix.nnz} nnz_after={result.nnz_after} "
           f"samples={result.samples_drawn} distinct_edges={result.distinct_edges}")
@@ -249,49 +244,36 @@ def cmd_sparsify(args) -> int:
     if verification.gen_min is not None:
         print(f"ratio extremes: [{verification.gen_min:.6f}, {verification.gen_max:.6f}] "
               f"target [{1 - args.epsilon:.6f}, {1 + args.epsilon:.6f}]")
-    return _finish(report, failures, timings, args, spectra.paths, spectral=spect)
+    return _finish(report, verdicts, timings, args, spectra.paths, spectral=spect)
 
 
 def cmd_verify(args) -> int:
-    timings: dict = {"started_at": datetime.now(timezone.utc).isoformat()}
-    stages: dict = {}
-    t0 = time.perf_counter()
-    matrix_a = read_matrix_market(args.matrix_a)
-    matrix_b = read_matrix_market(args.matrix_b)
-    stages["read"] = time.perf_counter() - t0
+    timings: dict = {"started_at": datetime.now(timezone.utc).isoformat(), "stages": {}}
+    stages = timings["stages"]
+    with _stage(stages, "read"):
+        matrix_a = read_matrix_market(args.matrix_a)
+        matrix_b = read_matrix_market(args.matrix_b)
     _warn_small_regime(args.epsilon)
 
-    t0 = time.perf_counter()
-    spectra = PairSpectra(decompose(matrix_a), decompose(matrix_b),
-                          dense_limit=args.dense_limit)
-    verification = verify_sparsifier(spectra, epsilon=args.epsilon)
-    lap_check = sparsifier_norm_check(
-        spectra, epsilon=args.epsilon, sparsifier_ok=verification.passed
-    )
-    adj_check = adjacency_norm_check(spectra)
-    # Nothing reads L or L_hat after the norm checks.
-    spectra.release_laplacians()
-    stages["checks"] = time.perf_counter() - t0
+    with _stage(stages, "checks"):
+        spectra = PairSpectra(decompose(matrix_a), decompose(matrix_b),
+                              dense_limit=args.dense_limit)
+        verification = verify_sparsifier(spectra, epsilon=args.epsilon)
+        lap_check = sparsifier_norm_check(
+            spectra, epsilon=args.epsilon, sparsifier_ok=verification.passed
+        )
+        adj_check = adjacency_norm_check(spectra)
+    with _stage(stages, "spectral"):
+        spect = spectral_report(spectra, epsilon=args.epsilon)
+        # After the report, so that it reads the eigenvalues solved there.
+        weyl = weyl_check(spectra)
 
-    t0 = time.perf_counter()
-    spect = spectral_report(spectra, epsilon=args.epsilon)
-    # After the report, so that it reads the eigenvalues solved there.
-    weyl = weyl_check(spectra)
-    stages["spectral"] = time.perf_counter() - t0
-
-    failures = []
-    if not verification.passed:
-        failures.append("sparsifier-inequality")
-    if lap_check.status == "fail":
-        failures.append("laplacian-norm-bound")
-    if not adj_check.passed:
-        failures.append("adjacency-norm-bound")
-    if not weyl.passed:
-        failures.append("weyl-bound")
-    if not spect.eigenvalue_bound_passed:
-        failures.append("eigenvalue-deviation-bound")
-    if not spect.angles_passed:
-        failures.append("angle-bounds")
+    verdicts = [("sparsifier-inequality", verification.passed),
+                ("laplacian-norm-bound", lap_check.status != "fail"),
+                ("adjacency-norm-bound", adj_check.passed),
+                ("weyl-bound", weyl.passed),
+                ("eigenvalue-deviation-bound", spect.eigenvalue_bound_passed),
+                ("angle-bounds", spect.angles_passed)]
 
     report = _report_skeleton(f"file:{args.matrix_a}", matrix_a, args)
     report["input"]["source"] += f" vs file:{args.matrix_b}"
@@ -302,56 +284,46 @@ def cmd_verify(args) -> int:
         "weyl": norm_check_to_dict(weyl),
     }
     report["spectral"] = spectral_to_dict(spect)
-    timings["stages"] = stages
 
     print(f"||L-L_hat||={lap_check.norm_diff:.6g} eps*rho(L)={lap_check.bound:.6g} "
           f"[{lap_check.status}]")
     print(f"||A-A_hat||={adj_check.lhs:.6g} sqrt(n)*||L-L_hat||={adj_check.rhs:.6g}")
     print(f"weyl: max|a_i-b_i|={weyl.max_deviation:.6g} ||A-B||={weyl.norm:.6g}")
-    return _finish(report, failures, timings, args, spectra.paths, spectral=spect)
+    return _finish(report, verdicts, timings, args, spectra.paths, spectral=spect)
 
 
 def cmd_pca_demo(args) -> int:
-    timings: dict = {"started_at": datetime.now(timezone.utc).isoformat()}
-    stages: dict = {}
-    t0 = time.perf_counter()
-    with warnings.catch_warnings():
+    timings: dict = {"started_at": datetime.now(timezone.utc).isoformat(), "stages": {}}
+    stages = timings["stages"]
+    with _stage(stages, "load"), warnings.catch_warnings():
         # A header-only file is reported below, as an error.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         data = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)
-    stages["load"] = time.perf_counter() - t0
     if not data.size:
         raise ValueError(f"{args.input}: the CSV has no data rows")
     if data.shape[1] < 2:
         raise ValueError(f"need at least 2 data columns, got {data.shape[1]}")
     _warn_small_regime(args.epsilon)
 
-    t0 = time.perf_counter()
-    matrix = correlation_from_data(data)
-    del data  # the samples are not read again; on a large CSV they dominate
-    stages["correlation"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    comparison = pca_compare(
-        matrix, args.epsilon, args.components, args.seed,
-        constant=args.constant, dense_limit=args.dense_limit,
-    )
-    stages["pca"] = time.perf_counter() - t0
+    with _stage(stages, "correlation"):
+        matrix = correlation_from_data(data)
+        del data  # the samples are not read again; on a large CSV they dominate
+    with _stage(stages, "pca"):
+        comparison = pca_compare(
+            matrix, args.epsilon, args.components, args.seed,
+            constant=args.constant, dense_limit=args.dense_limit,
+        )
     stages["solve_dense"] = comparison.dense_seconds
     stages["solve_iterative"] = comparison.iterative_seconds
 
-    failures = []
-    if not comparison.verification.passed:
-        failures.append("sparsifier-inequality")
-    if comparison.status == "fail":
-        failures.append("pca-variance-bound")
+    verdicts = [("sparsifier-inequality", comparison.verification.passed),
+                ("pca-variance-bound", comparison.status != "fail")]
 
     report = _report_skeleton(
         f"file:{args.input}", matrix, args,
         extra_params={"components": args.components},
     )
     report["applications"] = {"pca": pca_to_dict(comparison)}
-    timings["stages"] = stages
 
     print(f"n={comparison.n} p={comparison.p} "
           f"per-component bound={comparison.per_component_bound:.6g}")
@@ -360,25 +332,23 @@ def cmd_pca_demo(args) -> int:
               f"var_hat={comparison.variances_hat[i]:.6f} gap={comparison.gaps[i]:.3g}")
     print(f"dense solve {comparison.dense_seconds * 1e3:.2f} ms, "
           f"iterative solve {comparison.iterative_seconds * 1e3:.2f} ms")
-    return _finish(report, failures, timings, args, comparison.paths, pca=comparison)
+    return _finish(report, verdicts, timings, args, comparison.paths, pca=comparison)
 
 
 def cmd_bounds(args) -> int:
-    timings: dict = {"started_at": datetime.now(timezone.utc).isoformat()}
-    stages: dict = {}
+    timings: dict = {"started_at": datetime.now(timezone.utc).isoformat(), "stages": {}}
+    stages = timings["stages"]
     matrix, source = _load_matrix(args, stages)
     _warn_small_regime(args.epsilon)
 
-    t0 = time.perf_counter()
-    decomp = decompose(matrix)
-    spectra = PairSpectra(decomp, dense_limit=args.dense_limit)
-    bound = eigenvalue_deviation_bound(spectra, args.epsilon)
-    rho = spectra.laplacian_norm
-    spread = (decomp.delta_max - decomp.delta_min) / 2.0
-    q = sample_count(matrix.n, args.epsilon, args.constant)
-    predicted_nnz = 2 * min(q, matrix.stored_pairs) + matrix.n
-    stages["bounds"] = time.perf_counter() - t0
-    timings["stages"] = stages
+    with _stage(stages, "bounds"):
+        decomp = decompose(matrix)
+        spectra = PairSpectra(decomp, dense_limit=args.dense_limit)
+        bound = eigenvalue_deviation_bound(spectra, args.epsilon)
+        rho = spectra.laplacian_norm
+        spread = (decomp.delta_max - decomp.delta_min) / 2.0
+        q = sample_count(matrix.n, args.epsilon, args.constant)
+        predicted_nnz = 2 * min(q, matrix.stored_pairs) + matrix.n
     _close_timings(timings, args, spectra.paths)
 
     print(f"n={matrix.n} stored_pairs={matrix.stored_pairs} "

@@ -7,10 +7,10 @@ range, which leaves the Laplacian untouched and minimizes the spectral
 norm of the change.
 
 A graph is held as its upper-triangle coordinates and its degrees. Its
-sparse adjacency and Laplacian are built from them on demand, in O(m),
-and cached only once read; `laplacian_dense()` fills the dense Laplacian
-straight from the coordinates. The degrees are summed from a transient
-adjacency, which is not kept.
+sparse adjacency is built from them, in O(m), on each read, and its sparse
+Laplacian on first read, then cached; `laplacian_dense()` fills the dense
+Laplacian straight from the coordinates. The degrees are summed from a
+transient adjacency, which is not kept.
 """
 
 from __future__ import annotations
@@ -232,9 +232,10 @@ class GraphViews:
     """Adjacency and Laplacian views of the graph whose weighted edges are the
     off-diagonal coordinates of `edges`, with weighted `degrees`.
 
-    The sparse views are built on first read and then cached; nothing in the
-    pipeline reads them for a dense graph, which is held as one dense
-    Laplacian instead (`laplacian_dense`, see `spectra.PairSpectra`).
+    The adjacency is built on each read, the sparse Laplacian on first read
+    and then cached; nothing in the pipeline reads them for a dense graph,
+    which is held as one dense Laplacian instead (`laplacian_dense`, see
+    `spectra.PairSpectra`).
     """
 
     edges: OdnMatrix
@@ -244,18 +245,13 @@ class GraphViews:
     def n(self) -> int:
         return self.edges.n
 
-    @cached_property
+    @property
     def adjacency(self) -> sp.csr_matrix:
         return self.edges.adjacency()
 
-    def _adjacency(self) -> sp.csr_matrix:
-        """The cached adjacency if it was read, else a transient one."""
-        cached = self.__dict__.get("adjacency")
-        return self.edges.adjacency() if cached is None else cached
-
     @cached_property
     def laplacian(self) -> sp.csr_matrix:
-        return (sp.diags(self.degrees) - self._adjacency()).tocsr()
+        return (sp.diags(self.degrees) - self.edges.adjacency()).tocsr()
 
     @property
     def laplacian_nnz(self) -> int:

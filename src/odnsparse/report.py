@@ -10,32 +10,19 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
 from .applications import PcaComparison
 from .sparsify import SparsifierResult, VerificationRecord
-from .spectra import (
-    NormComparison,
-    SparsifierNormCheck,
-    SpectralReport,
-    WeylCheck,
-)
+from .spectra import NormComparison, SparsifierNormCheck, SpectralReport, WeylCheck
 
 SCHEMA_VERSION = "5.1"
 
 
 def verification_to_dict(v: VerificationRecord) -> dict:
-    return {
-        "n": v.n,
-        "epsilon": v.epsilon,
-        "gen_min": v.gen_min,
-        "gen_max": v.gen_max,
-        "eps_hat": v.eps_hat,
-        "kernel_leak": v.kernel_leak,
-        "passed": v.passed,
-        "mode": v.mode,
-    }
+    return asdict(v)
 
 
 def sparsifier_to_dict(r: SparsifierResult) -> dict:
@@ -82,19 +69,10 @@ def spectral_to_dict(r: SpectralReport) -> dict:
     }
 
 
-def norm_check_to_dict(c) -> dict:
-    if isinstance(c, WeylCheck):
-        return {"max_deviation": c.max_deviation, "norm": c.norm, "passed": c.passed}
-    if isinstance(c, NormComparison):
-        return {"lhs": c.lhs, "rhs": c.rhs, "passed": c.passed}
-    if isinstance(c, SparsifierNormCheck):
-        return {
-            "norm_diff": c.norm_diff,
-            "bound": c.bound,
-            "status": c.status,
-            "passed": c.passed,
-        }
-    raise TypeError(f"unknown check type {type(c)!r}")
+def norm_check_to_dict(c: WeylCheck | NormComparison | SparsifierNormCheck) -> dict:
+    """The check's fields and its verdict, which a SparsifierNormCheck derives
+    from its status."""
+    return {**asdict(c), "passed": c.passed}
 
 
 def pca_to_dict(p: PcaComparison) -> dict:

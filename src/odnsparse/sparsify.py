@@ -230,7 +230,8 @@ def verify_sparsifier(laplacian, laplacian_hat=None, epsilon=None) -> Verificati
     L, the indicator vectors of the components of L's graph, of at most
     1e-8 max(rho(L), max |L_hat_ij|). `gen_min` and `gen_max` are ARPACK's
     extremes, each widened outward by its Ritz residual and a rounding
-    allowance n * eps * |theta|, so they bracket the exact extremes. A zero L
+    allowance max(n, 32) * eps * |theta| (the dense fallback's by the
+    allowance alone), so they bracket the exact extremes. A zero L
     passes only against a zero L_hat ("trivial-zero"). L's grounded factor,
     dense or in band storage, is a direct factor: above the pair's dense
     limit it raises DenseLimitExceededError, and nothing is certified.
@@ -239,18 +240,14 @@ def verify_sparsifier(laplacian, laplacian_hat=None, epsilon=None) -> Verificati
     spectra = PairSpectra.of(laplacian, laplacian_hat)
     _require_same_shape(spectra.base, spectra.hat)
     lap = spectra.laplacian
-    lap_nonzero = _max_abs(lap) != 0.0
-    if lap_nonzero and "pencil" not in vars(spectra):
-        # Factor L before L_hat's held form exists: one n x n array fewer
-        # alive during the factorization.
-        spectra.grounded_factor
-    scale_hat = _max_abs(spectra.laplacian_hat)
     gen_min = gen_max = eps_hat = None
 
-    if not lap_nonzero:
+    if _max_abs(lap) == 0.0:
+        scale_hat = _max_abs(spectra.laplacian_hat)
         kernel_leak, passed, mode = scale_hat, scale_hat <= 1e-12, "trivial-zero"
     else:
-        (gen_min, gen_max), kernel_leak = spectra.pencil
+        (gen_min, gen_max), kernel_leak = spectra.pencil  # before L_hat's held form
+        scale_hat = _max_abs(spectra.laplacian_hat)
         eps_hat = max(1.0 - gen_min, gen_max - 1.0)
         passed = (kernel_leak <= 1e-8 * max(spectra.laplacian_norm, scale_hat)
                   and gen_min >= 1.0 - epsilon - 1e-9 and gen_max <= 1.0 + epsilon + 1e-9)

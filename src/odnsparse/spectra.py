@@ -23,9 +23,9 @@ The one iterative eigensolver is ARPACK's (`scipy.sparse.linalg.eigsh`),
 from one fixed start vector. It gives top-k eigenpairs, and the pencil's
 two extremes, rho(L) and the 2-norm of a sparse difference (of any sparse
 operand above the dense limit) as brackets: a Ritz value widened by its
-residual and by n * eps * |theta| for rounding, so that the bracket holds
-the dense solve's value too. A check reads whichever end makes it
-stricter. Every scipy ARPACK, LAPACK and BLAS call holds scipy's bundled
+residual and by n * eps * |theta| for rounding (the pencil's by at least
+32 eps |theta|), so that the bracket holds the dense solve's value too. A
+check reads whichever end makes it stricter. Every scipy ARPACK, LAPACK and BLAS call holds scipy's bundled
 OpenBLAS to one thread (`_one_scipy_thread`): its workers, left spinning,
 would take the cores from numpy's next dense solve.
 
@@ -41,10 +41,11 @@ array when the graph is dense and within the limit, else its CSR
 Laplacian. With a dense factor, the pencil's solve holds the reduced
 matrix, which ARPACK multiplies by without a copy, besides the held
 Laplacians: 3 n^2 floats for a dense pair, n^2 for a sparse one. A band
-factor holds O(n kd) floats, kd its bandwidth. A command drops the held
-Laplacians (`release_laplacians`) before the eigensolves of M and M_hat;
-the spectral stage holds no n x n eigenvector array unless the angle check
-needs a dense fallback; a grid holds no n x n array at all.
+factor holds O(n kd) floats, kd its bandwidth. The pair drops the held
+Laplacians itself (`release_laplacians`) before its eigensolves of M and
+M_hat (`matrix_values`), after which no check reads them; the spectral stage
+holds no n x n eigenvector array unless the angle check needs a dense
+fallback; a grid holds no n x n array at all.
 """
 
 from __future__ import annotations
@@ -101,6 +102,12 @@ _ARPACK_VECTOR_SHARE = 1 / 40
 # without converging. 50 restarts bound a failure near 900 products: about 4
 # dense solves at n = 900 and fewer from there to the dense limit.
 _PENCIL_RESTARTS = 50
+# Least row count of the pencil's rounding allowance (`_rounding`): forming and
+# solving the reduced pencil rounds by a few eps |theta| at any size. With n
+# eps |theta| alone, paths on 3, 4, 6 and 50 vertices missed their exact
+# pencil extremes by up to 3.7 eps |theta|; with the floor none of 3 to 50
+# does. rho(L) and a difference norm solve their operand as given.
+_ROUNDING_FLOOR = 32
 # Rows per step of a grounded block's copy, and edges per step (times n) of
 # the resistance read: a step's temporaries take 32 n x 8 B, 1 MB at n = 4096,
 # where one `x[np.ix_(kept, kept)]` took 3 n^2 x 8 B.
@@ -194,7 +201,15 @@ def _one_scipy_thread():
             set_threads(threads)
 
 
+def _size(x) -> int:
+    """n of an n x n `x`: an OdnMatrix, a graph side (`GraphViews`) or an array."""
+    return x.n if isinstance(x, (OdnMatrix, GraphViews)) else np.shape(x)[0]
+
+
+# `_dense`, `_sparse` and `_stored` read a graph side as its Laplacian.
 def _dense(x) -> np.ndarray:
+    if isinstance(x, GraphViews):
+        return x.laplacian_dense()
     if isinstance(x, OdnMatrix):
         return x.to_dense()
     if sp.issparse(x):
@@ -203,13 +218,18 @@ def _dense(x) -> np.ndarray:
 
 
 def _sparse(x) -> sp.csr_matrix:
+    if isinstance(x, GraphViews):
+        return x.laplacian
     if isinstance(x, OdnMatrix):
         return sp.csr_matrix(x.adjacency() + sp.diags(x.diag))
     return sp.csr_matrix(x)
 
 
 def _stored(x) -> int:
-    """Entries `x` stores: an OdnMatrix's or a sparse matrix's nnz, else n^2."""
+    """Entries `x` stores: a graph side's Laplacian's, an OdnMatrix's or a
+    sparse matrix's nnz, else n^2."""
+    if isinstance(x, GraphViews):
+        return x.laplacian_nnz
     return x.nnz if isinstance(x, OdnMatrix) or sp.issparse(x) else np.shape(x)[0] ** 2
 
 
@@ -338,7 +358,7 @@ def _band(x, share: float) -> tuple[np.ndarray, np.ndarray] | None:
     (OdnMatrix or sparse) and `x` so ordered in lower band storage, (kd + 1)
     x n in Fortran order; None when kd + 1 > share * n. A band of width kd
     holds at most n (2 kd + 1) entries: an `x` storing more is not ordered."""
-    n = x.n if isinstance(x, OdnMatrix) else x.shape[0]
+    n = _size(x)
     if _stored(x) > n * (2 * share * n - 1):
         return None
     x = _sparse(x)
@@ -429,8 +449,7 @@ def spectral_norm(matrix, *, dense_limit: int = DENSE_LIMIT) -> float:
     Dense eigensolve up to dense_limit. Beyond it, the upper estimate of
     `_arpack_norm`: ARPACK's largest-magnitude Ritz value plus its residual.
     """
-    n = matrix.n if isinstance(matrix, OdnMatrix) else matrix.shape[0]
-    if n <= dense_limit:
+    if _size(matrix) <= dense_limit:
         return float(np.abs(np.linalg.eigvalsh(_dense(matrix))).max(initial=0.0))
     return _arpack_norm(_sparse(matrix))[1]
 
@@ -444,8 +463,8 @@ class EigenSystem:
     made nonnegative (first such entry on ties). For an iterative (ARPACK)
     solve `residual` is the measured max_i ||M x_i - lambda_i x_i||_2, its
     convergence evidence; a dense solve leaves it None. An iterative solve
-    that does not converge returns the pairs ARPACK did converge, with
-    converged=False and k_converged set.
+    that does not converge returns the k pairs ARPACK did converge, with
+    converged=False.
     """
 
     values: np.ndarray
@@ -453,7 +472,6 @@ class EigenSystem:
     method: str
     residual: float | None
     converged: bool = True
-    k_converged: int | None = None
 
     @property
     def n(self) -> int:
@@ -519,30 +537,29 @@ def eigen_decompose(matrix, k: int | None = None, method: str = "dense",
         values, vectors = values[order], _fix_signs(vectors[:, order])
         return EigenSystem(values=values, vectors=vectors, method="iterative",
                            residual=float(_residuals(operand, values, vectors).max(initial=0.0)),
-                           converged=converged, k_converged=None if converged else len(values))
+                           converged=converged)
     raise ValueError(f"unknown method {method!r}")
 
 
-def _require_epsilon(epsilon) -> None:
-    """Raise InvalidEpsilonError unless 0 < epsilon < 1: also for None, NaN
-    and +-inf."""
+def _require_below(value, high: float, error: type[OdnError]) -> None:
+    """Raise `error(value)` unless 0 < value < high: also for None and NaN."""
     try:
-        valid = 0.0 < epsilon < 1.0
+        valid = 0.0 < value < high
     except TypeError:
         valid = False
     if not valid:
-        raise InvalidEpsilonError(epsilon)
+        raise error(value)
+
+
+def _require_epsilon(epsilon) -> None:
+    """Raise InvalidEpsilonError unless 0 < epsilon < 1: also for +-inf."""
+    _require_below(epsilon, 1.0, InvalidEpsilonError)
 
 
 def _require_constant(constant) -> None:
     """Raise InvalidConstantError unless the oversampling constant C is finite
-    and > 0: also for None and NaN."""
-    try:
-        valid = 0.0 < constant < math.inf
-    except TypeError:
-        valid = False
-    if not valid:
-        raise InvalidConstantError(constant)
+    and > 0."""
+    _require_below(constant, math.inf, InvalidConstantError)
 
 
 def _require_same_shape(x, y) -> None:
@@ -561,10 +578,12 @@ class PairSpectra:
     `hat` and `matrix_hat` once the sparsifier exists. Every check function
     accepts an instance in place of its matrix pair. Each role is a
     cached_property. `laplacian` and `laplacian_hat` are each side's
-    Laplacian in the one form every role reads (`_held_form`); setting `hat`
-    drops the form held for the previous one. `paths` records the form of
-    L's factor and of each side's eigenvalues ("dense" or "band kd=<kd>")
-    and, for the pencil, each difference norm and each side's eigenvectors
+    Laplacian in the one form every role reads (`eigsh_operand`); setting
+    `hat` drops the form held for the previous one, and the first solve of M
+    and M_hat (`matrix_values`) drops both (`release_laplacians`): the pair
+    decides when its n x n buffers go. `paths` records the form of L's
+    factor and of each side's eigenvalues ("dense" or "band kd=<kd>") and,
+    for the pencil, each difference norm and each side's eigenvectors
     solved, whether they came from a "dense" solve or from "arpack".
 
     No role densifies an operand larger than `dense_limit` (see the module
@@ -596,9 +615,10 @@ class PairSpectra:
     def release_laplacians(self) -> None:
         """Drop the held `laplacian` and `laplacian_hat`, and a CSR Laplacian
         cached on either side, once no check reads them again: a dense pair
-        frees 2 n^2 x 8 B before the eigensolves of M and M_hat, and the
-        heap's free pages go back to the system (`_malloc_trim`). A role read
-        later builds its form again."""
+        frees 2 n^2 x 8 B, and the heap's free pages go back to the system
+        (`_malloc_trim`). `matrix_values` calls it before its solves; a
+        caller that solves M or M_hat by other means calls it itself. A role
+        read later builds its form again."""
         for role in ("laplacian", "laplacian_hat"):
             self.__dict__.pop(role, None)
         for side in (self.base, self.hat):
@@ -609,43 +629,36 @@ class PairSpectra:
 
     @cached_property
     def laplacian(self):
-        """L in the one form every role reads (`_held_form`)."""
-        return self._held_form(self.base)
+        """L in the one form every role reads: a graph side's `eigsh_operand`,
+        a raw Laplacian as it was given."""
+        return self.eigsh_operand(self.base) if isinstance(self.base, GraphViews) else self.base
 
     @cached_property
     def laplacian_hat(self):
-        """L_hat in the one form every role reads (`_held_form`)."""
-        return self._held_form(self.hat)
-
-    def _held_form(self, side):
-        """A side's Laplacian, held once: a dense array filled from the graph's
-        coordinates when it is within the dense limit and stores at least 2/3
-        of n^2 entries (_DENSE_ARPACK_SHARE), where the dense array is no larger
-        than the CSR form; else the side's CSR Laplacian. A raw Laplacian is
-        held as it is."""
-        if not isinstance(side, GraphViews):
-            return side
-        if side.n <= self.dense_limit and side.laplacian_nnz >= _DENSE_ARPACK_SHARE * side.n**2:
-            return side.laplacian_dense()
-        return side.laplacian
+        """L_hat in the one form every role reads, as `laplacian`."""
+        return self.eigsh_operand(self.hat) if isinstance(self.hat, GraphViews) else self.hat
 
     def _densify(self, x) -> np.ndarray:
         """`x` as a dense array, or DenseLimitExceededError above the limit:
         the check of every role with no sparse path."""
-        n = x.n if isinstance(x, OdnMatrix) else np.shape(x)[0]
-        if n > self.dense_limit:
-            raise DenseLimitExceededError(n, self.dense_limit)
+        if _size(x) > self.dense_limit:
+            raise DenseLimitExceededError(_size(x), self.dense_limit)
         return _dense(x)
 
+    def _dense_pays(self, x) -> bool:
+        """Whether `x` is within the dense limit and its dense array no larger
+        than its CSR form: at least 2/3 of n^2 stored (_DENSE_ARPACK_SHARE)."""
+        n = _size(x)
+        return n <= self.dense_limit and _stored(x) >= _DENSE_ARPACK_SHARE * n * n
+
     def eigsh_operand(self, x):
-        """`x` in the form ARPACK multiplies by fastest: dense when it is within
-        the dense limit and the dense array is no larger than the CSR form (at
-        least 2/3 of n^2 stored, _DENSE_ARPACK_SHARE), else sparse (an
-        OdnMatrix as CSR)."""
-        n = x.n if isinstance(x, OdnMatrix) else np.shape(x)[0]
-        if n <= self.dense_limit and _stored(x) >= _DENSE_ARPACK_SHARE * n * n:
+        """`x` in the form ARPACK multiplies by fastest: dense where that pays
+        (`_dense_pays`), a dense graph's Laplacian filled from its
+        coordinates; else sparse, an OdnMatrix or a graph side's Laplacian as
+        CSR."""
+        if self._dense_pays(x):
             return _dense(x)
-        return _sparse(x) if isinstance(x, OdnMatrix) else x
+        return _sparse(x) if isinstance(x, (OdnMatrix, GraphViews)) else x
 
     def _difference_norm(self, role: str, x, y, *, offdiag: bool = False
                          ) -> tuple[float, float]:
@@ -653,16 +666,16 @@ class PairSpectra:
         OdnMatrix and only their adjacencies are subtracted. `paths[role]`
         records the path taken.
 
-        Above the dense limit, or when both store fewer than 2/3 n^2 entries
-        (_DENSE_ARPACK_SHARE), ARPACK takes the sparse difference
-        (`_arpack_norm`); within the limit, a solve that does not converge
-        falls back to the dense path. There one n x n buffer holds x's dense
-        form, and y's entries are subtracted from it in place: its coordinates
-        for an OdnMatrix, its stored entries for a sparse matrix, else the
-        array. Each entry is one IEEE subtraction, as in the sparse difference,
-        and both estimates are the dense solve's max |eigenvalue|."""
-        n = x.n if isinstance(x, OdnMatrix) else np.shape(x)[0]
-        if n > self.dense_limit or max(_stored(x), _stored(y)) < _DENSE_ARPACK_SHARE * n * n:
+        Where a dense form pays for neither side (`_dense_pays`), ARPACK takes
+        the sparse difference (`_arpack_norm`); within the limit, a solve that
+        does not converge falls back to the dense path. There one n x n buffer
+        holds x's dense form, and y's entries are subtracted from it in place:
+        its coordinates for an OdnMatrix, its stored entries for a sparse
+        matrix, else the array. Each entry is one IEEE subtraction, as in the
+        sparse difference, and both estimates are the dense solve's max
+        |eigenvalue|."""
+        n = _size(x)
+        if not (self._dense_pays(x) or self._dense_pays(y)):
             sides = (x.adjacency(), y.adjacency()) if offdiag else (x, y)
             try:
                 norm = _arpack_norm(_sparse(sides[0]) - _sparse(sides[1]))
@@ -748,29 +761,32 @@ class PairSpectra:
         residual and `_rounding`, so the interval holds the exact extremes. A
         dense factor, which no later role reads, is released before the solve.
         A reduced matrix of size below 3, or one on which ARPACK does not
-        converge in _PENCIL_RESTARTS restarts, is solved dense
-        (`paths["pencil"]`).
+        converge in _PENCIL_RESTARTS restarts, is solved dense, and its
+        extremes are moved outward by `_rounding` alone (`paths["pencil"]`).
+        Either allowance counts at least _ROUNDING_FLOOR rows. L is factored
+        before L_hat's held form is built: one n x n array fewer alive during
+        the factorization.
         """
         factor = self.grounded_factor
         del self.grounded_factor
         leak = self._kernel_leak(self.laplacian_hat)
         reduced = factor.reduced(self.laplacian_hat)
         del factor
-        size = reduced.shape[0]
+        size, theta, residual = reduced.shape[0], None, 0.0
         if size >= 3:
             try:
                 theta, q = _arpack(reduced, k=2, which="BE", maxiter=_PENCIL_RESTARTS)
             except ArpackNoConvergence:
                 pass
             else:
-                self.paths["pencil"] = "arpack"
                 with _one_scipy_thread():  # a band operator's products call BLAS
-                    widen = _residuals(reduced, theta, q) + _rounding(size, theta)
-                return (float(theta[0] - widen[0]), float(theta[1] + widen[1])), leak
-        self.paths["pencil"] = "dense"
-        values = np.linalg.eigvalsh(
-            reduced if isinstance(reduced, np.ndarray) else reduced.toarray())
-        return (float(values[0]), float(values[-1])), leak
+                    residual = _residuals(reduced, theta, q)
+        self.paths["pencil"] = "dense" if theta is None else "arpack"
+        if theta is None:
+            theta = np.linalg.eigvalsh(
+                reduced if isinstance(reduced, np.ndarray) else reduced.toarray())[[0, -1]]
+        widen = residual + _rounding(max(size, _ROUNDING_FLOOR), theta)
+        return (float(theta[0] - widen[0]), float(theta[1] + widen[1])), leak
 
     @cached_property
     def laplacian_norm(self) -> float:
@@ -784,7 +800,9 @@ class PairSpectra:
         either: by `dsbevd` in band storage (`_band`) for an OdnMatrix within
         the dense limit with kd + 1 <= n * _BAND_VALUES_SHARE, else `eigvalsh`.
         paths["matrix_values"] and ["matrix_hat_values"] say "band kd=<kd>"
-        or "dense"."""
+        or "dense". No check reads L or L_hat after these solves, so the held
+        Laplacians are dropped before them (`release_laplacians`)."""
+        self.release_laplacians()
         return (self._values("matrix_values", self.matrix),
                 self._values("matrix_hat_values", self.matrix_hat))
 
@@ -803,33 +821,34 @@ class PairSpectra:
             raise np.linalg.LinAlgError(f"dsbevd did not converge (info {info})")
         return values
 
-    def live_systems(self, top: int, bottom: int = 0) -> tuple[EigenSystem, EigenSystem]:
-        """The top `top` and bottom `bottom` eigenpairs of M and of M_hat, each
-        side's columns the top block, then the bottom block, descending. Each
-        side runs ARPACK on its cheaper form (`eigsh_operand`), `which="LA"`
-        for the top block and "SA" for the bottom, when top + bottom <= n / 40
+    def live_vectors(self, top: int, bottom: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """The eigenvectors of the top `top` and bottom `bottom` eigenvalues of
+        M and of M_hat, each side's columns the top block, then the bottom
+        block, each descending, with the signs their solver gave them: the
+        angle (`_sin_theta`) reads either sign alike. Each side runs ARPACK
+        on its cheaper form (`eigsh_operand`), `which="LA"` for the top block
+        and "SA" for the bottom, when top + bottom <= n / 40
         (_ARPACK_VECTOR_SHARE); else, or when ARPACK does not converge, one
         dense `eigh` of the side, cut to the two blocks. `paths` records
         which, as "matrix_vectors" and "matrix_hat_vectors"."""
-        systems = []
+        sides = []
         for role, x in (("matrix_vectors", self.matrix),
                         ("matrix_hat_vectors", self.matrix_hat)):
-            system = None
+            vectors = None
             if top + bottom <= _ARPACK_VECTOR_SHARE * x.n:
-                blocks = [eigen_decompose(self.eigsh_operand(x), k, method="iterative",
-                                          which=which)
-                          for k, which in ((top, "LA"), (bottom, "SA")) if k]
-                if all(block.converged for block in blocks):
-                    system = EigenSystem(np.concatenate([b.values for b in blocks]),
-                                         np.hstack([b.vectors for b in blocks]), "iterative",
-                                         max(b.residual for b in blocks))
-            if system is None:
-                values, vectors = np.linalg.eigh(self._densify(x))
+                operand = self.eigsh_operand(x)
+                try:
+                    blocks = [_arpack(operand, k, which)
+                              for k, which in ((top, "LA"), (bottom, "SA")) if k]
+                    vectors = np.hstack([v[:, np.argsort(w)[::-1]] for w, v in blocks])
+                except ArpackNoConvergence:
+                    pass
+            self.paths[role] = "dense" if vectors is None else "arpack"
+            if vectors is None:
                 cut = np.r_[x.n - 1:x.n - 1 - top:-1, bottom - 1:-1:-1]
-                system = EigenSystem(values[cut], _fix_signs(vectors[:, cut]), "dense", None)
-            self.paths[role] = "arpack" if system.method == "iterative" else "dense"
-            systems.append(system)
-        return tuple(systems)
+                vectors = np.linalg.eigh(self._densify(x))[1][:, cut]
+            sides.append(vectors)
+        return tuple(sides)
 
     # The difference norms, each as (low, high) estimates (`_difference_norm`).
     @cached_property
@@ -1080,7 +1099,7 @@ def spectral_report(
     is defined and below 1 - 1e-9 (a live index), the one place the check
     can fail: the eigenvectors of a top block and a bottom block that hold
     every live index between them, with the fewest columns, come from
-    `PairSpectra.live_systems`, and sin(theta) is computed on those columns
+    `PairSpectra.live_vectors`, and sin(theta) is computed on those columns
     as `davis_kahan` does. Every other index has sin_theta None and passes,
     with the bound `davis_kahan` gives it.
     """
@@ -1089,9 +1108,9 @@ def spectral_report(
     m, m_hat = spectra.matrix, spectra.matrix_hat
     _require_same_shape(m, m_hat)
 
+    bound = eigenvalue_deviation_bound(spectra, epsilon)  # reads L before its release
     alphas, betas = (values[::-1] for values in spectra.matrix_values)
     deviations = np.abs(alphas - betas)
-    bound = eigenvalue_deviation_bound(spectra, epsilon)
     r_norm = spectra.matrix_diff_norm[0]
 
     gap, dk_bounds, tol = _gap_bounds(alphas, betas, r_norm, gap_tol)
@@ -1104,9 +1123,9 @@ def spectral_report(
         split = int(np.argmin(np.r_[0, live + 1] + np.r_[m.n - live, 0]))
         top = int(live[split - 1]) + 1 if split else 0
         bottom = m.n - int(live[split]) if split < live.size else 0
-        sys_a, sys_b = spectra.live_systems(top, bottom)
+        vectors_a, vectors_b = spectra.live_vectors(top, bottom)
         columns = np.where(live < top, live, live - (m.n - bottom) + top)
-        for i, s in zip(live, _sin_theta(sys_a.vectors[:, columns], sys_b.vectors[:, columns])):
+        for i, s in zip(live, _sin_theta(vectors_a[:, columns], vectors_b[:, columns])):
             sin_theta[i] = float(s)
     angles = _angle_bounds(gap, dk_bounds, tol, sin_theta)
     # The bounds of davis_kahan(sys_b, sys_a): gaps only, no angles.

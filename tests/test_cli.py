@@ -414,6 +414,31 @@ class TestCommonFlags:
             "factor band kd=30", "pencil arpack", "matrix_values band kd=30",
             "matrix_hat_values band kd=30", "matrix_diff_norm arpack"]
 
+    @pytest.mark.parametrize("command,extra,stages", [
+        ("sparsify", [], ["read", "decompose", "sparsify", "verify", "spectral"]),
+        ("sparsify", ["--out-matrix"], ["read", "decompose", "sparsify", "verify",
+                                        "spectral", "write"]),
+        ("verify", [], ["read", "checks", "spectral"]),
+        ("pca-demo", [], ["load", "correlation", "pca", "solve_dense", "solve_iterative"]),
+        ("bounds", [], ["read", "bounds"]),
+    ], ids=["sparsify", "sparsify-out-matrix", "verify", "pca-demo", "bounds"])
+    def test_report_times_each_stage_once(self, command, extra, stages, pair_paths,
+                                          tmp_path, capsys):
+        """Each command's timings.stages names each of its stages once (the
+        report sorts its keys), and -v prints one timing line for each, in the
+        order they ran."""
+        argv = self._argv(command, pair_paths, tmp_path) + extra
+        if extra:
+            argv.append(str(tmp_path / "out.mtx"))
+        report_path = tmp_path / "r.json"
+        code, _, err = run(argv + ["-v", "--out-report", str(report_path)], capsys)
+        assert code == 0
+        timings = json.loads(report_path.read_text())["timings"]
+        assert list(timings["stages"]) == sorted(stages)
+        assert all(seconds >= 0 for seconds in timings["stages"].values())
+        assert [line.split()[1] for line in err.splitlines()
+                if line.startswith("timing: ")] == stages
+
     @pytest.mark.parametrize("command", ["verify", "bounds"])
     def test_seed_is_only_recorded(self, command, pair_paths, tmp_path, capsys):
         """verify and bounds sample nothing: --seed changes only

@@ -5,17 +5,22 @@ import numpy as np
 import pytest
 
 from odnsparse import (
+    PairSpectra,
+    adjacency_norm_check,
     decompose,
     generate_odn,
     pca_compare,
     reconstruct,
+    sparsifier_norm_check,
     sparsify_laplacian,
     spectral_report,
     verify_sparsifier,
+    weyl_check,
 )
 from odnsparse.report import (
     SCHEMA_VERSION,
     dumps_report,
+    norm_check_to_dict,
     pca_to_dict,
     sparsifier_to_dict,
     spectral_to_dict,
@@ -26,6 +31,7 @@ from odnsparse.report import (
     write_report,
     write_spectral_csv,
 )
+from odnsparse.spectra import SparsifierNormCheck
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +162,38 @@ class TestSchemaFive:
         assert zero["mode"] == "trivial-zero" and zero["eps_hat"] is None
         report["verification"] = zero
         validate_report(report)
+
+
+class TestRecordKeys:
+    """A record serializes its own fields: the key sets are pinned here, so
+    that a field added to a record is a schema change made on purpose."""
+
+    def test_verification_keys(self, pipeline):
+        _, d, res, _ = pipeline
+        for record in (verify_sparsifier(d.laplacian, res.laplacian, 0.25),
+                       verify_sparsifier(np.zeros((3, 3)), np.zeros((3, 3)), 0.25)):
+            assert set(verification_to_dict(record)) == {
+                "n", "epsilon", "gen_min", "gen_max", "eps_hat", "kernel_leak", "passed",
+                "mode"}
+
+    def test_norm_check_keys(self, pipeline):
+        _, d, res, m_hat = pipeline
+        spectra = PairSpectra(d, res, matrix_hat=m_hat)
+        checks = {
+            "laplacian": sparsifier_norm_check(spectra, epsilon=0.25),
+            "adjacency": adjacency_norm_check(spectra),
+            "weyl": weyl_check(spectra),
+        }
+        got = {name: norm_check_to_dict(check) for name, check in checks.items()}
+        assert {name: set(fields) for name, fields in got.items()} == {
+            "laplacian": {"norm_diff", "bound", "status", "passed"},
+            "adjacency": {"lhs", "rhs", "passed"},
+            "weyl": {"max_deviation", "norm", "passed"},
+        }
+        assert all(fields["passed"] is checks[name].passed for name, fields in got.items())
+        unmet = SparsifierNormCheck(2.0, 1.0, "hypothesis-unmet")
+        assert norm_check_to_dict(unmet) == {"norm_diff": 2.0, "bound": 1.0,
+                                             "status": "hypothesis-unmet", "passed": False}
 
 
 class TestSerialization:

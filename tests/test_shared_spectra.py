@@ -533,40 +533,49 @@ def test_release_hands_freed_pages_back(monkeypatch):
     pair.release_laplacians()  # no malloc_trim: nothing to call
 
 
-def _report_recording_held(monkeypatch):
-    """Records the Laplacians held when the CLI's spectral report starts."""
-    from odnsparse import cli
-
+def _solves_recording_held(monkeypatch):
+    """Records the Laplacians held at each solve of M or M_hat's values."""
     held = []
 
-    def recording(spectra, *args, _report=cli.spectral_report, **kwargs):
+    def recording(spectra, *args, _values=PairSpectra._values, **kwargs):
         held.extend(_held_laplacians(spectra))
-        held.append("report")
-        return _report(spectra, *args, **kwargs)
+        held.append("values")
+        return _values(spectra, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "spectral_report", recording)
+    monkeypatch.setattr(PairSpectra, "_values", recording)
     return held
 
 
 @pytest.mark.parametrize("spec", HELD_SPECS)
 def test_sparsify_report_runs_without_held_laplacians(spec, monkeypatch, capsys):
-    """The sparsify command drops L and L_hat, in every form, before the
-    report's eigensolves of M and M_hat."""
-    held = _report_recording_held(monkeypatch)
+    """In the sparsify command the pair drops L and L_hat, in every form,
+    before its eigensolves of M and M_hat."""
+    held = _solves_recording_held(monkeypatch)
     assert main(["sparsify", "--gen", spec]) == 0
-    assert held == ["report"]
+    assert held == ["values", "values"]
 
 
 @pytest.mark.parametrize("spec", HELD_SPECS)
 def test_verify_report_runs_without_held_laplacians(spec, monkeypatch, tmp_path, capsys):
-    """The verify command drops L and L_hat, in every form, after the norm
-    checks and before the report's eigensolves of M and M_hat."""
+    """In the verify command the pair drops L and L_hat, in every form, after
+    the norm checks and before its eigensolves of M and M_hat."""
     a, b = tmp_path / "a.mtx", tmp_path / "b.mtx"
     assert main(["sparsify", "--gen", spec, "--out-matrix", str(b)]) == 0
     write_matrix_market(generate_odn(**parse_generator_spec(spec)), a)
-    held = _report_recording_held(monkeypatch)
+    held = _solves_recording_held(monkeypatch)
     assert main(["verify", str(a), str(b)]) == 0
-    assert held == ["report"]
+    assert held == ["values", "values"]
+
+
+@pytest.mark.parametrize("spec", HELD_SPECS)
+def test_report_alone_keeps_no_laplacian(spec):
+    """A report on a fresh pair reads rho(L) before the pair's eigensolves of
+    M and M_hat, so no Laplacian is held through them or after them."""
+    decomp = decompose(generate_odn(**parse_generator_spec(spec)))
+    result = sparsify_laplacian(decomp, EPS, SEED)
+    pair = PairSpectra(decomp, result, matrix_hat=result.matrix(decomp.center))
+    assert spectral_report(pair, epsilon=EPS).passed
+    assert _held_laplacians(pair) == []
 
 
 @pytest.mark.parametrize("matrix", [
@@ -709,7 +718,6 @@ def test_verify_pipeline_memory():
         assert sparsifier_norm_check(spectra, epsilon=EPS,
                                      sparsifier_ok=record.passed).passed
         assert adjacency_norm_check(spectra).passed
-        spectra.release_laplacians()
         assert spectral_report(spectra, epsilon=EPS).passed
         assert weyl_check(spectra).passed
         retained, peak = tracemalloc.get_traced_memory()

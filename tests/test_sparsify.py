@@ -621,9 +621,35 @@ class TestExactVerdict:
         np.testing.assert_allclose([rec.gen_min, rec.gen_max], expected[[0, -1]],
                                    rtol=1e-13)
 
+    @pytest.mark.parametrize("n", range(3, 51))
+    def test_path_pencil_brackets_its_exact_extremes(self, n):
+        """A path is a tree: L = B W B' and L_hat = B W_hat B' with B's n - 1
+        columns independent, so the pencil's eigenvalues are exactly the
+        ratios w_hat_e / w_e, 0 for an edge not drawn. The widened extremes
+        hold the least and the greatest, from ARPACK or from the dense solve
+        (below 3 rows or without convergence). The rounding allowance's floor
+        is what covers n = 3, 4, 6 and 50."""
+        for generator_seed in (0, 1):
+            d = decompose(generate_odn("path", n, seed=generator_seed))
+            src = d.matrix
+            assert src.stored_pairs == n - 1 and np.all(np.abs(src.rows - src.cols) == 1)
+            weights = np.empty(n - 1)
+            weights[np.minimum(src.rows, src.cols)] = src.vals
+            for seed in (0, 1):
+                res = sparsify_laplacian(d, 0.25, seed=seed)
+                drawn = np.zeros(n - 1)
+                drawn[np.minimum(res.edges.rows, res.edges.cols)] = res.edges.vals
+                ratios = drawn / weights
+                pair = PairSpectra(d, res)
+                rec = verify_sparsifier(pair, epsilon=0.25)
+                assert rec.mode == "exact", (generator_seed, seed)
+                assert rec.gen_min <= ratios.min(), (generator_seed, seed, pair.paths)
+                assert ratios.max() <= rec.gen_max, (generator_seed, seed, pair.paths)
+
     def test_pencil_falls_back_to_dense_without_convergence(self, monkeypatch):
         """When ARPACK does not converge, the pencil's extremes are those of the
-        dense solve of the same reduced matrix."""
+        dense solve of the same reduced matrix, each moved outward by the
+        rounding allowance alone."""
         d = decompose(generate_odn("complete", 60, seed=4, diag=("uniform", 0, 1)))
         res = sparsify_laplacian(d, 0.3, seed=3)
         reduced = []
@@ -639,7 +665,9 @@ class TestExactVerdict:
         rec = verify_sparsifier(pair, epsilon=0.3)
         assert pair.paths["pencil"] == "dense"
         values = np.linalg.eigvalsh(reduced[0])
-        assert (rec.gen_min, rec.gen_max) == (values[0], values[-1])
+        assert rec.gen_min < values[0] and values[-1] < rec.gen_max
+        widening = max(values[0] - rec.gen_min, rec.gen_max - values[-1])
+        assert widening <= 64 * np.finfo(float).eps * np.abs(values).max()
 
     def test_pencil_restarts_are_capped(self, monkeypatch):
         """A path on 50 vertices has a double lowest pencil eigenvalue, on which

@@ -103,7 +103,7 @@ class TestEigenDecompose:
         monkeypatch.setattr(spectra_module, "eigsh", not_converged)
         sys = eigen_decompose(m, k=4, method="iterative")
         assert sys.converged is False
-        assert sys.k_converged == 2
+        assert sys.k == 2
         np.testing.assert_array_equal(sys.values, values[::-1][:2])
         defect = m @ sys.vectors - sys.vectors * sys.values
         assert sys.residual == float(np.linalg.norm(defect, axis=0).max())
@@ -631,6 +631,24 @@ class TestFixSigns:
             assert got.flags.c_contiguous
             _assert_same_bits(got, _fix_signs_reference(vecs[:, :k]))
 
+    def test_sin_theta_reads_either_sign_to_the_bit(self, rng):
+        """`live_vectors` leaves each column's sign as its solver gave it: the
+        angles come out bit-identical with and without `_fix_signs`, and for
+        every flip of a column of either side."""
+        for n, k in ((2, 1), (9, 4), (80, 6), (400, 3)):
+            a = rng.standard_normal((n, k))
+            a /= np.linalg.norm(a, axis=0)
+            for b in (rng.standard_normal((n, k)), a + 1e-6 * rng.standard_normal((n, k))):
+                b = b / np.linalg.norm(b, axis=0)
+                expected = spectra_module._sin_theta(a, b)
+                fixed = spectra_module._sin_theta(spectra_module._fix_signs(a.copy()),
+                                                  spectra_module._fix_signs(b.copy()))
+                _assert_same_bits(fixed, expected)
+                for _ in range(4):
+                    flip_a, flip_b = rng.choice([-1.0, 1.0], (2, k))
+                    _assert_same_bits(spectra_module._sin_theta(a * flip_a, b * flip_b),
+                                      expected)
+
     def test_no_square_temporaries(self, rng):
         vectors = np.linalg.eigh(random_symmetric(rng, 600))[1]
         tracemalloc.start()
@@ -737,7 +755,7 @@ class TestLiveAngles:
         def no_vectors(*args, **kwargs):
             raise AssertionError("an eigenvector was solved")
 
-        monkeypatch.setattr(PairSpectra, "live_systems", no_vectors)
+        monkeypatch.setattr(PairSpectra, "live_vectors", no_vectors)
         spectra, report, live = self._check_against_full(m, m_hat)
         assert live == [] and report.vacuous_angles == m.n
         assert "matrix_vectors" not in spectra.paths
@@ -750,11 +768,14 @@ class TestLiveAngles:
         m_hat = _sparsified(m)
         spectra = PairSpectra(decompose(m), matrix_hat=m_hat)
         monkeypatch.setattr(spectra_module, "eigsh", not_converged)
-        sys_a, sys_b = spectra.live_systems(1)
+        vectors_a, vectors_b = spectra.live_vectors(1)
         assert spectra.paths["matrix_vectors"] == spectra.paths["matrix_hat_vectors"] == "dense"
         full_a, full_b = _full_systems(m, m_hat)
-        np.testing.assert_array_equal(sys_a.vectors, full_a.vectors[:, :1])
-        np.testing.assert_array_equal(sys_b.vectors, full_b.vectors[:, :1])
+        # The same columns up to sign: live_vectors leaves each as eigh gave it.
+        for got, full in ((vectors_a, full_a), (vectors_b, full_b)):
+            assert got.shape == (m.n, 1)
+            assert (np.array_equal(got, full.vectors[:, :1])
+                    or np.array_equal(-got, full.vectors[:, :1]))
 
     def test_bottom_angle_by_arpack(self):
         """K_(40,40) has isolated top and bottom eigenvalues, both live: a top
@@ -778,7 +799,7 @@ class TestLiveAngles:
         def no_vectors(*args, **kwargs):
             raise AssertionError("an eigenvector was solved")
 
-        monkeypatch.setattr(PairSpectra, "live_systems", no_vectors)
+        monkeypatch.setattr(PairSpectra, "live_vectors", no_vectors)
         report = spectral_report(PairSpectra(decompose(m), matrix_hat=_sparsified(m)),
                                  epsilon=0.25)
         near = [a for a in report.angles if a.bound is not None and a.bound < 1.0]
