@@ -29,6 +29,7 @@ from .errors import (
     InvalidEpsilonError,
     NegativeOffDiagonalError,
     NonFiniteError,
+    NormNotConvergedError,
     NotCorrelationError,
     NotOdnError,
     OdnError,
@@ -87,6 +88,7 @@ __all__ = [
     "NegativeOffDiagonalError",
     "NonFiniteError",
     "NormComparison",
+    "NormNotConvergedError",
     "NotCorrelationError",
     "NotOdnError",
     "OdnError",

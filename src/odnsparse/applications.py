@@ -180,12 +180,7 @@ def pca_compare(
     # rho, far above its converged residual; it only matters when rho(L) = 0.
     solver_floor = 1e-8 * max(1.0, float(np.abs(variances).max(initial=0.0)))
     within = bool(np.all(gaps <= unit_bound * (1.0 + 1e-9) + solver_floor))
-    if within:
-        status = "pass"
-    elif not verification.passed:
-        status = "hypothesis-unmet"
-    else:
-        status = "fail"
+    status = "pass" if within else "fail" if verification.passed else "hypothesis-unmet"
 
     count = len(variances)
     return PcaComparison(

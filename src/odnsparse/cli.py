@@ -173,8 +173,8 @@ def _close_timings(timings, args, paths) -> None:
     """Record the peak resident set so far in `timings` (ru_maxrss: KiB on
     Linux, bytes on macOS) and, on -v, print the stage timings, the peak,
     each bundled OpenBLAS pool with its thread count, and whether the pencil
-    extremes and each difference norm came from a dense solve or ARPACK
-    (`paths`, see `PairSpectra.paths`)."""
+    extremes and each 2-norm came from a dense solve or ARPACK (`paths`, see
+    `PairSpectra.paths`)."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     timings["peak_rss_mb"] = peak / (1 << (20 if sys.platform == "darwin" else 10))
     if args.verbose:

@@ -56,6 +56,15 @@ class DenseLimitExceededError(OdnError):
         self.limit = limit
 
 
+class NormNotConvergedError(OdnError):
+    """ARPACK did not converge on the 2-norm `role` above the dense limit."""
+
+    def __init__(self, role: str, n: int, limit: int):
+        super().__init__(f"ARPACK did not converge on {role} (n={n}); above the dense "
+                         f"limit {limit} no dense solve takes over")
+        self.role, self.n, self.limit = role, n, limit
+
+
 class FactorizationError(OdnError):
     """`dpotrf`, `dtrtri` or `dpbtrf` failed on the grounded Laplacian at the
     1-based `pivot` (LAPACK's info) of the factor's vertex order, which is

@@ -11,23 +11,22 @@ integers with an optional sign, values whatever `float()` reads, minus
 `_` digit separators and non-ASCII characters. Nothing may follow the
 value, a `% ...` note included.
 
-A well-formed file is parsed in one vectorised pass: after the header and
-the size line, `numpy.loadtxt` reads the rest of the open file, with no
-list of its lines. Its entry count, index range and duplicates are then
-checked with array operations. Only when one of these fails (a comment
-line in the body, or a bad entry) does the reader fall back to the
-file's list of lines: it parses them again without the comment lines,
-and if that fails too, scans them one by one to name the first offending
-line. A `symmetric` file is exactly symmetric by construction, so its
-matrix is built straight from the entries: each goes to the upper
-triangle, exact off-diagonal zeros are dropped and the diagonal is
-collected, with the finite and nonnegative checks of `validate_odn`. A
-`general` file goes through `validate_odn`. The build makes no
-entry-length copy it does not keep: the record array is split into its
-three fields and freed, the indices are put in order in place, and each
-field is gathered once, replacing itself. With the duplicate check, which
-sorts its keys in place, a read peaks at about twice the records (48 bytes
-an entry) besides the text parse.
+A well-formed file is parsed in one vectorised pass: `numpy.loadtxt` reads
+the file from its path, past the header and the size line, in chunks. Its
+entry count, index range and duplicates are then checked with array
+operations. Only when one of these fails (a comment line in the body, or a
+bad entry) does the reader fall back to the file's list of lines: it
+parses them again without the comment lines, and if that fails too, scans
+them one by one to name the first offending line. A `symmetric` file is
+exactly symmetric by construction, so its matrix is built straight from
+the entries: each goes to the upper triangle, exact off-diagonal zeros are
+dropped and the diagonal is collected, with the finite and nonnegative
+checks of `validate_odn`. A `general` file goes through `validate_odn`.
+The build makes no entry-length copy it does not keep: the record array is
+split into its three fields and freed, the indices are put in order in
+place, and each field is gathered once, replacing itself. With the
+duplicate check, which sorts its keys in place, a read peaks at about
+twice the records (48 bytes an entry) besides the text parse.
 
 Writes the lower triangle sorted by (column, row) with 17 significant
 digits, which round-trips double precision bit-exactly; zero diagonal
@@ -107,16 +106,15 @@ def _symmetric_parts(size: int, i: np.ndarray, j: np.ndarray,
 def _read_entries(path) -> tuple[int, bool, np.ndarray]:
     """(n, symmetric, entries) of a file whose every line passed the checks.
 
-    The header and the size line are read line by line from the open file,
-    and the rest of it goes to `numpy.loadtxt` as it stands. Only when that
+    The header and the size line are read line by line from the open file;
+    `numpy.loadtxt` then reads the file from its path in chunks, skipping the
+    lines read so far (both read `\r\n` and `\r` as `\n`). Only when that
     parse or the array checks fail (comment lines in the body, or any bad
-    entry) is the file read again as a list of lines (`_read_entry_lines`).
-    A function of its own so that the file is closed before the matrix is
-    built and validated."""
+    entry) is the file read again as a list of lines (`_read_entry_lines`)."""
     with open(path) as f:
         lines = (line[:-1] if line.endswith("\n") else line for line in iter(f.readline, ""))
-        _, size, expected, symmetric = _read_head(lines)
-        entries = _parse_entries(f)
+        lineno, size, expected, symmetric = _read_head(lines)
+    entries = _parse_entries(path, lineno)
     if entries is None or not _entries_valid(entries, size, expected, symmetric):
         return _read_entry_lines(path)
     return size, symmetric, entries
@@ -178,17 +176,17 @@ def _read_entry_lines(path) -> tuple[int, bool, np.ndarray]:
     return size, symmetric, entries
 
 
-def _parse_entries(body) -> np.ndarray | None:
-    """Lines without comments (a list, or an open file) as one (i, j, value)
-    record array, or None if a line that is not blank is not three such
-    tokens."""
+def _parse_entries(body, skip: int = 0) -> np.ndarray | None:
+    """Lines without comments (a list, or a file's path and the count of its
+    first lines to skip) as one (i, j, value) record array, or None if a line
+    that is not blank is not three such tokens."""
     with warnings.catch_warnings():
         # numpy 1.24-1.25 read "1.0" as an int64 with only a DeprecationWarning.
         warnings.simplefilter("error", DeprecationWarning)
         # An empty coordinate section is valid; loadtxt warns about it.
         warnings.simplefilter("ignore", UserWarning)
         try:
-            return np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1)
+            return np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1, skiprows=skip)
         except (ValueError, DeprecationWarning):
             return None
 

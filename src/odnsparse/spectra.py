@@ -21,11 +21,11 @@ ARPACK applies the reduced matrix by two band solves, with no n x n array.
 
 The one iterative eigensolver is ARPACK's (`scipy.sparse.linalg.eigsh`),
 from one fixed start vector. It gives top-k eigenpairs, and the pencil's
-two extremes, rho(L) and the 2-norm of a sparse difference (of any sparse
-operand above the dense limit) as brackets: a Ritz value widened by its
-residual and by n * eps * |theta| for rounding (the pencil's by at least
-32 eps |theta|), so that the bracket holds the dense solve's value too. A
-check reads whichever end makes it stricter. Every scipy ARPACK, LAPACK and BLAS call holds scipy's bundled
+two extremes and every 2-norm the pair reports (`_norm_bracket`) as
+brackets: a Ritz value widened by its residual and by n * eps * |theta|
+for rounding (the pencil's by at least 32 eps |theta|), so that the
+bracket holds the dense solve's value too. A check reads whichever end
+makes it stricter. Every scipy ARPACK, LAPACK and BLAS call holds scipy's
 OpenBLAS to one thread (`_one_scipy_thread`): its workers, left spinning,
 would take the cores from numpy's next dense solve.
 
@@ -72,6 +72,7 @@ from .errors import (
     FactorizationError,
     InvalidConstantError,
     InvalidEpsilonError,
+    NormNotConvergedError,
     OdnError,
 )
 
@@ -94,13 +95,13 @@ _DENSE_ARPACK_SHARE = 2 / 3
 # index live on the bench inputs, is 2.5 ms at n = 400 and 22 ms at
 # n = 2000.
 _ARPACK_VECTOR_SHARE = 1 / 40
-# ARPACK restarts allowed for the pencil's two extremes before the dense solve
-# takes over. Over 90 pencils (paths, grids, Erdos-Renyi and complete graphs,
-# n <= 900) a converged solve took at most 325 products, 18 restarts of 18; on
-# a path of 50 vertices, whose lowest eigenvalue is double, ARPACK's default of
-# 10 n restarts spent 8354 products (0.17 s, a dense solve takes 0.2 ms)
-# without converging. 50 restarts bound a failure near 900 products: about 4
-# dense solves at n = 900 and fewer from there to the dense limit.
+# ARPACK restarts allowed within the dense limit, for the pencil's two extremes
+# and every 2-norm (`_norm_bracket`), before a dense solve takes over. Over 90
+# pencils (paths, grids, Erdos-Renyi and complete graphs, n <= 900) a converged
+# solve took at most 325 products, a norm of the bench pairs 211. On a path of
+# 50 vertices (a double lowest eigenvalue) the default 10 n restarts spent 8354
+# products, 0.17 s against 0.2 ms dense, without converging. 50 restarts bound
+# a failure near 900 products: about 4 dense solves at n = 900, fewer above.
 _PENCIL_RESTARTS = 50
 # Least row count of the pencil's rounding allowance (`_rounding`): forming and
 # solving the reduced pencil rounds by a few eps |theta| at any size. With n
@@ -431,27 +432,36 @@ def _rounding(n: int, theta):
     return n * np.finfo(np.float64).eps * np.abs(theta)
 
 
-def _arpack_norm(operand) -> tuple[float, float]:
-    """(low, high) estimates of ||operand||_2 from ARPACK's largest-magnitude
-    Ritz pair (theta, q): low = |theta| and high = |theta| + ||A q - theta q||,
-    each moved outward by `_rounding`."""
+def _norm_bracket(role: str, operand, dense_limit: int) -> tuple[tuple[float, float], str]:
+    """((low, high), path) of ||operand||_2, `operand` dense or sparse: the one
+    rule for every 2-norm a pair reports. ARPACK's largest-magnitude Ritz pair
+    (theta, q) gives low |theta| and high |theta| + ||A q - theta q||, each
+    moved outward by `_rounding` ("arpack"). Within `dense_limit` ARPACK gets
+    _PENCIL_RESTARTS restarts, after which `eigvalsh` gives both ends
+    ("dense"); above it, NormNotConvergedError names `role`."""
     n, scale = operand.shape[0], _max_abs(operand)
     if n == 1 or not scale:  # ARPACK needs n >= 2 and a nonzero operand
-        return scale, scale
-    theta, q = _arpack(operand, k=1, which="LM")
+        return (scale, scale), "arpack"
+    try:
+        theta, q = _arpack(operand, 1, "LM", _PENCIL_RESTARTS if n <= dense_limit else None)
+    except ArpackNoConvergence:
+        if n > dense_limit:
+            raise NormNotConvergedError(role, n, dense_limit)
+        norm = spectral_norm(operand, dense_limit=dense_limit)
+        return (norm, norm), "dense"
     value, pad = abs(float(theta[0])), float(_rounding(n, theta[0]))
-    return value - pad, value + float(_residuals(operand, theta, q)[0]) + pad
+    return (value - pad, value + float(_residuals(operand, theta, q)[0]) + pad), "arpack"
 
 
 def spectral_norm(matrix, *, dense_limit: int = DENSE_LIMIT) -> float:
     """2-norm of a symmetric matrix: max |eigenvalue|.
 
-    Dense eigensolve up to dense_limit. Beyond it, the upper estimate of
-    `_arpack_norm`: ARPACK's largest-magnitude Ritz value plus its residual.
+    Dense eigensolve up to dense_limit. Beyond it, the upper end of the one
+    norm rule's bracket (`_norm_bracket`).
     """
     if _size(matrix) <= dense_limit:
         return float(np.abs(np.linalg.eigvalsh(_dense(matrix))).max(initial=0.0))
-    return _arpack_norm(_sparse(matrix))[1]
+    return _norm_bracket("spectral_norm", _sparse(matrix), dense_limit)[0][1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -506,11 +516,9 @@ def eigen_decompose(matrix, k: int | None = None, method: str = "dense",
     Dense mode runs a standard symmetric eigensolver. Iterative mode runs
     ARPACK's `eigsh(which=which)` for the k largest ("LA") or the k smallest
     ("SA") (requires k < n) and flags non-convergence instead of raising,
-    returning the pairs it achieved.
-    It multiplies by `matrix` in the form given (an OdnMatrix as CSR);
-    `PairSpectra.eigsh_operand` picks the cheaper one: dense within the dense
-    limit when at least 2/3 of n^2 is stored, so that the dense array is no
-    larger than the CSR form, else sparse.
+    returning the pairs it achieved. It multiplies by `matrix` in the form
+    given (an OdnMatrix as CSR); `PairSpectra.eigsh_operand` picks the
+    cheaper one.
     """
     operand = _sparse(matrix) if isinstance(matrix, OdnMatrix) else matrix
     n = operand.shape[0]
@@ -583,7 +591,7 @@ class PairSpectra:
     and M_hat (`matrix_values`) drops both (`release_laplacians`): the pair
     decides when its n x n buffers go. `paths` records the form of L's
     factor and of each side's eigenvalues ("dense" or "band kd=<kd>") and,
-    for the pencil, each difference norm and each side's eigenvectors
+    for the pencil, each 2-norm (`_norm_bracket`) and each side's eigenvectors
     solved, whether they came from a "dense" solve or from "arpack".
 
     No role densifies an operand larger than `dense_limit` (see the module
@@ -662,49 +670,38 @@ class PairSpectra:
 
     def _difference_norm(self, role: str, x, y, *, offdiag: bool = False
                          ) -> tuple[float, float]:
-        """(low, high) estimates of ||x - y||_2; with `offdiag`, x and y are
-        OdnMatrix and only their adjacencies are subtracted. `paths[role]`
-        records the path taken.
-
-        Where a dense form pays for neither side (`_dense_pays`), ARPACK takes
-        the sparse difference (`_arpack_norm`); within the limit, a solve that
-        does not converge falls back to the dense path. There one n x n buffer
-        holds x's dense form, and y's entries are subtracted from it in place:
-        its coordinates for an OdnMatrix, its stored entries for a sparse
-        matrix, else the array. Each entry is one IEEE subtraction, as in the
-        sparse difference, and both estimates are the dense solve's max
-        |eigenvalue|."""
+        """(low, high) estimates of ||x - y||_2 by `_norm_bracket`, its path
+        in `paths[role]`; with `offdiag`, x and y are OdnMatrix and only
+        their adjacencies are subtracted. `_dense_pays` picks the operand's
+        form, not its solver: where it pays for either side, one n x n buffer
+        holds x's dense form, and y's entries are subtracted from it in place
+        (an OdnMatrix's coordinates, a sparse matrix's stored entries, else
+        the array), one IEEE subtraction each, so the buffer equals the
+        sparse difference entry for entry; else the sparse difference."""
         n = _size(x)
         if not (self._dense_pays(x) or self._dense_pays(y)):
             sides = (x.adjacency(), y.adjacency()) if offdiag else (x, y)
-            try:
-                norm = _arpack_norm(_sparse(sides[0]) - _sparse(sides[1]))
-            except ArpackNoConvergence:
-                if n > self.dense_limit:
-                    raise
-            else:
-                self.paths[role] = "arpack"
-                return norm
-        self.paths[role] = "dense"
-        buf = np.array(x, dtype=np.float64) if isinstance(x, np.ndarray) else _dense(x)
-        if isinstance(y, OdnMatrix):
-            buf[y.rows, y.cols] -= y.vals
-            buf[y.cols, y.rows] -= y.vals
-            diag = buf.reshape(-1)[:: n + 1]
-            if offdiag:
-                diag[:] = 0.0
-            else:
-                diag -= y.diag
-        elif sp.issparse(y):
-            y = y.tocsr()
-            if not y.has_canonical_format:
-                y = y.copy()
-                y.sum_duplicates()
-            buf[np.repeat(np.arange(n), np.diff(y.indptr)), y.indices] -= y.data
+            operand = _sparse(sides[0]) - _sparse(sides[1])
         else:
-            buf -= y
-        norm = spectral_norm(buf, dense_limit=self.dense_limit)
-        return norm, norm
+            operand = np.array(x, dtype=np.float64) if isinstance(x, np.ndarray) else _dense(x)
+            if isinstance(y, OdnMatrix):
+                operand[y.rows, y.cols] -= y.vals
+                operand[y.cols, y.rows] -= y.vals
+                diag = operand.reshape(-1)[:: n + 1]
+                if offdiag:
+                    diag[:] = 0.0
+                else:
+                    diag -= y.diag
+            elif sp.issparse(y):
+                y = y.tocsr()
+                if not y.has_canonical_format:
+                    y = y.copy()
+                    y.sum_duplicates()
+                operand[np.repeat(np.arange(n), np.diff(y.indptr)), y.indices] -= y.data
+            else:
+                operand -= y
+        norm, self.paths[role] = _norm_bracket(role, operand, self.dense_limit)
+        return norm
 
     def _components(self) -> tuple[int, np.ndarray]:
         """(count, labels) of the connected components of L's graph: a graph
@@ -790,9 +787,11 @@ class PairSpectra:
 
     @cached_property
     def laplacian_norm(self) -> float:
-        """rho(L): the upper end of ARPACK's estimate (`_arpack_norm`) on L's
-        cheaper form (`eigsh_operand`), at every n."""
-        return _arpack_norm(self.eigsh_operand(self.laplacian))[1]
+        """rho(L): the upper end of its bracket (`_norm_bracket`) on L's
+        cheaper form (`eigsh_operand`), at every n, its path in `paths`."""
+        norm, self.paths["laplacian_norm"] = _norm_bracket(
+            "laplacian_norm", self.eigsh_operand(self.laplacian), self.dense_limit)
+        return norm[1]
 
     @cached_property
     def matrix_values(self) -> tuple[np.ndarray, np.ndarray]:
@@ -925,12 +924,8 @@ def sparsifier_norm_check(
     _require_same_shape(spectra.laplacian, spectra.laplacian_hat)
     norm_diff = spectra.laplacian_diff_norm[1]
     bound = epsilon * spectra.laplacian_norm
-    if norm_diff <= bound * (1.0 + 1e-9):
-        status = "pass"
-    elif not sparsifier_ok:
-        status = "hypothesis-unmet"
-    else:
-        status = "fail"
+    status = ("pass" if norm_diff <= bound * (1.0 + 1e-9)
+              else "fail" if sparsifier_ok else "hypothesis-unmet")
     return SparsifierNormCheck(norm_diff, bound, status)
 
 

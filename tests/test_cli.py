@@ -376,21 +376,23 @@ class TestCommonFlags:
         assert lines == [f"memory: peak RSS {peak:.1f} MB"]
 
     @pytest.mark.parametrize("command,paths", [
-        ("sparsify", ["factor dense", "pencil arpack", "matrix_values dense",
-                      "matrix_hat_values dense", "matrix_diff_norm dense",
-                      "matrix_vectors dense", "matrix_hat_vectors dense"]),
-        ("verify", ["factor dense", "pencil arpack", "laplacian_diff_norm dense",
-                    "adjacency_diff_norm dense", "matrix_values dense",
-                    "matrix_hat_values dense", "matrix_diff_norm dense",
-                    "matrix_vectors dense", "matrix_hat_vectors dense"]),
-        ("pca-demo", ["factor dense", "pencil arpack"]),
-        ("bounds", []),
+        ("sparsify", ["factor dense", "pencil arpack", "laplacian_norm arpack",
+                      "matrix_values dense", "matrix_hat_values dense",
+                      "matrix_diff_norm arpack", "matrix_vectors dense",
+                      "matrix_hat_vectors dense"]),
+        ("verify", ["factor dense", "pencil arpack", "laplacian_norm arpack",
+                    "laplacian_diff_norm arpack", "adjacency_diff_norm arpack",
+                    "matrix_values dense", "matrix_hat_values dense",
+                    "matrix_diff_norm arpack", "matrix_vectors dense",
+                    "matrix_hat_vectors dense"]),
+        ("pca-demo", ["factor dense", "pencil arpack", "laplacian_norm arpack"]),
+        ("bounds", ["laplacian_norm arpack"]),
     ])
     def test_verbose_names_blas_pools_and_solver_paths(self, command, paths, pair_paths,
                                                        tmp_path, capsys):
         """-v prints each bundled OpenBLAS pool with its thread count, and the
         form of L's grounded factor and the solver of the pencil's extremes,
-        of the eigenvalues of M and M_hat, of each difference norm and of the
+        of the eigenvalues of M and M_hat, of each 2-norm and of the
         eigenvectors of M and M_hat that the angle check solved (K5's live
         angles take a dense solve)."""
         from odnsparse.spectra import _blas_pools
@@ -411,8 +413,9 @@ class TestCommonFlags:
                             "-v"], capsys)
         assert code == 0
         assert [line[6:] for line in err.splitlines() if line.startswith("path: ")] == [
-            "factor band kd=30", "pencil arpack", "matrix_values band kd=30",
-            "matrix_hat_values band kd=30", "matrix_diff_norm arpack"]
+            "factor band kd=30", "pencil arpack", "laplacian_norm arpack",
+            "matrix_values band kd=30", "matrix_hat_values band kd=30",
+            "matrix_diff_norm arpack"]
 
     @pytest.mark.parametrize("command,extra,stages", [
         ("sparsify", [], ["read", "decompose", "sparsify", "verify", "spectral"]),

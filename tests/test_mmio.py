@@ -302,6 +302,25 @@ class TestRead:
         )
         assert read_matrix_market(path).vals[0] == 4.0
 
+    def test_line_endings_read_alike(self, tmp_path, monkeypatch):
+        """LF, CRLF and CR-only copies of one file, with a comment line and a
+        blank line before the size line, read to equal matrices, each on the
+        fast path: `numpy.loadtxt` skips as many lines as the header read
+        took under every line ending."""
+        fallbacks = []
+        monkeypatch.setattr(mmio, "_read_entry_lines", fallbacks.append)
+        lines = ["%%MatrixMarket matrix coordinate real symmetric", "% a comment", "",
+                 "3 3 4", "1 1 2.5", "2 1 1.0", "3 2 0.5", "3 3 -1.0"]
+        reads = []
+        for name, ending in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+            path = tmp_path / f"{name}.mtx"
+            path.write_bytes((ending.join(lines) + ending).encode())
+            reads.append(mmio.read_matrix_market(path))
+        assert fallbacks == []
+        np.testing.assert_array_equal(reads[0].to_dense(),
+                                      [[2.5, 1.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.5, -1.0]])
+        assert reads[1] == reads[0] and reads[2] == reads[0]
+
     @pytest.mark.parametrize(
         "text,line",
         [
@@ -531,8 +550,9 @@ class TestAgainstReference:
 
     def test_entries_parsed_from_the_open_file(self, tmp_path, complete_lines,
                                                monkeypatch):
-        """A file without body comments never becomes a list of lines; one
-        with them falls back to the list, with the same result."""
+        """A file without body comments never becomes a list of lines: after
+        the header, `numpy.loadtxt` reads it from its path. One with body
+        comments falls back to the list, with the same result."""
         plain = write(tmp_path, "\n".join(complete_lines) + "\n", "plain.mtx")
         noted = write(tmp_path, "\n".join(complete_lines[:2] + ["% note"]
                                           + complete_lines[2:]) + "\n", "noted.mtx")

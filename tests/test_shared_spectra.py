@@ -12,6 +12,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from odnsparse import (
     DenseLimitExceededError,
+    NormNotConvergedError,
     OdnMatrix,
     PairSpectra,
     adjacency_norm_check,
@@ -73,10 +74,10 @@ def test_verify_solves_each_matrix_once(solves, tmp_path, capsys):
     solves.update(eigh=0, eigvalsh=0, eigsh=0)
     # eigh: M and M_hat for the Perron vector's angle (its bound is below 1;
     # at n = 20 a dense solve is cheaper than ARPACK's top 1); eigsh: the
-    # pencil, rho(L); eigvalsh: L - L_hat, A - A_hat, M - M_hat (a dense
-    # pair), M, M_hat.
+    # pencil, rho(L), L - L_hat, A - A_hat, M - M_hat (each a dense buffer of
+    # a dense pair); eigvalsh: M, M_hat.
     assert main(["verify", str(a), str(b), "--out-report", str(tmp_path / "r.json")]) == 0
-    assert solves == {"eigh": 2, "eigvalsh": 5, "eigsh": 2}
+    assert solves == {"eigh": 2, "eigvalsh": 2, "eigsh": 5}
 
 
 def test_pca_solves_each_matrix_once(solves):
@@ -89,8 +90,7 @@ def test_pca_solves_each_matrix_once(solves):
 def test_verify_of_a_dense_pair_never_reorders(solves, tmp_path, capsys, monkeypatch):
     """Complete n = 400 and a sparsifier of it store too many entries for a
     narrow band: M and M_hat go straight to `eigvalsh`, and reverse
-    Cuthill-McKee is never run. eigvalsh: L - L_hat, A - A_hat, M - M_hat,
-    M, M_hat."""
+    Cuthill-McKee is never run. eigvalsh: M, M_hat; every norm is ARPACK's."""
     a, b = tmp_path / "a.mtx", tmp_path / "b.mtx"
     write_matrix_market(generate_odn("complete", 400, seed=3, diag=("uniform", 0, 1)), a)
     assert main(["sparsify", "--input", str(a), "--out-matrix", str(b)]) == 0
@@ -103,7 +103,7 @@ def test_verify_of_a_dense_pair_never_reorders(solves, tmp_path, capsys, monkeyp
     monkeypatch.setattr(spectra_module, "reverse_cuthill_mckee", counting)
     solves.update(eigh=0, eigvalsh=0, eigsh=0)
     assert main(["verify", str(a), str(b), "--out-report", str(tmp_path / "r.json")]) == 0
-    assert solves["eigvalsh"] == 5
+    assert solves["eigvalsh"] == 2
     assert orders == []
 
 
@@ -611,19 +611,15 @@ def test_pca_solves_run_without_held_laplacians(matrix, monkeypatch):
     assert held == ["eigvalsh", "eigen_decompose"]
 
 
-# The norms as the sparse difference of the sides' CSR forms computes them:
-# by ARPACK (`_arpack_norm`) on the "arpack" path, else by a dense solve.
-def _sparse_difference_norms(base, hat, m, m_hat, path):
-    def norm(x, y):
-        diff = spectra_module._sparse(x) - spectra_module._sparse(y)
-        if path == "arpack":
-            return spectra_module._arpack_norm(diff)
-        return (spectra_module.spectral_norm(diff),) * 2
+def _sparse_differences(base, hat, m, m_hat):
+    """Each difference as the sparse difference of the sides' CSR forms."""
+    def difference(x, y):
+        return spectra_module._sparse(x) - spectra_module._sparse(y)
 
     return {
-        "matrix_diff_norm": norm(m, m_hat),
-        "laplacian_diff_norm": norm(base.laplacian, hat.laplacian),
-        "adjacency_diff_norm": norm(base.adjacency, hat.adjacency),
+        "matrix_diff_norm": difference(m, m_hat),
+        "laplacian_diff_norm": difference(base.laplacian, hat.laplacian),
+        "adjacency_diff_norm": difference(base.adjacency, hat.adjacency),
     }
 
 
@@ -635,28 +631,47 @@ def _negative_zero_diagonal():
     return OdnMatrix(30, k.rows, k.cols, k.vals, diag)
 
 
-# Each input with the path of all three norms: "dense" where a side stores at
-# least 2/3 of n^2 entries (the complete graphs), else "arpack".
-@pytest.mark.parametrize("make,path", [
+# Each input with the form of all three difference operands: a dense buffer
+# where a side stores at least 2/3 of n^2 entries (the complete graphs), else
+# the sparse difference. ARPACK solves either.
+@pytest.mark.parametrize("make,form", [
     (lambda: generate_odn("complete", 60, seed=4, diag=("uniform", 0, 1)), "dense"),
-    (lambda: generate_odn("erdos-renyi", 120, density=0.02, seed=5), "arpack"),
+    (lambda: generate_odn("erdos-renyi", 120, density=0.02, seed=5), "sparse"),
     (complete_with_isolated_vertex, "dense"),
-    (_disconnected, "arpack"),
+    (_disconnected, "sparse"),
     (_negative_zero_diagonal, "dense"),
 ], ids=["connected", "disconnected", "isolated-vertex", "small-disconnected",
         "negative-zero-diagonal"])
 @pytest.mark.parametrize("hat_kind", ["decomposition", "sparsifier"])
-def test_difference_norms_are_bit_identical_to_sparse_differences(make, path, hat_kind):
+def test_difference_norms_are_bit_identical_to_sparse_differences(make, form, hat_kind,
+                                                                 monkeypatch):
+    """Each difference operand is the sparse difference of the sides' CSR
+    forms, or a dense buffer equal to it entry for entry; each norm is
+    ARPACK's bracket of that difference in the operand's form, bit for bit."""
     matrix = make()
     decomp = decompose(matrix)
     result = sparsify_laplacian(decomp, EPS, SEED)
     m_hat = result.matrix(decomp.center)
     hat = decompose(m_hat) if hat_kind == "decomposition" else result
     spectra = PairSpectra(decomp, hat, matrix_hat=m_hat)
+    operands = {}
+
+    def recording(role, operand, dense_limit, _norm=spectra_module._norm_bracket):
+        operands[role] = operand
+        return _norm(role, operand, dense_limit)
+
+    monkeypatch.setattr(spectra_module, "_norm_bracket", recording)
     names = ("matrix_diff_norm", "laplacian_diff_norm", "adjacency_diff_norm")
     got = {name: getattr(spectra, name) for name in names}
-    assert spectra.paths == dict.fromkeys(names, path)
-    assert got == _sparse_difference_norms(decompose(matrix), hat, matrix, m_hat, path)
+    assert spectra.paths == dict.fromkeys(names, "arpack")
+    differences = _sparse_differences(decompose(matrix), hat, matrix, m_hat)
+    for name, difference in differences.items():
+        operand = operands[name]
+        assert isinstance(operand, np.ndarray) == (form == "dense"), name
+        assert np.array_equal(spectra_module._dense(operand), difference.toarray()), name
+        expected = difference.toarray() if form == "dense" else difference
+        assert (got[name], "arpack") == spectra_module._norm_bracket(
+            name, expected, spectra_module.DENSE_LIMIT), name
 
 
 @pytest.mark.parametrize("make", [
@@ -687,19 +702,63 @@ def test_sparse_difference_norms_bracket_the_dense_norm(make):
         assert high - low <= 1e-12 * exact, name
 
 
+def _not_converged(operand, *args, **kwargs):
+    raise ArpackNoConvergence("0 of 1", np.zeros(0), np.zeros((operand.shape[0], 0)))
+
+
 def test_difference_norm_falls_back_to_dense_without_convergence(monkeypatch):
     matrix = generate_odn("erdos-renyi", 120, density=0.02, seed=5)
     decomp = decompose(matrix)
     m_hat = sparsify_laplacian(decomp, EPS, SEED).matrix(decomp.center)
 
-    def not_converged(operand, *args, **kwargs):
-        raise ArpackNoConvergence("0 of 1", np.zeros(0), np.zeros((operand.shape[0], 0)))
-
-    monkeypatch.setattr(spectra_module, "eigsh", not_converged)
+    monkeypatch.setattr(spectra_module, "eigsh", _not_converged)
     spectra = PairSpectra(matrix=matrix, matrix_hat=m_hat)
     exact = float(np.abs(np.linalg.eigvalsh(matrix.to_dense() - m_hat.to_dense())).max())
     assert spectra.matrix_diff_norm == (exact, exact)
     assert spectra.paths == {"matrix_diff_norm": "dense"}
+
+
+def test_norms_cap_restarts_within_the_limit_only(monkeypatch):
+    """Every 2-norm's ARPACK solve gets _PENCIL_RESTARTS restarts within the
+    dense limit and ARPACK's default above it."""
+    calls = []
+
+    def recording(operand, k, which, maxiter=None, _arpack=spectra_module._arpack):
+        calls.append((k, which, maxiter))
+        return _arpack(operand, k, which, maxiter)
+
+    monkeypatch.setattr(spectra_module, "_arpack", recording)
+    for limit, maxiter in ((100, None), (spectra_module.DENSE_LIMIT,
+                                         spectra_module._PENCIL_RESTARTS)):
+        spectra = _grid_pair(0)
+        spectra.dense_limit = limit
+        calls.clear()
+        _pair_norms(spectra)
+        assert calls == [(1, "LM", maxiter)] * 4
+        assert set(spectra.paths.values()) == {"arpack"}
+
+
+@pytest.mark.parametrize("role", ["laplacian_norm", "matrix_diff_norm",
+                                  "laplacian_diff_norm", "adjacency_diff_norm"])
+def test_norm_above_the_limit_without_convergence_names_its_role(role, monkeypatch):
+    spectra = _grid_pair(0)
+    monkeypatch.setattr(spectra_module, "_arpack", _not_converged)
+    with pytest.raises(NormNotConvergedError) as caught:
+        getattr(spectra, role)
+    assert caught.value.role == role
+    assert f"ARPACK did not converge on {role} (n=2000)" in str(caught.value)
+
+
+def test_cli_norm_without_convergence_is_one_error_line(monkeypatch, capsys):
+    """rho(L) above --dense-limit with no convergence: exit code 1 and one
+    `error:` line, no traceback."""
+    monkeypatch.setattr(spectra_module, "_arpack", _not_converged)
+    assert main(["bounds", "--gen", "complete:n=30,seed=1", "--dense-limit", "10"]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: ARPACK did not converge on laplacian_norm (n=30); above the dense "
+        "limit 10 no dense solve takes over"]
+    assert "Traceback" not in err
 
 
 def test_verify_pipeline_memory():
@@ -746,3 +805,75 @@ def test_difference_norm_of_a_csr_with_duplicate_entries():
     got = sparsifier_norm_check(other, halves, EPS).norm_diff
     np.testing.assert_allclose(got, expected, rtol=1e-14)
     assert not halves.has_canonical_format  # the caller's matrix is left as it was
+
+
+def _verify_verdicts(spectra):
+    """The verdicts of the verify command on a pair, in its order."""
+    record = verify_sparsifier(spectra, epsilon=EPS)
+    lap_status = sparsifier_norm_check(spectra, epsilon=EPS, sparsifier_ok=record.passed).status
+    adjacency = adjacency_norm_check(spectra).passed
+    report = spectral_report(spectra, epsilon=EPS)
+    return (record.passed, lap_status, adjacency, weyl_check(spectra).passed,
+            report.eigenvalue_bound_passed, report.angles_passed)
+
+
+def _norm_rule_pairs():
+    """(id, M, M_hat) over n = 1..60, each M with its sparsifier and with a
+    copy whose weights are scaled by 0.5..1.5 (a pencil that may fail): dense
+    and sparse sides, n <= 3, disconnected graphs, zero diagonals, bipartite
+    grids, whose adjacency differences have +-lambda spectra, and a few
+    pairs with a zero difference."""
+    rng = np.random.default_rng(21)
+    cases = [(f"n{n}-{density}", random_odn(rng, n, density))
+             for n in (1, 2, 3) for density in (0.5, 1.0)]
+    cases += [(f"n{n}-{density}", random_odn(rng, n, density))
+              for n, density in ((8, 0.1), (15, 1.0), (24, 0.9), (30, 0.05), (37, 0.3),
+                                 (45, 0.7), (52, 0.15), (60, 1.0), (60, 0.5))]
+    cases += [("zero-diagonal-dense", random_odn(rng, 20, 1.0, 0.0, 0.0)),
+              ("zero-diagonal-sparse", random_odn(rng, 40, 0.2, 0.0, 0.0)),
+              ("disconnected", _disconnected()),
+              ("isolated-vertex", complete_with_isolated_vertex(30)),
+              ("grid-6x10", generate_odn("grid", rows=6, cols=10, seed=3)),
+              ("grid-5x5", generate_odn("grid", rows=5, cols=5, seed=1,
+                                        diag=("uniform", 0, 1)))]
+    pairs = []
+    for name, m in cases:
+        decomp = decompose(m)
+        scaled = m.vals * rng.uniform(0.5, 1.5, len(m.vals))
+        pairs += [(f"{name}-sparsifier", m,
+                   sparsify_laplacian(decomp, EPS, SEED).matrix(decomp.center)),
+                  (f"{name}-scaled", m, OdnMatrix(m.n, m.rows, m.cols, scaled, m.diag))]
+    pairs += [(f"{name}-same", m, m) for name, m in cases[::4]]
+    return pairs
+
+
+NORM_RULE_PAIRS = _norm_rule_pairs()
+
+
+@pytest.mark.parametrize("matrix,m_hat", [pair[1:] for pair in NORM_RULE_PAIRS],
+                         ids=[pair[0] for pair in NORM_RULE_PAIRS])
+def test_every_norm_bracket_holds_the_dense_norm(matrix, m_hat):
+    """Each difference role's (low, high) holds max |eigvalsh| of the dense
+    difference and rho(L) is at least max |eigvalsh(L)|; every verdict of
+    the verify command equals the one the exact norms give, as a dense
+    `eigvalsh` of each difference did before ARPACK solved them all."""
+    spectra, exact = (PairSpectra(decompose(matrix), decompose(m_hat)) for _ in range(2))
+    base, hat = exact.base, exact.hat
+
+    def dense_norm(x):
+        return float(np.abs(np.linalg.eigvalsh(x)).max(initial=0.0))
+
+    norms = {
+        "matrix_diff_norm": dense_norm(matrix.to_dense() - m_hat.to_dense()),
+        "laplacian_diff_norm": dense_norm(base.laplacian_dense() - hat.laplacian_dense()),
+        "adjacency_diff_norm": dense_norm((base.adjacency - hat.adjacency).toarray()),
+    }
+    rho = dense_norm(base.laplacian_dense())
+    exact.__dict__.update({name: (norm, norm) for name, norm in norms.items()},
+                          laplacian_norm=rho)
+    assert _verify_verdicts(spectra) == _verify_verdicts(exact)
+    for name, norm in norms.items():
+        low, high = getattr(spectra, name)
+        assert low <= norm <= high, name
+        assert high - low <= 1e-12 * norm, name
+    assert rho <= spectra.laplacian_norm <= rho * (1 + 1e-12)
