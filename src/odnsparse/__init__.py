@@ -52,14 +52,12 @@ from .spectra import (
     InertiaCounts,
     NormComparison,
     PairSpectra,
-    SparsifierNormCheck,
     SpectralReport,
     WeylCheck,
     adjacency_norm_check,
     davis_kahan,
     eigen_decompose,
     eigenvalue_deviation_bound,
-    sparsifier_norm_check,
     spectral_norm,
     spectral_report,
     weyl_check,
@@ -96,7 +94,6 @@ __all__ = [
     "PairSpectra",
     "ParseError",
     "PcaComparison",
-    "SparsifierNormCheck",
     "SparsifierResult",
     "SpectralReport",
     "VerificationRecord",
@@ -116,7 +113,6 @@ __all__ = [
     "read_matrix_market",
     "reconstruct",
     "sample_count",
-    "sparsifier_norm_check",
     "sparsify_laplacian",
     "spectral_norm",
     "spectral_report",

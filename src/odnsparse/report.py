@@ -16,9 +16,9 @@ from pathlib import Path
 
 from .applications import PcaComparison
 from .sparsify import SparsifierResult, VerificationRecord
-from .spectra import NormComparison, SparsifierNormCheck, SpectralReport, WeylCheck
+from .spectra import SpectralReport
 
-SCHEMA_VERSION = "5.1"
+SCHEMA_VERSION = "6.0"
 
 
 def verification_to_dict(v: VerificationRecord) -> dict:
@@ -67,12 +67,6 @@ def spectral_to_dict(r: SpectralReport) -> dict:
             for i in range(r.n)
         ],
     }
-
-
-def norm_check_to_dict(c: WeylCheck | NormComparison | SparsifierNormCheck) -> dict:
-    """The check's fields and its verdict, which a SparsifierNormCheck derives
-    from its status."""
-    return {**asdict(c), "passed": c.passed}
 
 
 def pca_to_dict(p: PcaComparison) -> dict:

@@ -1,10 +1,11 @@
 """Eigendecomposition and numerical verification of perturbation bounds.
 
-Covers: Weyl's eigenvalue perturbation bound, the Davis-Kahan angle
-bound, the adjacency-vs-Laplacian norm comparison, the sparsifier norm
-bound, and the end-to-end eigenvalue deviation bound
+Covers: the end-to-end eigenvalue deviation bound
 eps * sqrt(n) * rho(L) + (delta_max - delta_min) / 2 with its per-index
-angle bounds. Every check reads from one shared `PairSpectra` for the pair
+Davis-Kahan angle bounds, the certificates a pair gets besides the
+sparsifier inequality, and checkers of two lemmas of that bound on any
+pair: Weyl's eigenvalue perturbation bound and the adjacency-vs-Laplacian
+norm comparison. Every check reads from one shared `PairSpectra` for the pair
 (M, M_hat), whose roles each solve once, on first use, and which owns the
 dense limit: above it, a role with no iterative path raises
 DenseLimitExceededError.
@@ -897,36 +898,6 @@ def adjacency_norm_check(g, h=None) -> NormComparison:
     lhs = spectra.adjacency_diff_norm[1]
     rhs = math.sqrt(np.shape(spectra.laplacian)[0]) * spectra.laplacian_diff_norm[0]
     return NormComparison(lhs, rhs, lhs <= rhs + 1e-9 * (1.0 + rhs))
-
-
-@dataclass(frozen=True)
-class SparsifierNormCheck:
-    norm_diff: float
-    bound: float
-    status: str  # "pass" | "fail" | "hypothesis-unmet"
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-
-def sparsifier_norm_check(
-    laplacian, laplacian_hat=None, epsilon=None, *, sparsifier_ok: bool = True
-) -> SparsifierNormCheck:
-    """||L - L_hat|| (its high estimate) against eps * rho(L).
-
-    The bound is implied by the sparsifier inequality; when the caller
-    knows that inequality did not hold (sparsifier_ok=False), a violation
-    is labelled "hypothesis-unmet" rather than "fail".
-    """
-    _require_epsilon(epsilon)
-    spectra = PairSpectra.of(laplacian, laplacian_hat)
-    _require_same_shape(spectra.laplacian, spectra.laplacian_hat)
-    norm_diff = spectra.laplacian_diff_norm[1]
-    bound = epsilon * spectra.laplacian_norm
-    status = ("pass" if norm_diff <= bound * (1.0 + 1e-9)
-              else "fail" if sparsifier_ok else "hypothesis-unmet")
-    return SparsifierNormCheck(norm_diff, bound, status)
 
 
 @dataclass(frozen=True)

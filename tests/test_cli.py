@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,36 @@ class TestVerify:
             capsys,
         )
         assert code == 0
+
+    @pytest.mark.parametrize("gen,lines", [
+        ("complete:n=20,seed=3,diag=uniform(0,1)", None),
+        ("erdos-renyi:n=4,density=0,diag=uniform(0,1),seed=2", 2),
+    ], ids=["complete", "no-edges"])
+    def test_prints_the_certificates_as_sparsify_does(self, gen, lines, tmp_path, capsys):
+        """verify prints sparsify's lines for the pair sparsify wrote: the
+        deviation bound against the largest deviation, and the pencil's
+        extremes against their target, which a pair with no edges lacks.
+        No norm line is printed."""
+        from odnsparse import generate_odn, parse_generator_spec
+
+        a, b = tmp_path / "a.mtx", tmp_path / "b.mtx"
+        write_matrix_market(generate_odn(**parse_generator_spec(gen)), a)
+        code, sparsify_out, _ = run(["sparsify", "--input", str(a), "--out-matrix", str(b)],
+                                    capsys)
+        assert code == 0
+        code, verify_out, _ = run(["verify", str(a), str(b)], capsys)
+        assert code == 0
+        sparsify_lines = sparsify_out.splitlines()[1:]
+        verify_lines = verify_out.splitlines()
+        assert sparsify_lines[0].startswith(verify_lines[0] + " centered_diag=")
+        assert sparsify_lines[1:] == verify_lines[1:]
+        assert re.fullmatch(r"bound=\S+ max_deviation=\S+", verify_lines[0])
+        if lines is None:
+            assert re.fullmatch(r"ratio extremes: \[0\.\d{6}, 1\.\d{6}\] "
+                                r"target \[0\.750000, 1\.250000\]", verify_lines[1])
+            lines = 3
+        assert len(verify_lines) == lines
+        assert verify_lines[-1] == "PASS: all checks passed"
 
     def test_dimension_mismatch_exits_one(self, k5_path, tmp_path, capsys):
         small = tmp_path / "small.mtx"
@@ -381,7 +412,6 @@ class TestCommonFlags:
                       "matrix_diff_norm arpack", "matrix_vectors dense",
                       "matrix_hat_vectors dense"]),
         ("verify", ["factor dense", "pencil arpack", "laplacian_norm arpack",
-                    "laplacian_diff_norm arpack", "adjacency_diff_norm arpack",
                     "matrix_values dense", "matrix_hat_values dense",
                     "matrix_diff_norm arpack", "matrix_vectors dense",
                     "matrix_hat_vectors dense"]),

@@ -5,22 +5,19 @@ import numpy as np
 import pytest
 
 from odnsparse import (
-    PairSpectra,
-    adjacency_norm_check,
     decompose,
     generate_odn,
     pca_compare,
     reconstruct,
-    sparsifier_norm_check,
     sparsify_laplacian,
     spectral_report,
     verify_sparsifier,
-    weyl_check,
+    write_matrix_market,
 )
+from odnsparse.cli import main
 from odnsparse.report import (
     SCHEMA_VERSION,
     dumps_report,
-    norm_check_to_dict,
     pca_to_dict,
     sparsifier_to_dict,
     spectral_to_dict,
@@ -31,7 +28,6 @@ from odnsparse.report import (
     write_report,
     write_spectral_csv,
 )
-from odnsparse.spectra import SparsifierNormCheck
 
 
 @pytest.fixture(scope="module")
@@ -115,12 +111,12 @@ class TestSchema:
     ], ids=["probes", "seed", "probe_min", "probe_max", "probes-only", "parameters.probes",
             "quadform", "approximate", "eigenvalue_ratios"])
     def test_version_1_probe_fields_rejected(self, pipeline, section, key, value):
-        """Schema 5.1 rejects the removed fields: the Rayleigh probes, the
+        """Schema 6.0 rejects the removed fields: the Rayleigh probes, the
         quadratic-form application, the approximate resistance mode and the
         eigenvalue-ratio section."""
         import jsonschema
 
-        assert SCHEMA_VERSION == "5.1"
+        assert SCHEMA_VERSION == "6.0"
         report = build_full_report(*pipeline)
         validate_report(report)
         report.setdefault(section, {})[key] = value
@@ -176,24 +172,47 @@ class TestRecordKeys:
                 "n", "epsilon", "gen_min", "gen_max", "eps_hat", "kernel_leak", "passed",
                 "mode"}
 
-    def test_norm_check_keys(self, pipeline):
-        _, d, res, m_hat = pipeline
-        spectra = PairSpectra(d, res, matrix_hat=m_hat)
-        checks = {
-            "laplacian": sparsifier_norm_check(spectra, epsilon=0.25),
-            "adjacency": adjacency_norm_check(spectra),
-            "weyl": weyl_check(spectra),
-        }
-        got = {name: norm_check_to_dict(check) for name, check in checks.items()}
-        assert {name: set(fields) for name, fields in got.items()} == {
-            "laplacian": {"norm_diff", "bound", "status", "passed"},
-            "adjacency": {"lhs", "rhs", "passed"},
-            "weyl": {"max_deviation", "norm", "passed"},
-        }
-        assert all(fields["passed"] is checks[name].passed for name, fields in got.items())
-        unmet = SparsifierNormCheck(2.0, 1.0, "hypothesis-unmet")
-        assert norm_check_to_dict(unmet) == {"norm_diff": 2.0, "bound": 1.0,
-                                             "status": "hypothesis-unmet", "passed": False}
+
+class TestSchemaSix:
+    # Schema 5.1's `norm_checks` section as `verify` wrote it.
+    NORM_CHECKS = {
+        "laplacian": {"norm_diff": 0.5, "bound": 1.0, "status": "pass", "passed": True},
+        "adjacency": {"lhs": 0.4, "rhs": 2.0, "passed": True},
+        "weyl": {"max_deviation": 0.3, "norm": 0.5, "passed": True},
+    }
+
+    def test_norm_checks_rejected(self, pipeline):
+        """Schema 6.0 drops 5.1's `norm_checks`: a report that carries it,
+        even null, does not validate."""
+        import jsonschema
+
+        report = build_full_report(*pipeline)
+        validate_report(report)
+        for section in (self.NORM_CHECKS, None):
+            report["norm_checks"] = section
+            with pytest.raises(jsonschema.ValidationError):
+                validate_report(report)
+
+    def test_verify_report_holds_its_certificates_only(self, pipeline, tmp_path, capsys):
+        """`verify` reports the sections and the verdicts `sparsify` reports
+        for a pair, and a pair that fails the pencil fails
+        `sparsifier-inequality`, with exit code 2."""
+        m, d, _, m_hat = pipeline
+        paths = {name: tmp_path / f"{name}.mtx" for name in ("m", "m_hat", "double")}
+        write_matrix_market(m, paths["m"])
+        write_matrix_market(m_hat, paths["m_hat"])
+        write_matrix_market(reconstruct(2.0 * d.adjacency, d.center), paths["double"])
+        report_path = tmp_path / "r.json"
+        for other, code, failures in (("m_hat", 0, []),
+                                      ("double", 2, ["sparsifier-inequality"])):
+            assert main(["verify", str(paths["m"]), str(paths[other]),
+                         "--out-report", str(report_path)]) == code
+            report = json.loads(report_path.read_text())
+            validate_report(report)
+            assert set(report) == {"schema_version", "tool", "input", "parameters",
+                                   "verification", "spectral", "checks", "timings"}
+            assert report["checks"]["failures"] == failures
+        capsys.readouterr()
 
 
 class TestSerialization:

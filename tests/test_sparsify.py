@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
@@ -20,8 +22,8 @@ from odnsparse import (
     eigenvalue_deviation_bound,
     generate_odn,
     sample_count,
-    sparsifier_norm_check,
     sparsify_laplacian,
+    spectral_report,
     validate_odn,
     verify_sparsifier,
     write_matrix_market,
@@ -367,8 +369,8 @@ class TestBlockedDraws:
 EPSILON_ENTRY_POINTS = {
     "sparsify_laplacian": lambda pair, eps: sparsify_laplacian(pair, eps),
     "verify_sparsifier": lambda pair, eps: verify_sparsifier(pair, epsilon=eps),
-    "sparsifier_norm_check": lambda pair, eps: sparsifier_norm_check(pair, epsilon=eps),
     "eigenvalue_deviation_bound": lambda pair, eps: eigenvalue_deviation_bound(pair, eps),
+    "spectral_report": lambda pair, eps: spectral_report(pair, epsilon=eps),
 }
 
 
@@ -383,6 +385,48 @@ def test_epsilon_outside_open_unit_interval_raises(entry, bad):
     with pytest.raises(InvalidEpsilonError):
         EPSILON_ENTRY_POINTS[entry](pair, bad)
     assert not {"laplacian", "laplacian_hat"} & vars(pair).keys()
+
+
+def _dense_norm(x: np.ndarray) -> float:
+    return float(np.abs(np.linalg.eigvalsh(x)).max(initial=0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 24), density=st.sampled_from([0.3, 0.7, 1.0]),
+       split=st.booleans(), zero_diag=st.booleans(), spread=st.sampled_from([None, 0.1, 0.6]),
+       epsilon=st.sampled_from([0.1, 0.25, 0.5]), seed=st.integers(0, 2**16))
+@example(n=1, density=1.0, split=False, zero_diag=False, spread=None, epsilon=0.25, seed=0)
+@example(n=3, density=1.0, split=False, zero_diag=True, spread=None, epsilon=0.25, seed=1)
+@example(n=3, density=1.0, split=False, zero_diag=False, spread=0.1, epsilon=0.25, seed=2)
+@example(n=9, density=0.0, split=False, zero_diag=True, spread=None, epsilon=0.25, seed=3)
+@example(n=10, density=1.0, split=True, zero_diag=False, spread=None, epsilon=0.25, seed=4)
+@example(n=10, density=1.0, split=True, zero_diag=True, spread=0.6, epsilon=0.5, seed=5)
+def test_passing_pencil_bounds_the_dense_laplacian_difference(
+        n, density, split, zero_diag, spread, epsilon, seed):
+    """Wherever the sparsifier inequality passes, numpy's dense
+    ||L - L_hat||_2 is at most eps * rho(L): random ODN inputs, n <= 3, a
+    graph with no edges, disconnected graphs (two blocks) and zero
+    diagonals. L_hat is a sampled sparsifier of L, or L's graph with each
+    weight scaled by a uniform factor within 1 +- spread, whose pencil may
+    fail."""
+    rng = np.random.default_rng(seed)
+    matrix = random_odn(rng, n, density, *((0.0, 0.0) if zero_diag else ()))
+    if split and n > 1:
+        keep = (matrix.rows < n // 2) == (matrix.cols < n // 2)
+        matrix = OdnMatrix(n, matrix.rows[keep], matrix.cols[keep], matrix.vals[keep],
+                           matrix.diag)
+    decomp = decompose(matrix)
+    if spread is None:
+        lap_hat = sparsify_laplacian(decomp, epsilon, seed).laplacian
+    else:
+        scaled = matrix.vals * rng.uniform(1 - spread, 1 + spread, len(matrix.vals))
+        lap_hat = decompose(OdnMatrix(n, matrix.rows, matrix.cols, scaled,
+                                      matrix.diag)).laplacian
+    if verify_sparsifier(decomp.laplacian, lap_hat, epsilon).passed:
+        lap = decomp.laplacian_dense()
+        difference = _dense_norm(lap - (lap_hat.toarray() if sp.issparse(lap_hat)
+                                        else np.asarray(lap_hat)))
+        assert difference <= epsilon * _dense_norm(lap) * (1 + 1e-9)
 
 
 class TestVerify:

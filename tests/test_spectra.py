@@ -23,11 +23,11 @@ from odnsparse import (
     eigenvalue_deviation_bound,
     generate_odn,
     reconstruct,
-    sparsifier_norm_check,
     sparsify_laplacian,
     spectral_norm,
     spectral_report,
     validate_odn,
+    verify_sparsifier,
     weyl_check,
 )
 from odnsparse import spectra as spectra_module
@@ -374,32 +374,28 @@ class TestAdjacencyNormCheck:
                 assert adjacency_norm_check(g, h).passed
 
 
-class TestSparsifierNormCheck:
+class TestLaplacianDiffNorm:
+    """||L - L_hat|| <= eps * rho(L), the sparsifier inequality's corollary,
+    read from the pair's roles: the high end of the difference's bracket
+    against eps times rho(L)'s high end."""
+
     def test_identical(self):
         lap = decompose(generate_odn("complete", 6, weight=1.0)).laplacian
-        check = sparsifier_norm_check(lap, lap, 0.3)
-        assert check.status == "pass"
-        assert check.norm_diff == 0.0
+        assert PairSpectra(lap, lap).laplacian_diff_norm == (0.0, 0.0)
 
     def test_scaled_saturates(self):
         lap = decompose(generate_odn("complete", 6, weight=1.0)).laplacian_dense()
         eps = 0.25
-        check = sparsifier_norm_check(lap, (1 + eps) * lap, eps)
-        assert check.status == "pass"
-        np.testing.assert_allclose(check.norm_diff, check.bound, rtol=1e-12)
-
-    def test_hypothesis_unmet_labeling(self):
-        lap = decompose(generate_odn("complete", 6, weight=1.0)).laplacian_dense()
-        check = sparsifier_norm_check(lap, 2.0 * lap, 0.25, sparsifier_ok=False)
-        assert check.status == "hypothesis-unmet"
-        check = sparsifier_norm_check(lap, 2.0 * lap, 0.25, sparsifier_ok=True)
-        assert check.status == "fail"
+        pair = PairSpectra(lap, (1 + eps) * lap)
+        np.testing.assert_allclose(pair.laplacian_diff_norm[1], eps * pair.laplacian_norm,
+                                   rtol=1e-12)
 
     def test_pipeline_k5(self):
         d = decompose(generate_odn("complete", 5, weight=1.0))
         res = sparsify_laplacian(d, 0.3, seed=7)
-        check = sparsifier_norm_check(d.laplacian, res.laplacian, 0.3)
-        assert check.status == "pass"
+        pair = PairSpectra(d.laplacian, res.laplacian)
+        assert verify_sparsifier(pair, epsilon=0.3).passed
+        assert pair.laplacian_diff_norm[1] <= 0.3 * pair.laplacian_norm * (1 + 1e-9)
 
 
 class TestDavisKahan:
