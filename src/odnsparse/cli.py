@@ -168,13 +168,14 @@ def _warn_small_regime(epsilon):
 
 
 def _close_timings(timings, args, paths) -> None:
-    """Record the peak resident set so far in `timings` (ru_maxrss: KiB on
-    Linux, bytes on macOS) and, on -v, print the stage timings, the peak,
-    each bundled OpenBLAS pool with its thread count, and whether the pencil
-    extremes and each 2-norm came from a dense solve or ARPACK (`paths`, see
-    `PairSpectra.paths`)."""
+    """Record in `timings` the peak resident set so far (ru_maxrss: KiB on
+    Linux, bytes on macOS) and the path each role took (`paths`, see
+    `PairSpectra.paths`) as `paths`, and, on -v, print the stage timings,
+    the peak, each bundled OpenBLAS pool with its thread count, and the
+    same paths."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     timings["peak_rss_mb"] = peak / (1 << (20 if sys.platform == "darwin" else 10))
+    timings["paths"] = dict(paths)
     if args.verbose:
         for stage, seconds in timings.get("stages", {}).items():
             print(f"timing: {stage} {seconds * 1e3:.2f} ms", file=sys.stderr)

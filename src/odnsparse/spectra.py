@@ -28,14 +28,19 @@ for rounding (the pencil's by at least 32 eps |theta|), so that the
 bracket holds the dense solve's value too. A check reads whichever end
 makes it stricter. Every scipy ARPACK, LAPACK and BLAS call holds scipy's
 OpenBLAS to one thread (`_one_scipy_thread`): its workers, left spinning,
-would take the cores from numpy's next dense solve.
+would take the cores from numpy's next dense solve. The hold is one
+process-wide re-entrant lock; a thread that a holder starts and waits for
+(the band spectra's worker) runs under its hold and must not take it.
 
 The spectra of M and M_hat are solved for their values only
 (`PairSpectra.matrix_values`): the deviations, Weyl, the inertia and every
 Davis-Kahan bound r_norm / gap read them, a side with a narrow band by
-`dsbevd` in band storage. An eigenvector is solved only for an index
-whose bound is below 1 - 1e-9, where the angle check can fail, by ARPACK's
-top or bottom block where that block is small.
+`dsbevd` in band storage. That `dsbevd` is scipy's Cython export, called
+through ctypes with the GIL released (`_dsbevd`), so when both sides are
+band the two solves run at once: M on the calling thread, M_hat on one
+worker thread pinned to another CPU. An eigenvector is solved only for an
+index whose bound is below 1 - 1e-9, where the angle check can fail, by
+ARPACK's top or bottom block where that block is small.
 
 The pair holds each Laplacian in one form, read by every role: a dense
 array when the graph is dense and within the limit, else its CSR
@@ -54,6 +59,8 @@ from __future__ import annotations
 import ctypes
 import importlib
 import math
+import os
+import re
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -61,7 +68,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import blas, lapack
+from scipy.linalg import blas, cython_lapack, lapack
 from scipy.linalg import eigh_tridiagonal  # noqa: F401  (bench/tracer.py patches this name)
 from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
@@ -134,6 +141,20 @@ _BAND_SHARE = 1 / 2
 # (0.034) 50 vs 43, 60x60 (0.017) 2524 vs 1093; below n = 400 about 1 ms.
 _BAND_VALUES_SHARE = 1 / 20
 
+try:
+    _LIBC = ctypes.CDLL(None)
+except (OSError, TypeError):
+    _LIBC = None
+
+
+def _libc(name: str, argtypes: list, restype):
+    """The C library's function `name`, typed, or None where it is missing."""
+    function = getattr(_LIBC, name, None)
+    if function is not None:
+        function.argtypes, function.restype = argtypes, restype
+    return function
+
+
 # glibc serves an array below its adaptive mmap threshold (up to 32 MiB: an
 # n x n array up to n = 2048) from the heap once any larger block was freed,
 # and free() gives back only the heap's top. The held Laplacians dropped in
@@ -141,11 +162,9 @@ _BAND_VALUES_SHARE = 1 / 20
 # pins, and the next eigensolve's workspace lands on top of them: `sparsify
 # --input` of a complete n = 2000 file peaked at 398 MB, not 355 MB, until
 # malloc_trim handed their pages back. Other C libraries have no malloc_trim.
-try:
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
-except (AttributeError, OSError, TypeError):
-    _malloc_trim = None
+_malloc_trim = _libc("malloc_trim", [ctypes.c_size_t], ctypes.c_int)
+# The CPU the calling thread runs on, or -1 (`matrix_values`' placement).
+_sched_getcpu = _libc("sched_getcpu", [], ctypes.c_int)
 
 
 def _openblas(module: str, suffix: str = ""):
@@ -201,6 +220,74 @@ def _one_scipy_thread():
             yield
         finally:
             set_threads(threads)
+
+
+# scipy's f2py `lapack.dsbevd` holds the GIL through the solve, so no other
+# Python thread runs beside it: a counting loop in a second thread ran 0.5-0.7
+# M iterations during five n = 900 solves (0.24-0.28 s), against 1.6-3.5 M in
+# 0.25 s idle, and at its idle rate beside the same solves called through
+# ctypes. scipy exports the same LAPACK routines to Cython as capsules; ctypes
+# calls one with the GIL released (numba binds scipy's LAPACK the same way).
+_CAPSULE_NAME = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_CAPSULE_POINTER = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+_C_NAMES = {ctypes.c_char: "char", ctypes.c_int: "int", ctypes.c_double: "double"}
+
+
+def _cython_lapack(name: str, *args):
+    """scipy's Cython export of the LAPACK routine `name` as a ctypes function
+    of one pointer to each C type in `args`, once the export's C signature is
+    checked against them."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    signature = _CAPSULE_NAME(capsule)
+    declared = "void (" + ", ".join(f"{_C_NAMES[arg]} *" for arg in args) + ")"
+    if re.sub(r"\w*cython_lapack_d\b", "double", signature.decode()) != declared:
+        raise ImportError(f"scipy's cython_lapack.{name} is {signature.decode()!r}, "
+                          f"not {declared!r}")
+    return ctypes.CFUNCTYPE(None, *map(ctypes.POINTER, args))(
+        _CAPSULE_POINTER(capsule, signature))
+
+
+_c, _i, _d = ctypes.c_char, ctypes.c_int, ctypes.c_double
+# jobz, uplo, n, kd, ab, ldab, w, z, ldz, work, lwork, iwork, liwork, info
+_LAPACK_DSBEVD = _cython_lapack("dsbevd", _c, _c, _i, _i, _d, _i, _d, _d, _i, _d, _i, _i, _i, _i)
+
+
+def _dsbevd(band: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix in lower band storage,
+    (kd + 1) x n in Fortran order, which the solve overwrites: LAPACK's
+    `dsbevd`, values only, with the workspace scipy's `lapack.dsbevd(band,
+    compute_v=0, lower=1)` gives it, and with the GIL released. It takes no
+    hold of scipy's pool: its caller holds it (`_one_scipy_thread`), also for
+    a worker thread, which would wait forever on the caller's hold. Raises
+    LinAlgError where `dsbevd` fails."""
+    band = np.require(band, np.float64, ["F_CONTIGUOUS", "WRITEABLE"])
+    (rows, n), info = band.shape, _i()
+    values, work = np.empty(n), np.empty(max(1, 2 * n))
+    doubles = ctypes.POINTER(_d)
+    _LAPACK_DSBEVD(b"N", b"L", _i(n), _i(rows - 1), band.ctypes.data_as(doubles), _i(rows),
+                   values.ctypes.data_as(doubles), work.ctypes.data_as(doubles), _i(1),
+                   work.ctypes.data_as(doubles), _i(len(work)), _i(), _i(1), info)
+    if info.value:
+        raise np.linalg.LinAlgError(f"dsbevd did not converge (info {info.value})")
+    return values
+
+
+# Left to the scheduler, the two band solves of `matrix_values` (n = 900,
+# kd = 30) both started and ended on one CPU of a 2-CPU VM in 7 of 12 fresh
+# processes, 86-99 ms; with the worker pinned off the caller's CPU, 12 of 12
+# ran apart, 42-59 ms. The pin is the worker's own and ends with its thread.
+def _solve_off_cpu(cpu: int, band: np.ndarray) -> np.ndarray:
+    """`_dsbevd(band)` in a worker thread, which first pins itself to the
+    lowest allowed CPU other than `cpu`, its caller's. It places nothing
+    where `cpu` is unknown (-1), where the mask allows one CPU, or where the
+    OS has no `sched_setaffinity`."""
+    if cpu >= 0 and hasattr(os, "sched_setaffinity"):
+        allowed = os.sched_getaffinity(0)
+        if len(allowed) > 1:
+            os.sched_setaffinity(0, {min(allowed - {cpu})})
+    return _dsbevd(band)
 
 
 def _size(x) -> int:
@@ -799,27 +886,41 @@ class PairSpectra:
         """Ascending eigenvalues of M and of M_hat, the only full solve of
         either: by `dsbevd` in band storage (`_band`) for an OdnMatrix within
         the dense limit with kd + 1 <= n * _BAND_VALUES_SHARE, else `eigvalsh`.
-        paths["matrix_values"] and ["matrix_hat_values"] say "band kd=<kd>"
-        or "dense". No check reads L or L_hat after these solves, so the held
-        Laplacians are dropped before them (`release_laplacians`)."""
+        When both sides are band, the two solves run at once: the caller
+        solves M while one worker thread, pinned to another CPU
+        (`_solve_off_cpu`), solves M_hat, both under the caller's hold of
+        scipy's pool; the worker has ended, and its LinAlgError reached the
+        caller, before this returns. Otherwise the sides solve one after the
+        other. paths["matrix_values"] and ["matrix_hat_values"] say
+        "band kd=<kd>" or "dense". No check reads L or L_hat after these
+        solves, so the held Laplacians are dropped before them
+        (`release_laplacians`)."""
         self.release_laplacians()
-        return (self._values("matrix_values", self.matrix),
-                self._values("matrix_hat_values", self.matrix_hat))
+        sides = (("matrix_values", self.matrix), ("matrix_hat_values", self.matrix_hat))
+        bands = []
+        for role, x in sides:
+            built = None
+            if isinstance(x, OdnMatrix) and x.n <= self.dense_limit:
+                built = _band(x, _BAND_VALUES_SHARE)
+            bands.append(None if built is None else built[1])
+            self.paths[role] = "dense" if built is None else f"band kd={len(built[1]) - 1}"
+        if any(band is None for band in bands):
+            return tuple(self._values(x, band) for (_, x), band in zip(sides, bands))
+        # Imported here, not at the top: a run that solves no band pair would
+        # load `concurrent.futures.thread` for nothing, 0.15 MB of peak RSS.
+        from concurrent.futures import ThreadPoolExecutor
 
-    def _values(self, role: str, x) -> np.ndarray:
-        built = None
-        if isinstance(x, OdnMatrix) and x.n <= self.dense_limit:
-            built = _band(x, _BAND_VALUES_SHARE)
-        if built is None:
-            self.paths[role] = "dense"
+        cpu = _sched_getcpu() if _sched_getcpu is not None else -1
+        with _one_scipy_thread(), ThreadPoolExecutor(max_workers=1) as worker:
+            values_hat = worker.submit(_solve_off_cpu, cpu, bands[1])
+            return _dsbevd(bands[0]), values_hat.result()
+
+    def _values(self, x, band: np.ndarray | None) -> np.ndarray:
+        """Ascending eigenvalues of one side, `band` its band or None."""
+        if band is None:
             return np.linalg.eigvalsh(self._densify(x))
-        band = built[1]
-        self.paths[role] = f"band kd={len(band) - 1}"
         with _one_scipy_thread():
-            values, _, info = lapack.dsbevd(band, compute_v=0, lower=1, overwrite_ab=1)
-        if info:
-            raise np.linalg.LinAlgError(f"dsbevd did not converge (info {info})")
-        return values
+            return _dsbevd(band)
 
     def live_vectors(self, top: int, bottom: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """The eigenvectors of the top `top` and bottom `bottom` eigenvalues of

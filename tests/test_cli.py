@@ -435,6 +435,19 @@ class TestCommonFlags:
             for owner, library, threads in _blas_pools()]
         assert [line[6:] for line in lines if line.startswith("path: ")] == paths
 
+    @pytest.mark.parametrize("command", ["sparsify", "verify", "pca-demo", "bounds"])
+    def test_report_records_the_paths_verbose_prints(self, command, pair_paths, tmp_path,
+                                                     capsys):
+        """timings.paths holds each role's path, as -v prints it."""
+        report_path = tmp_path / "r.json"
+        code, _, err = run(self._argv(command, pair_paths, tmp_path)
+                           + ["-v", "--out-report", str(report_path)], capsys)
+        assert code == 0
+        printed = [line[6:].split(" ", 1) for line in err.splitlines()
+                   if line.startswith("path: ")]
+        assert printed
+        assert json.loads(report_path.read_text())["timings"]["paths"] == dict(printed)
+
     def test_verbose_names_the_band_factor(self, capsys):
         """A 30 x 30 grid, held as CSR, whose grounded L has bandwidth 30
         after reverse Cuthill-McKee: L is factored in band storage, and M and

@@ -1,4 +1,7 @@
+import os
+import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -239,7 +242,7 @@ class TestArpackThreads:
 
             return call
 
-        for attr, names in (("lapack", ("dpotrf", "dtrtri", "dpbtrf", "dtbtrs", "dsbevd")),
+        for attr, names in (("lapack", ("dpotrf", "dtrtri", "dpbtrf", "dtbtrs")),
                             ("blas", ("dtrmm", "dsbmv", "dtbsv"))):
             module = getattr(spectra_module, attr)
             monkeypatch.setattr(spectra_module, attr, SimpleNamespace(
@@ -281,15 +284,23 @@ class TestArpackThreads:
         assert get_threads() == 2
 
     def test_band_values_run_on_one_thread(self, scipy_pool, monkeypatch):
-        """M and M_hat of a 3 x 50 grid, bandwidth 4: one `dsbevd` each."""
+        """M and M_hat of a 3 x 50 grid, bandwidth 4: one `dsbevd` each, M's
+        on the calling thread and M_hat's on the worker, both inside the
+        caller's hold."""
         get_threads, _ = scipy_pool
         m = generate_odn("grid", rows=3, cols=50, seed=1, diag=("uniform", 0, 1))
         spectra = PairSpectra(matrix=m, matrix_hat=_sparsified(m))
         seen = []
-        self._recording(monkeypatch, get_threads, seen)
+
+        def recording(band, _routine=spectra_module._dsbevd):
+            caller = threading.current_thread() is threading.main_thread()
+            seen.append(("caller" if caller else "worker", get_threads()))
+            return _routine(band)
+
+        monkeypatch.setattr(spectra_module, "_dsbevd", recording)
         spectra.matrix_values
         assert spectra.paths == {"matrix_values": "band kd=4", "matrix_hat_values": "band kd=4"}
-        assert seen == [("dsbevd", 1), ("dsbevd", 1)]
+        assert sorted(seen) == [("caller", 1), ("worker", 1)]
         assert get_threads() == 2
 
     def test_prior_count_restored_after_a_failed_factor(self, scipy_pool, monkeypatch):
@@ -919,3 +930,164 @@ class TestBandValues:
         spectra = PairSpectra(matrix=m, matrix_hat=_sparsified(m))
         spectra.matrix_values
         assert spectra.paths == {"matrix_values": "dense", "matrix_hat_values": "dense"}
+
+
+def _shuffled_band(n=400, kd=6, seed=5):
+    """A band graph of bandwidth kd with its vertices shuffled."""
+    rng = np.random.default_rng(seed)
+    low, offset = np.meshgrid(np.arange(n), np.arange(1, kd + 1))
+    keep = low + offset < n
+    perm = rng.permutation(n)
+    a, b = perm[low[keep]], perm[(low + offset)[keep]]
+    return OdnMatrix(n, np.minimum(a, b), np.maximum(a, b),
+                     rng.uniform(0.1, 1.0, int(keep.sum())), rng.uniform(-1.0, 1.0, n))
+
+
+CONCURRENT_INPUTS = {
+    "grid-30x30": lambda: _grid(30, 30),
+    "path-200": lambda: generate_odn("path", 200, seed=1, diag=("uniform", 0, 1)),
+    "shuffled-band": _shuffled_band,
+    "no-edges": BAND_INPUTS["no-edges"],
+    "n-1": BAND_INPUTS["n-1"],
+}
+
+
+class TestConcurrentBandValues:
+    """Both sides in band storage: the caller solves M and a worker thread
+    M_hat, through scipy's Cython export of `dsbevd` (`_dsbevd`)."""
+
+    @pytest.mark.parametrize("name", list(CONCURRENT_INPUTS))
+    def test_values_equal_scipy_f2py_dsbevd_bit_for_bit(self, name):
+        from scipy.linalg import lapack
+
+        m = CONCURRENT_INPUTS[name]()
+        band = spectra_module._band(m, 1.0)[1]
+        got = spectra_module._dsbevd(band.copy(order="F"))
+        expected, _, info = lapack.dsbevd(band, compute_v=0, lower=1)  # overwrites band
+        assert not info
+        assert np.array_equal(got, expected)
+
+    def test_two_threads_at_once_finish_with_the_same_values(self, scipy_pool):
+        """Two callers, each with its own pair, hold the process-wide hold in
+        turn while their workers run unheld: neither waits forever, and with
+        a short switch interval neither side's values change."""
+        get_threads, _ = scipy_pool
+        pairs = [(m, _sparsified(m)) for m in (_grid(30, 30), _shuffled_band())]
+        expected = [[spectra_module._dsbevd(spectra_module._band(x, 1 / 20)[1]) for x in pair]
+                    for pair in pairs]
+        got = [None, None]
+
+        def solve(i):
+            got[i] = PairSpectra(matrix=pairs[i][0], matrix_hat=pairs[i][1]).matrix_values
+
+        threads = [threading.Thread(target=solve, args=(i,), daemon=True) for i in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 60
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for values, want in zip(got, expected):
+            assert all(np.array_equal(a, b) for a, b in zip(values, want))
+        assert get_threads() == 2
+
+    def test_worker_failure_reaches_the_caller(self, scipy_pool, monkeypatch):
+        get_threads, _ = scipy_pool
+        m = _grid(30, 30)
+        spectra = PairSpectra(matrix=m, matrix_hat=_sparsified(m))
+
+        def failing_on_the_worker(*args, _routine=spectra_module._LAPACK_DSBEVD):
+            _routine(*args)
+            if threading.current_thread() is not threading.main_thread():
+                args[-1].value = 7  # info
+
+        monkeypatch.setattr(spectra_module, "_LAPACK_DSBEVD", failing_on_the_worker)
+        threads, mask = threading.active_count(), os.sched_getaffinity(0)
+        with pytest.raises(np.linalg.LinAlgError, match=r"dsbevd did not converge \(info 7\)"):
+            spectra.matrix_values
+        assert get_threads() == 2
+        assert threading.active_count() == threads
+        assert os.sched_getaffinity(0) == mask
+
+    def test_no_thread_or_mask_outlives_the_call(self, scipy_pool):
+        get_threads, _ = scipy_pool
+        m = _shuffled_band()
+        threads, mask = threading.active_count(), os.sched_getaffinity(0)
+        PairSpectra(matrix=m, matrix_hat=_sparsified(m)).matrix_values
+        assert get_threads() == 2
+        assert threading.active_count() == threads
+        assert os.sched_getaffinity(0) == mask
+
+    def test_a_dense_side_runs_both_on_the_caller(self, monkeypatch):
+        """A band M with a dense M_hat: no worker thread."""
+        callers = []
+
+        def recording(band, _routine=spectra_module._dsbevd):
+            callers.append(threading.current_thread() is threading.main_thread())
+            return _routine(band)
+
+        monkeypatch.setattr(spectra_module, "_dsbevd", recording)
+        spectra = PairSpectra(matrix=_grid(30, 30), matrix_hat=_grid(10, 10))
+        spectra.matrix_values
+        assert spectra.paths == {"matrix_values": "band kd=30", "matrix_hat_values": "dense"}
+        assert callers == [True]
+
+
+class TestWorkerPlacement:
+    """The worker pins itself to an allowed CPU the caller is not on
+    (`_solve_off_cpu`), and nothing is placed where that is not possible."""
+
+    @staticmethod
+    def _solve(monkeypatch, allowed, cpu):
+        pinned = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(allowed))
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pinned.append(
+            (pid, set(cpus), threading.current_thread() is threading.main_thread())))
+        monkeypatch.setattr(spectra_module, "_sched_getcpu", cpu)
+        m = _grid(30, 30)
+        PairSpectra(matrix=m, matrix_hat=_sparsified(m)).matrix_values
+        return pinned
+
+    @pytest.mark.parametrize("allowed,cpu", [
+        ({0}, lambda: 0),
+        ({3}, lambda: 3),
+        ({0, 1}, lambda: -1),
+        ({0, 1}, None),
+    ], ids=["one-cpu", "one-other-cpu", "cpu-unknown", "no-sched_getcpu"])
+    def test_nothing_placed(self, monkeypatch, allowed, cpu):
+        assert self._solve(monkeypatch, allowed, cpu) == []
+
+    @pytest.mark.parametrize("caller,other", [(0, 1), (1, 0)])
+    def test_worker_takes_the_other_of_two_cpus(self, monkeypatch, caller, other):
+        assert self._solve(monkeypatch, {0, 1}, lambda: caller) == [(0, {other}, False)]
+
+    def test_worker_takes_the_lowest_other_cpu(self, monkeypatch):
+        assert self._solve(monkeypatch, {2, 5, 7}, lambda: 2) == [(0, {5}, False)]
+
+    @pytest.mark.skipif(spectra_module._sched_getcpu is None
+                        or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                        reason="one CPU allowed, or no sched_getcpu")
+    def test_worker_runs_off_the_callers_cpu(self, monkeypatch):
+        """With the real calls: the worker's solve runs on a CPU other than
+        the one the caller was on when it started the worker."""
+        on = {}
+        started = spectra_module._sched_getcpu
+
+        def recording(band, _routine=spectra_module._dsbevd):
+            on[threading.current_thread() is threading.main_thread()] = started()
+            return _routine(band)
+
+        def caller_cpu():
+            on["start"] = started()
+            return on["start"]
+
+        monkeypatch.setattr(spectra_module, "_dsbevd", recording)
+        monkeypatch.setattr(spectra_module, "_sched_getcpu", caller_cpu)
+        m = _grid(30, 30)
+        PairSpectra(matrix=m, matrix_hat=_sparsified(m)).matrix_values
+        assert on[False] != on["start"]
