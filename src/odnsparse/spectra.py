@@ -29,18 +29,25 @@ bracket holds the dense solve's value too. A check reads whichever end
 makes it stricter. Every scipy ARPACK, LAPACK and BLAS call holds scipy's
 OpenBLAS to one thread (`_one_scipy_thread`): its workers, left spinning,
 would take the cores from numpy's next dense solve. The hold is one
-process-wide re-entrant lock; a thread that a holder starts and waits for
-(the band spectra's worker) runs under its hold and must not take it.
+process-wide re-entrant lock. The band spectra's worker thread takes no
+hold: it solves while its caller enters and leaves the hold around the
+pencil, which would stall behind it. It needs none, as a values-only
+`dsbevd` runs on one thread whatever the pool's count: with scipy's pool at
+2 threads, one worker solve of a 60 x 60 grid (kd = 60) took 1.004-1.006 s
+of process CPU time in 1.009-1.011 s of wall time.
 
 The spectra of M and M_hat are solved for their values only
 (`PairSpectra.matrix_values`): the deviations, Weyl, the inertia and every
 Davis-Kahan bound r_norm / gap read them, a side with a narrow band by
 `dsbevd` in band storage. That `dsbevd` is scipy's Cython export, called
-through ctypes with the GIL released (`_dsbevd`), so when both sides are
-band the two solves run at once: M on the calling thread, M_hat on one
-worker thread pinned to another CPU. An eigenvector is solved only for an
-index whose bound is below 1 - 1e-9, where the angle check can fail, by
-ARPACK's top or bottom block where that block is small.
+through ctypes with the GIL released (`_dsbevd`), so a band side's solve
+can start as soon as the side exists (`PairSpectra.start_values`): on the
+pair's one worker thread, pinned to another CPU, while the caller goes on
+with the sampler, the pencil and ||M - M_hat||. `matrix_values` takes back
+and solves itself each solve the worker has not begun, and collects the
+rest. An eigenvector is solved only for an index whose bound is below
+1 - 1e-9, where the angle check can fail, by ARPACK's top or bottom block
+where that block is small.
 
 The pair holds each Laplacian in one form, read by every role: a dense
 array when the graph is dense and within the limit, else its CSR
@@ -62,6 +69,8 @@ import math
 import os
 import re
 import threading
+import weakref
+from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -259,9 +268,9 @@ def _dsbevd(band: np.ndarray) -> np.ndarray:
     (kd + 1) x n in Fortran order, which the solve overwrites: LAPACK's
     `dsbevd`, values only, with the workspace scipy's `lapack.dsbevd(band,
     compute_v=0, lower=1)` gives it, and with the GIL released. It takes no
-    hold of scipy's pool: its caller holds it (`_one_scipy_thread`), also for
-    a worker thread, which would wait forever on the caller's hold. Raises
-    LinAlgError where `dsbevd` fails."""
+    hold of scipy's pool: the calling thread holds it (`_one_scipy_thread`),
+    the band worker runs without (`_BandWorker`). Raises LinAlgError where
+    `dsbevd` fails."""
     band = np.require(band, np.float64, ["F_CONTIGUOUS", "WRITEABLE"])
     (rows, n), info = band.shape, _i()
     values, work = np.empty(n), np.empty(max(1, 2 * n))
@@ -278,16 +287,58 @@ def _dsbevd(band: np.ndarray) -> np.ndarray:
 # kd = 30) both started and ended on one CPU of a 2-CPU VM in 7 of 12 fresh
 # processes, 86-99 ms; with the worker pinned off the caller's CPU, 12 of 12
 # ran apart, 42-59 ms. The pin is the worker's own and ends with its thread.
-def _solve_off_cpu(cpu: int, band: np.ndarray) -> np.ndarray:
-    """`_dsbevd(band)` in a worker thread, which first pins itself to the
-    lowest allowed CPU other than `cpu`, its caller's. It places nothing
-    where `cpu` is unknown (-1), where the mask allows one CPU, or where the
-    OS has no `sched_setaffinity`."""
+def _pin_off_cpu(cpu: int) -> None:
+    """Pin the calling thread to the lowest allowed CPU other than `cpu`.
+    Nothing is placed where `cpu` is unknown (-1), where the mask allows one
+    CPU, or where the OS has no `sched_setaffinity`."""
     if cpu >= 0 and hasattr(os, "sched_setaffinity"):
         allowed = os.sched_getaffinity(0)
         if len(allowed) > 1:
             os.sched_setaffinity(0, {min(allowed - {cpu})})
-    return _dsbevd(band)
+
+
+class _BandWorker:
+    """One thread that solves the bands `submit` gives it (`_dsbevd`), in
+    order, each behind a Future, once pinned off `cpu`, its starter's CPU
+    (`_pin_off_cpu`; a placement the OS refuses is skipped). A Future whose
+    solve has not begun can be cancelled, and its caller then solves it. The
+    thread is a daemon, so a process that fails before reading a result
+    exits without waiting for a solve."""
+
+    def __init__(self, cpu: int):
+        # Imported here: a run that starts no band solve would load it for nothing.
+        from queue import SimpleQueue
+
+        self._queue, self._futures = SimpleQueue(), []
+        self.thread = threading.Thread(target=self._run, args=(cpu,), daemon=True)
+        self.thread.start()
+
+    def submit(self, band: np.ndarray) -> Future:
+        future = Future()
+        self._futures.append(future)
+        self._queue.put((future, band))
+        return future
+
+    def close(self) -> None:
+        """Cancel every solve not begun, and end the thread after the one it
+        runs, if any; `thread.join()` waits for that."""
+        for future in self._futures:
+            future.cancel()
+        self._futures.clear()
+        self._queue.put(None)
+
+    def _run(self, cpu: int) -> None:
+        try:
+            _pin_off_cpu(cpu)
+        except OSError:
+            pass
+        while (item := self._queue.get()) is not None:
+            future, band = item
+            if future.set_running_or_notify_cancel():
+                try:
+                    future.set_result(_dsbevd(band))
+                except Exception as exc:  # read by the caller, from `result()`
+                    future.set_exception(exc)
 
 
 def _size(x) -> int:
@@ -677,7 +728,9 @@ class PairSpectra:
     Laplacian in the one form every role reads (`eigsh_operand`); setting
     `hat` drops the form held for the previous one, and the first solve of M
     and M_hat (`matrix_values`) drops both (`release_laplacians`): the pair
-    decides when its n x n buffers go. `paths` records the form of L's
+    decides when its n x n buffers go. `start_values` starts a band side's
+    values solve ahead, on the pair's worker thread, for `matrix_values` to
+    collect. `paths` records the form of L's
     factor and of each side's eigenvalues ("dense" or "band kd=<kd>") and,
     for the pencil, each 2-norm (`_norm_bracket`) and each side's eigenvectors
     solved, whether they came from a "dense" solve or from "arpack".
@@ -693,6 +746,9 @@ class PairSpectra:
         self.matrix_hat = hat.matrix if isinstance(hat, LaplacianDecomposition) else matrix_hat
         self.dense_limit = dense_limit
         self.paths: dict[str, str] = {}
+        # side -> (path, band or None, its Future or None), from `start_values`
+        self._solves: dict[str, tuple[str, np.ndarray | None, Future | None]] = {}
+        self._worker: _BandWorker | None = None
 
     @classmethod
     def of(cls, base, hat=None) -> "PairSpectra":
@@ -711,16 +767,17 @@ class PairSpectra:
     def release_laplacians(self) -> None:
         """Drop the held `laplacian` and `laplacian_hat`, and a CSR Laplacian
         cached on either side, once no check reads them again: a dense pair
-        frees 2 n^2 x 8 B, and the heap's free pages go back to the system
-        (`_malloc_trim`). `matrix_values` calls it before its solves; a
+        frees 2 n^2 x 8 B, and where anything was dropped the heap's free
+        pages go back to the system (`_malloc_trim`). `spectral_report` calls
+        it before ||M - M_hat||, and `matrix_values` before its solves; a
         caller that solves M or M_hat by other means calls it itself. A role
         read later builds its form again."""
-        for role in ("laplacian", "laplacian_hat"):
-            self.__dict__.pop(role, None)
+        dropped = [self.__dict__.pop(role, None) is not None
+                   for role in ("laplacian", "laplacian_hat")]
         for side in (self.base, self.hat):
             if isinstance(side, GraphViews):
-                side.__dict__.pop("laplacian", None)
-        if _malloc_trim is not None:
+                dropped.append(side.__dict__.pop("laplacian", None) is not None)
+        if any(dropped) and _malloc_trim is not None:
             _malloc_trim(0)
 
     @cached_property
@@ -881,46 +938,70 @@ class PairSpectra:
             "laplacian_norm", self.eigsh_operand(self.laplacian), self.dense_limit)
         return norm[1]
 
+    def start_values(self, *sides: str) -> None:
+        """Start the values solve of each side named, "matrix" or
+        "matrix_hat" (default both), that is not started yet: a side in band
+        storage (`_band`: an OdnMatrix within the dense limit with kd + 1 <= n *
+        _BAND_VALUES_SHARE) on the pair's one worker thread (`_BandWorker`,
+        pinned off the caller's CPU), while the caller goes on. A dense side
+        is only recorded: it is solved in `matrix_values`, after the held
+        Laplacians are dropped. Start a side once it is set; nothing is
+        started once `matrix_values` is read."""
+        if "matrix_values" in self.__dict__:
+            return
+        for side in sides or ("matrix", "matrix_hat"):
+            if side in self._solves:
+                continue
+            x, built = getattr(self, side), None
+            if isinstance(x, OdnMatrix) and x.n <= self.dense_limit:
+                built = _band(x, _BAND_VALUES_SHARE)
+            if built is None:
+                self._solves[side] = ("dense", None, None)
+                continue
+            if self._worker is None:
+                self._worker = _BandWorker(_sched_getcpu() if _sched_getcpu is not None else -1)
+                weakref.finalize(self, self._worker.close)  # a pair dropped unread
+            band = built[1]
+            self._solves[side] = (f"band kd={len(band) - 1}", band, self._worker.submit(band))
+
     @cached_property
     def matrix_values(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues of M and of M_hat, the only full solve of
-        either: by `dsbevd` in band storage (`_band`) for an OdnMatrix within
-        the dense limit with kd + 1 <= n * _BAND_VALUES_SHARE, else `eigvalsh`.
-        When both sides are band, the two solves run at once: the caller
-        solves M while one worker thread, pinned to another CPU
-        (`_solve_off_cpu`), solves M_hat, both under the caller's hold of
-        scipy's pool; the worker has ended, and its LinAlgError reached the
-        caller, before this returns. Otherwise the sides solve one after the
-        other. paths["matrix_values"] and ["matrix_hat_values"] say
-        "band kd=<kd>" or "dense". No check reads L or L_hat after these
-        solves, so the held Laplacians are dropped before them
-        (`release_laplacians`)."""
+        either: by `dsbevd` in band storage for a band side, else `eigvalsh`
+        (`start_values`, which starts here each side not started yet). M_hat
+        is read first: the worker begins its solves in the order started, so
+        the caller takes back a band side the worker has not begun, from the
+        last, and solves it under its hold of scipy's pool; a dense side it
+        solves itself. The worker's results, or its LinAlgError, are then
+        collected, and its thread has ended before this returns.
+        paths["matrix_values"] and ["matrix_hat_values"] say "band kd=<kd>"
+        or "dense". No check reads L or L_hat after these solves, so the held
+        Laplacians are dropped before them (`release_laplacians`)."""
+        self.start_values()
         self.release_laplacians()
-        sides = (("matrix_values", self.matrix), ("matrix_hat_values", self.matrix_hat))
-        bands = []
-        for role, x in sides:
-            built = None
-            if isinstance(x, OdnMatrix) and x.n <= self.dense_limit:
-                built = _band(x, _BAND_VALUES_SHARE)
-            bands.append(None if built is None else built[1])
-            self.paths[role] = "dense" if built is None else f"band kd={len(built[1]) - 1}"
-        if any(band is None for band in bands):
-            return tuple(self._values(x, band) for (_, x), band in zip(sides, bands))
-        # Imported here, not at the top: a run that solves no band pair would
-        # load `concurrent.futures.thread` for nothing, 0.15 MB of peak RSS.
-        from concurrent.futures import ThreadPoolExecutor
+        self.paths["matrix_values"] = self._solves["matrix"][0]
+        self.paths["matrix_hat_values"] = self._solves["matrix_hat"][0]
+        worker, self._worker = self._worker, None
+        try:
+            values_hat = self._values("matrix_hat")
+            return self._values("matrix"), values_hat
+        finally:
+            self._solves.clear()
+            if worker is not None:
+                worker.close()
+                worker.thread.join()
 
-        cpu = _sched_getcpu() if _sched_getcpu is not None else -1
-        with _one_scipy_thread(), ThreadPoolExecutor(max_workers=1) as worker:
-            values_hat = worker.submit(_solve_off_cpu, cpu, bands[1])
-            return _dsbevd(bands[0]), values_hat.result()
-
-    def _values(self, x, band: np.ndarray | None) -> np.ndarray:
-        """Ascending eigenvalues of one side, `band` its band or None."""
-        if band is None:
-            return np.linalg.eigvalsh(self._densify(x))
-        with _one_scipy_thread():
-            return _dsbevd(band)
+    def _values(self, side: str) -> np.ndarray:
+        """Ascending eigenvalues of `side` as `start_values` recorded it: the
+        caller's `eigvalsh` for a dense side, its `dsbevd` for a band side it
+        takes back from the worker (`Future.cancel`), else the worker's."""
+        _, band, solve = self._solves[side]
+        if solve is None:
+            return np.linalg.eigvalsh(self._densify(getattr(self, side)))
+        if solve.cancel():
+            with _one_scipy_thread():
+                return _dsbevd(band)
+        return solve.result()
 
     def live_vectors(self, top: int, bottom: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """The eigenvectors of the top `top` and bottom `bottom` eigenvalues of
@@ -1175,10 +1256,13 @@ def spectral_report(
     m, m_hat = spectra.matrix, spectra.matrix_hat
     _require_same_shape(m, m_hat)
 
+    spectra.start_values()  # a band side solves on the worker meanwhile
     bound = eigenvalue_deviation_bound(spectra, epsilon)  # reads L before its release
+    # Nothing reads L or L_hat from here: ||M - M_hat||'s buffer does not join them.
+    spectra.release_laplacians()
+    r_norm = spectra.matrix_diff_norm[0]
     alphas, betas = (values[::-1] for values in spectra.matrix_values)
     deviations = np.abs(alphas - betas)
-    r_norm = spectra.matrix_diff_norm[0]
 
     gap, dk_bounds, tol = _gap_bounds(alphas, betas, r_norm, gap_tol)
     # sin(theta) <= 1, so a bound within the check's 1e-9 of 1 cannot fail.

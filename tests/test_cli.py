@@ -408,12 +408,12 @@ class TestCommonFlags:
 
     @pytest.mark.parametrize("command,paths", [
         ("sparsify", ["factor dense", "pencil arpack", "laplacian_norm arpack",
-                      "matrix_values dense", "matrix_hat_values dense",
-                      "matrix_diff_norm arpack", "matrix_vectors dense",
+                      "matrix_diff_norm arpack", "matrix_values dense",
+                      "matrix_hat_values dense", "matrix_vectors dense",
                       "matrix_hat_vectors dense"]),
         ("verify", ["factor dense", "pencil arpack", "laplacian_norm arpack",
-                    "matrix_values dense", "matrix_hat_values dense",
-                    "matrix_diff_norm arpack", "matrix_vectors dense",
+                    "matrix_diff_norm arpack", "matrix_values dense",
+                    "matrix_hat_values dense", "matrix_vectors dense",
                     "matrix_hat_vectors dense"]),
         ("pca-demo", ["factor dense", "pencil arpack", "laplacian_norm arpack"]),
         ("bounds", ["laplacian_norm arpack"]),
@@ -457,13 +457,13 @@ class TestCommonFlags:
         assert code == 0
         assert [line[6:] for line in err.splitlines() if line.startswith("path: ")] == [
             "factor band kd=30", "pencil arpack", "laplacian_norm arpack",
-            "matrix_values band kd=30", "matrix_hat_values band kd=30",
-            "matrix_diff_norm arpack"]
+            "matrix_diff_norm arpack", "matrix_values band kd=30",
+            "matrix_hat_values band kd=30"]
 
     @pytest.mark.parametrize("command,extra,stages", [
         ("sparsify", [], ["read", "decompose", "sparsify", "verify", "spectral"]),
         ("sparsify", ["--out-matrix"], ["read", "decompose", "sparsify", "verify",
-                                        "spectral", "write"]),
+                                        "write", "spectral"]),
         ("verify", [], ["read", "checks", "spectral"]),
         ("pca-demo", [], ["load", "correlation", "pca", "solve_dense", "solve_iterative"]),
         ("bounds", [], ["read", "bounds"]),
@@ -484,6 +484,53 @@ class TestCommonFlags:
         assert all(seconds >= 0 for seconds in timings["stages"].values())
         assert [line.split()[1] for line in err.splitlines()
                 if line.startswith("timing: ")] == stages
+
+    @pytest.mark.parametrize("command,starts", [
+        ("sparsify", [("start", ("matrix",)), "sparsify_laplacian",
+                      ("start", ("matrix_hat",)), "verify_sparsifier", "spectral_report"]),
+        ("verify", [("start", ()), "verify_sparsifier", "spectral_report"]),
+    ])
+    def test_solves_start_once_their_matrix_exists(self, command, starts, pair_paths,
+                                                   tmp_path, monkeypatch, capsys):
+        """sparsify starts M's values solve once the pair is built and
+        M_hat's once M_hat is set; verify starts both once the pair is
+        built; both before the pencil (`verify_sparsifier`)."""
+        from odnsparse import cli
+        from odnsparse.spectra import PairSpectra
+
+        events = []
+
+        def recording(name, routine):
+            def call(*args, **kwargs):
+                events.append(name)
+                return routine(*args, **kwargs)
+            return call
+
+        def starting(spectra, *sides, _start=PairSpectra.start_values):
+            events.append(("start", sides))
+            return _start(spectra, *sides)
+
+        monkeypatch.setattr(PairSpectra, "start_values", starting)
+        for name in ("sparsify_laplacian", "verify_sparsifier", "spectral_report"):
+            monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+        code, _, _ = run(self._argv(command, pair_paths, tmp_path), capsys)
+        assert code == 0
+        assert events[:len(starts)] == starts
+
+    @pytest.mark.parametrize("command", ["pca-demo", "bounds"])
+    def test_commands_without_a_spectral_report_start_no_worker(
+            self, command, tmp_path, monkeypatch, capsys):
+        """bounds on a 30 x 30 grid, whose M would be solved in band storage,
+        and pca-demo never read M's values, so they start no solve."""
+        from odnsparse import spectra as spectra_module
+
+        def no_worker(cpu):
+            raise AssertionError("a band worker was started")
+
+        monkeypatch.setattr(spectra_module, "_BandWorker", no_worker)
+        argv = {"bounds": ["bounds", "--gen", "grid:rows=30,cols=30,diag=uniform(0,1)"],
+                "pca-demo": ["pca-demo", "--input", str(_factor_csv(tmp_path))]}[command]
+        assert run(argv, capsys)[0] == 0
 
     @pytest.mark.parametrize("command", ["verify", "bounds"])
     def test_seed_is_only_recorded(self, command, pair_paths, tmp_path, capsys):
@@ -515,3 +562,30 @@ def _factor_csv(tmp_path):
     np.savetxt(path, data, delimiter=",", header=",".join(f"c{k}" for k in range(6)),
                comments="")
     return path
+
+
+def test_failure_after_a_started_solve_does_not_wait_for_it(tmp_path):
+    """A sparsify that fails in the sampler, after M's band solve was started,
+    exits with its usual code and error line at once, in a fresh process
+    whose band solve never ends: the worker is a daemon thread."""
+    import subprocess
+    import sys
+    import time
+
+    from conftest import child_env
+
+    script = ("import sys, time\n"
+              "from odnsparse import spectra\n"
+              "from odnsparse.cli import main\n"
+              "spectra._dsbevd = lambda band: time.sleep(600)\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "sparsify", "--gen",
+         "grid:rows=30,cols=30,diag=uniform(0,1)", "--epsilon", "1e-10"],
+        capture_output=True, text=True, timeout=120, env=child_env(), cwd=tmp_path)
+    assert time.monotonic() - started < 60
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("error: the sample budget q=")

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odnsparse import (
     decompose,
@@ -236,6 +238,74 @@ class TestSerialization:
         report = build_full_report(*pipeline)
         write_report(report, path)
         assert json.loads(path.read_text()) == report
+
+
+def _json_dumps(report) -> str:
+    """The reference text `dumps_report` must equal byte for byte."""
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# Keys and strings with newlines, quotes, the text of a record boundary and
+# non-ASCII characters; scalars with JSON's edge floats and ints past 64 bits.
+_TEXT = st.one_of(st.text(max_size=8), st.sampled_from(
+    ["\n", '"', "},", "},\n  {", '"a": 1,', "\u00e9t\u00e9", "\u65e5\u672c", "\\", ""]))
+_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-2 ** 80, max_value=2 ** 80),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e308, -1e308, 2.0 ** 53 + 1]), _TEXT)
+_RECORDS = st.lists(st.dictionaries(_TEXT, _SCALAR, min_size=1, max_size=5),
+                    min_size=1, max_size=5)
+_TREES = st.recursive(
+    st.one_of(_SCALAR, _RECORDS, st.just([]), st.just({})),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(_TEXT, children, max_size=4)),
+    max_leaves=25)
+
+
+class TestReportWriter:
+    """`dumps_report` writes lists of flat records with json's C encoder and
+    must still give `json.dumps(..., indent=2, sort_keys=True,
+    allow_nan=False)`'s bytes."""
+
+    @given(_TREES)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_json_dumps(self, tree):
+        assert dumps_report(tree) == _json_dumps(tree)
+
+    @given(_TREES, st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+           st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_non_finite_floats_raise_as_in_json(self, tree, bad, in_records):
+        report = {"tree": tree, "bad": [{"value": bad}] if in_records else [bad]}
+        with pytest.raises(ValueError):
+            json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+        with pytest.raises(ValueError):
+            dumps_report(report)
+
+    def test_records_of_other_containers_and_keys(self):
+        """Lists that are not records (a nested value, an empty record, a
+        non-str key) and a tuple go json's own way, with the same bytes."""
+        for tree in ([{"a": [1]}], [{"a": 1}, {}], [{"a": 1}, 2], {"x": {1: [{"a": 2}]}},
+                     ({"a": 1.5}, {"b": None}), [{"a": np.float64(0.1), "b": True}]):
+            assert dumps_report(tree) == _json_dumps(tree)
+
+    @pytest.mark.parametrize("argv", [
+        ["sparsify", "--gen", "grid:rows=30,cols=30,diag=uniform(0,1)"],
+        ["sparsify", "--gen", "complete:n=40,seed=2"],
+        ["pca-demo", "--components", "3"],
+    ], ids=["grid", "complete", "pca"])
+    def test_cli_reports_equal_json_dumps(self, argv, tmp_path, capsys):
+        if argv[0] == "pca-demo":
+            rng = np.random.default_rng(4)
+            data = rng.standard_normal((80, 1)) + 0.5 * rng.standard_normal((80, 6))
+            np.savetxt(tmp_path / "d.csv", data, delimiter=",", comments="",
+                       header=",".join(f"c{k}" for k in range(6)))
+            argv = argv + ["--input", str(tmp_path / "d.csv")]
+        path = tmp_path / "r.json"
+        assert main(argv + ["--out-report", str(path)]) == 0
+        capsys.readouterr()
+        text = path.read_text()
+        assert text == _json_dumps(json.loads(text))
 
 
 class TestCsv:

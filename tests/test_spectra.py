@@ -283,25 +283,23 @@ class TestArpackThreads:
         assert seen == [("dpbtrf", 1), ("dtbtrs", 1), ("dtbtrs", 1)]
         assert get_threads() == 2
 
-    def test_band_values_run_on_one_thread(self, scipy_pool, monkeypatch):
-        """M and M_hat of a 3 x 50 grid, bandwidth 4: one `dsbevd` each, M's
-        on the calling thread and M_hat's on the worker, both inside the
-        caller's hold."""
+    def test_a_lone_worker_solve_uses_one_cpu(self, scipy_pool):
+        """The band worker takes no hold, so its `dsbevd` runs with scipy's
+        pool at 2 threads; values only, it still runs on one CPU: on a 60 x 60
+        grid (kd = 60) process CPU time is at most 1.1 x wall time."""
         get_threads, _ = scipy_pool
-        m = generate_odn("grid", rows=3, cols=50, seed=1, diag=("uniform", 0, 1))
-        spectra = PairSpectra(matrix=m, matrix_hat=_sparsified(m))
-        seen = []
-
-        def recording(band, _routine=spectra_module._dsbevd):
-            caller = threading.current_thread() is threading.main_thread()
-            seen.append(("caller" if caller else "worker", get_threads()))
-            return _routine(band)
-
-        monkeypatch.setattr(spectra_module, "_dsbevd", recording)
-        spectra.matrix_values
-        assert spectra.paths == {"matrix_values": "band kd=4", "matrix_hat_values": "band kd=4"}
-        assert sorted(seen) == [("caller", 1), ("worker", 1)]
+        band = spectra_module._band(_grid(60, 60), 1 / 20)[1]
+        worker = spectra_module._BandWorker(-1)
+        try:
+            wall, cpu = time.perf_counter(), time.process_time()
+            worker.submit(band).result(timeout=120)
+            wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+        finally:
+            worker.close()
+            worker.thread.join(timeout=60)
+        assert not worker.thread.is_alive()
         assert get_threads() == 2
+        assert cpu <= 1.1 * wall, (cpu, wall)
 
     def test_prior_count_restored_after_a_failed_factor(self, scipy_pool, monkeypatch):
         get_threads, _ = scipy_pool
@@ -953,8 +951,9 @@ CONCURRENT_INPUTS = {
 
 
 class TestConcurrentBandValues:
-    """Both sides in band storage: the caller solves M and a worker thread
-    M_hat, through scipy's Cython export of `dsbevd` (`_dsbevd`)."""
+    """Both sides in band storage: the pair's worker thread and the caller
+    share the two solves, through scipy's Cython export of `dsbevd`
+    (`_dsbevd`)."""
 
     @pytest.mark.parametrize("name", list(CONCURRENT_INPUTS))
     def test_values_equal_scipy_f2py_dsbevd_bit_for_bit(self, name):
@@ -1000,14 +999,18 @@ class TestConcurrentBandValues:
         get_threads, _ = scipy_pool
         m = _grid(30, 30)
         spectra = PairSpectra(matrix=m, matrix_hat=_sparsified(m))
+        failed = threading.Event()
 
         def failing_on_the_worker(*args, _routine=spectra_module._LAPACK_DSBEVD):
             _routine(*args)
             if threading.current_thread() is not threading.main_thread():
                 args[-1].value = 7  # info
+                failed.set()
 
         monkeypatch.setattr(spectra_module, "_LAPACK_DSBEVD", failing_on_the_worker)
         threads, mask = threading.active_count(), os.sched_getaffinity(0)
+        spectra.start_values("matrix")
+        assert failed.wait(timeout=60)
         with pytest.raises(np.linalg.LinAlgError, match=r"dsbevd did not converge \(info 7\)"):
             spectra.matrix_values
         assert get_threads() == 2
@@ -1023,19 +1026,172 @@ class TestConcurrentBandValues:
         assert threading.active_count() == threads
         assert os.sched_getaffinity(0) == mask
 
-    def test_a_dense_side_runs_both_on_the_caller(self, monkeypatch):
-        """A band M with a dense M_hat: no worker thread."""
-        callers = []
+    def test_a_dense_side_solves_on_the_caller(self, monkeypatch):
+        """A band M with a dense M_hat: M_hat's `eigvalsh` runs on the caller,
+        M's `dsbevd` once, on whichever thread, and no thread outlives the
+        call."""
+        callers = {"dsbevd": [], "eigvalsh": []}
 
-        def recording(band, _routine=spectra_module._dsbevd):
-            callers.append(threading.current_thread() is threading.main_thread())
-            return _routine(band)
+        def recording(name, routine):
+            def call(*args):
+                callers[name].append(threading.current_thread() is threading.main_thread())
+                return routine(*args)
+            return call
 
-        monkeypatch.setattr(spectra_module, "_dsbevd", recording)
+        monkeypatch.setattr(spectra_module, "_dsbevd", recording("dsbevd", spectra_module._dsbevd))
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording("eigvalsh", np.linalg.eigvalsh))
+        threads = threading.active_count()
         spectra = PairSpectra(matrix=_grid(30, 30), matrix_hat=_grid(10, 10))
         spectra.matrix_values
         assert spectra.paths == {"matrix_values": "band kd=30", "matrix_hat_values": "dense"}
-        assert callers == [True]
+        assert len(callers["dsbevd"]) == 1 and callers["eigvalsh"] == [True]
+        assert threading.active_count() == threads
+
+
+def _reference_values(pair):
+    """Each side's values by `_dsbevd` on the calling thread."""
+    return [spectra_module._dsbevd(spectra_module._band(x, 1 / 20)[1]) for x in pair]
+
+
+class TestStartValues:
+    """`PairSpectra.start_values` hands a band side's solve to the pair's
+    worker ahead of `matrix_values`, which takes back what the worker has
+    not begun and collects the rest."""
+
+    @staticmethod
+    def _pair():
+        m = _grid(30, 30)
+        return m, _sparsified(m)
+
+    @staticmethod
+    def _recording(monkeypatch, hold=None):
+        """Record (on the main thread, thread ident) for each `_dsbevd`; with
+        `hold`, a worker's solve waits for it before it records."""
+        solved, began = [], threading.Event()
+
+        def recording(band, _routine=spectra_module._dsbevd):
+            caller = threading.current_thread() is threading.main_thread()
+            if not caller:
+                began.set()
+                if hold is not None:
+                    assert hold.wait(timeout=60)
+            solved.append((caller, threading.get_ident()))
+            return _routine(band)
+
+        monkeypatch.setattr(spectra_module, "_dsbevd", recording)
+        return solved, began
+
+    @pytest.mark.parametrize("schedule", ["ahead", "taken-back", "inside"])
+    def test_values_bit_identical_whoever_solves(self, schedule, monkeypatch):
+        """Both sides solved ahead on the worker, both taken back by the
+        caller (the worker never begins), or both started inside
+        `matrix_values`: the values are the caller's own, bit for bit."""
+        pair = self._pair()
+        expected = _reference_values(pair)
+        spectra = PairSpectra(matrix=pair[0], matrix_hat=pair[1])
+        gate = threading.Event()
+        if schedule == "taken-back":
+            # The worker waits until the caller has read both sides.
+            monkeypatch.setattr(spectra_module, "_pin_off_cpu",
+                                lambda cpu: gate.wait(timeout=60))
+
+            def releasing(side, _values=PairSpectra._values):
+                values = _values(spectra, side)
+                if side == "matrix":
+                    gate.set()
+                return values
+
+            monkeypatch.setattr(spectra, "_values", releasing)
+        solved, began = self._recording(monkeypatch)
+        if schedule != "inside":
+            spectra.start_values()
+        if schedule == "ahead":
+            assert began.wait(timeout=60)
+            deadline = time.monotonic() + 60
+            while len(solved) < 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert [caller for caller, _ in solved] == [False, False]
+        got = spectra.matrix_values
+        if schedule == "taken-back":
+            assert [caller for caller, _ in solved] == [True, True]
+        assert len(solved) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    def test_a_blocked_m_leaves_m_hat_to_the_caller(self, monkeypatch):
+        """M's solve is begun on the worker and blocked there: M_hat, started
+        behind it, is taken back and solved on the calling thread, and only
+        then is M let go. No thread or affinity outlives the call."""
+        threads, mask = threading.active_count(), os.sched_getaffinity(0)
+        pair = self._pair()
+        expected = _reference_values(pair)
+        spectra = PairSpectra(matrix=pair[0], matrix_hat=pair[1])
+        hold = threading.Event()
+        solved, began = self._recording(monkeypatch, hold)
+
+        def releasing(side, _values=PairSpectra._values):
+            values = _values(spectra, side)
+            hold.set()  # M_hat is solved: let the worker finish M
+            return values
+
+        monkeypatch.setattr(spectra, "_values", releasing)
+        spectra.start_values("matrix")
+        assert began.wait(timeout=60)
+        spectra.start_values("matrix_hat")
+        got = spectra.matrix_values
+        main = threading.get_ident()
+        assert [ident == main for _, ident in solved] == [True, False]
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        assert threading.active_count() == threads
+        assert os.sched_getaffinity(0) == mask
+
+    def test_the_worker_solves_while_the_caller_holds_the_pool(self, monkeypatch):
+        """The worker takes no hold of scipy's pool: both started solves end
+        while the caller holds it, as it does around the pencil."""
+        pair = self._pair()
+        spectra = PairSpectra(matrix=pair[0], matrix_hat=pair[1])
+        solved, _ = self._recording(monkeypatch)
+        with spectra_module._one_scipy_thread():
+            spectra.start_values()
+            deadline = time.monotonic() + 30
+            while len(solved) < 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert [caller for caller, _ in solved] == [False, False]
+        spectra.matrix_values
+
+    def test_a_dense_pair_starts_no_worker(self, monkeypatch):
+        def no_worker(cpu):
+            raise AssertionError("a worker was started")
+
+        monkeypatch.setattr(spectra_module, "_BandWorker", no_worker)
+        m = generate_odn("complete", 60, seed=2, diag=("uniform", 0, 1))
+        spectra = PairSpectra(matrix=m, matrix_hat=_sparsified(m))
+        spectra.start_values()
+        spectra.matrix_values
+        assert spectra.paths == {"matrix_values": "dense", "matrix_hat_values": "dense"}
+
+    def test_nothing_starts_once_the_values_are_read(self, monkeypatch):
+        pair = self._pair()
+        spectra = PairSpectra(matrix=pair[0], matrix_hat=pair[1])
+        spectra.matrix_values
+        threads = threading.active_count()
+        spectra.start_values()
+        assert threading.active_count() == threads
+
+    def test_a_pair_dropped_unread_ends_its_worker(self, monkeypatch):
+        """A pair that started a solve and is dropped without reading
+        `matrix_values` lets its worker end after the solve it runs."""
+        hold = threading.Event()
+        solved, began = self._recording(monkeypatch, hold)
+        pair = self._pair()
+        spectra = PairSpectra(matrix=pair[0], matrix_hat=pair[1])
+        spectra.start_values()
+        assert began.wait(timeout=60)
+        thread = spectra._worker.thread
+        del spectra
+        hold.set()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert len(solved) == 1  # M_hat, not begun, is cancelled
 
 
 class TestWorkerPlacement:
