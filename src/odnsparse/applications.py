@@ -1,13 +1,15 @@
 """Downstream uses of the sparsification pipeline.
 
 Approximate PCA on nonnegative correlation matrices with per-component
-and cumulative variance-deviation bounds.
+and cumulative variance-deviation bounds. The variances of a correlation
+matrix M and of its sparsifier M_hat are the top of their spectra, which
+the pair solves once each (`PairSpectra.matrix_values`), as it does for
+the spectral report.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +22,7 @@ from .errors import (
     ZeroVarianceColumnError,
 )
 from .sparsify import VerificationRecord, sparsify_laplacian, verify_sparsifier
-from .spectra import DENSE_LIMIT, PairSpectra, eigen_decompose
+from .spectra import DENSE_LIMIT, PairSpectra
 
 _ROUNDING_TOL = 1e-12
 # Columns per block of the standard deviations in `correlation_from_data`.
@@ -117,12 +119,9 @@ class PcaComparison:
     psd_hat_ok: bool
     status: str  # "pass" | "fail" | "hypothesis-unmet"
     verification: VerificationRecord
-    dense_seconds: float
-    iterative_seconds: float
-    iterative_converged: bool
     nnz_before: int
     nnz_after: int
-    paths: dict[str, str]  # `PairSpectra.paths` of the pair: the pencil's solver
+    paths: dict[str, str]  # `PairSpectra.paths` of the pair: each solve's form
 
     @property
     def passed(self) -> bool:
@@ -142,10 +141,13 @@ def pca_compare(
 
     Requires a correlation matrix (constant unit diagonal), so the
     certified per-component bound is exactly eps * sqrt(n) * rho(L): the
-    diagonal-spread term vanishes. The reference solve is a dense
-    values-only solve of M; the sparsified solve runs the iterative
-    eigensolver on M_hat's cheaper form (`PairSpectra.eigsh_operand`). Both
-    solves are timed, the iterative one with the choice of form included.
+    diagonal-spread term vanishes. The variances are the top p eigenvalues
+    of M and of M_hat from the pair's one values solve of each
+    (`PairSpectra.matrix_values`: `dsbevd` in band storage for a side with
+    a narrow band, else `eigvalsh`). Each side's solve is started as soon
+    as the side exists (`PairSpectra.start_values`): M's once the pair is
+    built, M_hat's once the sampler has drawn it, so that a band side
+    solves on the pair's worker while the pencil is certified.
     """
     m = validate_odn(matrix)
     off_unit = np.abs(m.diag - 1.0) > 1e-9
@@ -157,27 +159,19 @@ def pca_compare(
 
     decomp = decompose(m)
     spectra = PairSpectra(decomp, dense_limit=dense_limit)
+    spectra.start_values("matrix")
     result = sparsify_laplacian(spectra, epsilon, seed, constant)
-    m_hat = result.matrix(decomp.center)
-    spectra.hat = result
+    spectra.hat, spectra.matrix_hat = result, result.matrix(decomp.center)
+    spectra.start_values("matrix_hat")
     verification = verify_sparsifier(spectra, epsilon=epsilon)
-    rho = spectra.laplacian_norm
-    spectra.release_laplacians()  # nothing reads L or L_hat after rho(L)
+    rho = spectra.laplacian_norm  # read before `matrix_values` drops L
     unit_bound = epsilon * math.sqrt(m.n) * rho
 
-    t0 = time.perf_counter()
-    variances = np.linalg.eigvalsh(m.to_dense())[::-1][:p]
-    dense_seconds = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    method = "iterative" if p < m.n else "dense"
-    sparse_sys = eigen_decompose(spectra.eigsh_operand(m_hat), k=p, method=method)
-    iterative_seconds = time.perf_counter() - t0
-
-    variances_hat = sparse_sys.values[:p]
+    values, values_hat = spectra.matrix_values
+    variances, variances_hat = values[::-1][:p], values_hat[::-1][:p]
     gaps = np.abs(variances - variances_hat)
-    # The comparison allows the iterative (ARPACK) solve a floor of 1e-8 *
-    # rho, far above its converged residual; it only matters when rho(L) = 0.
+    # A floor of 1e-8 * max |variance| for the two solves' rounding; it only
+    # matters when rho(L) = 0.
     solver_floor = 1e-8 * max(1.0, float(np.abs(variances).max(initial=0.0)))
     within = bool(np.all(gaps <= unit_bound * (1.0 + 1e-9) + solver_floor))
     status = "pass" if within else "fail" if verification.passed else "hypothesis-unmet"
@@ -201,9 +195,6 @@ def pca_compare(
         psd_hat_ok=bool(np.all(variances_hat >= -1e-9 * max(1.0, rho))),
         status=status,
         verification=verification,
-        dense_seconds=dense_seconds,
-        iterative_seconds=iterative_seconds,
-        iterative_converged=sparse_sys.converged,
         nnz_before=m.nnz,
         nnz_after=result.nnz_after,
         paths=spectra.paths,

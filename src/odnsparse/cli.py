@@ -169,19 +169,22 @@ def _warn_small_regime(epsilon):
 
 def _close_timings(timings, args, paths) -> None:
     """Record in `timings` the peak resident set so far (ru_maxrss: KiB on
-    Linux, bytes on macOS) and the path each role took (`paths`, see
-    `PairSpectra.paths`) as `paths`, and, on -v, print the stage timings,
-    the peak, each bundled OpenBLAS pool with its thread count, and the
-    same paths."""
+    Linux, bytes on macOS), each bundled OpenBLAS pool's owner, library and
+    thread count in effect (`_blas_pools`) as `blas`, and the path each role
+    took (`paths`, see `PairSpectra.paths`) as `paths`, and, on -v, print
+    the stage timings, the peak, the same pools and the same paths."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     timings["peak_rss_mb"] = peak / (1 << (20 if sys.platform == "darwin" else 10))
+    timings["blas"] = [{"owner": owner, "library": library, "threads": threads}
+                       for owner, library, threads in _blas_pools()]
     timings["paths"] = dict(paths)
     if args.verbose:
         for stage, seconds in timings.get("stages", {}).items():
             print(f"timing: {stage} {seconds * 1e3:.2f} ms", file=sys.stderr)
         print(f"memory: peak RSS {timings['peak_rss_mb']:.1f} MB", file=sys.stderr)
-        for owner, library, threads in _blas_pools():
-            print(f"blas: {owner}: {library}, {threads} threads", file=sys.stderr)
+        for pool in timings["blas"]:
+            print(f"blas: {pool['owner']}: {pool['library']}, {pool['threads']} threads",
+                  file=sys.stderr)
         for role, path in paths.items():
             print(f"path: {role} {path}", file=sys.stderr)
 
@@ -302,8 +305,6 @@ def cmd_pca_demo(args) -> int:
             matrix, args.epsilon, args.components, args.seed,
             constant=args.constant, dense_limit=args.dense_limit,
         )
-    stages["solve_dense"] = comparison.dense_seconds
-    stages["solve_iterative"] = comparison.iterative_seconds
 
     verdicts = [("sparsifier-inequality", comparison.verification.passed),
                 ("pca-variance-bound", comparison.status != "fail")]
@@ -319,8 +320,6 @@ def cmd_pca_demo(args) -> int:
     for i in range(comparison.p):
         print(f"  component {i + 1}: var={comparison.variances[i]:.6f} "
               f"var_hat={comparison.variances_hat[i]:.6f} gap={comparison.gaps[i]:.3g}")
-    print(f"dense solve {comparison.dense_seconds * 1e3:.2f} ms, "
-          f"iterative solve {comparison.iterative_seconds * 1e3:.2f} ms")
     return _finish(report, verdicts, timings, args, comparison.paths, pca=comparison)
 
 

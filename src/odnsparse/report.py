@@ -29,7 +29,7 @@ from .applications import PcaComparison
 from .sparsify import SparsifierResult, VerificationRecord
 from .spectra import SpectralReport
 
-SCHEMA_VERSION = "6.0"
+SCHEMA_VERSION = "7.0"
 
 
 def verification_to_dict(v: VerificationRecord) -> dict:
@@ -104,7 +104,6 @@ def pca_to_dict(p: PcaComparison) -> dict:
         "psd_ok": p.psd_ok,
         "psd_hat_ok": p.psd_hat_ok,
         "status": p.status,
-        "iterative_converged": p.iterative_converged,
         "nnz_before": p.nnz_before,
         "nnz_after": p.nnz_after,
         "verification": verification_to_dict(p.verification),

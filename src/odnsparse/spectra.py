@@ -609,18 +609,11 @@ class EigenSystem:
 
     `values` is descending; `vectors` holds the aligned orthonormal
     eigenvectors as columns, with each vector's largest-magnitude entry
-    made nonnegative (first such entry on ties). For an iterative (ARPACK)
-    solve `residual` is the measured max_i ||M x_i - lambda_i x_i||_2, its
-    convergence evidence; a dense solve leaves it None. An iterative solve
-    that does not converge returns the k pairs ARPACK did converge, with
-    converged=False.
+    made nonnegative (first such entry on ties).
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    method: str
-    residual: float | None
-    converged: bool = True
 
     @property
     def n(self) -> int:
@@ -648,44 +641,19 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def eigen_decompose(matrix, k: int | None = None, method: str = "dense",
-                    which: str = "LA") -> EigenSystem:
-    """Eigenpairs sorted descending, full spectrum or top-k.
-
-    Dense mode runs a standard symmetric eigensolver. Iterative mode runs
-    ARPACK's `eigsh(which=which)` for the k largest ("LA") or the k smallest
-    ("SA") (requires k < n) and flags non-convergence instead of raising,
-    returning the pairs it achieved. It multiplies by `matrix` in the form
-    given (an OdnMatrix as CSR); `PairSpectra.eigsh_operand` picks the
-    cheaper one.
-    """
-    operand = _sparse(matrix) if isinstance(matrix, OdnMatrix) else matrix
-    n = operand.shape[0]
-    if operand.shape[0] != operand.shape[1]:
-        raise DimensionMismatchError(operand.shape, operand.shape)
-
-    if method == "dense":
-        values, vectors = np.linalg.eigh(_dense(operand))
-        values, vectors = values[::-1][:k], vectors[:, ::-1][:, :k]
-        # The reversed view has a negative stride, which BLAS cannot take:
-        # copy it once, then fix the signs of the copy in place.
-        vectors = _fix_signs(np.ascontiguousarray(vectors))
-        return EigenSystem(values=values.copy(), vectors=vectors, method="dense", residual=None)
-    if method == "iterative":
-        if k is None or not (1 <= k < n):
-            raise ValueError(f"iterative mode needs 1 <= k < n, got k={k}, n={n}")
-        try:
-            values, vectors = _arpack(operand, k=k, which=which)
-            converged = True
-        except ArpackNoConvergence as err:
-            values, vectors = err.eigenvalues, err.eigenvectors
-            converged = False
-        order = np.argsort(values)[::-1]
-        values, vectors = values[order], _fix_signs(vectors[:, order])
-        return EigenSystem(values=values, vectors=vectors, method="iterative",
-                           residual=float(_residuals(operand, values, vectors).max(initial=0.0)),
-                           converged=converged)
-    raise ValueError(f"unknown method {method!r}")
+def eigen_decompose(matrix, k: int | None = None) -> EigenSystem:
+    """Eigenpairs sorted descending, full spectrum or top-k, by a dense
+    symmetric eigensolver (`numpy.linalg.eigh`) of `matrix`: an array, a
+    sparse matrix or an OdnMatrix."""
+    dense = _dense(matrix)
+    if dense.shape[0] != dense.shape[1]:
+        raise DimensionMismatchError(dense.shape, dense.shape)
+    values, vectors = np.linalg.eigh(dense)
+    values, vectors = values[::-1][:k], vectors[:, ::-1][:, :k]
+    # The reversed view has a negative stride, which BLAS cannot take:
+    # copy it once, then fix the signs of the copy in place.
+    vectors = _fix_signs(np.ascontiguousarray(vectors))
+    return EigenSystem(values=values.copy(), vectors=vectors)
 
 
 def _require_below(value, high: float, error: type[OdnError]) -> None:
@@ -769,9 +737,8 @@ class PairSpectra:
         cached on either side, once no check reads them again: a dense pair
         frees 2 n^2 x 8 B, and where anything was dropped the heap's free
         pages go back to the system (`_malloc_trim`). `spectral_report` calls
-        it before ||M - M_hat||, and `matrix_values` before its solves; a
-        caller that solves M or M_hat by other means calls it itself. A role
-        read later builds its form again."""
+        it before ||M - M_hat||, and `matrix_values` before its solves. A
+        role read later builds its form again."""
         dropped = [self.__dict__.pop(role, None) is not None
                    for role in ("laplacian", "laplacian_hat")]
         for side in (self.base, self.hat):

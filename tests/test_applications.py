@@ -10,8 +10,10 @@ from odnsparse import (
     NotOdnError,
     ZeroVarianceColumnError,
     correlation_from_data,
+    decompose,
     generate_odn,
     pca_compare,
+    sparsify_laplacian,
     validate_odn,
 )
 
@@ -219,9 +221,7 @@ class TestPcaCompare:
         assert np.all(cmp.gaps <= cmp.per_component_bound * (1 + 1e-9))
         assert cmp.cumulative_bound == 3 * cmp.per_component_bound
         assert cmp.cumulative_bound_literal == 6 * cmp.per_component_bound
-        assert cmp.dense_seconds > 0
-        assert cmp.iterative_seconds > 0
-        assert cmp.iterative_converged
+        assert cmp.paths["matrix_values"] == cmp.paths["matrix_hat_values"] == "dense"
 
     def test_factor_model_end_to_end(self, rng):
         m = correlation_from_data(factor_data(rng, features=30))
@@ -241,6 +241,29 @@ class TestPcaCompare:
             pca_compare(m, 0.25, 5)
         with pytest.raises(ValueError):
             pca_compare(m, 0.25, 0)
+
+    def test_variances_are_the_pairs_values(self):
+        """The variances are the top p of `eigvalsh` of M and of M_hat, bit for
+        bit: the pair's one values solve of each."""
+        m = correlation_from_data(factor_data(np.random.default_rng(3), features=40))
+        cmp = pca_compare(m, 0.25, 5, seed=2)
+        decomp = decompose(m)
+        m_hat = sparsify_laplacian(decomp, 0.25, 2).matrix(decomp.center)
+        np.testing.assert_array_equal(
+            cmp.variances, np.linalg.eigvalsh(m.to_dense())[::-1][:5])
+        np.testing.assert_array_equal(
+            cmp.variances_hat, np.linalg.eigvalsh(m_hat.to_dense())[::-1][:5])
+
+    def test_narrow_band_values_solved_in_band_storage(self):
+        """A correlation matrix of a 30 x 30 grid (bandwidth 30 after reverse
+        Cuthill-McKee, n = 900) has M and M_hat solved by `dsbevd` in band
+        storage, and its variances equal the dense solve's."""
+        m = generate_odn("grid", rows=30, cols=30, weight=0.1, diag=1.0)
+        cmp = pca_compare(m, 0.25, 4, seed=3)
+        assert cmp.paths["matrix_values"] == cmp.paths["matrix_hat_values"] == "band kd=30"
+        dense = np.linalg.eigvalsh(m.to_dense())[::-1][:4]
+        np.testing.assert_allclose(cmp.variances, dense, rtol=1e-12)
+        assert cmp.status == "pass"
 
     def test_p_equal_n_falls_back_dense(self):
         m = generate_odn("equicorrelation", 6, correlation=0.4)

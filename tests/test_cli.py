@@ -406,6 +406,25 @@ class TestCommonFlags:
         lines = [line for line in err.splitlines() if line.startswith("memory: ")]
         assert lines == [f"memory: peak RSS {peak:.1f} MB"]
 
+    @pytest.mark.parametrize("command", ["sparsify", "verify", "pca-demo", "bounds"])
+    def test_every_report_records_blas_pools(self, command, pair_paths, tmp_path, capsys):
+        """timings.blas holds each bundled OpenBLAS pool's owner, library and
+        thread count, as -v prints them, and the report still validates."""
+        from odnsparse.spectra import _blas_pools
+
+        report_path = tmp_path / "r.json"
+        code, _, err = run(self._argv(command, pair_paths, tmp_path)
+                           + ["-v", "--out-report", str(report_path)], capsys)
+        assert code == 0
+        report = json.loads(report_path.read_text())
+        validate_report(report)
+        pools = report["timings"]["blas"]
+        assert [(pool["owner"], pool["library"], pool["threads"]) for pool in pools] == [
+            (owner, library, threads) for owner, library, threads in _blas_pools()]
+        assert [line for line in err.splitlines() if line.startswith("blas: ")] == [
+            f"blas: {pool['owner']}: {pool['library']}, {pool['threads']} threads"
+            for pool in pools]
+
     @pytest.mark.parametrize("command,paths", [
         ("sparsify", ["factor dense", "pencil arpack", "laplacian_norm arpack",
                       "matrix_diff_norm arpack", "matrix_values dense",
@@ -415,7 +434,8 @@ class TestCommonFlags:
                     "matrix_diff_norm arpack", "matrix_values dense",
                     "matrix_hat_values dense", "matrix_vectors dense",
                     "matrix_hat_vectors dense"]),
-        ("pca-demo", ["factor dense", "pencil arpack", "laplacian_norm arpack"]),
+        ("pca-demo", ["factor dense", "pencil arpack", "laplacian_norm arpack",
+                      "matrix_values dense", "matrix_hat_values dense"]),
         ("bounds", ["laplacian_norm arpack"]),
     ])
     def test_verbose_names_blas_pools_and_solver_paths(self, command, paths, pair_paths,
@@ -465,7 +485,7 @@ class TestCommonFlags:
         ("sparsify", ["--out-matrix"], ["read", "decompose", "sparsify", "verify",
                                         "write", "spectral"]),
         ("verify", [], ["read", "checks", "spectral"]),
-        ("pca-demo", [], ["load", "correlation", "pca", "solve_dense", "solve_iterative"]),
+        ("pca-demo", [], ["load", "correlation", "pca"]),
         ("bounds", [], ["read", "bounds"]),
     ], ids=["sparsify", "sparsify-out-matrix", "verify", "pca-demo", "bounds"])
     def test_report_times_each_stage_once(self, command, extra, stages, pair_paths,
@@ -521,7 +541,9 @@ class TestCommonFlags:
     def test_commands_without_a_spectral_report_start_no_worker(
             self, command, tmp_path, monkeypatch, capsys):
         """bounds on a 30 x 30 grid, whose M would be solved in band storage,
-        and pca-demo never read M's values, so they start no solve."""
+        never reads M's values, so it starts no solve; pca-demo's correlation
+        matrix of a one-factor CSV is complete, so both its sides are solved
+        dense by the caller, and no worker starts either."""
         from odnsparse import spectra as spectra_module
 
         def no_worker(cpu):

@@ -70,23 +70,26 @@ def build_full_report(m, d, res, m_hat):
     }
 
 
+def build_pca_report():
+    m = generate_odn("equicorrelation", 10, correlation=0.4)
+    cmp = pca_compare(m, 0.25, 2, seed=1)
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "tool": {"name": "odnsparse", "version": "0.1.0"},
+        "input": {"source": "file:x.csv", "n": 10},
+        "parameters": {"epsilon": 0.25, "components": 2},
+        "applications": {"pca": pca_to_dict(cmp)},
+        "checks": {"all_passed": True, "failures": []},
+        "timings": {},
+    }
+
+
 class TestSchema:
     def test_full_report_validates(self, pipeline):
         validate_report(build_full_report(*pipeline))
 
     def test_pca_report_validates(self):
-        m = generate_odn("equicorrelation", 10, correlation=0.4)
-        cmp = pca_compare(m, 0.25, 2, seed=1)
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "tool": {"name": "odnsparse", "version": "0.1.0"},
-            "input": {"source": "file:x.csv", "n": 10},
-            "parameters": {"epsilon": 0.25, "components": 2},
-            "applications": {"pca": pca_to_dict(cmp)},
-            "checks": {"all_passed": True, "failures": []},
-            "timings": {},
-        }
-        validate_report(report)
+        validate_report(build_pca_report())
 
     def test_bad_report_rejected(self, pipeline):
         report = build_full_report(*pipeline)
@@ -113,12 +116,12 @@ class TestSchema:
     ], ids=["probes", "seed", "probe_min", "probe_max", "probes-only", "parameters.probes",
             "quadform", "approximate", "eigenvalue_ratios"])
     def test_version_1_probe_fields_rejected(self, pipeline, section, key, value):
-        """Schema 6.0 rejects the removed fields: the Rayleigh probes, the
+        """Schema 7.0 rejects the removed fields: the Rayleigh probes, the
         quadratic-form application, the approximate resistance mode and the
         eigenvalue-ratio section."""
         import jsonschema
 
-        assert SCHEMA_VERSION == "6.0"
+        assert SCHEMA_VERSION == "7.0"
         report = build_full_report(*pipeline)
         validate_report(report)
         report.setdefault(section, {})[key] = value
@@ -160,6 +163,22 @@ class TestSchemaFive:
         assert zero["mode"] == "trivial-zero" and zero["eps_hat"] is None
         report["verification"] = zero
         validate_report(report)
+
+
+class TestSchemaSeven:
+    def test_iterative_converged_rejected(self):
+        """Schema 7.0 drops the PCA section's `iterative_converged`: both
+        sides' variances come from the pair's values solves, not from ARPACK.
+        A report that carries it does not validate."""
+        import jsonschema
+
+        report = build_pca_report()
+        pca = report["applications"]["pca"]
+        assert "iterative_converged" not in pca
+        validate_report(report)
+        pca["iterative_converged"] = True
+        with pytest.raises(jsonschema.ValidationError):
+            validate_report(report)
 
 
 class TestRecordKeys:

@@ -19,7 +19,6 @@ from odnsparse import (
     correlation_from_data,
     decompose,
     effective_resistances,
-    eigen_decompose,
     generate_odn,
     pca_compare,
     reconstruct,
@@ -81,9 +80,9 @@ def test_verify_solves_each_matrix_once(solves, tmp_path, capsys):
 
 def test_pca_solves_each_matrix_once(solves):
     matrix = generate_odn("equicorrelation", 15, correlation=0.4)
-    # eigvalsh: M; eigsh: the pencil, rho(L), and M_hat by Lanczos.
+    # eigvalsh: M, M_hat (`matrix_values`); eigsh: the pencil, rho(L).
     assert pca_compare(matrix, EPS, 3, seed=SEED).passed
-    assert solves == {"eigh": 0, "eigvalsh": 1, "eigsh": 3}
+    assert solves == {"eigh": 0, "eigvalsh": 2, "eigsh": 2}
 
 
 def test_verify_of_a_dense_pair_never_reorders(solves, tmp_path, capsys, monkeypatch):
@@ -286,8 +285,9 @@ def test_pca_corr_sized_input_runs_arpack_on_dense_operand(arpack_operands):
     comparison = pca_compare(_factor_correlation(), EPS, 50, seed=1)
     assert comparison.passed
     assert comparison.nnz_after >= 2 / 3 * comparison.n**2
-    # The pencil's reduced matrix, L for rho(L), then M_hat.
-    assert arpack_operands == [np.ndarray, np.ndarray, np.ndarray]
+    # The pencil's reduced matrix, then L for rho(L); M_hat's values come
+    # from the pair's values solve, not from ARPACK.
+    assert arpack_operands == [np.ndarray, np.ndarray]
     assert comparison.paths["factor"] == "dense"  # L is held dense
 
 
@@ -327,15 +327,20 @@ def test_operand_above_dense_limit_stays_sparse():
 
 
 def test_dense_and_sparse_arpack_operands_agree():
+    """ARPACK's top 50 of M_hat agree whether it multiplies by M_hat's dense
+    array or by its CSR form (`PairSpectra.eigsh_operand` picks either)."""
     matrix = generate_odn("complete", 400, seed=3, diag=("uniform", 0, 1))
     decomp = decompose(matrix)
     m_hat = sparsify_laplacian(decomp, EPS, SEED).matrix(decomp.center)
-    dense = eigen_decompose(PairSpectra().eigsh_operand(m_hat), k=50, method="iterative")
-    sparse = eigen_decompose(m_hat, k=50, method="iterative")
     rho = float(np.abs(np.linalg.eigvalsh(m_hat.to_dense())).max())
-    assert dense.converged and sparse.converged
-    assert np.abs(dense.values - sparse.values).max() <= 1e-10 * rho
-    assert max(dense.residual, sparse.residual) <= 1e-8 * rho
+    dense, sparse = PairSpectra().eigsh_operand(m_hat), spectra_module._sparse(m_hat)
+    assert isinstance(dense, np.ndarray)
+    solved = []
+    for operand in (dense, sparse):
+        values, vectors = spectra_module._arpack(operand, 50, "LA")
+        assert spectra_module._residuals(operand, values, vectors).max() <= 1e-8 * rho
+        solved.append(np.sort(values))
+    assert np.abs(solved[0] - solved[1]).max() <= 1e-10 * rho
 
 
 def test_grid_pencil_memory(monkeypatch):
@@ -584,31 +589,10 @@ def test_report_alone_keeps_no_laplacian(spec):
 ], ids=["dense", "sparse"])
 def test_pca_solves_run_without_held_laplacians(matrix, monkeypatch):
     """pca_compare drops L and L_hat, in every form, once rho(L) is read and
-    before its eigensolves of M (values only) and M_hat."""
-    from odnsparse import applications
-
-    pairs, held = [], []
-
-    def recording(_solve):
-        def solving(*args, **kwargs):
-            held.extend(_held_laplacians(pairs[0]))
-            held.append(_solve.__name__)
-            return _solve(*args, **kwargs)
-
-        return solving
-
-    def verifying(spectra, *args, _verify=applications.verify_sparsifier, **kwargs):
-        pairs.append(spectra)
-        record = _verify(spectra, *args, **kwargs)
-        # Every dense solve from here on is one of M or M_hat.
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
-        return record
-
-    monkeypatch.setattr(applications, "verify_sparsifier", verifying)
-    monkeypatch.setattr(applications, "eigen_decompose",
-                        recording(applications.eigen_decompose))
+    before the pair's values solves of M and M_hat (`matrix_values`)."""
+    held = _solves_recording_held(monkeypatch)
     assert pca_compare(matrix, EPS, 2, seed=SEED).passed
-    assert held == ["eigvalsh", "eigen_decompose"]
+    assert held == ["values", "values"]
 
 
 def _sparse_differences(base, hat, m, m_hat):

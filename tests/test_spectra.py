@@ -45,7 +45,6 @@ class TestEigenDecompose:
         np.testing.assert_allclose(sys.vectors.T @ sys.vectors, np.eye(3), atol=1e-12)
         defect = np.eye(3) @ sys.vectors - sys.vectors * sys.values
         assert np.linalg.norm(defect, axis=0).max() <= 1e-12
-        assert sys.residual is None
 
     def test_two_by_two_closed_form(self):
         # char poly of [[2,1],[1,2]]: (2-l)^2 = 1 -> l in {3, 1}
@@ -74,46 +73,26 @@ class TestEigenDecompose:
         top = eigen_decompose(m, k=3)
         np.testing.assert_array_equal(top.values, full.values[:3])
 
+    # The iterative solver, ARPACK (`_arpack`, which solves the top and
+    # bottom blocks of `PairSpectra.live_vectors`), against the dense solve.
     def test_iterative_matches_dense(self, rng):
         for _ in range(5):
             m = random_odn(rng, 30, density=0.5)
-            operand = m.to_dense()
-            dense = eigen_decompose(operand, k=4)
-            lanczos = eigen_decompose(m, k=4, method="iterative")
-            assert lanczos.converged
-            np.testing.assert_allclose(lanczos.values, dense.values, rtol=1e-6)
+            dense = eigen_decompose(m, k=4)
+            operand = spectra_module._sparse(m)
+            values, vectors = _arpack_top(operand, 4)
+            np.testing.assert_allclose(values, dense.values, rtol=1e-6)
             rho = max(abs(dense.values[0]), 1.0)
-            assert lanczos.residual <= 1e-7 * rho
+            assert spectra_module._residuals(operand, values, vectors).max() <= 1e-7 * rho
 
     def test_iterative_handles_multiplicity(self):
         eq = generate_odn("equicorrelation", 20, correlation=0.5)
-        lanczos = eigen_decompose(eq, k=3, method="iterative")
-        np.testing.assert_allclose(lanczos.values, [10.5, 0.5, 0.5], rtol=1e-9)
+        values, _ = _arpack_top(spectra_module._sparse(eq), 3)
+        np.testing.assert_allclose(values, [10.5, 0.5, 0.5], rtol=1e-9)
 
     def test_iterative_identity_breakdowns(self):
-        lanczos = eigen_decompose(sp.eye(6).tocsr(), k=2, method="iterative")
-        assert lanczos.converged
-        np.testing.assert_allclose(lanczos.values, [1.0, 1.0], rtol=1e-12)
-
-    def test_iterative_no_convergence_returns_partial_pairs(self, rng, monkeypatch):
-        m = random_symmetric(rng, 12)
-        values, vectors = np.linalg.eigh(m)
-
-        def not_converged(*args, **kwargs):
-            # ARPACK gave up with 2 of the 4 requested pairs, in ascending order.
-            raise ArpackNoConvergence("2 of 4", values[-2:], vectors[:, -2:])
-
-        monkeypatch.setattr(spectra_module, "eigsh", not_converged)
-        sys = eigen_decompose(m, k=4, method="iterative")
-        assert sys.converged is False
-        assert sys.k == 2
-        np.testing.assert_array_equal(sys.values, values[::-1][:2])
-        defect = m @ sys.vectors - sys.vectors * sys.values
-        assert sys.residual == float(np.linalg.norm(defect, axis=0).max())
-
-    def test_iterative_requires_k_below_n(self):
-        with pytest.raises(ValueError):
-            eigen_decompose(np.eye(3), k=3, method="iterative")
+        values, _ = _arpack_top(sp.eye(6).tocsr(), 2)
+        np.testing.assert_allclose(values, [1.0, 1.0], rtol=1e-12)
 
     @pytest.mark.parametrize(
         "model,kwargs",
@@ -128,12 +107,17 @@ class TestEigenDecompose:
     def test_iterative_dense_agreement_per_model(self, model, kwargs):
         m = generate_odn(model, seed=77, diag=("uniform", 0.0, 1.0), **kwargs)
         dense = eigen_decompose(m.to_dense(), k=3)
-        lanczos = eigen_decompose(m, k=3, method="iterative")
-        assert lanczos.converged
+        values, vectors = _arpack_top(spectra_module._sparse(m), 3)
         scale = max(1.0, np.abs(dense.values).max())
-        assert np.all(np.abs(lanczos.values - dense.values) <= 1e-6 * scale)
-        gram = lanczos.vectors.T @ lanczos.vectors
-        np.testing.assert_allclose(gram, np.eye(3), atol=1e-8)
+        assert np.all(np.abs(values - dense.values) <= 1e-6 * scale)
+        np.testing.assert_allclose(vectors.T @ vectors, np.eye(3), atol=1e-8)
+
+
+def _arpack_top(operand, k):
+    """The top k eigenpairs of `operand` by `_arpack(which="LA")`, descending."""
+    values, vectors = spectra_module._arpack(operand, k, "LA")
+    order = np.argsort(values)[::-1]
+    return values[order], vectors[:, order]
 
 
 class TestSpectralNorm:
