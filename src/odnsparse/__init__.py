@@ -7,7 +7,8 @@ effective resistances -> reconstruct a sparse matrix whose spectrum
 deviates from the original by at most
 eps * sqrt(n) * rho(L) + (delta_max - delta_min) / 2 per eigenvalue,
 with matching Davis-Kahan eigenvector angle bounds. Every bound is also
-checked numerically. All randomness is numpy PCG64, seeded and portable.
+checked numerically. All randomness is numpy PCG64 and seeded, and
+bit-reproducible under one numpy version (NEP 19).
 """
 
 from .core import (

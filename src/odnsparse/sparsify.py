@@ -6,8 +6,10 @@ contributes w_e / (q * p_e) to the sampled adjacency. The estimator is
 unbiased, and with q = ceil(C * n * ln n / eps^2) draws the sampled
 Laplacian satisfies (1 - eps) L <= L_hat <= (1 + eps) L in the
 positive-semidefinite order with failure probability at most 1/n for
-C >= 9. All randomness comes from numpy's PCG64 generator, so results
-are bit-reproducible for a fixed (input, epsilon, seed, C).
+C >= 9. Only the count of draws per edge matters, so the q draws are one
+multinomial over the edges, O(m) whatever q, on the sampler's own PCG64
+stream: results are bit-reproducible for a fixed (input, epsilon, seed, C)
+under one numpy version.
 
 The resistances and the verdict read L through one Cholesky factor of L
 with a vertex per connected component grounded (`PairSpectra.grounded_factor`),
@@ -16,15 +18,16 @@ the exact pencil (`verify_sparsifier`): the extreme generalized eigenvalues
 of (L_hat, L) on that grounded complement of ker L, and the leak of L_hat on
 ker L. ARPACK finds the two extremes, each widened outward by its Ritz
 residual and a rounding allowance, so the verdict compares an interval that
-holds the exact extremes with 1 +- eps. The sorted-eigenvalue corridor
-(1 - eps) mu_i <= mu_hat_i <= (1 + eps) mu_i follows from that verdict by
-Courant-Fischer, so it is not solved for separately.
+holds the exact extremes with 1 +- eps; on a forest the interval also holds
+every edge's weight ratio, the pencil's exact eigenvalues. The
+sorted-eigenvalue corridor (1 - eps) mu_i <= mu_hat_i <= (1 + eps) mu_i
+follows from that verdict by Courant-Fischer, so it is not solved for
+separately.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,9 +46,16 @@ from .spectra import (
 # epsilon threshold below which the strictest published edge-count
 # guarantees are stated; sampling itself works for any epsilon in (0, 1).
 EPSILON_SMALL_REGIME = 1.0 / 120.0
-# Least uniforms per block of the draws (512 KB); at least 16 per edge, so
-# that a block's m searches cost no more than its sort.
-_DRAW_BLOCK = 1 << 16
+# Mixed into the sampler's seed, `SeedSequence([seed, SAMPLER_TAG])`, so that
+# no generator or input writer seeded `PCG64(seed)` shares its stream.
+SAMPLER_TAG = 0x5A3B1E
+_INT64_MAX = np.iinfo(np.int64).max
+# Leverages are rounded to 24 significant bits (3e-8 relative) before they
+# are normalized. The multinomial splits a count between two categories of
+# conditional probability 1/2 by which side of 1/2 the last bit falls: a
+# path's leverages, all 1 up to 3e-13 of rounding that differs between the
+# dense and band factors, drew different sparsifiers. Rounded, they are equal.
+_LEVERAGE_SCALE = float(1 << 24)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,16 +105,19 @@ def effective_resistances(
     pairs `decomp.matrix.rows/cols/vals`; an edge's leverage is
     vals * resistance. R_uv = G_uu + G_vv - 2 G_uv, with G = L_g^-1 read
     through `PairSpectra.grounded_factor` (`GroundedFactor.resistances`), a
-    grounded vertex reading as 0: exact per component. A dense factor holds
-    O(n^2) memory whatever the edge count, a band factor O(n kd). Above the
-    pair's dense limit it raises DenseLimitExceededError.
+    grounded vertex reading as 0: exact per component. The probabilities are
+    the leverages rounded to 24 significant bits (`_LEVERAGE_SCALE`), over
+    their sum. A dense factor holds O(n^2) memory whatever the edge count, a
+    band factor O(n kd). Above the pair's dense limit it raises
+    DenseLimitExceededError.
     """
     spectra = PairSpectra.of(decomp)
     src = spectra.matrix
     if src.stored_pairs == 0:
         return np.zeros(0), np.zeros(0)
     resistance = spectra.grounded_factor.resistances(src.rows, src.cols, src.n)
-    leverage = src.vals * resistance
+    mantissa, exponent = np.frexp(src.vals * resistance)
+    leverage = np.ldexp(np.round(mantissa * _LEVERAGE_SCALE) / _LEVERAGE_SCALE, exponent)
     return resistance, leverage / leverage.sum()
 
 
@@ -123,47 +136,6 @@ def sample_count(n: int, epsilon: float, constant: float) -> int:
     return int(math.ceil(budget))
 
 
-def _uniforms(rng: np.random.Generator, q: int, block: int):
-    """The q uniforms of the draws, `block` at a time. OdnError naming q and
-    its 8 q bytes, before any draw, when those exceed physical memory (without
-    sysconf, numpy's largest array) or a block cannot be allocated: a tiny
-    epsilon can ask for terabytes, whose draws would run for hours (7.2e11,
-    5.8 TB, at about 80 M draws/s on one Xeon core: 2.5 h)."""
-    need = 8 * q
-    message = (f"the sample budget q={q} needs {need} bytes for its uniforms, "
-               "more than can be allocated; use a larger epsilon or a smaller "
-               "constant C")
-    try:
-        fits = need <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, OSError, ValueError):
-        fits = need <= np.iinfo(np.intp).max
-    if not fits:
-        raise OdnError(message)
-    for start in range(0, q, block):
-        try:
-            uniforms = rng.random(min(block, q - start))
-        except MemoryError:
-            raise OdnError(message) from None
-        yield uniforms
-
-
-def _draw_counts(uniforms: np.ndarray, cumulative: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws per edge of a block of uniforms, for cumulative
-    probabilities `cumulative`.
-
-    Edge k takes each u with cum[k-1] <= u < cum[k], so its count is
-    #{u < cum[k]} - #{u < cum[k-1]}; the last edge takes every u >= cum[-2],
-    which covers uniforms beyond cum[-1] when it rounds below 1. One sort
-    and m searches into the sorted uniforms replace q searches into the m
-    cumulative probabilities. A draw's edge depends on its uniform alone, so
-    the counts of blocks add up to those of their union. Sorts `uniforms` in
-    place.
-    """
-    uniforms.sort()
-    below = np.searchsorted(uniforms, cumulative[:-1], side="left")
-    return np.diff(below, prepend=0, append=len(uniforms))
-
-
 def sparsify_laplacian(
     decomp: LaplacianDecomposition | PairSpectra,
     epsilon: float,
@@ -173,27 +145,28 @@ def sparsify_laplacian(
     """Draw an epsilon-spectral sparsifier of the decomposition's Laplacian.
 
     Identical (decomp, epsilon, seed, constant) inputs give bit-identical
-    results. The q draws are inverse-CDF lookups of PCG64 uniforms in the
-    cumulative leverage probabilities, drawn in blocks of max(2^16, 16 m)
-    for m edges, so the draws hold O(block + m) memory, not O(q). Each
-    block's per-edge counts are read off its sorted uniforms with one search
-    per edge (`_draw_counts`) and summed; the blocks are consecutive pieces
-    of one PCG64 stream, so the counts equal one search per draw over all q.
-    Repeated draws of one edge accumulate weight. A Laplacian with no edges
-    short-circuits to the empty sparsifier. Given a PairSpectra, its
-    grounded factor of L is shared with the verdict.
+    results for one numpy version (NEP 19 does not fix `multinomial`'s stream
+    across versions). The q draws are one `Generator.multinomial(q, p)` over
+    the leverage probabilities, from the sampler's own stream
+    `PCG64(SeedSequence([seed, SAMPLER_TAG]))`: O(m) work and memory for m
+    edges, whatever q. Repeated draws of one edge accumulate weight. A
+    Laplacian with no edges short-circuits to the empty sparsifier. A q
+    past int64, which `multinomial` cannot count, raises OdnError before
+    the resistances. Given a PairSpectra, its grounded factor of L is shared
+    with the verdict.
     """
     _require_epsilon(epsilon)
     src = decomp.matrix
     q = sample_count(src.n, epsilon, constant)
     keep, weights, drawn = np.zeros(0, dtype=bool), np.zeros(0), 0  # no edges
     if src.stored_pairs:
+        if q > _INT64_MAX:
+            raise OdnError(f"the sample budget q={q} is past the int64 limit "
+                           f"{_INT64_MAX} of the draws; use a larger epsilon or a "
+                           "smaller constant C")
         probability = effective_resistances(decomp)[1]  # the resistances are freed
-        rng = np.random.Generator(np.random.PCG64(seed))
-        cumulative = np.cumsum(probability)
-        blocks = _uniforms(rng, q, max(_DRAW_BLOCK, 16 * len(cumulative)))
-        counts = sum(_draw_counts(u, cumulative) for u in blocks).astype(np.float64)
-        del cumulative  # m floats fewer held while the weights are formed
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, SAMPLER_TAG])))
+        counts = rng.multinomial(q, probability).astype(np.float64)
         weights = src.vals * (counts / (q * probability))
         keep, drawn = counts > 0, q
     return SparsifierResult(

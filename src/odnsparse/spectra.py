@@ -830,6 +830,23 @@ class PairSpectra:
                                (np.arange(len(labels)), labels)))
         return float(np.linalg.norm(_dense(x @ basis), 2))
 
+    def _forest_ratios(self) -> np.ndarray:
+        """w_hat_e / w_e over the edges of L's graph if it is a forest holding
+        L_hat's edges, else an empty array: an edge of a forest is a bridge,
+        and the indicator of its side has Rayleigh quotient w_hat_e / w_e."""
+        lap, n = self.laplacian, _size(self.laplacian)
+        stored = np.count_nonzero(lap) if isinstance(lap, np.ndarray) else lap.nnz
+        if stored > 3 * n:  # a forest stores n + 2 (n - components)
+            return np.zeros(0)
+        lower = sp.tril(_sparse(lap), -1, format="csr")
+        lower.eliminate_zeros()
+        hat = sp.tril(_sparse(self.laplacian_hat), -1, format="csr")
+        on_edges = np.asarray(hat[lower.nonzero()]).ravel()
+        if (lower.nnz != n - self._components()[0]
+                or np.count_nonzero(on_edges) != hat.count_nonzero()):
+            return np.zeros(0)
+        return on_edges / lower.data
+
     @cached_property
     def grounded_factor(self) -> GroundedFactor:
         """The Cholesky factor of L_g: L with the vertex of largest degree in
@@ -872,9 +889,11 @@ class PairSpectra:
         A reduced matrix of size below 3, or one on which ARPACK does not
         converge in _PENCIL_RESTARTS restarts, is solved dense, and its
         extremes are moved outward by `_rounding` alone (`paths["pencil"]`).
-        Either allowance counts at least _ROUNDING_FLOOR rows. L is factored
-        before L_hat's held form is built: one n x n array fewer alive during
-        the factorization.
+        Either allowance counts at least _ROUNDING_FLOOR rows. On a forest,
+        where L_g is worst conditioned (n^2 on a path), the interval also
+        holds each edge's ratio (`_forest_ratios`), moved outward likewise.
+        L is factored before L_hat's held form is built: one n x n array
+        fewer alive during the factorization.
         """
         factor = self.grounded_factor
         del self.grounded_factor
@@ -895,7 +914,11 @@ class PairSpectra:
             theta = np.linalg.eigvalsh(
                 reduced if isinstance(reduced, np.ndarray) else reduced.toarray())[[0, -1]]
         widen = residual + _rounding(max(size, _ROUNDING_FLOOR), theta)
-        return (float(theta[0] - widen[0]), float(theta[1] + widen[1])), leak
+        ratios = self._forest_ratios()
+        pad = _rounding(_ROUNDING_FLOOR, ratios)
+        low = min(theta[0] - widen[0], (ratios - pad).min(initial=np.inf))
+        high = max(theta[1] + widen[1], (ratios + pad).max(initial=-np.inf))
+        return (float(low), float(high)), leak
 
     @cached_property
     def laplacian_norm(self) -> float:

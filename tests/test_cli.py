@@ -360,10 +360,10 @@ def test_invalid_parameter_exits_one_with_one_error_line(argv, capsys):
         err.splitlines()[-1]]
 
 
-@pytest.mark.parametrize("epsilon", ["1e-5", "1e-10"])
+@pytest.mark.parametrize("epsilon", ["1e-10"])
 def test_sample_budget_beyond_memory_exits_one(epsilon, capsys):
-    """q = 7.2e11 uniforms (5.8 TB), and q = 7.2e21, past numpy's largest
-    array: a typed error naming q and the bytes, before anything is drawn."""
+    """q = 7.2e21, past int64 and any memory: a typed error naming q and the
+    int64 limit, before anything is drawn."""
     from odnsparse.sparsify import sample_count
 
     q = sample_count(5, float(epsilon), 9.0)
@@ -371,7 +371,19 @@ def test_sample_budget_beyond_memory_exits_one(epsilon, capsys):
     assert code == 1
     assert out == ""
     assert "Traceback" not in err
-    assert f"error: the sample budget q={q} needs {8 * q} bytes" in err
+    assert err.splitlines() == [
+        f"error: the sample budget q={q} is past the int64 limit {2**63 - 1} of the draws; "
+        "use a larger epsilon or a smaller constant C"]
+
+
+def test_sample_budget_of_terabytes_runs(capsys):
+    """q = 7.2e11 draws, 5.8 TB as uniforms, are one multinomial over K5's
+    10 edges: the run passes at once."""
+    from odnsparse.sparsify import sample_count
+
+    code, out, _ = run(["sparsify", "--gen", "complete:n=5", "--epsilon", "1e-5"], capsys)
+    assert code == 0
+    assert f"samples={sample_count(5, 1e-5, 9.0)} distinct_edges=10" in out
 
 
 class TestCommonFlags:
@@ -587,9 +599,10 @@ def _factor_csv(tmp_path):
 
 
 def test_failure_after_a_started_solve_does_not_wait_for_it(tmp_path):
-    """A sparsify that fails in the sampler, after M's band solve was started,
-    exits with its usual code and error line at once, in a fresh process
-    whose band solve never ends: the worker is a daemon thread."""
+    """A sparsify that fails in the sampler, on a budget past int64, after M's
+    band solve was started, exits with its usual code and error line at once,
+    in a fresh process whose band solve never ends: the worker is a daemon
+    thread."""
     import subprocess
     import sys
     import time
@@ -611,3 +624,4 @@ def test_failure_after_a_started_solve_does_not_wait_for_it(tmp_path):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("error: the sample budget q=")
+    assert "is past the int64 limit" in proc.stderr

@@ -402,21 +402,22 @@ def test_grid_band_values_memory():
 
 
 def test_grid_sampling_memory():
-    """On a 30 x 30 grid, the q = 881 591 draws come in blocks of 2^16
-    uniforms: the resistances and the draws, past L's band factor, peak below
-    a quarter of the 8 q bytes (7 MB) that all q uniforms took at once."""
+    """On a 30 x 30 grid the resistances and the draws, past L's band factor,
+    hold O(m) memory: below 32 doubles per edge (the band of G = L_g^-1, n
+    (kd + 1) doubles, is 16 of them), at q = 881 591 and at 100 times that
+    q, where one array of q doubles would be 705 MB."""
     matrix = generate_odn("grid", rows=30, cols=30, seed=1, diag=("uniform", 0, 1))
     spectra = PairSpectra(decompose(matrix))
     spectra.grounded_factor
-    q = sample_count(matrix.n, EPS, 9.0)
-    tracemalloc.start()
-    try:
-        result = sparsify_laplacian(spectra, EPS, SEED)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result.samples_drawn == q
-    assert peak < 8 * q / 4
+    for epsilon in (EPS, EPS / 10):
+        tracemalloc.start()
+        try:
+            result = sparsify_laplacian(spectra, epsilon, SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.samples_drawn == sample_count(matrix.n, epsilon, 9.0) >= 881_591
+        assert peak < 32 * 8 * matrix.stored_pairs
 
 
 @pytest.mark.parametrize("matrix", [

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -30,7 +31,6 @@ from odnsparse import (
 )
 from odnsparse import spectra
 from odnsparse import sparsify as sparsify_module
-from odnsparse.sparsify import _draw_counts, _uniforms
 
 from conftest import (
     complete_with_isolated_vertex,
@@ -214,19 +214,17 @@ class TestSparsify:
         with pytest.raises(OdnError, match="not finite"):
             sample_count(5, epsilon, constant)
 
-    def test_budget_past_numpy_largest_array_raises(self, monkeypatch):
-        """Without sysconf's memory size, the allocation itself is tried: past
-        numpy's largest array (q = 7.2e21) it fails, and the error is typed."""
-        from odnsparse import sparsify as sparsify_module
-
-        def no_sysconf(name):
-            raise ValueError(name)
-
-        monkeypatch.setattr(sparsify_module.os, "sysconf", no_sysconf)
-        d = decompose(generate_odn("complete", 5, weight=1.0))
+    def test_budget_past_numpy_largest_array_raises(self):
+        """q = 7.2e21 is past int64, numpy's largest array and the count type of
+        the multinomial draw: a typed error naming q and the limit, raised
+        before the resistances are read."""
+        pair = PairSpectra(decompose(generate_odn("complete", 5, weight=1.0)))
         q = sample_count(5, 1e-10, 9.0)
-        with pytest.raises(OdnError, match=f"q={q} needs {8 * q} bytes"):
-            sparsify_laplacian(d, 1e-10, seed=0)
+        limit = np.iinfo(np.int64).max
+        assert q > limit
+        with pytest.raises(OdnError, match=f"q={q} is past the int64 limit {limit}"):
+            sparsify_laplacian(pair, 1e-10, seed=0)
+        assert "grounded_factor" not in vars(pair)
 
     def test_epsilon_regime_flag(self):
         d = decompose(generate_odn("complete", 4, weight=1.0))
@@ -267,46 +265,66 @@ class TestSparsify:
         assert np.all(np.abs(row_sums) <= 1e-10 * np.maximum(res.degrees, 1.0))
 
 
-def reference_counts(uniforms, cumulative):
-    """The per-draw sampler that `_draw_counts` replaced: one search per
-    uniform, the overshoot clamped onto the last edge, then a bincount."""
-    drawn = np.searchsorted(cumulative, uniforms, side="right")
-    drawn = np.minimum(drawn, len(cumulative) - 1)
-    return np.bincount(drawn, minlength=len(cumulative))
-
-
 SAMPLER_INPUTS = {
     "grid-30x30": lambda: generate_odn("grid", rows=30, cols=30),
     "complete-400": lambda: generate_odn("complete", 400, seed=1),
     "erdos-renyi-500": lambda: generate_odn("erdos-renyi", 500, density=0.01, seed=3),
 }
-# Sampler seeds per input, and the blocks of uniforms its q draws take: grid
-# 30 x 30 draws q = 881 591 in 14 blocks of 2^16, Erdos-Renyi q = 447 452 in
-# 7, and complete n = 400 q <= 16 m in one.
-SAMPLER_SEEDS_AND_BLOCKS = {"grid-30x30": (8, 14), "complete-400": (6, 1),
-                            "erdos-renyi-500": (5, 7)}
+# Sampler seeds of the law tests: the means over them are compared with
+# 4 standard deviations of a mean over LAW_SEEDS independent draws.
+LAW_SEEDS = 200
+
+
+def sampler_stream(seed):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        [seed, sparsify_module.SAMPLER_TAG])))
+
+
+def drawn_counts(result, src, probability):
+    """Per-edge draw counts of a sparsifier of `src`, read back from its weights
+    w_e c_e / (q p_e); 0 for an edge it dropped."""
+    kept = np.isin(src.rows * src.n + src.cols, result.edges.rows * src.n + result.edges.cols)
+    exact = result.edges.vals * result.samples_drawn * probability[kept] / src.vals[kept]
+    counts = np.zeros(src.stored_pairs)
+    counts[kept] = np.rint(exact)
+    np.testing.assert_allclose(exact, counts[kept], rtol=1e-9)
+    return counts
+
+
+def assert_multinomial_law(counts, probability, q):
+    """Rows of `counts` are independent multinomial(q, probability) draws: their
+    mean kept share is within 4 sd of sum(1 - (1 - p_e)^q) / m, and their mean
+    count per edge in each leverage decile within 4 sd of q p_e's mean there.
+    Kept indicators are negatively correlated, so sum pi (1 - pi) bounds the
+    variance of the kept count."""
+    draws, m = counts.shape
+    kept = 1.0 - (1.0 - probability) ** q
+    sd = np.sqrt(np.sum(kept * (1.0 - kept))) / m / np.sqrt(draws)
+    assert abs((counts > 0).mean() - kept.mean()) <= 4.0 * sd + 1e-12
+    for decile in np.array_split(np.argsort(probability, kind="stable"), 10):
+        share = probability[decile].sum()
+        sd = np.sqrt(q * share * (1.0 - share)) / len(decile) / np.sqrt(draws)
+        mean = counts[:, decile].sum(axis=1).mean() / len(decile)
+        assert abs(mean - q * share / len(decile)) <= 4.0 * sd
 
 
 class TestSampler:
     @pytest.mark.parametrize("name", sorted(SAMPLER_INPUTS))
     def test_counts_and_adjacency_match_reference(self, name):
+        """The sampled adjacency is w_e c_e / (q p_e) on the drawn edges, with
+        c the multinomial counts of the sampler's own stream."""
         d = decompose(SAMPLER_INPUTS[name]())
         if name.startswith("erdos"):
             assert d.components[0] > 1
         pair = PairSpectra(d)  # one eigensolve for all seeds
         _, probability = effective_resistances(pair)
-        cumulative = np.cumsum(probability)
         q = sample_count(d.n, 0.25, 9.0)
-        seeds, blocks = SAMPLER_SEEDS_AND_BLOCKS[name]
-        assert -(-q // max(sparsify_module._DRAW_BLOCK, 16 * len(probability))) == blocks
         src = d.matrix
-        for seed in range(seeds):
-            uniforms = np.random.Generator(np.random.PCG64(seed)).random(q)
-            expected = reference_counts(uniforms, cumulative)
-            assert np.array_equal(_draw_counts(uniforms.copy(), cumulative), expected)
-
-            keep = expected > 0
-            w = (src.vals * (expected / (q * probability)))[keep]
+        for seed in range(5):
+            counts = sampler_stream(seed).multinomial(q, probability)
+            assert counts.sum() == q
+            keep = counts > 0
+            w = (src.vals * (counts / (q * probability)))[keep]
             i, j = src.rows[keep], src.cols[keep]
             reference = sp.csr_matrix(
                 (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
@@ -317,53 +335,70 @@ class TestSampler:
             assert np.array_equal(got.indices, reference.indices)
             assert np.array_equal(got.data, reference.data)
 
-    def test_single_edge(self):
-        uniforms = np.random.default_rng(0).random(50)
-        counts = _draw_counts(uniforms.copy(), np.array([1.0]))
-        assert np.array_equal(counts, reference_counts(uniforms, np.array([1.0])))
-        assert counts.tolist() == [50]
+    @pytest.mark.parametrize("name", ["complete-400", "grid-30x30"])
+    def test_law_over_sampler_seeds(self, name):
+        d = decompose(SAMPLER_INPUTS[name]())
+        pair = PairSpectra(d)
+        _, probability = effective_resistances(pair)
+        q = sample_count(d.n, 0.25, 9.0)
+        counts = np.array([drawn_counts(sparsify_laplacian(pair, 0.25, seed=seed), d.matrix,
+                                        probability) for seed in range(LAW_SEEDS)])
+        assert np.all(counts.sum(axis=1) == q)
+        assert_multinomial_law(counts, probability, q)
 
-    def test_uniforms_on_boundaries(self):
-        cumulative = np.array([0.0, 0.25, 0.25, 0.5, 0.75, 1.0])
-        uniforms = np.array([0.0, 0.25, 0.25, 0.5, 0.75, 0.75, 0.1, 0.9, 0.5])
-        counts = _draw_counts(uniforms.copy(), cumulative)
-        assert np.array_equal(counts, reference_counts(uniforms, cumulative))
-        assert counts.tolist() == [0, 2, 0, 2, 2, 3]
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5])
+    @pytest.mark.parametrize("model", ["complete", "grid"])
+    def test_law_when_generator_and_sampler_seeds_agree(self, model, seed):
+        """An input drawn from PCG64(s) and sampled with seed s: the sampler's
+        stream is its own, so one draw keeps the law. Read from PCG64(s), the
+        multinomial keeps 0.9998 of complete n = 400's edges for s = 1."""
+        if model == "complete":
+            matrix = generate_odn("complete", 400, seed=seed)
+        else:
+            matrix = generate_odn("grid", rows=30, cols=30, seed=seed, diag=("uniform", 0, 1))
+        pair = PairSpectra(decompose(matrix))
+        _, probability = effective_resistances(pair)
+        q = sample_count(matrix.n, 0.25, 9.0)
+        counts = drawn_counts(sparsify_laplacian(pair, 0.25, seed=seed), matrix, probability)
+        assert_multinomial_law(counts[None, :], probability, q)
+
+    def test_single_edge(self):
+        """A lone edge takes all q draws, whatever the seed."""
+        d = decompose(generate_odn("complete", 2, weight=5.0))
+        q = sample_count(2, 0.25, 9.0)
+        for seed in (0, 1, 99):
+            res = sparsify_laplacian(d, 0.25, seed=seed)
+            assert drawn_counts(res, d.matrix, np.ones(1)).tolist() == [q]
 
     def test_last_cumulative_below_one_clamps(self):
+        """The sampler relies on the multinomial giving its last edge 1 minus
+        the other edges' sum: probabilities whose sum rounds below 1 still
+        draw q in all, the last edge taking the gap."""
         probability = np.full(10, 0.1)
-        cumulative = np.cumsum(probability)
-        assert cumulative[-1] < 1.0
-        cumulative[-1] = 1.0 - 2.0**-20  # force a gap below 1
-        uniforms = np.concatenate([
-            np.random.default_rng(1).random(200),
-            np.linspace(cumulative[-1], np.nextafter(1.0, 0.0), 7),
-        ])
-        counts = _draw_counts(uniforms.copy(), cumulative)
-        assert np.array_equal(counts, reference_counts(uniforms, cumulative))
-        assert counts.sum() == len(uniforms)
+        assert np.cumsum(probability)[-1] < 1.0
+        probability[-1] -= 2.0**-20  # force a gap below 1
+        counts = sampler_stream(0).multinomial(1000, probability)
+        assert counts.sum() == 1000
+        assert np.array_equal(counts, sampler_stream(0).multinomial(
+            1000, np.append(probability[:-1], 1.0 - probability[:-1].sum())))
 
 
-class TestBlockedDraws:
-    """The draws come in blocks of uniforms, and the counts of each block are
-    summed: bit for bit the counts of one sort of all q uniforms."""
-
-    # q below one block, q one block, and q = k blocks + a remainder.
-    @pytest.mark.parametrize("q", [63, 64, 3 * 64 + 17])
-    # A last cumulative probability of 0.7: 30% of the draws past it, which
-    # the last edge takes.
-    @pytest.mark.parametrize("last", [1.0, 0.7])
-    def test_block_counts_equal_one_sort(self, q, last):
-        cumulative = np.array([0.2, 0.5, 0.6, last])
-        blocks = list(_uniforms(np.random.Generator(np.random.PCG64(5)), q, 64))
-        assert [len(u) for u in blocks] == [64] * (q // 64) + [q % 64] * (q % 64 > 0)
-        uniforms = np.random.Generator(np.random.PCG64(5)).random(q)
-        assert np.array_equal(np.concatenate(blocks), uniforms)
-        expected = _draw_counts(uniforms.copy(), cumulative)
-        assert np.array_equal(sum(_draw_counts(u, cumulative) for u in blocks), expected)
-        assert np.array_equal(expected, reference_counts(uniforms, cumulative))
-        if last < 1.0:
-            assert expected[-1] > 0.3 * q
+@pytest.mark.skipif(np.__version__ != "2.4.6",
+                    reason=f"the pin is numpy 2.4.6's multinomial stream, and numpy "
+                           f"{np.__version__} is installed (NEP 19 lets it change)")
+def test_sampler_stream_pinned():
+    """One fixed-seed sparsifier's (rows, cols, vals) bytes, so a numpy whose
+    multinomial stream moves is caught rather than silently resampled. The
+    leverages' rounding to 24 bits keeps the weights' bytes the same under
+    every OpenBLAS kernel tried (Prescott to SkylakeX and Zen), although the
+    resistances round differently under each."""
+    d = decompose(generate_odn("grid", rows=30, cols=30, seed=0))
+    e = sparsify_laplacian(PairSpectra(d), 0.25, seed=0).edges
+    digest = hashlib.sha256()
+    for part in (e.rows.astype("<i8"), e.cols.astype("<i8"), e.vals.astype("<f8")):
+        digest.update(part.tobytes())
+    assert digest.hexdigest() == (
+        "23f9f4b8986415cb51ffe78421a98d9d864f7e324d70632933ad99ce5f89c356")
 
 
 EPSILON_ENTRY_POINTS = {

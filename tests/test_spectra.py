@@ -738,8 +738,9 @@ class TestLiveAngles:
         assert spectra.paths["matrix_hat_vectors"] == "arpack"
 
     def test_vacuous_everywhere_solves_no_vectors(self, monkeypatch):
+        # The premise needs every bound above 1: sampler seed 0's least is 1.09.
         m = generate_odn("grid", rows=6, cols=7, seed=1, diag=("uniform", 0, 1))
-        m_hat = _sparsified(m)
+        m_hat = _sparsified(m, seed=0)
 
         def no_vectors(*args, **kwargs):
             raise AssertionError("an eigenvector was solved")
