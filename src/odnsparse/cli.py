@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _import_s
 from .core import decompose
 from .errors import NotOdnError, OdnError
 from .generators import generate_odn, parse_generator_spec
@@ -168,17 +168,20 @@ def _warn_small_regime(epsilon):
 
 
 def _close_timings(timings, args, paths) -> None:
-    """Record in `timings` the peak resident set so far (ru_maxrss: KiB on
-    Linux, bytes on macOS), each bundled OpenBLAS pool's owner, library and
-    thread count in effect (`_blas_pools`) as `blas`, and the path each role
-    took (`paths`, see `PairSpectra.paths`) as `paths`, and, on -v, print
-    the stage timings, the peak, the same pools and the same paths."""
+    """Record in `timings` the wall time of the package's import as
+    `import_s`, the peak resident set so far (ru_maxrss: KiB on Linux, bytes
+    on macOS), each bundled OpenBLAS pool's owner, library and thread count
+    in effect (`_blas_pools`) as `blas`, and the path each role took
+    (`paths`, see `PairSpectra.paths`) as `paths`, and, on -v, print the
+    import and stage timings, the peak, the same pools and the same paths."""
+    timings["import_s"] = _import_s
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     timings["peak_rss_mb"] = peak / (1 << (20 if sys.platform == "darwin" else 10))
     timings["blas"] = [{"owner": owner, "library": library, "threads": threads}
                        for owner, library, threads in _blas_pools()]
     timings["paths"] = dict(paths)
     if args.verbose:
+        print(f"timing: import {_import_s * 1e3:.2f} ms", file=sys.stderr)
         for stage, seconds in timings.get("stages", {}).items():
             print(f"timing: {stage} {seconds * 1e3:.2f} ms", file=sys.stderr)
         print(f"memory: peak RSS {timings['peak_rss_mb']:.1f} MB", file=sys.stderr)

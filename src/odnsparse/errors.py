@@ -93,6 +93,14 @@ class InvalidConstantError(OdnError):
         self.constant = constant
 
 
+class InvalidSeedError(OdnError):
+    """The sampler's seed is not a non-negative integer."""
+
+    def __init__(self, seed):
+        super().__init__(f"seed must be a non-negative integer, got {seed!r}")
+        self.seed = seed
+
+
 class ParseError(OdnError):
     """A matrix file line could not be parsed."""
 

@@ -28,13 +28,14 @@ separately.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .core import GraphViews, LaplacianDecomposition, OdnMatrix, _degrees
-from .errors import OdnError
+from .errors import InvalidSeedError, OdnError
 from .spectra import (
     PairSpectra,
     _max_abs,
@@ -121,6 +122,14 @@ def effective_resistances(
     return resistance, leverage / leverage.sum()
 
 
+def _require_seed(seed) -> None:
+    """Raise InvalidSeedError unless the seed is a non-negative integer (not a
+    bool): `SeedSequence` rejects a negative one only after the resistances,
+    and on an input with no edges nothing would read it at all."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidSeedError(seed)
+
+
 def sample_count(n: int, epsilon: float, constant: float) -> int:
     """Number of i.i.d. edge draws: ceil(C * n * ln(max(n, 2)) / eps^2).
 
@@ -150,12 +159,14 @@ def sparsify_laplacian(
     the leverage probabilities, from the sampler's own stream
     `PCG64(SeedSequence([seed, SAMPLER_TAG]))`: O(m) work and memory for m
     edges, whatever q. Repeated draws of one edge accumulate weight. A
-    Laplacian with no edges short-circuits to the empty sparsifier. A q
-    past int64, which `multinomial` cannot count, raises OdnError before
-    the resistances. Given a PairSpectra, its grounded factor of L is shared
-    with the verdict.
+    Laplacian with no edges short-circuits to the empty sparsifier, after
+    an epsilon outside (0, 1) or a seed that is not a non-negative integer
+    (InvalidSeedError) has raised. A q past int64, which `multinomial`
+    cannot count, raises OdnError before the resistances. Given a
+    PairSpectra, its grounded factor of L is shared with the verdict.
     """
     _require_epsilon(epsilon)
+    _require_seed(seed)
     src = decomp.matrix
     q = sample_count(src.n, epsilon, constant)
     keep, weights, drawn = np.zeros(0, dtype=bool), np.zeros(0), 0  # no edges

@@ -62,11 +62,22 @@ def grounded_resistances(matrix: OdnMatrix) -> np.ndarray:
 
 def dense_pencil(lap, lap_hat) -> np.ndarray:
     """Reference eigenvalues of the pencil (L_hat, L) on the complement of
-    ker L that grounding each component's lowest vertex leaves, ascending:
-    `scipy.linalg.eigh(L_hat_g, L_g)`. Either Laplacian may be held sparse or
-    dense."""
+    ker L that grounding each component's lowest vertex leaves, ascending.
+    Either Laplacian may be held sparse or dense.
+
+    If L's graph is a forest (n - components edges) holding L_hat's edges,
+    L = B W B' and L_hat = B W_hat B' with the edge-vertex incidence B of
+    independent columns, so the eigenvalues are exactly the sorted ratios
+    w_hat_e / w_e, which are returned. Otherwise they are
+    `scipy.linalg.eigh(L_hat_g, L_g)`, which is off the exact extremes by
+    hundreds of eps on paths of 50 vertices, where L_g's condition number
+    is n^2."""
     lap, lap_hat = _dense(lap), _dense(lap_hat)
     kept = np.concatenate(grounded_lowest(lap))
+    weights, weights_hat = np.tril(lap, -1), np.tril(lap_hat, -1)
+    edges = weights != 0
+    if np.count_nonzero(edges) == len(kept) and not (weights_hat[~edges] != 0).any():
+        return np.sort(weights_hat[edges] / weights[edges])
     block = np.ix_(kept, kept)
     return scipy.linalg.eigh(lap_hat[block], lap[block], eigvals_only=True)
 

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import odnsparse
 from odnsparse import OdnMatrix, read_matrix_market, write_matrix_market
 from odnsparse.cli import main
 from odnsparse.report import validate_report
@@ -360,6 +361,26 @@ def test_invalid_parameter_exits_one_with_one_error_line(argv, capsys):
         err.splitlines()[-1]]
 
 
+@pytest.mark.parametrize("command", ["sparsify", "pca-demo"])
+def test_negative_seed_exits_one_before_any_solve(command, tmp_path, monkeypatch, capsys):
+    """A seed numpy's SeedSequence would refuse only after the resistances
+    is refused first, in one error line naming the seed."""
+    from odnsparse import sparsify
+
+    def no_resistances(*args, **kwargs):
+        raise AssertionError("resistances computed before the seed was checked")
+
+    monkeypatch.setattr(sparsify, "effective_resistances", no_resistances)
+    source = (["--gen", "complete:n=6"] if command == "sparsify"
+              else ["--input", str(_factor_csv(tmp_path))])
+    code, out, err = run([command, *source, "--seed", "-1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: seed must be a non-negative integer, got -1"]
+
+
 @pytest.mark.parametrize("epsilon", ["1e-10"])
 def test_sample_budget_beyond_memory_exits_one(epsilon, capsys):
     """q = 7.2e21, past int64 and any memory: a typed error naming q and the
@@ -503,8 +524,9 @@ class TestCommonFlags:
     def test_report_times_each_stage_once(self, command, extra, stages, pair_paths,
                                           tmp_path, capsys):
         """Each command's timings.stages names each of its stages once (the
-        report sorts its keys), and -v prints one timing line for each, in the
-        order they ran."""
+        report sorts its keys), timings.import_s holds the package's import
+        time, and -v prints one timing line for the import and then one for
+        each stage, in the order they ran."""
         argv = self._argv(command, pair_paths, tmp_path) + extra
         if extra:
             argv.append(str(tmp_path / "out.mtx"))
@@ -514,8 +536,9 @@ class TestCommonFlags:
         timings = json.loads(report_path.read_text())["timings"]
         assert list(timings["stages"]) == sorted(stages)
         assert all(seconds >= 0 for seconds in timings["stages"].values())
+        assert timings["import_s"] == odnsparse._import_s > 0
         assert [line.split()[1] for line in err.splitlines()
-                if line.startswith("timing: ")] == stages
+                if line.startswith("timing: ")] == ["import"] + stages
 
     @pytest.mark.parametrize("command,starts", [
         ("sparsify", [("start", ("matrix",)), "sparsify_laplacian",

@@ -15,6 +15,7 @@ from odnsparse import (
     FactorizationError,
     InvalidConstantError,
     InvalidEpsilonError,
+    InvalidSeedError,
     OdnError,
     OdnMatrix,
     PairSpectra,
@@ -194,6 +195,32 @@ class TestSparsify:
         d = decompose(generate_odn("complete", 4, weight=1.0))
         with pytest.raises(InvalidConstantError):
             sparsify_laplacian(d, 0.5, constant=0.0)
+
+    @pytest.mark.parametrize("bad", [-1, -4, np.int64(-2), 1.5, 2.0, "3", None, True],
+                             ids=["-1", "-4", "int64-negative", "1.5", "2.0", "str", "None",
+                                  "bool"])
+    def test_seed_must_be_a_non_negative_integer(self, bad, monkeypatch):
+        """Checked first, whatever the edge count: before any resistance on an
+        input with edges, and on one without, where no draw reads the seed."""
+        def no_resistances(*args, **kwargs):
+            raise AssertionError("resistances computed before the seed was checked")
+
+        monkeypatch.setattr(sparsify_module, "effective_resistances", no_resistances)
+        for matrix in (generate_odn("complete", 4, weight=1.0),
+                       generate_odn("erdos-renyi", 4, density=0.0)):
+            pair = PairSpectra(decompose(matrix))
+            with pytest.raises(InvalidSeedError, match="seed must be a non-negative integer"):
+                sparsify_laplacian(pair, 0.25, seed=bad)
+            assert "grounded_factor" not in vars(pair)
+
+    def test_numpy_integer_seed_is_the_same_seed(self):
+        d = decompose(generate_odn("complete", 6, seed=2))
+        for seed in (0, 7):
+            edges = sparsify_laplacian(d, 0.5, seed=seed).edges
+            same = sparsify_laplacian(d, 0.5, seed=np.int64(seed))
+            assert same.seed == seed and type(same.seed) is int
+            assert np.array_equal(same.edges.vals, edges.vals)
+            assert np.array_equal(same.edges.rows, edges.rows)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), None],
                              ids=["0", "-1", "nan", "inf", "None"])
