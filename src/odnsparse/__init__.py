@@ -22,10 +22,14 @@ import sys as _sys
 # import would: its `array_api_compat.clone_module` calls `hasattr(numpy,
 # name)` for every name in `dir(numpy)`, and numpy 2's module `__getattr__`
 # imports each submodule it lists. numpy.f2py and numpy.testing are about a
-# third of the CLI's start-up. numpy.ma (read by `np.unique` in
-# `scipy.sparse.diags`) and numpy.random (the sampler, ARPACK's start vector)
-# run in every command, so deferring them would only move their import there.
-_DEFERRED_NUMPY_SUBMODULES = ("numpy.f2py", "numpy.testing", "numpy.polynomial")
+# third of the CLI's start-up; the last five hold about 1.7 MB resident.
+# numpy.ma runs only where `np.unique` reads `np.ma.is_masked`, as a
+# `dia_matrix`'s check does (`scipy.sparse.diags`), and no command builds one
+# (`core.diagonal_csr`). numpy.random (the sampler, ARPACK's start vector)
+# runs in every command, so deferring it would only move its import there.
+_DEFERRED_NUMPY_SUBMODULES = ("numpy.f2py", "numpy.testing", "numpy.polynomial",
+                              "numpy.ma", "numpy.char", "numpy.rec", "numpy.strings",
+                              "numpy.ctypeslib")
 
 
 def _defer_numpy_submodules() -> None:

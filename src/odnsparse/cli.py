@@ -40,6 +40,7 @@ from .report import (
 from .sparsify import (
     EPSILON_SMALL_REGIME,
     sample_count,
+    sampler_budget,
     sparsify_laplacian,
     verify_sparsifier,
 )
@@ -231,6 +232,8 @@ def cmd_sparsify(args) -> int:
     stages = timings["stages"]
     matrix, source = _load_matrix(args, stages)
     _warn_small_regime(args.epsilon)
+    # The sampler's arguments are checked before M's values solve can start.
+    sampler_budget(matrix, args.epsilon, args.seed, args.constant)
 
     # A band side of M or M_hat starts its values solve on the pair's worker
     # as soon as it exists; the spectral report collects both.

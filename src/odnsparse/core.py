@@ -220,6 +220,14 @@ def validate_odn(raw, rtol: float = SYMMETRY_RTOL) -> OdnMatrix:
     return _validate_dense(arr, rtol)
 
 
+def diagonal_csr(d: np.ndarray) -> sp.csr_matrix:
+    """The diagonal matrix of `d` as CSR, built directly: `sp.diags` builds a
+    `dia_matrix`, whose check runs `np.unique` and so imports numpy.ma. Sums
+    and differences with it store what they would with `sp.diags(d)`."""
+    n = len(d)
+    return sp.csr_matrix((d, np.arange(n), np.arange(n + 1)), shape=(n, n))
+
+
 def _degrees(edges: OdnMatrix) -> np.ndarray:
     """Weighted degrees: the row sums of a transient adjacency, which is
     released once they are taken."""
@@ -251,7 +259,7 @@ class GraphViews:
 
     @cached_property
     def laplacian(self) -> sp.csr_matrix:
-        return (sp.diags(self.degrees) - self.edges.adjacency()).tocsr()
+        return diagonal_csr(self.degrees) - self.edges.adjacency()
 
     @property
     def laplacian_nnz(self) -> int:

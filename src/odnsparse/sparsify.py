@@ -42,6 +42,7 @@ from .spectra import (
     _require_constant,
     _require_epsilon,
     _require_same_shape,
+    _size,
 )
 
 # epsilon threshold below which the strictest published edge-count
@@ -145,6 +146,23 @@ def sample_count(n: int, epsilon: float, constant: float) -> int:
     return int(math.ceil(budget))
 
 
+def sampler_budget(matrix: OdnMatrix, epsilon: float, seed: int, constant: float) -> int:
+    """The sampler's draw count q for `matrix`'s edges (`sample_count`), once
+    its arguments are checked, in this order: InvalidEpsilonError unless
+    0 < epsilon < 1, InvalidSeedError unless the seed is a non-negative
+    integer, the errors of `sample_count`, and OdnError for a q past int64,
+    which `multinomial` cannot count, where there are edges to draw. Needs no
+    solve: a command checks its arguments with it before any starts."""
+    _require_epsilon(epsilon)
+    _require_seed(seed)
+    q = sample_count(matrix.n, epsilon, constant)
+    if matrix.stored_pairs and q > _INT64_MAX:
+        raise OdnError(f"the sample budget q={q} is past the int64 limit "
+                       f"{_INT64_MAX} of the draws; use a larger epsilon or a "
+                       "smaller constant C")
+    return q
+
+
 def sparsify_laplacian(
     decomp: LaplacianDecomposition | PairSpectra,
     epsilon: float,
@@ -162,19 +180,14 @@ def sparsify_laplacian(
     Laplacian with no edges short-circuits to the empty sparsifier, after
     an epsilon outside (0, 1) or a seed that is not a non-negative integer
     (InvalidSeedError) has raised. A q past int64, which `multinomial`
-    cannot count, raises OdnError before the resistances. Given a
-    PairSpectra, its grounded factor of L is shared with the verdict.
+    cannot count, raises OdnError before the resistances (`sampler_budget`
+    checks all of these). Given a PairSpectra, its grounded factor of L is
+    shared with the verdict.
     """
-    _require_epsilon(epsilon)
-    _require_seed(seed)
     src = decomp.matrix
-    q = sample_count(src.n, epsilon, constant)
+    q = sampler_budget(src, epsilon, seed, constant)
     keep, weights, drawn = np.zeros(0, dtype=bool), np.zeros(0), 0  # no edges
     if src.stored_pairs:
-        if q > _INT64_MAX:
-            raise OdnError(f"the sample budget q={q} is past the int64 limit "
-                           f"{_INT64_MAX} of the draws; use a larger epsilon or a "
-                           "smaller constant C")
         probability = effective_resistances(decomp)[1]  # the resistances are freed
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, SAMPLER_TAG])))
         counts = rng.multinomial(q, probability).astype(np.float64)
@@ -223,20 +236,20 @@ def verify_sparsifier(laplacian, laplacian_hat=None, epsilon=None) -> Verificati
     _require_epsilon(epsilon)
     spectra = PairSpectra.of(laplacian, laplacian_hat)
     _require_same_shape(spectra.base, spectra.hat)
-    lap = spectra.laplacian
     gen_min = gen_max = eps_hat = None
 
-    if _max_abs(lap) == 0.0:
-        scale_hat = _max_abs(spectra.laplacian_hat)
-        kernel_leak, passed, mode = scale_hat, scale_hat <= 1e-12, "trivial-zero"
+    if _max_abs(spectra.laplacian) == 0.0:
+        kernel_leak = spectra.laplacian_hat_scale
+        passed, mode = kernel_leak <= 1e-12, "trivial-zero"
     else:
-        (gen_min, gen_max), kernel_leak = spectra.pencil  # before L_hat's held form
-        scale_hat = _max_abs(spectra.laplacian_hat)
+        spectra.grounded_factor  # the dense limit first: rho(L) would run ARPACK above it
+        spectra.laplacian_norm  # read while L is held: the pencil drops it
+        (gen_min, gen_max), kernel_leak = spectra.pencil
         eps_hat = max(1.0 - gen_min, gen_max - 1.0)
-        passed = (kernel_leak <= 1e-8 * max(spectra.laplacian_norm, scale_hat)
+        passed = (kernel_leak <= 1e-8 * max(spectra.laplacian_norm, spectra.laplacian_hat_scale)
                   and gen_min >= 1.0 - epsilon - 1e-9 and gen_max <= 1.0 + epsilon + 1e-9)
         mode = "exact"
 
-    return VerificationRecord(n=lap.shape[0], epsilon=float(epsilon), gen_min=gen_min,
+    return VerificationRecord(n=_size(spectra.base), epsilon=float(epsilon), gen_min=gen_min,
                               gen_max=gen_max, kernel_leak=kernel_leak, passed=bool(passed),
                               mode=mode, eps_hat=eps_hat)

@@ -51,12 +51,13 @@ where that block is small.
 
 The pair holds each Laplacian in one form, read by every role: a dense
 array when the graph is dense and within the limit, else its CSR
-Laplacian. With a dense factor, the pencil's solve holds the reduced
-matrix, which ARPACK multiplies by without a copy, besides the held
-Laplacians: 3 n^2 floats for a dense pair, n^2 for a sparse one. A band
-factor holds O(n kd) floats, kd its bandwidth. The pair drops the held
-Laplacians itself (`release_laplacians`) before its eigensolves of M and
-M_hat (`matrix_values`), after which no check reads them; the spectral stage
+Laplacian. The pencil drops each held Laplacian once it has read it
+(`release_laplacians`): with a dense factor it holds at most C^-1, L_hat
+and one grounded block, 3 n^2 floats for a dense pair, and its solve only
+the reduced matrix, which ARPACK multiplies by without a copy. A band
+factor holds O(n kd) floats, kd its bandwidth. The pair drops any Laplacian
+still held before its eigensolves of M and M_hat (`matrix_values`), after
+which no check reads them; the spectral stage
 holds no n x n eigenvector array unless the angle check needs a dense
 fallback; a grid holds no n x n array at all.
 """
@@ -82,7 +83,8 @@ from scipy.linalg import eigh_tridiagonal  # noqa: F401  (bench/tracer.py patche
 from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .core import GraphViews, LaplacianDecomposition, OdnMatrix, decompose, validate_odn
+from .core import (GraphViews, LaplacianDecomposition, OdnMatrix, decompose, diagonal_csr,
+                   validate_odn)
 from .errors import (
     DenseLimitExceededError,
     DimensionMismatchError,
@@ -361,7 +363,7 @@ def _sparse(x) -> sp.csr_matrix:
     if isinstance(x, GraphViews):
         return x.laplacian
     if isinstance(x, OdnMatrix):
-        return sp.csr_matrix(x.adjacency() + sp.diags(x.diag))
+        return x.adjacency() + diagonal_csr(x.diag)
     return sp.csr_matrix(x)
 
 
@@ -732,19 +734,21 @@ class PairSpectra:
         self._hat = side
         self.__dict__.pop("laplacian_hat", None)  # held for the previous side
 
-    def release_laplacians(self) -> None:
-        """Drop the held `laplacian` and `laplacian_hat`, and a CSR Laplacian
-        cached on either side, once no check reads them again: a dense pair
-        frees 2 n^2 x 8 B, and where anything was dropped the heap's free
-        pages go back to the system (`_malloc_trim`). `spectral_report` calls
-        it before ||M - M_hat||, and `matrix_values` before its solves. A
-        role read later builds its form again."""
-        dropped = [self.__dict__.pop(role, None) is not None
-                   for role in ("laplacian", "laplacian_hat")]
-        for side in (self.base, self.hat):
+    def release_laplacians(self, *roles: str) -> None:
+        """Drop the held `laplacian` and `laplacian_hat`, or only the `roles`
+        named, and the CSR Laplacian cached on each such side, once no check
+        reads them again: a dense pair frees n^2 x 8 B a side, and where
+        anything was dropped the heap's free pages go back to the system
+        (`_malloc_trim`). The pencil drops each side once it has read it,
+        `spectral_report` calls this before ||M - M_hat||, and `matrix_values`
+        before its solves. A role read later builds its form again."""
+        dropped = False
+        for role in roles or ("laplacian", "laplacian_hat"):
+            side = self.base if role == "laplacian" else self.hat
+            dropped |= self.__dict__.pop(role, None) is not None
             if isinstance(side, GraphViews):
-                dropped.append(side.__dict__.pop("laplacian", None) is not None)
-        if any(dropped) and _malloc_trim is not None:
+                dropped |= side.__dict__.pop("laplacian", None) is not None
+        if dropped and _malloc_trim is not None:
             _malloc_trim(0)
 
     @cached_property
@@ -892,13 +896,24 @@ class PairSpectra:
         Either allowance counts at least _ROUNDING_FLOOR rows. On a forest,
         where L_g is worst conditioned (n^2 on a path), the interval also
         holds each edge's ratio (`_forest_ratios`), moved outward likewise.
-        L is factored before L_hat's held form is built: one n x n array
-        fewer alive during the factorization.
+
+        Each n x n array goes once read: L is factored first (and the dense
+        limit checked there), the forest ratios read it, and the held L is
+        dropped before L_hat's form is built (read rho(L), `laplacian_norm`,
+        before the pencil, as `verify_sparsifier` does); the held L_hat is
+        dropped once the leak, max |L_hat_ij| (`laplacian_hat_scale`) and its
+        grounded block are taken, and the dense factor once the reduced
+        matrix is formed. A dense pair so holds at most C^-1, L_hat and one
+        block, 3 n^2 doubles.
         """
         factor = self.grounded_factor
         del self.grounded_factor
+        ratios = self._forest_ratios()
+        self.release_laplacians("laplacian")
         leak = self._kernel_leak(self.laplacian_hat)
+        self.laplacian_hat_scale  # cached for the verdict
         reduced = factor.reduced(self.laplacian_hat)
+        self.release_laplacians("laplacian_hat")
         del factor
         size, theta, residual = reduced.shape[0], None, 0.0
         if size >= 3:
@@ -914,7 +929,6 @@ class PairSpectra:
             theta = np.linalg.eigvalsh(
                 reduced if isinstance(reduced, np.ndarray) else reduced.toarray())[[0, -1]]
         widen = residual + _rounding(max(size, _ROUNDING_FLOOR), theta)
-        ratios = self._forest_ratios()
         pad = _rounding(_ROUNDING_FLOOR, ratios)
         low = min(theta[0] - widen[0], (ratios - pad).min(initial=np.inf))
         high = max(theta[1] + widen[1], (ratios + pad).max(initial=-np.inf))
@@ -927,6 +941,11 @@ class PairSpectra:
         norm, self.paths["laplacian_norm"] = _norm_bracket(
             "laplacian_norm", self.eigsh_operand(self.laplacian), self.dense_limit)
         return norm[1]
+
+    @cached_property
+    def laplacian_hat_scale(self) -> float:
+        """max |L_hat_ij|: the scale of the leak's tolerance."""
+        return _max_abs(self.laplacian_hat)
 
     def start_values(self, *sides: str) -> None:
         """Start the values solve of each side named, "matrix" or

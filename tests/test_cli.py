@@ -459,15 +459,15 @@ class TestCommonFlags:
             for pool in pools]
 
     @pytest.mark.parametrize("command,paths", [
-        ("sparsify", ["factor dense", "pencil arpack", "laplacian_norm arpack",
+        ("sparsify", ["factor dense", "laplacian_norm arpack", "pencil arpack",
                       "matrix_diff_norm arpack", "matrix_values dense",
                       "matrix_hat_values dense", "matrix_vectors dense",
                       "matrix_hat_vectors dense"]),
-        ("verify", ["factor dense", "pencil arpack", "laplacian_norm arpack",
+        ("verify", ["factor dense", "laplacian_norm arpack", "pencil arpack",
                     "matrix_diff_norm arpack", "matrix_values dense",
                     "matrix_hat_values dense", "matrix_vectors dense",
                     "matrix_hat_vectors dense"]),
-        ("pca-demo", ["factor dense", "pencil arpack", "laplacian_norm arpack",
+        ("pca-demo", ["factor dense", "laplacian_norm arpack", "pencil arpack",
                       "matrix_values dense", "matrix_hat_values dense"]),
         ("bounds", ["laplacian_norm arpack"]),
     ])
@@ -509,7 +509,7 @@ class TestCommonFlags:
                             "-v"], capsys)
         assert code == 0
         assert [line[6:] for line in err.splitlines() if line.startswith("path: ")] == [
-            "factor band kd=30", "pencil arpack", "laplacian_norm arpack",
+            "factor band kd=30", "laplacian_norm arpack", "pencil arpack",
             "matrix_diff_norm arpack", "matrix_values band kd=30",
             "matrix_hat_values band kd=30"]
 
@@ -622,10 +622,10 @@ def _factor_csv(tmp_path):
 
 
 def test_failure_after_a_started_solve_does_not_wait_for_it(tmp_path):
-    """A sparsify that fails in the sampler, on a budget past int64, after M's
-    band solve was started, exits with its usual code and error line at once,
-    in a fresh process whose band solve never ends: the worker is a daemon
-    thread."""
+    """A sparsify that fails after M's band solve was started, on an
+    --out-matrix path whose directory does not exist, exits with its usual
+    code and error line at once, in a fresh process whose band solve never
+    ends: the worker is a daemon thread."""
     import subprocess
     import sys
     import time
@@ -640,11 +640,32 @@ def test_failure_after_a_started_solve_does_not_wait_for_it(tmp_path):
     started = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-c", script, "sparsify", "--gen",
-         "grid:rows=30,cols=30,diag=uniform(0,1)", "--epsilon", "1e-10"],
+         "grid:rows=30,cols=30,diag=uniform(0,1)", "--out-matrix", "missing/hat.mtx"],
         capture_output=True, text=True, timeout=120, env=child_env(), cwd=tmp_path)
     assert time.monotonic() - started < 60
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines()[-1].startswith("error: the sample budget q=")
-    assert "is past the int64 limit" in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("error: [Errno 2] No such file")
+    assert "missing/hat.mtx" in proc.stderr
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--seed", "-1", "error: seed must be a non-negative integer, got -1"),
+    ("--epsilon", "1e-10", "error: the sample budget q="),
+], ids=["seed", "epsilon"])
+def test_bad_sampler_arguments_start_no_solve(flag, value, message, monkeypatch, capsys):
+    """sparsify checks the sampler's arguments, a negative seed or a budget
+    past int64, before it decomposes the input, so no band worker starts."""
+    from odnsparse import cli
+    from odnsparse import spectra as spectra_module
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the input was decomposed or a band worker was started")
+
+    monkeypatch.setattr(spectra_module, "_BandWorker", refused)
+    monkeypatch.setattr(cli, "decompose", refused)
+    code, out, err = run(["sparsify", "--gen", "grid:rows=30,cols=30,diag=uniform(0,1)",
+                          flag, value], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].startswith(message)

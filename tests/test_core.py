@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -211,6 +213,58 @@ def test_centering_preserves_laplacian_and_round_trips(m):
         decompose(m).laplacian_dense(), d.laplacian_dense()
     )
     assert reconstruct(d.adjacency, d.center) == centered
+
+
+@contextmanager
+def _dia_built():
+    """The class names of the sparse DIA matrices built inside the block."""
+    from scipy.sparse import _dia
+
+    built, init = [], _dia._dia_base.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    _dia._dia_base.__init__ = recording
+    try:
+        yield built
+    finally:
+        _dia._dia_base.__init__ = init
+
+
+@st.composite
+def odn_matrices_with_zeros(draw):
+    """ODN matrices with zero degrees (isolated vertices) and zero diagonal
+    entries among the others."""
+    m = draw(odn_matrices())
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    isolated = rng.random(m.n) < 0.3
+    keep = ~(isolated[m.rows] | isolated[m.cols])
+    diag = np.where(rng.random(m.n) < 0.3, 0.0, m.diag)
+    return OdnMatrix(m.n, m.rows[keep], m.cols[keep], m.vals[keep], diag)
+
+
+@given(odn_matrices_with_zeros())
+@settings(max_examples=100, deadline=None)
+def test_csr_diagonal_laplacians_match_diags(m):
+    """A side's Laplacian, L = D - A, and an OdnMatrix's CSR form, A +
+    diag(M), built with a CSR diagonal, store what `sp.diags` gives, in
+    `indptr`, `indices` and `data`, dtypes included, and build no
+    `dia_matrix` (whose check imports numpy.ma)."""
+    from odnsparse.spectra import _sparse
+
+    decomp = decompose(m)
+    expected = [(sp.diags(decomp.degrees) - m.adjacency()).tocsr(),
+                sp.csr_matrix(m.adjacency() + sp.diags(m.diag))]
+    with _dia_built() as dia:
+        built = [decomp.laplacian, _sparse(m)]
+    assert dia == []
+    for got, want in zip(built, expected):
+        assert type(got) is type(want) and got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 @given(odn_matrices())

@@ -646,3 +646,23 @@ class TestWrite:
             write_matrix_market(m, new)
             reference_write(m, old)
             assert new.read_bytes() == old.read_bytes()
+
+    @pytest.mark.parametrize("count", [0, 1, 65535, 65536, 65537])
+    def test_chunk_edges_match_reference(self, count, tmp_path, rng):
+        """The writer formats 65 536 entries at a time: with no entry, one, and
+        one short of, exactly and one past a chunk, its bytes are the
+        per-entry format's, and the file reads back as the matrix."""
+        assert mmio._WRITE_CHUNK == 65536
+        n, on_diag = 400, min(count, 3)
+        rows, cols = np.triu_indices(n, k=1)
+        pick = np.sort(rng.choice(len(rows), size=count - on_diag, replace=False))
+        vals = (1.0 - rng.random(len(pick))) * 10.0 ** rng.integers(-300, 300, len(pick))
+        diag = np.zeros(n)
+        diag[:on_diag] = rng.uniform(0.5, 2.0, on_diag)
+        m = OdnMatrix(n, rows[pick], cols[pick], vals, diag)
+        new, old = tmp_path / "new.mtx", tmp_path / "old.mtx"
+        write_matrix_market(m, new)
+        reference_write(m, old)
+        assert new.read_bytes() == old.read_bytes()
+        assert new.read_bytes().count(b"\n") == count + 2
+        assert read_matrix_market(new) == m

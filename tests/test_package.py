@@ -22,34 +22,56 @@ def test_sparsifier_norm_check_is_gone():
 
 # Modules that only numpy.f2py's and numpy.testing's imports bring in.
 _DEFERRED_ONLY = ("numpy.f2py.crackfortran", "charset_normalizer", "unittest")
+# The numpy submodules odnsparse makes lazy. A lazy module stays in
+# `sys.modules` as `importlib.util._LazyModule` until its first attribute
+# access runs it, after which it is a plain module.
+_LAZY = ("numpy.f2py", "numpy.testing", "numpy.polynomial", "numpy.ma", "numpy.char",
+         "numpy.rec", "numpy.strings", "numpy.ctypeslib")
 
 _COMMANDS_SCRIPT = """
-import json, sys
+import json, sys, types
 import numpy as np
 from odnsparse import generate_odn, parse_generator_spec, write_matrix_market
 from odnsparse.cli import main
 
-deferred = sys.argv[1:]
-loaded = {"import": [m for m in deferred if m in sys.modules]}
-spec = "grid:rows=6,cols=6"
-write_matrix_market(generate_odn(**parse_generator_spec(spec)), "grid.mtx")
+deferred, lazy = sys.argv[1].split(","), sys.argv[2].split(",")
+
+
+def run():
+    return ([m for m in deferred if m in sys.modules]
+            + [m for m in lazy if type(sys.modules.get(m)) is types.ModuleType])
+
+
+loaded = {"import": run()}
+grid, complete = "grid:rows=30,cols=30", "complete:n=60,seed=1"
+for name, spec in (("grid.mtx", grid), ("complete.mtx", complete)):
+    write_matrix_market(generate_odn(**parse_generator_spec(spec)), name)
 rng = np.random.default_rng(1)
 data = rng.standard_normal((40, 1)) + rng.standard_normal((40, 5))
 with open("data.csv", "w") as f:
     f.write("a,b,c,d,e\\n")
     f.writelines(",".join(map(repr, row)) + "\\n" for row in data.tolist())
 codes = {}
-for name, argv in (("sparsify", ["sparsify", "--gen", spec, "--out-matrix", "hat.mtx"]),
-                   ("verify", ["verify", "grid.mtx", "hat.mtx"]),
-                   ("pca-demo", ["pca-demo", "--input", "data.csv"]),
-                   ("bounds", ["bounds", "--gen", spec])):
+for name, argv in (
+        ("sparsify-band", ["sparsify", "--gen", grid, "--out-matrix", "grid_hat.mtx"]),
+        ("sparsify-dense", ["sparsify", "--input", "complete.mtx", "--out-matrix",
+                            "complete_hat.mtx", "--out-csv", "complete.csv"]),
+        ("verify-band", ["verify", "grid.mtx", "grid_hat.mtx"]),
+        ("verify-dense", ["verify", "complete.mtx", "complete_hat.mtx"]),
+        ("pca-demo", ["pca-demo", "--input", "data.csv"]),
+        ("bounds", ["bounds", "--gen", grid])):
     codes[name] = main(argv)
-    loaded[name] = [m for m in deferred if m in sys.modules]
+    loaded[name] = run()
 np.testing.assert_allclose([1.0], [1.0])
 print(json.dumps({"codes": codes, "loaded": loaded,
                   "f2py": callable(np.f2py.get_include),
-                  "testing": "unittest" in sys.modules}))
+                  "testing": "unittest" in sys.modules,
+                  "ma": int(np.ma.masked_array([1, 2], [0, 1]).sum()),
+                  "ctypeslib": callable(np.ctypeslib.as_array)}))
 """
+
+_STEPS = ("sparsify-band", "sparsify-dense", "verify-band", "verify-dense", "pca-demo",
+          "bounds")
 
 
 def _child(script, *args, cwd):
@@ -65,17 +87,21 @@ def _child(script, *args, cwd):
 
 
 def test_numpy_submodules_no_command_runs_stay_unimported(tmp_path):
-    """scipy's import lists numpy.f2py and numpy.testing, and odnsparse leaves
-    them lazy: in a fresh process neither `import odnsparse.cli` nor any
-    command imports what they import, and both still work when first used."""
+    """scipy's import lists numpy.f2py, numpy.testing, numpy.polynomial,
+    numpy.ma, numpy.char, numpy.rec, numpy.strings and numpy.ctypeslib, and
+    odnsparse leaves them lazy: in a fresh process neither `import
+    odnsparse.cli` nor any command, on the band path or the dense one, runs
+    any of them or imports what f2py and testing import, and each still
+    works when first used."""
     import json
 
-    result = json.loads(_child(_COMMANDS_SCRIPT, *_DEFERRED_ONLY, cwd=tmp_path))
-    assert result["codes"] == {"sparsify": 0, "verify": 0, "pca-demo": 0, "bounds": 0}
-    assert result["loaded"] == {step: [] for step in
-                                ("import", "sparsify", "verify", "pca-demo", "bounds")}
+    result = json.loads(_child(_COMMANDS_SCRIPT, ",".join(_DEFERRED_ONLY), ",".join(_LAZY),
+                               cwd=tmp_path))
+    assert result["codes"] == dict.fromkeys(_STEPS, 0)
+    assert result["loaded"] == {step: [] for step in ("import",) + _STEPS}
     # Running numpy.testing imports unittest; np.f2py resolves to the package.
     assert result["testing"] and result["f2py"]
+    assert result["ma"] == 1 and result["ctypeslib"]
 
 
 def test_numpy_submodule_imported_first_is_kept(tmp_path):

@@ -363,6 +363,25 @@ def test_grid_pencil_memory(monkeypatch):
     assert peak <= 1.5 * matrix.n**2 * 8
 
 
+def test_dense_verify_memory():
+    """On a complete graph of n = 300, verifying a fresh pair holds at most
+    three n x n arrays at once, 3.27 of them traced with their temporaries:
+    L and its grounded block while L is factored, then L and C^-1 while
+    rho(L) is read, then C^-1, L_hat and L_hat's grounded block while the
+    reduced matrix is formed."""
+    n = 300
+    decomp = decompose(generate_odn("complete", n, seed=2, diag=("uniform", 0, 1)))
+    spectra = PairSpectra(decomp, sparsify_laplacian(decomp, EPS, SEED))
+    tracemalloc.start()
+    try:
+        record = verify_sparsifier(spectra, epsilon=EPS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record.passed and spectra.paths["factor"] == "dense"
+    assert peak < 3.5 * n**2 * 8
+
+
 def test_grid_band_memory():
     """On a 60 x 60 grid, the band factor, the resistances and the pencil
     allocate no n x n array (104 MB): their traced peak is a small multiple
