@@ -164,7 +164,7 @@ def pca_compare(
     spectra.hat, spectra.matrix_hat = result, result.matrix(decomp.center)
     spectra.start_values("matrix_hat")
     verification = verify_sparsifier(spectra, epsilon=epsilon)
-    rho = spectra.laplacian_norm  # read by the pencil, before it dropped L
+    rho = spectra.laplacian_norm
     unit_bound = epsilon * math.sqrt(m.n) * rho
 
     values, values_hat = spectra.matrix_values

@@ -44,10 +44,10 @@ from .sparsify import (
     sparsify_laplacian,
     verify_sparsifier,
 )
+from ._native import _blas_pools
 from .spectra import (
     DENSE_LIMIT,
     PairSpectra,
-    _blas_pools,
     eigenvalue_deviation_bound,
     spectral_report,
 )

@@ -36,13 +36,13 @@ import numpy as np
 
 from .core import GraphViews, LaplacianDecomposition, OdnMatrix, _degrees
 from .errors import InvalidSeedError, OdnError
+from .factor import _size
 from .spectra import (
     PairSpectra,
     _max_abs,
     _require_constant,
     _require_epsilon,
     _require_same_shape,
-    _size,
 )
 
 # epsilon threshold below which the strictest published edge-count
@@ -242,8 +242,6 @@ def verify_sparsifier(laplacian, laplacian_hat=None, epsilon=None) -> Verificati
         kernel_leak = spectra.laplacian_hat_scale
         passed, mode = kernel_leak <= 1e-12, "trivial-zero"
     else:
-        spectra.grounded_factor  # the dense limit first: rho(L) would run ARPACK above it
-        spectra.laplacian_norm  # read while L is held: the pencil drops it
         (gen_min, gen_max), kernel_leak = spectra.pencil
         eps_hat = max(1.0 - gen_min, gen_max - 1.0)
         passed = (kernel_leak <= 1e-8 * max(spectra.laplacian_norm, spectra.laplacian_hat_scale)

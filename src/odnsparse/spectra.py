@@ -8,17 +8,7 @@ pair: Weyl's eigenvalue perturbation bound and the adjacency-vs-Laplacian
 norm comparison. Every check reads from one shared `PairSpectra` for the pair
 (M, M_hat), whose roles each solve once, on first use, and which owns the
 dense limit: above it, a role with no iterative path raises
-DenseLimitExceededError.
-
-L is factored, not eigendecomposed (`PairSpectra.grounded_factor`): its
-kernel is exact, the indicator vectors of its graph's components, and one
-grounded vertex per component leaves a positive definite L_g = C C'. The
-factor feeds the resistances, through G = L_g^-1, and the pencil
-(L_hat, L), through C^-1 L_hat_g C^-T. A dense factor holds C^-1, so G is
-C^-T C^-1 and the reduced matrix is formed. An L held as CSR whose grounded
-block has a narrow band after reverse Cuthill-McKee keeps C in band
-storage: the resistances read only G's band (Takahashi's recurrence) and
-ARPACK applies the reduced matrix by two band solves, with no n x n array.
+DenseLimitExceededError. L is factored (`factor`), not eigendecomposed.
 
 The one iterative eigensolver is ARPACK's (`scipy.sparse.linalg.eigsh`),
 from one fixed start vector. It gives top-k eigenpairs, and the pencil's
@@ -26,74 +16,55 @@ two extremes and every 2-norm the pair reports (`_norm_bracket`) as
 brackets: a Ritz value widened by its residual and by n * eps * |theta|
 for rounding (the pencil's by at least 32 eps |theta|), so that the
 bracket holds the dense solve's value too. A check reads whichever end
-makes it stricter. Every scipy ARPACK, LAPACK and BLAS call holds scipy's
-OpenBLAS to one thread (`_one_scipy_thread`): its workers, left spinning,
-would take the cores from numpy's next dense solve. The hold is one
-process-wide re-entrant lock. The band spectra's worker thread takes no
-hold: it solves while its caller enters and leaves the hold around the
-pencil, which would stall behind it. It needs none, as a values-only
-`dsbevd` runs on one thread whatever the pool's count: with scipy's pool at
-2 threads, one worker solve of a 60 x 60 grid (kd = 60) took 1.004-1.006 s
-of process CPU time in 1.009-1.011 s of wall time.
+makes it stricter.
 
 The spectra of M and M_hat are solved for their values only
 (`PairSpectra.matrix_values`): the deviations, Weyl, the inertia and every
 Davis-Kahan bound r_norm / gap read them, a side with a narrow band by
-`dsbevd` in band storage. That `dsbevd` is scipy's Cython export, called
-through ctypes with the GIL released (`_dsbevd`), so a band side's solve
-can start as soon as the side exists (`PairSpectra.start_values`): on the
-pair's one worker thread, pinned to another CPU, while the caller goes on
-with the sampler, the pencil and ||M - M_hat||. `matrix_values` takes back
-and solves itself each solve the worker has not begun, and collects the
-rest. An eigenvector is solved only for an index whose bound is below
-1 - 1e-9, where the angle check can fail, by ARPACK's top or bottom block
-where that block is small.
+`dsbevd` in band storage, so a band side's solve can start as soon as the
+side exists (`PairSpectra.start_values`): on the pair's one worker thread,
+pinned to another CPU, while the caller goes on with the sampler, the
+pencil and ||M - M_hat||. `matrix_values` takes back and solves itself each
+solve the worker has not begun, and collects the rest. An eigenvector is
+solved only for an index whose bound is below 1 - 1e-9, where the angle
+check can fail, by ARPACK's top or bottom block where that block is small.
 
 The pair holds each Laplacian in one form, read by every role: a dense
 array when the graph is dense and within the limit, else its CSR
-Laplacian. The pencil drops each held Laplacian once it has read it
-(`release_laplacians`): with a dense factor it holds at most C^-1, L_hat
-and one grounded block, 3 n^2 floats for a dense pair, and its solve only
-the reduced matrix, which ARPACK multiplies by without a copy. A band
-factor holds O(n kd) floats, kd its bandwidth. The pair drops any Laplacian
-still held before its eigensolves of M and M_hat (`matrix_values`), after
-which no check reads them; the spectral stage
-holds no n x n eigenvector array unless the angle check needs a dense
-fallback; a grid holds no n x n array at all.
+Laplacian. The pencil drops each once read (`release_laplacians`), and its
+solve holds only the reduced matrix, which ARPACK multiplies by without a
+copy, or O(n kd) floats for a band factor. The pair drops any Laplacian
+still held before its eigensolves of M and M_hat (`matrix_values`); the
+spectral stage holds no n x n eigenvector array unless the angle check
+needs a dense fallback; a grid holds no n x n array at all.
 """
 
 from __future__ import annotations
 
-import ctypes
-import importlib
 import math
-import os
-import re
-import threading
 import weakref
 from concurrent.futures import Future
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import blas, cython_lapack, lapack
 from scipy.linalg import eigh_tridiagonal  # noqa: F401  (bench/tracer.py patches this name)
-from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .core import (GraphViews, LaplacianDecomposition, OdnMatrix, decompose, diagonal_csr,
-                   validate_odn)
+from . import _native
+from ._native import _one_scipy_thread
+from .core import GraphViews, LaplacianDecomposition, OdnMatrix, decompose, validate_odn
 from .errors import (
     DenseLimitExceededError,
     DimensionMismatchError,
-    FactorizationError,
     InvalidConstantError,
     InvalidEpsilonError,
     NormNotConvergedError,
     OdnError,
 )
+from .factor import GroundedFactor, _band, _dense, _factor, _size, _sparse, _stored
 
 DENSE_LIMIT = 4096
 _ARPACK_START_SEED = 0x0D25
@@ -128,21 +99,6 @@ _PENCIL_RESTARTS = 50
 # pencil extremes by up to 3.7 eps |theta|; with the floor none of 3 to 50
 # does. rho(L) and a difference norm solve their operand as given.
 _ROUNDING_FLOOR = 32
-# Rows per step of a grounded block's copy, and edges per step (times n) of
-# the resistance read: a step's temporaries take 32 n x 8 B, 1 MB at n = 4096,
-# where one `x[np.ix_(kept, kept)]` took 3 n^2 x 8 B.
-_BLOCK_ROWS = 32
-# A Laplacian held as CSR is factored in band storage when its grounded block,
-# reordered by reverse Cuthill-McKee, has bandwidth kd with kd + 1 <= k / 2.
-# The factor, the resistances and the pencil, dense vs band, 2 BLAS threads,
-# ms ((kd + 1) / k): grids 10x10 4.2 vs 4.0 (0.11), 30x30 101 vs 16 (0.03),
-# 60x60 4781 vs 158, 3x300 115 vs 13, 20x45 163 vs 33; paths n = 200 12 vs
-# 7, n = 3000 2466 vs 34; Erdos-Renyi n = 400 at degree 4 19 vs 14 (0.40),
-# n = 1000 at 4 126 vs 56 (0.41), n = 1500 at 5 440 vs 321 (0.49), n = 2000
-# at 6 878 vs 723 (0.53), n = 1000 at 20 170 vs 217 (0.80), n = 2000 at 20
-# 993 vs 1314 (0.80). Below k = 250 either takes a few ms (grid 15x15 7.8 vs
-# 9.5, Erdos-Renyi n = 200 at degree 3 6.6 vs 6.2 at 0.29).
-_BAND_SHARE = 1 / 2
 # M or M_hat is solved in band storage when its RCM bandwidth has
 # kd + 1 <= n / 20: (kd + 1) n doubles, not two n x n arrays. Its values,
 # dense (`eigvalsh`) vs band (CSR, RCM, `dsbevd`), first call in a fresh
@@ -152,228 +108,6 @@ _BAND_SHARE = 1 / 2
 # (0.034) 50 vs 43, 60x60 (0.017) 2524 vs 1093; below n = 400 about 1 ms.
 _BAND_VALUES_SHARE = 1 / 20
 
-try:
-    _LIBC = ctypes.CDLL(None)
-except (OSError, TypeError):
-    _LIBC = None
-
-
-def _libc(name: str, argtypes: list, restype):
-    """The C library's function `name`, typed, or None where it is missing."""
-    function = getattr(_LIBC, name, None)
-    if function is not None:
-        function.argtypes, function.restype = argtypes, restype
-    return function
-
-
-# glibc serves an array below its adaptive mmap threshold (up to 32 MiB: an
-# n x n array up to n = 2048) from the heap once any larger block was freed,
-# and free() gives back only the heap's top. The held Laplacians dropped in
-# `release_laplacians` can then stay resident under what a later allocation
-# pins, and the next eigensolve's workspace lands on top of them: `sparsify
-# --input` of a complete n = 2000 file peaked at 398 MB, not 355 MB, until
-# malloc_trim handed their pages back. Other C libraries have no malloc_trim.
-_malloc_trim = _libc("malloc_trim", [ctypes.c_size_t], ctypes.c_int)
-# The CPU the calling thread runs on, or -1 (`matrix_values`' placement).
-_sched_getcpu = _libc("sched_getcpu", [], ctypes.c_int)
-
-
-def _openblas(module: str, suffix: str = ""):
-    """(get_num_threads, set_num_threads, get_config) of the bundled
-    `scipy_openblas` that the extension `module` links, or None where its
-    symbols are missing (MKL, or a system OpenBLAS shared by numpy and scipy).
-    numpy's wheels name them with the suffix `64_`, scipy's with none."""
-    try:
-        lib = ctypes.CDLL(importlib.import_module(module).__file__)
-        functions = tuple(getattr(lib, f"scipy_openblas_{name}{suffix}")
-                          for name in ("get_num_threads", "set_num_threads", "get_config"))
-    except (AttributeError, ImportError, OSError, TypeError):
-        return None
-    for function, argtypes, restype in zip(functions, ([], [ctypes.c_int], []),
-                                           (ctypes.c_int, None, ctypes.c_char_p)):
-        function.argtypes, function.restype = argtypes, restype
-    return functions
-
-
-# numpy's and scipy's wheels each bundle an OpenBLAS with its own thread pool.
-# After a BLAS call from scipy, its idle workers spin for OpenBLAS's thread
-# timeout and take the cores from numpy's next dense solve: on 2 cores,
-# `sparsify` of a 30 x 30 grid with ARPACK's pool left at 2 threads spent
-# 0.37 s, not 0.30 s, in the dense eigensolves of M and M_hat. So every scipy
-# ARPACK, LAPACK and BLAS call (ARPACK links scipy.linalg's OpenBLAS) holds
-# this pool to one thread (`_one_scipy_thread`). The count is process-wide:
-# calls from several threads take the re-entrant _SCIPY_HOLD in turn.
-_SCIPY_BLAS = _openblas("scipy.sparse.linalg._eigen.arpack._arpacklib")
-_SCIPY_HOLD = threading.RLock()
-
-
-def _blas_pools() -> list[tuple[str, str, int]]:
-    """(owner, library, threads) of each bundled OpenBLAS pool found: numpy's,
-    and scipy's, which ARPACK and the grounded factor use."""
-    pools = [("numpy", _openblas("numpy._core._multiarray_umath", "64_")),
-             ("scipy (1 thread inside its calls)", _SCIPY_BLAS)]
-    return [(owner, " ".join(found[2]().decode().split()), int(found[0]()))
-            for owner, found in pools if found is not None]
-
-
-@contextmanager
-def _one_scipy_thread():
-    """Hold scipy's OpenBLAS pool to one thread inside the block and put back
-    the count found, also on raising; a no-op where its symbols are missing."""
-    if _SCIPY_BLAS is None:
-        yield
-        return
-    get_threads, set_threads, _ = _SCIPY_BLAS
-    with _SCIPY_HOLD:
-        threads = get_threads()
-        set_threads(1)
-        try:
-            yield
-        finally:
-            set_threads(threads)
-
-
-# scipy's f2py `lapack.dsbevd` holds the GIL through the solve, so no other
-# Python thread runs beside it: a counting loop in a second thread ran 0.5-0.7
-# M iterations during five n = 900 solves (0.24-0.28 s), against 1.6-3.5 M in
-# 0.25 s idle, and at its idle rate beside the same solves called through
-# ctypes. scipy exports the same LAPACK routines to Cython as capsules; ctypes
-# calls one with the GIL released (numba binds scipy's LAPACK the same way).
-_CAPSULE_NAME = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-    ("PyCapsule_GetName", ctypes.pythonapi))
-_CAPSULE_POINTER = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
-_C_NAMES = {ctypes.c_char: "char", ctypes.c_int: "int", ctypes.c_double: "double"}
-
-
-def _cython_lapack(name: str, *args):
-    """scipy's Cython export of the LAPACK routine `name` as a ctypes function
-    of one pointer to each C type in `args`, once the export's C signature is
-    checked against them."""
-    capsule = cython_lapack.__pyx_capi__[name]
-    signature = _CAPSULE_NAME(capsule)
-    declared = "void (" + ", ".join(f"{_C_NAMES[arg]} *" for arg in args) + ")"
-    if re.sub(r"\w*cython_lapack_d\b", "double", signature.decode()) != declared:
-        raise ImportError(f"scipy's cython_lapack.{name} is {signature.decode()!r}, "
-                          f"not {declared!r}")
-    return ctypes.CFUNCTYPE(None, *map(ctypes.POINTER, args))(
-        _CAPSULE_POINTER(capsule, signature))
-
-
-_c, _i, _d = ctypes.c_char, ctypes.c_int, ctypes.c_double
-# jobz, uplo, n, kd, ab, ldab, w, z, ldz, work, lwork, iwork, liwork, info
-_LAPACK_DSBEVD = _cython_lapack("dsbevd", _c, _c, _i, _i, _d, _i, _d, _d, _i, _d, _i, _i, _i, _i)
-
-
-def _dsbevd(band: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix in lower band storage,
-    (kd + 1) x n in Fortran order, which the solve overwrites: LAPACK's
-    `dsbevd`, values only, with the workspace scipy's `lapack.dsbevd(band,
-    compute_v=0, lower=1)` gives it, and with the GIL released. It takes no
-    hold of scipy's pool: the calling thread holds it (`_one_scipy_thread`),
-    the band worker runs without (`_BandWorker`). Raises LinAlgError where
-    `dsbevd` fails."""
-    band = np.require(band, np.float64, ["F_CONTIGUOUS", "WRITEABLE"])
-    (rows, n), info = band.shape, _i()
-    values, work = np.empty(n), np.empty(max(1, 2 * n))
-    doubles = ctypes.POINTER(_d)
-    _LAPACK_DSBEVD(b"N", b"L", _i(n), _i(rows - 1), band.ctypes.data_as(doubles), _i(rows),
-                   values.ctypes.data_as(doubles), work.ctypes.data_as(doubles), _i(1),
-                   work.ctypes.data_as(doubles), _i(len(work)), _i(), _i(1), info)
-    if info.value:
-        raise np.linalg.LinAlgError(f"dsbevd did not converge (info {info.value})")
-    return values
-
-
-# Left to the scheduler, the two band solves of `matrix_values` (n = 900,
-# kd = 30) both started and ended on one CPU of a 2-CPU VM in 7 of 12 fresh
-# processes, 86-99 ms; with the worker pinned off the caller's CPU, 12 of 12
-# ran apart, 42-59 ms. The pin is the worker's own and ends with its thread.
-def _pin_off_cpu(cpu: int) -> None:
-    """Pin the calling thread to the lowest allowed CPU other than `cpu`.
-    Nothing is placed where `cpu` is unknown (-1), where the mask allows one
-    CPU, or where the OS has no `sched_setaffinity`."""
-    if cpu >= 0 and hasattr(os, "sched_setaffinity"):
-        allowed = os.sched_getaffinity(0)
-        if len(allowed) > 1:
-            os.sched_setaffinity(0, {min(allowed - {cpu})})
-
-
-class _BandWorker:
-    """One thread that solves the bands `submit` gives it (`_dsbevd`), in
-    order, each behind a Future, once pinned off `cpu`, its starter's CPU
-    (`_pin_off_cpu`; a placement the OS refuses is skipped). A Future whose
-    solve has not begun can be cancelled, and its caller then solves it. The
-    thread is a daemon, so a process that fails before reading a result
-    exits without waiting for a solve."""
-
-    def __init__(self, cpu: int):
-        # Imported here: a run that starts no band solve would load it for nothing.
-        from queue import SimpleQueue
-
-        self._queue, self._futures = SimpleQueue(), []
-        self.thread = threading.Thread(target=self._run, args=(cpu,), daemon=True)
-        self.thread.start()
-
-    def submit(self, band: np.ndarray) -> Future:
-        future = Future()
-        self._futures.append(future)
-        self._queue.put((future, band))
-        return future
-
-    def close(self) -> None:
-        """Cancel every solve not begun, and end the thread after the one it
-        runs, if any; `thread.join()` waits for that."""
-        for future in self._futures:
-            future.cancel()
-        self._futures.clear()
-        self._queue.put(None)
-
-    def _run(self, cpu: int) -> None:
-        try:
-            _pin_off_cpu(cpu)
-        except OSError:
-            pass
-        while (item := self._queue.get()) is not None:
-            future, band = item
-            if future.set_running_or_notify_cancel():
-                try:
-                    future.set_result(_dsbevd(band))
-                except Exception as exc:  # read by the caller, from `result()`
-                    future.set_exception(exc)
-
-
-def _size(x) -> int:
-    """n of an n x n `x`: an OdnMatrix, a graph side (`GraphViews`) or an array."""
-    return x.n if isinstance(x, (OdnMatrix, GraphViews)) else np.shape(x)[0]
-
-
-# `_dense`, `_sparse` and `_stored` read a graph side as its Laplacian.
-def _dense(x) -> np.ndarray:
-    if isinstance(x, GraphViews):
-        return x.laplacian_dense()
-    if isinstance(x, OdnMatrix):
-        return x.to_dense()
-    if sp.issparse(x):
-        return x.toarray()
-    return np.asarray(x, dtype=np.float64)
-
-
-def _sparse(x) -> sp.csr_matrix:
-    if isinstance(x, GraphViews):
-        return x.laplacian
-    if isinstance(x, OdnMatrix):
-        return x.adjacency() + diagonal_csr(x.diag)
-    return sp.csr_matrix(x)
-
-
-def _stored(x) -> int:
-    """Entries `x` stores: a graph side's Laplacian's, an OdnMatrix's or a
-    sparse matrix's nnz, else n^2."""
-    if isinstance(x, GraphViews):
-        return x.laplacian_nnz
-    return x.nnz if isinstance(x, OdnMatrix) or sp.issparse(x) else np.shape(x)[0] ** 2
-
 
 def _max_abs(x) -> float:
     """max |x_ij|, without an n x n temporary for a dense x."""
@@ -382,167 +116,6 @@ def _max_abs(x) -> float:
     if sp.issparse(x):
         return float(abs(x).max())
     return float(max(x.max(), -x.min()))
-
-
-def _grounded_block(x, kept: np.ndarray) -> np.ndarray:
-    """Rows and columns `kept` of a symmetric `x`, dense or sparse, as a new
-    dense array in Fortran order, which LAPACK and BLAS overwrite in place;
-    copied _BLOCK_ROWS rows at a time."""
-    x = sp.csr_matrix(x) if sp.issparse(x) else x
-    block = np.empty((len(kept), len(kept)), order="F")
-    for start in range(0, len(kept), _BLOCK_ROWS):
-        rows = kept[start:start + _BLOCK_ROWS]
-        block[:, start:start + len(rows)] = _dense(x[rows])[:, kept].T  # x symmetric
-    return block
-
-
-def _band_inverse(band: np.ndarray) -> np.ndarray:
-    """The band of G = L_g^-1 = C^-T C^-1, in lower band storage with a last
-    column of 0s (a grounded vertex), from C in lower band storage: Takahashi,
-    Fagan and Chin's backward recurrence (1973). Column j of G C = C^-T gives
-    g = -G[j+1:, j+1:] C[j+1:, j] / c_jj for G's column j below its diagonal,
-    where C[j+1:, j] is nonzero only within the band, so only G's band is
-    read; then G_jj = (1 / c_jj - g . C[j+1:, j]) / c_jj. One `dsbmv` per
-    column: O(k kd^2) work and no k x k array."""
-    kd, k = len(band) - 1, band.shape[1]
-    inverse = np.zeros((kd + 1, k + 1), order="F")
-    if not kd:  # a diagonal L_g
-        inverse[0, :k] = band[0] ** -2.0
-        return inverse
-    inverse[0, k - 1] = band[0, k - 1] ** -2.0
-    with _one_scipy_thread():
-        for j in range(k - 2, -1, -1):
-            below, pivot = min(kd, k - 1 - j), 1.0 / band[0, j]
-            column = band[1:below + 1, j]
-            g = blas.dsbmv(kd, -pivot, inverse[:, j + 1:j + 1 + below], column, lower=1)
-            inverse[1:below + 1, j] = g
-            inverse[0, j] = pivot * (pivot - g @ column)
-    return inverse
-
-
-class _BandPencil(LinearOperator):
-    """x -> C^-1 L_hat_g C^-T x, with C in lower band storage and L_hat_g as
-    CSR: two `dtbsv` and one CSR product, and no k x k array."""
-
-    def __init__(self, band: np.ndarray, hat: sp.csr_matrix):
-        super().__init__(np.float64, hat.shape)
-        self.band, self.hat = band, hat
-
-    def _matvec(self, x):
-        kd = len(self.band) - 1
-        y = blas.dtbsv(kd, self.band, np.ravel(x), lower=1, trans=1)
-        return blas.dtbsv(kd, self.band, self.hat @ y, lower=1, overwrite_x=1)
-
-    def toarray(self) -> np.ndarray:
-        """The reduced matrix itself, C^-1 (C^-1 L_hat_g)', by two `dtbtrs`."""
-        with _one_scipy_thread():
-            half = lapack.dtbtrs(self.band, self.hat.toarray(order="F"), uplo="L")[0]
-            return lapack.dtbtrs(self.band, half.T, uplo="L", overwrite_b=1)[0]
-
-
-@dataclass(frozen=True, eq=False)
-class GroundedFactor:
-    """L_g = C C': L with one vertex per component grounded, on the vertices
-    `kept` in the factor's order. Dense (`bandwidth` None): `factor` is C^-1,
-    k x k, from `dpotrf` and `dtrtri`. Band: `kept` is in reverse
-    Cuthill-McKee order and `factor` is C in LAPACK's lower band storage,
-    (bandwidth + 1) x k, from `dpbtrf`."""
-
-    kept: np.ndarray
-    factor: np.ndarray
-    bandwidth: int | None = None
-
-    @property
-    def path(self) -> str:
-        return "dense" if self.bandwidth is None else f"band kd={self.bandwidth}"
-
-    def resistances(self, rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-        """G_uu + G_vv - 2 G_uv of G = L_g^-1 for each edge (rows, cols) of the
-        n-vertex graph, a grounded vertex reading as 0: dense, G = C^-T C^-1;
-        band, G's band (`_band_inverse`), which holds every edge. Read
-        _BLOCK_ROWS * n edges at a time."""
-        k = len(self.kept)
-        index = np.full(n, k)  # a grounded vertex reads G's last row and column of 0s
-        index[self.kept] = np.arange(k)
-        if self.bandwidth is None:
-            gram = np.zeros((k + 1, k + 1))
-            np.matmul(self.factor.T, self.factor, out=gram[:k, :k])
-
-            def inverse(r, c):
-                return gram[r, c]
-        else:
-            band = _band_inverse(self.factor)
-
-            def inverse(r, c):  # G_rc sits at offset |r - c| in column min(r, c)
-                low = np.where(np.maximum(r, c) < k, np.minimum(r, c), k)
-                return band[np.where(low < k, np.abs(r - c), 0), low]
-        resistance = np.empty(len(rows))
-        step = _BLOCK_ROWS * n
-        for start in range(0, len(resistance), step):
-            r, c = index[rows[start:start + step]], index[cols[start:start + step]]
-            resistance[start:start + step] = inverse(r, r) + inverse(c, c) - 2 * inverse(r, c)
-        return resistance
-
-    def reduced(self, lap_hat):
-        """C^-1 L_hat_g C^-T, for ARPACK: dense, formed by two in-place `dtrmm`
-        in a copy of L_hat's grounded block; band, a `_BandPencil`."""
-        if self.bandwidth is not None:
-            return _BandPencil(self.factor, _sparse(lap_hat)[self.kept][:, self.kept])
-        reduced = _grounded_block(lap_hat, self.kept)
-        with _one_scipy_thread():
-            reduced = blas.dtrmm(1.0, self.factor, reduced, lower=1, overwrite_b=1)
-            return blas.dtrmm(1.0, self.factor, reduced, side=1, lower=1, trans_a=1,
-                              overwrite_b=1)
-
-
-def _band(x, share: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """(order, band): the reverse Cuthill-McKee order of a symmetric `x`
-    (OdnMatrix or sparse) and `x` so ordered in lower band storage, (kd + 1)
-    x n in Fortran order; None when kd + 1 > share * n. A band of width kd
-    holds at most n (2 kd + 1) entries: an `x` storing more is not ordered."""
-    n = _size(x)
-    if _stored(x) > n * (2 * share * n - 1):
-        return None
-    x = _sparse(x)
-    order = reverse_cuthill_mckee(x, symmetric_mode=True)
-    lower = sp.tril(x[order][:, order], format="coo")
-    kd = int((lower.row - lower.col).max(initial=0))
-    if kd + 1 > share * n:
-        return None
-    band = np.zeros((kd + 1, n), order="F")
-    band[lower.row - lower.col, lower.col] = lower.data
-    return order, band
-
-
-def _band_factor(lap, kept: np.ndarray) -> GroundedFactor | None:
-    """The grounded block of a sparse L in band storage (`_band`), factored by
-    `dpbtrf`; None when its bandwidth kd is too wide for the band to pay,
-    kd + 1 > k * _BAND_SHARE."""
-    built = _band(sp.csr_matrix(lap)[kept][:, kept], _BAND_SHARE)
-    if built is None:
-        return None
-    kept = kept[built[0]]
-    with _one_scipy_thread():
-        band, info = lapack.dpbtrf(built[1], lower=1, overwrite_ab=1)
-    if info:
-        raise FactorizationError("dpbtrf", info, int(kept[info - 1]) if info > 0 else None)
-    return GroundedFactor(kept, band, len(band) - 1)
-
-
-def _dense_factor(lap, kept: np.ndarray) -> GroundedFactor:
-    """The grounded block of L, dense or sparse, copied dense and factored in
-    place: C by `dpotrf`, then C^-1 by `dtrtri`."""
-    if not kept.size:  # no edges: LAPACK rejects an empty matrix
-        return GroundedFactor(kept, np.zeros((0, 0)))
-    with _one_scipy_thread():
-        inv, info = lapack.dpotrf(_grounded_block(lap, kept), lower=1, overwrite_a=1)
-        routine = "dpotrf"
-        if not info:
-            inv, info = lapack.dtrtri(inv, lower=1, overwrite_c=1)
-            routine = "dtrtri"
-    if info:
-        raise FactorizationError(routine, info, int(kept[info - 1]) if info > 0 else None)
-    return GroundedFactor(kept, inv)
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -700,10 +273,10 @@ class PairSpectra:
     and M_hat (`matrix_values`) drops both (`release_laplacians`): the pair
     decides when its n x n buffers go. `start_values` starts a band side's
     values solve ahead, on the pair's worker thread, for `matrix_values` to
-    collect. `paths` records the form of L's
-    factor and of each side's eigenvalues ("dense" or "band kd=<kd>") and,
-    for the pencil, each 2-norm (`_norm_bracket`) and each side's eigenvectors
-    solved, whether they came from a "dense" solve or from "arpack".
+    collect. `paths` records the form of L's factor and of each side's
+    eigenvalues ("dense" or "band kd=<kd>") and, for the pencil, each 2-norm
+    (`_norm_bracket`) and each side's eigenvectors solved, whether they came
+    from a "dense" solve or from "arpack".
 
     No role densifies an operand larger than `dense_limit` (see the module
     docstring for what runs above it).
@@ -718,7 +291,7 @@ class PairSpectra:
         self.paths: dict[str, str] = {}
         # side -> (path, band or None, its Future or None), from `start_values`
         self._solves: dict[str, tuple[str, np.ndarray | None, Future | None]] = {}
-        self._worker: _BandWorker | None = None
+        self._worker: _native._BandWorker | None = None
 
     @classmethod
     def of(cls, base, hat=None) -> "PairSpectra":
@@ -739,17 +312,17 @@ class PairSpectra:
         named, and the CSR Laplacian cached on each such side, once no check
         reads them again: a dense pair frees n^2 x 8 B a side, and where
         anything was dropped the heap's free pages go back to the system
-        (`_malloc_trim`). The pencil drops each side once it has read it,
-        `spectral_report` calls this before ||M - M_hat||, and `matrix_values`
-        before its solves. A role read later builds its form again."""
+        (`_native._malloc_trim`). The pencil drops each side once it has read
+        it, `spectral_report` calls this before ||M - M_hat||, and
+        `matrix_values` before its solves. A role read later builds its form again."""
         dropped = False
         for role in roles or ("laplacian", "laplacian_hat"):
             side = self.base if role == "laplacian" else self.hat
             dropped |= self.__dict__.pop(role, None) is not None
             if isinstance(side, GraphViews):
                 dropped |= side.__dict__.pop("laplacian", None) is not None
-        if dropped and _malloc_trim is not None:
-            _malloc_trim(0)
+        if dropped and _native._malloc_trim is not None:
+            _native._malloc_trim(0)
 
     @cached_property
     def laplacian(self):
@@ -856,13 +429,10 @@ class PairSpectra:
         """The Cholesky factor of L_g: L with the vertex of largest degree in
         each component of L's graph grounded (lowest index on ties); grounding
         an end of a path with weights (1e-20, 1) would leave L_g singular in
-        floating point. An L held as CSR whose grounded block has a narrow
-        band after reverse Cuthill-McKee is factored in band storage
-        (`_band_factor`); any other L in a dense copy, by `dpotrf` and
-        `dtrtri` in place. `paths["factor"]` records which. Raises OdnError
-        for a raw L whose rows do not sum to zero on its components,
-        FactorizationError where LAPACK fails, and DenseLimitExceededError
-        above the limit."""
+        floating point. `factor._factor` picks its form, dense or band;
+        `paths["factor"]` records which. Raises OdnError for a raw L whose
+        rows do not sum to zero on its components, FactorizationError where
+        LAPACK fails, and DenseLimitExceededError above the limit."""
         lap = self.laplacian
         n = lap.shape[0]
         if n > self.dense_limit:
@@ -875,8 +445,7 @@ class PairSpectra:
         order = np.lexsort((-lap.diagonal(), labels))  # stable: lowest index on ties
         grounded = order[np.searchsorted(labels[order], np.arange(count))]
         kept = np.delete(np.arange(n), grounded)
-        factor = ((_band_factor(lap, kept) if sp.issparse(lap) and kept.size else None)
-                  or _dense_factor(lap, kept))
+        factor = _factor(lap, kept)
         self.paths["factor"] = factor.path
         return factor
 
@@ -889,8 +458,7 @@ class PairSpectra:
         ARPACK's two extremes (`eigsh(which="BE")`) of C^-1 L_hat_g C^-T
         (`GroundedFactor.reduced`) are each moved outward by their Ritz
         residual and `_rounding`, so the interval holds the exact extremes. A
-        dense factor, which no later role reads, is released before the solve.
-        A reduced matrix of size below 3, or one on which ARPACK does not
+        reduced matrix of size below 3, or one on which ARPACK does not
         converge in _PENCIL_RESTARTS restarts, is solved dense, and its
         extremes are moved outward by `_rounding` alone (`paths["pencil"]`).
         Either allowance counts at least _ROUNDING_FLOOR rows. On a forest,
@@ -898,15 +466,15 @@ class PairSpectra:
         holds each edge's ratio (`_forest_ratios`), moved outward likewise.
 
         Each n x n array goes once read: L is factored first (and the dense
-        limit checked there), the forest ratios read it, and the held L is
-        dropped before L_hat's form is built (read rho(L), `laplacian_norm`,
-        before the pencil, as `verify_sparsifier` does); the held L_hat is
-        dropped once the leak, max |L_hat_ij| (`laplacian_hat_scale`) and its
-        grounded block are taken, and the dense factor once the reduced
-        matrix is formed. A dense pair so holds at most C^-1, L_hat and one
-        block, 3 n^2 doubles.
+        limit checked there), rho(L) (`laplacian_norm`, which the verdict
+        reads) and the forest ratios read it, and the held L is dropped
+        before L_hat's form is built; the held L_hat is dropped once the
+        leak, max |L_hat_ij| (`laplacian_hat_scale`) and its grounded block
+        are taken, and the dense factor once the reduced matrix is formed. A
+        dense pair so holds at most C^-1, L_hat and one block, 3 n^2 doubles.
         """
         factor = self.grounded_factor
+        self.laplacian_norm  # cached for the verdict, while L is held
         del self.grounded_factor
         ratios = self._forest_ratios()
         self.release_laplacians("laplacian")
@@ -925,9 +493,8 @@ class PairSpectra:
                 with _one_scipy_thread():  # a band operator's products call BLAS
                     residual = _residuals(reduced, theta, q)
         self.paths["pencil"] = "dense" if theta is None else "arpack"
-        if theta is None:
-            theta = np.linalg.eigvalsh(
-                reduced if isinstance(reduced, np.ndarray) else reduced.toarray())[[0, -1]]
+        if theta is None:  # a band operator densifies itself (`_BandPencil.__array__`)
+            theta = np.linalg.eigvalsh(reduced)[[0, -1]]
         widen = residual + _rounding(max(size, _ROUNDING_FLOOR), theta)
         pad = _rounding(_ROUNDING_FLOOR, ratios)
         low = min(theta[0] - widen[0], (ratios - pad).min(initial=np.inf))
@@ -968,7 +535,8 @@ class PairSpectra:
                 self._solves[side] = ("dense", None, None)
                 continue
             if self._worker is None:
-                self._worker = _BandWorker(_sched_getcpu() if _sched_getcpu is not None else -1)
+                getcpu = _native._sched_getcpu
+                self._worker = _native._BandWorker(getcpu() if getcpu is not None else -1)
                 weakref.finalize(self, self._worker.close)  # a pair dropped unread
             band = built[1]
             self._solves[side] = (f"band kd={len(band) - 1}", band, self._worker.submit(band))
@@ -1009,7 +577,7 @@ class PairSpectra:
             return np.linalg.eigvalsh(self._densify(getattr(self, side)))
         if solve.cancel():
             with _one_scipy_thread():
-                return _dsbevd(band)
+                return _native._dsbevd(band)
         return solve.result()
 
     def live_vectors(self, top: int, bottom: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -1162,20 +730,17 @@ def davis_kahan(
     return _angle_bounds(gap, bound, gap_tol, [float(s) for s in sin_theta])
 
 
-def eigenvalue_deviation_bound(
-    matrix,
-    epsilon: float,
-    *,
-    decomp: LaplacianDecomposition | None = None,
-) -> float:
+def eigenvalue_deviation_bound(matrix, epsilon: float) -> float:
     """eps * sqrt(n) * rho(L) + (delta_max - delta_min) / 2.
 
     The certified ceiling on every per-index eigenvalue deviation of the
     sparsification pipeline, valid whenever the sparsifier inequality held.
+    `matrix` is an OdnMatrix, or a PairSpectra whose base is its
+    decomposition: a caller holding one passes `PairSpectra(decomp)`.
     """
     _require_epsilon(epsilon)
     spectra = matrix if isinstance(matrix, PairSpectra) else PairSpectra(
-        decomp or decompose(validate_odn(matrix)))
+        decompose(validate_odn(matrix)))
     decomp = spectra.base
     rho = spectra.laplacian_norm
     spread = (decomp.delta_max - decomp.delta_min) / 2.0

@@ -443,7 +443,7 @@ class TestCommonFlags:
     def test_every_report_records_blas_pools(self, command, pair_paths, tmp_path, capsys):
         """timings.blas holds each bundled OpenBLAS pool's owner, library and
         thread count, as -v prints them, and the report still validates."""
-        from odnsparse.spectra import _blas_pools
+        from odnsparse._native import _blas_pools
 
         report_path = tmp_path / "r.json"
         code, _, err = run(self._argv(command, pair_paths, tmp_path)
@@ -478,7 +478,7 @@ class TestCommonFlags:
         of the eigenvalues of M and M_hat, of each 2-norm and of the
         eigenvectors of M and M_hat that the angle check solved (K5's live
         angles take a dense solve)."""
-        from odnsparse.spectra import _blas_pools
+        from odnsparse._native import _blas_pools
 
         code, _, err = run(self._argv(command, pair_paths, tmp_path) + ["-v"], capsys)
         assert code == 0
@@ -579,12 +579,12 @@ class TestCommonFlags:
         never reads M's values, so it starts no solve; pca-demo's correlation
         matrix of a one-factor CSV is complete, so both its sides are solved
         dense by the caller, and no worker starts either."""
-        from odnsparse import spectra as spectra_module
+        from odnsparse import _native
 
         def no_worker(cpu):
             raise AssertionError("a band worker was started")
 
-        monkeypatch.setattr(spectra_module, "_BandWorker", no_worker)
+        monkeypatch.setattr(_native, "_BandWorker", no_worker)
         argv = {"bounds": ["bounds", "--gen", "grid:rows=30,cols=30,diag=uniform(0,1)"],
                 "pca-demo": ["pca-demo", "--input", str(_factor_csv(tmp_path))]}[command]
         assert run(argv, capsys)[0] == 0
@@ -633,9 +633,10 @@ def test_failure_after_a_started_solve_does_not_wait_for_it(tmp_path):
     from conftest import child_env
 
     script = ("import sys, time\n"
-              "from odnsparse import spectra\n"
+              "from odnsparse import _native\n"
               "from odnsparse.cli import main\n"
-              "spectra._dsbevd = lambda band: time.sleep(600)\n"
+              "assert _native._dsbevd  # the name the worker and the caller read\n"
+              "_native._dsbevd = lambda band: time.sleep(600)\n"
               "sys.exit(main(sys.argv[1:]))\n")
     started = time.monotonic()
     proc = subprocess.run(
@@ -657,13 +658,12 @@ def test_failure_after_a_started_solve_does_not_wait_for_it(tmp_path):
 def test_bad_sampler_arguments_start_no_solve(flag, value, message, monkeypatch, capsys):
     """sparsify checks the sampler's arguments, a negative seed or a budget
     past int64, before it decomposes the input, so no band worker starts."""
-    from odnsparse import cli
-    from odnsparse import spectra as spectra_module
+    from odnsparse import _native, cli
 
     def refused(*args, **kwargs):
         raise AssertionError("the input was decomposed or a band worker was started")
 
-    monkeypatch.setattr(spectra_module, "_BandWorker", refused)
+    monkeypatch.setattr(_native, "_BandWorker", refused)
     monkeypatch.setattr(cli, "decompose", refused)
     code, out, err = run(["sparsify", "--gen", "grid:rows=30,cols=30,diag=uniform(0,1)",
                           flag, value], capsys)

@@ -104,6 +104,15 @@ def test_numpy_submodules_no_command_runs_stay_unimported(tmp_path):
     assert result["ma"] == 1 and result["ctypeslib"]
 
 
+def test_band_worker_imports_stay_lazy(tmp_path):
+    """`import odnsparse.cli` loads neither `queue` nor the thread pool of
+    concurrent.futures: the band worker imports its queue when it starts."""
+    script = ("import sys\n"
+              "import odnsparse.cli\n"
+              "print(sorted({'queue', 'concurrent.futures.thread'} & set(sys.modules)))\n")
+    assert _child(script, cwd=tmp_path) == "[]"
+
+
 def test_numpy_submodule_imported_first_is_kept(tmp_path):
     """A numpy submodule imported before odnsparse is neither replaced nor
     made lazy."""

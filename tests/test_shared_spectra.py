@@ -30,7 +30,10 @@ from odnsparse import (
     write_matrix_market,
 )
 from odnsparse import spectra as spectra_module
+from odnsparse import _native
+from odnsparse import factor as factor_module
 from odnsparse.cli import main
+from odnsparse.core import GraphViews
 from odnsparse.generators import parse_generator_spec
 
 from conftest import complete_with_isolated_vertex, dense_pencil, random_odn
@@ -94,11 +97,11 @@ def test_verify_of_a_dense_pair_never_reorders(solves, tmp_path, capsys, monkeyp
     assert main(["sparsify", "--input", str(a), "--out-matrix", str(b)]) == 0
     orders = []
 
-    def counting(*args, _order=spectra_module.reverse_cuthill_mckee, **kwargs):
+    def counting(*args, _order=factor_module.reverse_cuthill_mckee, **kwargs):
         orders.append(args)
         return _order(*args, **kwargs)
 
-    monkeypatch.setattr(spectra_module, "reverse_cuthill_mckee", counting)
+    monkeypatch.setattr(factor_module, "reverse_cuthill_mckee", counting)
     solves.update(eigh=0, eigvalsh=0, eigsh=0)
     assert main(["verify", str(a), str(b), "--out-report", str(tmp_path / "r.json")]) == 0
     assert solves["eigvalsh"] == 2
@@ -348,7 +351,7 @@ def test_grid_pencil_memory(monkeypatch):
     factor, the pencil's traced peak past the factor is at most 1.5 n x n
     arrays: L_hat's grounded block, which becomes the reduced matrix in
     place."""
-    monkeypatch.setattr(spectra_module, "_BAND_SHARE", 0.0)
+    monkeypatch.setattr(factor_module, "_BAND_SHARE", 0.0)
     matrix = generate_odn("grid", rows=30, cols=30, seed=1, diag=("uniform", 0, 1))
     spectra = PairSpectra(decompose(matrix))
     spectra.hat = sparsify_laplacian(spectra, EPS, SEED)
@@ -382,10 +385,28 @@ def test_dense_verify_memory():
     assert peak < 3.5 * n**2 * 8
 
 
+def test_pencil_read_first_builds_each_dense_laplacian_once(monkeypatch):
+    """The pencil reads rho(L) before it drops L, so a caller may read the
+    pencil and then `laplacian_norm` without L being built again: on a
+    complete graph of n = 200, L's dense form is built once and L_hat's once."""
+    decomp = decompose(generate_odn("complete", 200, seed=2, diag=("uniform", 0, 1)))
+    spectra = PairSpectra(decomp, sparsify_laplacian(decomp, EPS, SEED))
+    built = []
+
+    def counting(side, _build=GraphViews.laplacian_dense):
+        built.append("L" if side is spectra.base else "L_hat")
+        return _build(side)
+
+    monkeypatch.setattr(GraphViews, "laplacian_dense", counting)
+    spectra.pencil, spectra.laplacian_norm
+    assert built == ["L", "L_hat"]
+    assert list(spectra.paths) == ["factor", "laplacian_norm", "pencil"]
+
+
 def test_grid_band_memory():
-    """On a 60 x 60 grid, the band factor, the resistances and the pencil
-    allocate no n x n array (104 MB): their traced peak is a small multiple
-    of the band, n (kd + 1) x 8 B."""
+    """On a 60 x 60 grid, the band factor, the resistances and the pencil,
+    rho(L) included, allocate no n x n array (104 MB): their traced peak is
+    a small multiple of the band, n (kd + 1) x 8 B."""
     matrix = generate_odn("grid", rows=60, cols=60, seed=1, diag=("uniform", 0, 1))
     decomp = decompose(matrix)
     hat = sparsify_laplacian(decomp, EPS, SEED)
@@ -398,7 +419,8 @@ def test_grid_band_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert spectra.paths == {"factor": "band kd=60", "pencil": "arpack"}
+    assert spectra.paths == {"factor": "band kd=60", "laplacian_norm": "arpack",
+                             "pencil": "arpack"}
     assert peak <= 4 * matrix.n * 61 * 8
 
 
@@ -549,12 +571,12 @@ HELD_SPECS = ["complete:n=80,seed=3", "grid:rows=6,cols=6,diag=uniform(0,1)"]
 def test_release_hands_freed_pages_back(monkeypatch):
     """Dropping the held Laplacians trims the heap, where the C library can."""
     trims = []
-    monkeypatch.setattr(spectra_module, "_malloc_trim", trims.append)
+    monkeypatch.setattr(_native, "_malloc_trim", trims.append)
     pair = PairSpectra(decompose(generate_odn("complete", 20, seed=1)))
     assert isinstance(pair.laplacian, np.ndarray)
     pair.release_laplacians()
     assert trims == [0] and "laplacian" not in vars(pair)
-    monkeypatch.setattr(spectra_module, "_malloc_trim", None)
+    monkeypatch.setattr(_native, "_malloc_trim", None)
     pair.release_laplacians()  # no malloc_trim: nothing to call
 
 

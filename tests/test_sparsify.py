@@ -31,6 +31,7 @@ from odnsparse import (
     write_matrix_market,
 )
 from odnsparse import spectra
+from odnsparse import factor as factor_module
 from odnsparse import sparsify as sparsify_module
 
 from conftest import (
@@ -428,6 +429,26 @@ def test_sampler_stream_pinned():
         "23f9f4b8986415cb51ffe78421a98d9d864f7e324d70632933ad99ce5f89c356")
 
 
+@pytest.mark.skipif(np.__version__ != "2.4.6",
+                    reason=f"the pin is numpy 2.4.6's multinomial stream, and numpy "
+                           f"{np.__version__} is installed (NEP 19 lets it change)")
+@pytest.mark.parametrize("n,expected", [
+    (60, "bae4824c49258285d507009c956817bef8a7b262170643cf28cd47c3f6c66298"),
+    (200, "8ec50f086b3d592c0106547f8abb937c926e552534242632397608168df1f43c"),
+])
+def test_dense_factor_sampler_stream_pinned(n, expected):
+    """`test_sampler_stream_pinned` for complete graphs, whose resistances come
+    from the dense factor: the same bytes under every OpenBLAS kernel tried
+    (Prescott, Nehalem, Sandybridge, Haswell, SkylakeX and Zen)."""
+    pair = PairSpectra(decompose(generate_odn("complete", n, seed=0)))
+    e = sparsify_laplacian(pair, 0.25, seed=0).edges
+    assert pair.paths["factor"] == "dense"
+    digest = hashlib.sha256()
+    for part in (e.rows.astype("<i8"), e.cols.astype("<i8"), e.vals.astype("<f8")):
+        digest.update(part.tobytes())
+    assert digest.hexdigest() == expected
+
+
 EPSILON_ENTRY_POINTS = {
     "sparsify_laplacian": lambda pair, eps: sparsify_laplacian(pair, eps),
     "verify_sparsifier": lambda pair, eps: verify_sparsifier(pair, epsilon=eps),
@@ -506,11 +527,11 @@ class TestVerify:
         held = []
 
         for name in ("dpotrf", "dpbtrf"):
-            def factoring(*args, _factor=getattr(spectra.lapack, name), **kwargs):
+            def factoring(*args, _factor=getattr(factor_module.lapack, name), **kwargs):
                 held.append("laplacian_hat" in vars(pair))
                 return _factor(*args, **kwargs)
 
-            monkeypatch.setattr(spectra.lapack, name, factoring)
+            monkeypatch.setattr(factor_module.lapack, name, factoring)
         assert verify_sparsifier(pair, epsilon=0.25).passed
         assert held == [False]
         assert pair.paths["factor"] == ("dense" if spec["model"] == "complete" else "band kd=6")
@@ -591,7 +612,7 @@ class TestVerify:
         lap = decompose(SAMPLER_INPUTS[name]()).laplacian
         kept = np.arange(1, lap.shape[0], 2)
         held = lap.toarray() if dense else lap
-        block = spectra._grounded_block(held, kept)
+        block = factor_module._grounded_block(held, kept)
         assert block.flags.f_contiguous and not np.shares_memory(block, held)
         np.testing.assert_array_equal(block, lap.toarray()[np.ix_(kept, kept)])
 
@@ -822,6 +843,7 @@ class TestExactVerdict:
             solved.append(operand.copy() if dense else operand @ np.eye(operand.shape[0]))
             return _eigsh(operand, *args, **kwargs)
 
+        pair.laplacian_norm  # the pencil reads rho(L) first, by ARPACK too
         monkeypatch.setattr(spectra, "eigsh", recording)
         pair.pencil
         assert pair.paths["pencil"] == "arpack"
@@ -964,7 +986,7 @@ class TestBandPath:
     @staticmethod
     def _run(matrix, monkeypatch, dense):
         if dense:
-            monkeypatch.setattr(spectra, "_BAND_SHARE", 0.0)
+            monkeypatch.setattr(factor_module, "_BAND_SHARE", 0.0)
         pair = PairSpectra(decompose(matrix))
         resistance = effective_resistances(pair)[0]
         res = sparsify_laplacian(pair, 0.25, seed=3)

@@ -34,6 +34,8 @@ from odnsparse import (
     weyl_check,
 )
 from odnsparse import spectra as spectra_module
+from odnsparse import _native
+from odnsparse import factor as factor_module
 
 from conftest import random_odn, random_symmetric
 
@@ -145,9 +147,9 @@ class TestSpectralNorm:
 def scipy_pool():
     """(get, set) of scipy's bundled OpenBLAS pool, set to 2 threads for the
     test and put back afterwards; skipped where scipy has no such pool."""
-    if spectra_module._SCIPY_BLAS is None:
+    if _native._SCIPY_BLAS is None:
         pytest.skip("scipy has no bundled OpenBLAS to hold")
-    get_threads, set_threads, _ = spectra_module._SCIPY_BLAS
+    get_threads, set_threads, _ = _native._SCIPY_BLAS
     prior = get_threads()
     set_threads(2)
     yield get_threads, set_threads
@@ -192,7 +194,7 @@ class TestArpackThreads:
 
     def test_no_op_without_the_symbols(self, scipy_pool, monkeypatch):
         get_threads, _ = scipy_pool
-        monkeypatch.setattr(spectra_module, "_SCIPY_BLAS", None)
+        monkeypatch.setattr(_native, "_SCIPY_BLAS", None)
         seen = []
         spectra_module._arpack(_thread_reading_operator(get_threads, seen), k=2, which="LA")
         assert seen and set(seen) == {2}
@@ -228,13 +230,13 @@ class TestArpackThreads:
 
         for attr, names in (("lapack", ("dpotrf", "dtrtri", "dpbtrf", "dtbtrs")),
                             ("blas", ("dtrmm", "dsbmv", "dtbsv"))):
-            module = getattr(spectra_module, attr)
-            monkeypatch.setattr(spectra_module, attr, SimpleNamespace(
+            module = getattr(factor_module, attr)
+            monkeypatch.setattr(factor_module, attr, SimpleNamespace(
                 **{name: wrap(module, name) for name in names}))
 
     def test_factor_and_pencil_run_on_one_thread(self, scipy_pool, monkeypatch):
         get_threads, _ = scipy_pool
-        monkeypatch.setattr(spectra_module, "_BAND_SHARE", 0.0)  # the dense factor
+        monkeypatch.setattr(factor_module, "_BAND_SHARE", 0.0)  # the dense factor
         d = decompose(generate_odn("grid", rows=6, cols=6, seed=1))
         pair = PairSpectra(d, sparsify_laplacian(d, 0.3, seed=1))
         seen = []
@@ -263,7 +265,7 @@ class TestArpackThreads:
         assert set(names[35:]) == {"dtbsv"} and len(names) % 2 == 1
         assert {threads for _, threads in seen} == {1}
         seen.clear()
-        PairSpectra(d, hat).grounded_factor.reduced(hat.laplacian).toarray()
+        np.asarray(PairSpectra(d, hat).grounded_factor.reduced(hat.laplacian))
         assert seen == [("dpbtrf", 1), ("dtbtrs", 1), ("dtbtrs", 1)]
         assert get_threads() == 2
 
@@ -273,7 +275,7 @@ class TestArpackThreads:
         grid (kd = 60) process CPU time is at most 1.1 x wall time."""
         get_threads, _ = scipy_pool
         band = spectra_module._band(_grid(60, 60), 1 / 20)[1]
-        worker = spectra_module._BandWorker(-1)
+        worker = _native._BandWorker(-1)
         try:
             wall, cpu = time.perf_counter(), time.process_time()
             worker.submit(band).result(timeout=120)
@@ -314,8 +316,8 @@ class TestArpackThreads:
 
     def test_missing_symbols_find_no_pool(self):
         # A suffix that no bundled OpenBLAS uses, and a module that does not exist.
-        assert spectra_module._openblas("numpy._core._multiarray_umath", "_no_such") is None
-        assert spectra_module._openblas("odnsparse.no_such_module") is None
+        assert _native._openblas("numpy._core._multiarray_umath", "_no_such") is None
+        assert _native._openblas("odnsparse.no_such_module") is None
 
 
 class TestWeyl:
@@ -908,7 +910,7 @@ class TestBandValues:
         def no_reordering(*args, **kwargs):
             raise AssertionError("reverse Cuthill-McKee was run")
 
-        monkeypatch.setattr(spectra_module, "reverse_cuthill_mckee", no_reordering)
+        monkeypatch.setattr(factor_module, "reverse_cuthill_mckee", no_reordering)
         m = generate_odn("complete", 200, seed=2, diag=("uniform", 0, 1))
         spectra = PairSpectra(matrix=m, matrix_hat=_sparsified(m))
         spectra.matrix_values
@@ -946,7 +948,7 @@ class TestConcurrentBandValues:
 
         m = CONCURRENT_INPUTS[name]()
         band = spectra_module._band(m, 1.0)[1]
-        got = spectra_module._dsbevd(band.copy(order="F"))
+        got = _native._dsbevd(band.copy(order="F"))
         expected, _, info = lapack.dsbevd(band, compute_v=0, lower=1)  # overwrites band
         assert not info
         assert np.array_equal(got, expected)
@@ -957,7 +959,7 @@ class TestConcurrentBandValues:
         a short switch interval neither side's values change."""
         get_threads, _ = scipy_pool
         pairs = [(m, _sparsified(m)) for m in (_grid(30, 30), _shuffled_band())]
-        expected = [[spectra_module._dsbevd(spectra_module._band(x, 1 / 20)[1]) for x in pair]
+        expected = [[_native._dsbevd(spectra_module._band(x, 1 / 20)[1]) for x in pair]
                     for pair in pairs]
         got = [None, None]
 
@@ -986,13 +988,13 @@ class TestConcurrentBandValues:
         spectra = PairSpectra(matrix=m, matrix_hat=_sparsified(m))
         failed = threading.Event()
 
-        def failing_on_the_worker(*args, _routine=spectra_module._LAPACK_DSBEVD):
+        def failing_on_the_worker(*args, _routine=_native._LAPACK_DSBEVD):
             _routine(*args)
             if threading.current_thread() is not threading.main_thread():
                 args[-1].value = 7  # info
                 failed.set()
 
-        monkeypatch.setattr(spectra_module, "_LAPACK_DSBEVD", failing_on_the_worker)
+        monkeypatch.setattr(_native, "_LAPACK_DSBEVD", failing_on_the_worker)
         threads, mask = threading.active_count(), os.sched_getaffinity(0)
         spectra.start_values("matrix")
         assert failed.wait(timeout=60)
@@ -1023,7 +1025,7 @@ class TestConcurrentBandValues:
                 return routine(*args)
             return call
 
-        monkeypatch.setattr(spectra_module, "_dsbevd", recording("dsbevd", spectra_module._dsbevd))
+        monkeypatch.setattr(_native, "_dsbevd", recording("dsbevd", _native._dsbevd))
         monkeypatch.setattr(np.linalg, "eigvalsh", recording("eigvalsh", np.linalg.eigvalsh))
         threads = threading.active_count()
         spectra = PairSpectra(matrix=_grid(30, 30), matrix_hat=_grid(10, 10))
@@ -1035,7 +1037,7 @@ class TestConcurrentBandValues:
 
 def _reference_values(pair):
     """Each side's values by `_dsbevd` on the calling thread."""
-    return [spectra_module._dsbevd(spectra_module._band(x, 1 / 20)[1]) for x in pair]
+    return [_native._dsbevd(spectra_module._band(x, 1 / 20)[1]) for x in pair]
 
 
 class TestStartValues:
@@ -1054,7 +1056,7 @@ class TestStartValues:
         `hold`, a worker's solve waits for it before it records."""
         solved, began = [], threading.Event()
 
-        def recording(band, _routine=spectra_module._dsbevd):
+        def recording(band, _routine=_native._dsbevd):
             caller = threading.current_thread() is threading.main_thread()
             if not caller:
                 began.set()
@@ -1063,7 +1065,7 @@ class TestStartValues:
             solved.append((caller, threading.get_ident()))
             return _routine(band)
 
-        monkeypatch.setattr(spectra_module, "_dsbevd", recording)
+        monkeypatch.setattr(_native, "_dsbevd", recording)
         return solved, began
 
     @pytest.mark.parametrize("schedule", ["ahead", "taken-back", "inside"])
@@ -1077,7 +1079,7 @@ class TestStartValues:
         gate = threading.Event()
         if schedule == "taken-back":
             # The worker waits until the caller has read both sides.
-            monkeypatch.setattr(spectra_module, "_pin_off_cpu",
+            monkeypatch.setattr(_native, "_pin_off_cpu",
                                 lambda cpu: gate.wait(timeout=60))
 
             def releasing(side, _values=PairSpectra._values):
@@ -1147,7 +1149,7 @@ class TestStartValues:
         def no_worker(cpu):
             raise AssertionError("a worker was started")
 
-        monkeypatch.setattr(spectra_module, "_BandWorker", no_worker)
+        monkeypatch.setattr(_native, "_BandWorker", no_worker)
         m = generate_odn("complete", 60, seed=2, diag=("uniform", 0, 1))
         spectra = PairSpectra(matrix=m, matrix_hat=_sparsified(m))
         spectra.start_values()
@@ -1189,7 +1191,7 @@ class TestWorkerPlacement:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(allowed))
         monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pinned.append(
             (pid, set(cpus), threading.current_thread() is threading.main_thread())))
-        monkeypatch.setattr(spectra_module, "_sched_getcpu", cpu)
+        monkeypatch.setattr(_native, "_sched_getcpu", cpu)
         m = _grid(30, 30)
         PairSpectra(matrix=m, matrix_hat=_sparsified(m)).matrix_values
         return pinned
@@ -1210,16 +1212,16 @@ class TestWorkerPlacement:
     def test_worker_takes_the_lowest_other_cpu(self, monkeypatch):
         assert self._solve(monkeypatch, {2, 5, 7}, lambda: 2) == [(0, {5}, False)]
 
-    @pytest.mark.skipif(spectra_module._sched_getcpu is None
+    @pytest.mark.skipif(_native._sched_getcpu is None
                         or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
                         reason="one CPU allowed, or no sched_getcpu")
     def test_worker_runs_off_the_callers_cpu(self, monkeypatch):
         """With the real calls: the worker's solve runs on a CPU other than
         the one the caller was on when it started the worker."""
         on = {}
-        started = spectra_module._sched_getcpu
+        started = _native._sched_getcpu
 
-        def recording(band, _routine=spectra_module._dsbevd):
+        def recording(band, _routine=_native._dsbevd):
             on[threading.current_thread() is threading.main_thread()] = started()
             return _routine(band)
 
@@ -1227,8 +1229,8 @@ class TestWorkerPlacement:
             on["start"] = started()
             return on["start"]
 
-        monkeypatch.setattr(spectra_module, "_dsbevd", recording)
-        monkeypatch.setattr(spectra_module, "_sched_getcpu", caller_cpu)
+        monkeypatch.setattr(_native, "_dsbevd", recording)
+        monkeypatch.setattr(_native, "_sched_getcpu", caller_cpu)
         m = _grid(30, 30)
         PairSpectra(matrix=m, matrix_hat=_sparsified(m)).matrix_values
         assert on[False] != on["start"]
